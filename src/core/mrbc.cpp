@@ -1097,7 +1097,8 @@ std::string durable_path(const MrbcOptions& options) {
 }
 
 /// Everything that must match between the writing and the resuming run for
-/// a snapshot to mean the same computation.
+/// a snapshot to mean the same computation, plus the loop snapshot's byte
+/// layout (a file from an older layout is rejected, not misparsed).
 std::uint32_t config_fingerprint(const Partition& part,
                                  const std::vector<graph::VertexId>& sources,
                                  const MrbcOptions& options) {
@@ -1110,6 +1111,7 @@ std::uint32_t config_fingerprint(const Partition& part,
   buf.write<std::uint8_t>(static_cast<std::uint8_t>(options.cluster.codec));
   buf.write<std::uint64_t>(options.cluster.checkpoint_interval);
   buf.write_vector(sources);
+  buf.write<std::uint32_t>(HostState::kWireLayout);
   return util::crc32(buf.bytes());
 }
 
@@ -1183,10 +1185,13 @@ struct DurableWriter {
       } else {
         sim::save_run_stats(ph, *partial);
       }
+      // write_vector framing, with the loop's snapshot framed in place
+      // rather than copied into the section.
       util::SendBuffer& lp = w.section(kSecLoop);
       lp.write<std::uint64_t>(loop->round);
       lp.write<std::uint8_t>(loop->any_active ? 1 : 0);
-      lp.write_vector(loop->snapshot);
+      lp.write<std::uint64_t>(loop->snapshot.size());
+      w.attach(kSecLoop, loop->snapshot.data(), loop->snapshot.size());
     }
     if (opts->cluster.fault != nullptr) {
       opts->cluster.fault->save_cursor(w.section(kSecFault));

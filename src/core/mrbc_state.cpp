@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
+#include <stdexcept>
+#include <string>
 
 #include "core/staged_drain.h"
 #include "util/thread_pool.h"
@@ -130,7 +133,14 @@ void HostState::clear_dirty(VertexId lid) {
 void HostState::save(util::SendBuffer& buf) const {
   buf.write<std::uint32_t>(k_);
   buf.write<VertexId>(num_proxies_);
-  buf.write_array(slots_.data(), slots_.size());
+  buf.write<std::uint64_t>(slots_.size());
+  std::uint8_t* out = buf.extend(slots_.size() * kPackedSlotBytes);
+  for (const SourceSlot& s : slots_) {
+    std::memcpy(out, &s.dist, sizeof s.dist);
+    std::memcpy(out + 4, &s.sigma, sizeof s.sigma);
+    std::memcpy(out + 12, &s.delta, sizeof s.delta);
+    out += kPackedSlotBytes;
+  }
   for (VertexId lid = 0; lid < num_proxies_; ++lid) buf.write_vector(dirty_[lid]);
   buf.write_array(fwd_sent.data(), fwd_sent.size());
   buf.write_array(acc_sent.data(), acc_sent.size());
@@ -155,7 +165,18 @@ void HostState::restore(util::RecvBuffer& buf) {
     layout();
     first_touch_init();
   }
-  buf.read_array(slots_.data(), slots_.size());
+  const auto num_slots = buf.read<std::uint64_t>();
+  if (num_slots != slots_.size()) {
+    throw std::out_of_range("HostState: slot count " + std::to_string(num_slots) +
+                            " does not match expected " + std::to_string(slots_.size()));
+  }
+  const std::uint8_t* in = buf.consume(slots_.size() * kPackedSlotBytes);
+  for (SourceSlot& s : slots_) {
+    std::memcpy(&s.dist, in, sizeof s.dist);
+    std::memcpy(&s.sigma, in + 4, sizeof s.sigma);
+    std::memcpy(&s.delta, in + 12, sizeof s.delta);
+    in += kPackedSlotBytes;
+  }
   dirty_.assign(num_proxies_, {});
   for (VertexId lid = 0; lid < num_proxies_; ++lid) dirty_[lid] = buf.read_vector<std::uint32_t>();
   buf.read_array(fwd_sent.data(), fwd_sent.size());

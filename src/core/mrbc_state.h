@@ -102,9 +102,16 @@ class HostState {
   // Serializes / restores the complete label state for crash recovery.
   // M_v and the entry counts are derivable from A_v, so only the slots and
   // round-local cursors/queues go on the wire; restore() rebuilds the index.
-  // The wire layout is byte-identical to the historical per-vector format
-  // (u64 count + packed elements), so checkpoint sizes are unchanged by the
-  // arena refactor.
+  // The slot plane is a u64 count followed by kPackedSlotBytes per slot
+  // (dist u32, sigma f64, delta f64, no padding), so equal label states
+  // always serialize to equal bytes: SourceSlot's in-memory padding is
+  // uninitialized arena memory and never reaches the wire.
+  static constexpr std::size_t kPackedSlotBytes =
+      sizeof(std::uint32_t) + 2 * sizeof(double);
+  /// Revision of the save() byte layout; durable snapshot fingerprints
+  /// include it so a file in an older layout is rejected, not misparsed.
+  /// 1 was the padded 24-byte slot; 2 is the packed 20-byte slot.
+  static constexpr std::uint32_t kWireLayout = 2;
   void save(util::SendBuffer& buf) const;
   void restore(util::RecvBuffer& buf);
 

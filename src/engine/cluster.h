@@ -174,7 +174,9 @@ struct RunStats {
 
 /// One coordinated checkpoint as handed to the durable layer: the logical
 /// round it was taken at the end of, the loop-control flag needed to
-/// resume, and the full application + substrate snapshot bytes.
+/// resume, and the full application + substrate snapshot bytes. BspLoop
+/// hands on_checkpoint the checkpoint it would roll back to, not a copy,
+/// so the reference is valid only for the duration of the callback.
 struct LoopCheckpoint {
   std::size_t round = 0;
   bool any_active = true;
@@ -281,19 +283,24 @@ class BspLoop {
         app != nullptr &&
         (fault != nullptr || options_.on_checkpoint != nullptr || resume != nullptr);
     const std::size_t interval = std::max<std::size_t>(options_.checkpoint_interval, 1);
-    std::vector<std::uint8_t> snapshot;      // latest coordinated checkpoint
-    std::size_t snapshot_round = 0;
-    bool snapshot_any_active = true;
+    LoopCheckpoint ckpt;  // latest coordinated checkpoint: the rollback point
     FailureDetector detector(options_.detector, num_hosts_, options_.network);
     auto take_checkpoint = [&](std::size_t ckpt_round, bool ckpt_any_active) {
-      util::SendBuffer buf;
-      app->save_checkpoint(buf);
-      snapshot = buf.take();
-      snapshot_round = ckpt_round;
-      snapshot_any_active = ckpt_any_active;
+      {
+        // Measured serialization time, beside the modeled write below.
+        obs::Span save_span(obs::Category::kCheckpoint, "checkpoint-save", obs::kEngineHost,
+                            static_cast<std::uint32_t>(ckpt_round));
+        // Refills the previous snapshot's allocation: every checkpoint of a
+        // run has about the same size.
+        util::SendBuffer buf(std::move(ckpt.snapshot));
+        app->save_checkpoint(buf);
+        ckpt.snapshot = buf.take();
+      }
+      ckpt.round = ckpt_round;
+      ckpt.any_active = ckpt_any_active;
       stats.faults.checkpoints += 1;
-      stats.faults.checkpoint_bytes += snapshot.size();
-      const double seconds = options_.network.checkpoint_seconds(snapshot.size());
+      stats.faults.checkpoint_bytes += ckpt.snapshot.size();
+      const double seconds = options_.network.checkpoint_seconds(ckpt.snapshot.size());
       stats.faults.checkpoint_seconds += seconds;
       stats.phases.checkpoint_seconds += seconds;
       stats.network_seconds += seconds;
@@ -302,13 +309,9 @@ class BspLoop {
                                            obs::kEngineHost,
                                            static_cast<std::uint32_t>(ckpt_round), seconds);
       }
-      if (options_.on_checkpoint) {
-        LoopCheckpoint ck;
-        ck.round = ckpt_round;
-        ck.any_active = ckpt_any_active;
-        ck.snapshot = snapshot;
-        options_.on_checkpoint(ck, stats);
-      }
+      // The callback gets the rollback checkpoint itself, read-only, so a
+      // callback that throws cannot leave it half-written.
+      if (options_.on_checkpoint) options_.on_checkpoint(ckpt, stats);
     };
 
     bool any_active = true;  // force the first round
@@ -317,10 +320,8 @@ class BspLoop {
       // Cold restart: adopt the durable snapshot as the current coordinated
       // checkpoint and restore the application into it. No checkpoint cost
       // is charged — the snapshot already exists on stable storage.
-      snapshot = resume->snapshot;
-      snapshot_round = resume->round;
-      snapshot_any_active = resume->any_active;
-      util::RecvBuffer buf(snapshot.data(), snapshot.size());
+      ckpt = *resume;
+      util::RecvBuffer buf(ckpt.snapshot.data(), ckpt.snapshot.size());
       app->restore_checkpoint(buf);
       round = resume->round;
       any_active = resume->any_active;
@@ -522,7 +523,7 @@ class BspLoop {
           std::size_t moved = 0;
           for (HostId p : dying) moved += membership->declare_dead(p).size();
           const std::size_t transfer_bytes =
-              num_hosts_ > 0 ? snapshot.size() * moved / num_hosts_ : 0;
+              num_hosts_ > 0 ? ckpt.snapshot.size() * moved / num_hosts_ : 0;
           stats.faults.deaths += dying.size();
           stats.faults.handoffs += moved;
           stats.faults.handoff_bytes += transfer_bytes;
@@ -538,11 +539,11 @@ class BspLoop {
           }
           app->on_membership_change(*membership);
           // Rollback & replay, exactly like a transient crash.
-          stats.faults.recovery_rounds += round - snapshot_round;
-          util::RecvBuffer buf{std::vector<std::uint8_t>(snapshot)};
+          stats.faults.recovery_rounds += round - ckpt.round;
+          util::RecvBuffer buf(ckpt.snapshot.data(), ckpt.snapshot.size());
           app->restore_checkpoint(buf);
-          round = snapshot_round;
-          any_active = snapshot_any_active;
+          round = ckpt.round;
+          any_active = ckpt.any_active;
           continue;
         }
       } else if (!deaths.empty()) {
@@ -557,11 +558,11 @@ class BspLoop {
           // (repeated) logical round numbers.
           obs::Span rollback_span(obs::Category::kRecovery, "rollback", obs::kEngineHost,
                                   static_cast<std::uint32_t>(round));
-          stats.faults.recovery_rounds += round - snapshot_round;
-          util::RecvBuffer buf{std::vector<std::uint8_t>(snapshot)};
+          stats.faults.recovery_rounds += round - ckpt.round;
+          util::RecvBuffer buf(ckpt.snapshot.data(), ckpt.snapshot.size());
           app->restore_checkpoint(buf);
-          round = snapshot_round;
-          any_active = snapshot_any_active;
+          round = ckpt.round;
+          any_active = ckpt.any_active;
           continue;
         }
         // No checkpoint hook: the crash is recorded but not recoverable.

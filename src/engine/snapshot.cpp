@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <cstring>
 
+#include "obs/trace.h"
+
 namespace mrbc::sim {
 
 namespace {
@@ -20,39 +22,58 @@ constexpr std::uint32_t kSectionFaultPlan = 0x46504C4E;  // "FPLN"
 
 // ---- SnapshotWriter ---------------------------------------------------------
 
-util::SendBuffer& SnapshotWriter::section(std::uint32_t id) {
-  for (auto& [sid, buf] : sections_) {
-    if (sid == id) return buf;
+SnapshotWriter::Section& SnapshotWriter::find(std::uint32_t id) {
+  for (Section& sec : sections_) {
+    if (sec.id == id) return sec;
   }
-  sections_.emplace_back(id, util::SendBuffer{});
-  return sections_.back().second;
+  sections_.emplace_back();
+  sections_.back().id = id;
+  return sections_.back();
 }
 
-std::vector<std::uint8_t> SnapshotWriter::bytes() const {
-  util::SendBuffer out;
-  out.write_raw(kMagic, sizeof(kMagic));
-  out.write<std::uint32_t>(kFormatVersion);
-  out.write<std::uint32_t>(static_cast<std::uint32_t>(sections_.size()));
-  for (const auto& [id, buf] : sections_) {
-    out.write<std::uint32_t>(id);
-    out.write<std::uint64_t>(buf.size());
-    out.write<std::uint32_t>(util::crc32(buf.bytes()));
-    out.write_raw(buf.bytes().data(), buf.size());
+util::SendBuffer& SnapshotWriter::section(std::uint32_t id) { return find(id).buf; }
+
+void SnapshotWriter::attach(std::uint32_t id, const void* data, std::size_t n) {
+  Section& sec = find(id);
+  if (sec.tail != nullptr) {
+    throw std::logic_error("snapshot: section " + std::to_string(id) +
+                           " already has a payload attached");
   }
-  return out.take();
+  sec.tail = static_cast<const std::uint8_t*>(data);
+  sec.tail_size = n;
 }
 
 void SnapshotWriter::write_file(const std::string& path) const {
-  const std::vector<std::uint8_t> data = bytes();
+  // Measured (unlike the loop's modeled "checkpoint" span): CRC, write and
+  // rename of one container file.
+  obs::Span span(obs::Category::kCheckpoint, "snapshot-write");
   const std::string tmp = path + ".tmp";
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
   if (f == nullptr) {
     throw SnapshotError("snapshot: cannot open " + tmp + " for writing");
   }
-  const std::size_t written = data.empty() ? 0 : std::fwrite(data.data(), 1, data.size(), f);
+  bool ok = true;
+  auto put = [&](const void* data, std::size_t n) {
+    if (ok && n > 0) ok = std::fwrite(data, 1, n, f) == n;
+  };
+  util::SendBuffer header;
+  header.write_raw(kMagic, sizeof(kMagic));
+  header.write<std::uint32_t>(kFormatVersion);
+  header.write<std::uint32_t>(static_cast<std::uint32_t>(sections_.size()));
+  put(header.bytes().data(), header.size());
+  for (const Section& sec : sections_) {
+    const std::vector<std::uint8_t>& head = sec.buf.bytes();
+    header.clear();
+    header.write<std::uint32_t>(sec.id);
+    header.write<std::uint64_t>(head.size() + sec.tail_size);
+    header.write<std::uint32_t>(util::crc32(sec.tail, sec.tail_size, util::crc32(head)));
+    put(header.bytes().data(), header.size());
+    put(head.data(), head.size());
+    put(sec.tail, sec.tail_size);
+  }
   const bool flushed = std::fflush(f) == 0;
   const bool closed = std::fclose(f) == 0;
-  if (written != data.size() || !flushed || !closed) {
+  if (!ok || !flushed || !closed) {
     std::remove(tmp.c_str());
     throw SnapshotError("snapshot: short write to " + tmp);
   }

@@ -15,8 +15,16 @@
 // violation throws SnapshotError with a message naming what failed, so a
 // truncated or bit-flipped file can never reach application restore code
 // (which would otherwise interpret garbage state). Writes go through a
-// temporary file + rename so a crash mid-write leaves the previous
-// snapshot intact (atomic replacement on POSIX).
+// temporary file + rename so a process killed mid-write leaves the previous
+// snapshot intact (atomic replacement on POSIX). The file is not fsynced:
+// a completed write survives the process dying (SIGKILL, OOM), not the
+// machine losing power.
+//
+// Single-pass writes: SnapshotWriter never assembles the file image. Each
+// section's bytes are checksummed once and streamed once from where they
+// already live — the section's own buffer, plus an optional borrowed
+// payload (attach) such as the BSP loop's snapshot, which is framed
+// without being copied.
 
 #include <cstdint>
 #include <stdexcept>
@@ -39,23 +47,33 @@ class SnapshotError : public std::runtime_error {
   explicit SnapshotError(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// Builds a snapshot in memory, one section at a time, then persists it
-/// atomically.
+/// Collects a snapshot's sections, then streams them to disk atomically.
 class SnapshotWriter {
  public:
   /// Serialization buffer for section `id` (created on first use; repeated
   /// calls append to the same section).
   util::SendBuffer& section(std::uint32_t id);
 
-  /// The complete serialized container (header + framed sections).
-  std::vector<std::uint8_t> bytes() const;
+  /// Ends section `id`'s payload with `n` borrowed bytes at `data`, framed
+  /// after everything written through section(id) and never copied:
+  /// `data` must stay valid and unchanged until write_file returns. One
+  /// attachment per section; a second throws std::logic_error.
+  void attach(std::uint32_t id, const void* data, std::size_t n);
 
   /// Atomically replaces `path` with this snapshot (tmp file + rename).
   /// Throws SnapshotError on any I/O failure.
   void write_file(const std::string& path) const;
 
  private:
-  std::vector<std::pair<std::uint32_t, util::SendBuffer>> sections_;
+  struct Section {
+    std::uint32_t id = 0;
+    util::SendBuffer buf;
+    const std::uint8_t* tail = nullptr;  ///< attach()ed payload, after buf
+    std::size_t tail_size = 0;
+  };
+  Section& find(std::uint32_t id);
+
+  std::vector<Section> sections_;
 };
 
 /// Parses and fully validates a snapshot container. Construction throws

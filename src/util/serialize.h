@@ -10,6 +10,7 @@
 #include <stdexcept>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "util/bitset.h"
@@ -26,6 +27,14 @@ namespace mrbc::util {
 /// substrate reports as compression savings (SyncStats::raw_bytes vs bytes).
 class SendBuffer {
  public:
+  SendBuffer() = default;
+  /// Starts empty on `storage`'s allocation, so a writer that refills a
+  /// buffer of the same size every time (the BSP loop's checkpoints) stops
+  /// paying for growth and page faults after the first fill.
+  explicit SendBuffer(std::vector<std::uint8_t> storage) : bytes_(std::move(storage)) {
+    bytes_.clear();
+  }
+
   template <typename T>
   void write(const T& value) {
     static_assert(std::is_trivially_copyable_v<T>, "write requires a POD type");
@@ -81,6 +90,16 @@ class SendBuffer {
     bytes_.resize(offset + n);
     if (n > 0) std::memcpy(bytes_.data() + offset, data, n);
     raw_bytes_ += raw_equivalent;
+  }
+
+  /// Appends `n` zero bytes and returns where they start, for writers that
+  /// fill a pre-sized region in one pass (packed record planes). The
+  /// pointer is valid until the next write.
+  std::uint8_t* extend(std::size_t n) {
+    const std::size_t offset = bytes_.size();
+    bytes_.resize(offset + n);
+    raw_bytes_ += n;
+    return bytes_.data() + offset;
   }
 
   void write_bitset(const DynamicBitset& bits);
@@ -210,6 +229,15 @@ class RecvBuffer {
     cursor_ += n;
   }
 
+  /// Mirror of SendBuffer::extend: checks that `n` bytes remain, skips
+  /// them and returns where they start (valid while the bytes live).
+  const std::uint8_t* consume(std::size_t n) {
+    require(n);
+    const std::uint8_t* p = data_ + cursor_;
+    cursor_ += n;
+    return p;
+  }
+
   DynamicBitset read_bitset();
   std::string read_string();
 
@@ -235,8 +263,9 @@ class RecvBuffer {
 
 /// CRC-32 (ISO-HDLC / zlib: reflected, polynomial 0xEDB88320, init and
 /// final xor 0xFFFFFFFF). Used by the reliable-delivery layer to detect
-/// payload corruption on the simulated wire. Pass a previous checksum as
-/// `seed` to continue over split buffers.
+/// payload corruption on the simulated wire and by the snapshot container
+/// to frame every section on disk. Pass a previous checksum as `seed` to
+/// continue over split buffers.
 std::uint32_t crc32(const void* data, std::size_t n, std::uint32_t seed = 0);
 
 inline std::uint32_t crc32(const std::vector<std::uint8_t>& bytes, std::uint32_t seed = 0) {

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "baselines/brandes_seq.h"
@@ -385,6 +386,48 @@ TEST_F(DeterminismTest, CodecModesReplayFaultScheduleIdentically) {
   }
   const auto golden = baselines::brandes_bc_sources(g, sources);
   mrbc::testing::expect_bc_equal(golden.bc, raw.result.bc, "faulted codec determinism");
+}
+
+/// Allocates, fills with `fill` and frees blocks from 64 B to 1 MiB, so
+/// the uninitialized allocations of a following run (the per-host label
+/// arenas) are likely to land on memory holding that byte.
+void churn_heap(std::uint8_t fill) {
+  std::vector<std::unique_ptr<std::uint8_t[]>> blocks;
+  for (std::size_t size = 64; size <= (std::size_t{1} << 20); size *= 2) {
+    for (int copy = 0; copy < 4; ++copy) {
+      blocks.emplace_back(new std::uint8_t[size]);
+      std::memset(blocks.back().get(), fill, size);
+    }
+  }
+}
+
+TEST_F(DeterminismTest, MrbcLoopSnapshotBytesDoNotDependOnHeapContents) {
+  // The checkpoint contract is byte identity, not just equal scores: two
+  // identical runs must hand the durable layer identical loop snapshots
+  // however the heap they allocate from was used before.
+  const Graph g = det_graph();
+  const auto sources = det_sources(g, 12);
+  auto capture = [&](std::uint8_t fill) {
+    churn_heap(fill);
+    std::vector<std::vector<std::uint8_t>> snapshots;
+    core::MrbcOptions opts;
+    opts.num_hosts = 4;
+    opts.batch_size = 8;
+    opts.cluster.threads = 1;
+    opts.cluster.checkpoint_interval = 2;
+    opts.cluster.on_checkpoint = [&](const sim::LoopCheckpoint& ck, const sim::RunStats&) {
+      snapshots.push_back(ck.snapshot);
+    };
+    core::mrbc_bc(g, sources, opts);
+    return snapshots;
+  };
+  const auto first = capture(0xA5);
+  const auto second = capture(0x5A);
+  ASSERT_GT(first.size(), 2u);
+  ASSERT_EQ(first.size(), second.size());
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    EXPECT_TRUE(first[i] == second[i]) << "loop snapshot " << i << " differs between runs";
+  }
 }
 
 TEST_F(DeterminismTest, IncrementalBcIsThreadCountInvariant) {

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -424,6 +425,54 @@ TEST(DurableRestart, MrbcResumeRejectsWrongConfiguration) {
   EXPECT_THROW(core::mrbc_bc(g, sources, missing), sim::SnapshotError);
 }
 
+TEST(DurableRestart, MrbcResumeRejectsOlderSlotLayout) {
+  // A snapshot written before the packed slot plane carries a fingerprint
+  // without the layout revision; resuming must refuse it instead of
+  // misreading its 24-byte slots.
+  const std::string dir = scratch_dir("mrbc_layout");
+  const Graph g = graph::erdos_renyi(40, 0.1, 13);
+  const auto sources = graph::sample_sources(g, 6, 1, /*contiguous=*/false);
+  core::MrbcOptions opts;
+  opts.num_hosts = 3;
+  opts.batch_size = 3;
+  opts.checkpoint_dir = dir;
+  opts.halt_after_checkpoints = 1;
+  ASSERT_TRUE(core::mrbc_bc(g, sources, opts).halted);
+  const std::string path = dir + "/mrbc.ckpt";
+
+  // The fingerprint formula of the padded layout: the configuration alone.
+  util::SendBuffer config;
+  config.write<std::uint64_t>(g.num_vertices());
+  config.write<std::uint32_t>(opts.num_hosts);
+  config.write<std::uint32_t>(opts.batch_size);
+  config.write<std::uint8_t>(opts.delayed_sync ? 1 : 0);
+  config.write<std::uint8_t>(opts.collect_tables ? 1 : 0);
+  config.write<std::uint8_t>(static_cast<std::uint8_t>(opts.cluster.codec));
+  config.write<std::uint64_t>(opts.cluster.checkpoint_interval);
+  config.write_vector(sources);
+  const std::uint32_t old_fingerprint = util::crc32(config.bytes());
+
+  // Re-frame the file with its meta section's fingerprint replaced.
+  auto rewrite = [&](const std::uint32_t* fingerprint) {
+    const sim::SnapshotReader reader = sim::SnapshotReader::from_file(path);
+    sim::SnapshotWriter w;
+    for (std::uint32_t id = 1; id <= 6; ++id) {
+      if (!reader.has(id)) continue;
+      std::vector<std::uint8_t> bytes = reader.section(id);
+      if (id == 1 && fingerprint != nullptr) std::memcpy(bytes.data(), fingerprint, 4);
+      w.section(id).write_raw(bytes.data(), bytes.size());
+    }
+    w.write_file(path);
+  };
+  core::MrbcOptions ropts = opts;
+  ropts.halt_after_checkpoints = 1;
+  ropts.resume = true;
+  rewrite(nullptr);  // re-framing alone keeps the file resumable
+  EXPECT_NO_THROW(core::mrbc_bc(g, sources, ropts));
+  rewrite(&old_fingerprint);
+  EXPECT_THROW(core::mrbc_bc(g, sources, ropts), sim::SnapshotError);
+}
+
 TEST(DurableRestart, SbbcColdRestartBitIdentity) {
   const std::string dir = scratch_dir("sbbc_cold");
   const Graph g = graph::erdos_renyi(45, 0.09, 17);
@@ -599,17 +648,12 @@ TEST(Snapshot, RoundTripAndMissingSection) {
   EXPECT_EQ(buf.read<std::uint64_t>(), 0x123456789abcdef0ull);
 }
 
-TEST(Snapshot, TruncationIsRejected) {
-  const std::string dir = scratch_dir("snap_truncate");
-  const std::string path = dir + "/snap.bin";
-  sim::SnapshotWriter w;
-  w.section(1).write_vector(std::vector<std::uint64_t>{1, 2, 3, 4});
-  w.write_file(path);
+/// Every truncation point of the snapshot file at `path` must be rejected
+/// (mid-header, mid-section header and mid-payload alike), and so must a
+/// truncated file on disk.
+void expect_truncations_rejected(const std::string& path) {
   const std::vector<std::uint8_t> bytes = read_file_bytes(path);
   ASSERT_GT(bytes.size(), 40u);
-
-  // Every truncation point must be rejected — mid-header, mid-section
-  // header, and mid-payload alike.
   for (std::size_t cut : {std::size_t{0}, std::size_t{3}, std::size_t{15},
                           std::size_t{20}, bytes.size() - 1}) {
     EXPECT_THROW(
@@ -618,20 +662,13 @@ TEST(Snapshot, TruncationIsRejected) {
         sim::SnapshotError)
         << "cut at " << cut;
   }
-
-  // A truncated file on disk fails from_file the same way.
   write_file_bytes(path, std::vector<std::uint8_t>(bytes.begin(), bytes.end() - 3));
   EXPECT_THROW(sim::SnapshotReader::from_file(path), sim::SnapshotError);
 }
 
-TEST(Snapshot, BitFlipsAreRejectedWithClearErrors) {
-  const std::string dir = scratch_dir("snap_bitflip");
-  const std::string path = dir + "/snap.bin";
-  sim::SnapshotWriter w;
-  w.section(1).write_vector(std::vector<std::uint64_t>{11, 22, 33});
-  w.write_file(path);
-  const std::vector<std::uint8_t> good = read_file_bytes(path);
-
+/// Flips a bit of the magic, the version and the first payload byte of a
+/// valid snapshot image; each must be rejected with an error naming it.
+void expect_bit_flips_rejected(const std::vector<std::uint8_t>& good) {
   // Magic: offset 0..7.
   {
     std::vector<std::uint8_t> bad = good;
@@ -669,6 +706,96 @@ TEST(Snapshot, BitFlipsAreRejectedWithClearErrors) {
   }
   // The pristine bytes still parse.
   EXPECT_NO_THROW(sim::SnapshotReader(std::vector<std::uint8_t>(good)));
+}
+
+TEST(Snapshot, TruncationIsRejected) {
+  const std::string dir = scratch_dir("snap_truncate");
+  const std::string path = dir + "/snap.bin";
+  sim::SnapshotWriter w;
+  w.section(1).write_vector(std::vector<std::uint64_t>{1, 2, 3, 4});
+  w.write_file(path);
+  expect_truncations_rejected(path);
+}
+
+TEST(Snapshot, BitFlipsAreRejectedWithClearErrors) {
+  const std::string dir = scratch_dir("snap_bitflip");
+  const std::string path = dir + "/snap.bin";
+  sim::SnapshotWriter w;
+  w.section(1).write_vector(std::vector<std::uint64_t>{11, 22, 33});
+  w.write_file(path);
+  expect_bit_flips_rejected(read_file_bytes(path));
+}
+
+TEST(Snapshot, AttachedPayloadFramesLikeBufferedBytes) {
+  // A section made of a buffered prefix plus a borrowed payload must be
+  // byte-for-byte the file that section() alone writes for the same data.
+  const std::string dir = scratch_dir("snap_attach");
+  std::vector<std::uint8_t> payload(100000);
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<std::uint8_t>((i * 2654435761u) >> 13);
+  }
+  auto fill_prefix = [](sim::SnapshotWriter& w) {
+    w.section(3).write<std::uint64_t>(0x0123456789abcdefull);
+    w.section(4).write<std::uint8_t>(1);
+    w.section(4).write<std::uint64_t>(100000);
+  };
+
+  const std::string buffered_path = dir + "/buffered.bin";
+  sim::SnapshotWriter buffered;
+  fill_prefix(buffered);
+  buffered.section(4).write_raw(payload.data(), payload.size());
+  buffered.section(5).write_raw(payload.data(), 17);
+  buffered.section(6);
+  buffered.write_file(buffered_path);
+
+  const std::string attached_path = dir + "/attached.bin";
+  sim::SnapshotWriter attached;
+  fill_prefix(attached);
+  attached.attach(4, payload.data(), payload.size());
+  attached.attach(5, payload.data(), 17);  // a section with no prefix
+  attached.attach(6, payload.data(), 0);   // an empty attachment
+  EXPECT_THROW(attached.attach(4, payload.data(), 1), std::logic_error);
+  attached.write_file(attached_path);
+
+  const std::vector<std::uint8_t> bytes = read_file_bytes(attached_path);
+  EXPECT_EQ(bytes, read_file_bytes(buffered_path));
+  const sim::SnapshotReader reader{std::vector<std::uint8_t>(bytes)};
+  const std::vector<std::uint8_t>& sec = reader.section(4);
+  ASSERT_EQ(sec.size(), 9 + payload.size());
+  util::RecvBuffer buf(sec.data(), sec.size());
+  EXPECT_EQ(buf.read<std::uint8_t>(), 1u);
+  EXPECT_EQ(buf.read<std::uint64_t>(), payload.size());
+  EXPECT_TRUE(std::equal(payload.begin(), payload.end(), sec.begin() + 9));
+  EXPECT_EQ(reader.section(5), std::vector<std::uint8_t>(payload.begin(), payload.begin() + 17));
+  EXPECT_TRUE(reader.section(6).empty());
+
+  // The corruption checks hold on the streamed file, a flip inside the
+  // borrowed payload included.
+  expect_bit_flips_rejected(bytes);
+  std::vector<std::uint8_t> bad = bytes;
+  bad[bytes.size() / 2] ^= 0x04;
+  EXPECT_THROW(sim::SnapshotReader(std::move(bad)), sim::SnapshotError);
+  expect_truncations_rejected(attached_path);
+}
+
+TEST(Snapshot, FailedWritesLeaveNoFileBehind) {
+  const std::string dir = scratch_dir("snap_errors");
+  sim::SnapshotWriter w;
+  w.section(1).write<std::uint32_t>(5);
+  std::vector<std::uint8_t> payload(4096, 0x7F);
+  w.attach(1, payload.data(), payload.size());
+
+  // Unwritable location.
+  EXPECT_THROW(w.write_file(dir + "/no/such/dir/snap.bin"), sim::SnapshotError);
+  // The rename onto a non-empty directory fails, and the tmp file goes.
+  const std::string occupied = dir + "/occupied";
+  std::filesystem::create_directories(occupied + "/child");
+  EXPECT_THROW(w.write_file(occupied), sim::SnapshotError);
+  EXPECT_FALSE(std::filesystem::exists(occupied + ".tmp"));
+  // The same writer still writes a readable file.
+  const std::string path = dir + "/snap.bin";
+  w.write_file(path);
+  EXPECT_EQ(sim::SnapshotReader::from_file(path).section(1).size(), 4 + payload.size());
 }
 
 TEST(Snapshot, FaultPlanReproFileRoundTrips) {

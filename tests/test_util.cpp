@@ -515,6 +515,57 @@ TEST(Crc32, SeedContinuationMatchesOneShot) {
   EXPECT_EQ(crc32(data.data() + 4, 5, first), whole);
 }
 
+/// The byte-at-a-time CRC-32 the sliced kernel replaced, kept here as the
+/// differential reference.
+std::uint32_t crc32_reference(const std::uint8_t* bytes, std::size_t n, std::uint32_t seed = 0) {
+  std::uint32_t table[256];
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int bit = 0; bit < 8; ++bit) c = (c >> 1) ^ ((c & 1u) ? 0xEDB88320u : 0u);
+    table[i] = c;
+  }
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < n; ++i) c = table[(c ^ bytes[i]) & 0xFFu] ^ (c >> 8);
+  return c ^ 0xFFFFFFFFu;
+}
+
+std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  std::vector<std::uint8_t> out(n);
+  for (std::uint8_t& b : out) b = static_cast<std::uint8_t>(rng.next() >> 56);
+  return out;
+}
+
+TEST(Crc32, SlicedKernelMatchesBytewiseReference) {
+  // Every length 0..1024 from every start offset 0..7 (so the 16-byte
+  // blocks meet every alignment and every tail length), under random seeds.
+  const std::vector<std::uint8_t> data = random_bytes(1024 + 8, 7);
+  Xoshiro256 seeds(11);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t n = 0; n <= 1024; ++n) {
+      const std::uint8_t* p = data.data() + offset;
+      ASSERT_EQ(crc32(p, n), crc32_reference(p, n)) << "offset " << offset << " length " << n;
+      const auto seed = static_cast<std::uint32_t>(seeds.next());
+      ASSERT_EQ(crc32(p, n, seed), crc32_reference(p, n, seed))
+          << "offset " << offset << " length " << n << " seed " << seed;
+    }
+  }
+  // A checkpoint-sized buffer.
+  const std::vector<std::uint8_t> big = random_bytes(std::size_t{4} << 20, 13);
+  EXPECT_EQ(crc32(big), crc32_reference(big.data(), big.size()));
+  EXPECT_EQ(crc32(big.data() + 3, big.size() - 3, 0x9E3779B9u),
+            crc32_reference(big.data() + 3, big.size() - 3, 0x9E3779B9u));
+}
+
+TEST(Crc32, ContinuationAtEverySplitPointMatchesOneShot) {
+  const std::vector<std::uint8_t> data = random_bytes(100, 17);
+  const std::uint32_t whole = crc32_reference(data.data(), data.size());
+  for (std::size_t cut = 0; cut <= data.size(); ++cut) {
+    const std::uint32_t head = crc32(data.data(), cut);
+    EXPECT_EQ(crc32(data.data() + cut, data.size() - cut, head), whole) << "split at " << cut;
+  }
+}
+
 TEST(Crc32, DetectsSingleBitFlips) {
   std::vector<std::uint8_t> payload(64);
   for (std::size_t i = 0; i < payload.size(); ++i) payload[i] = static_cast<std::uint8_t>(i * 37);
