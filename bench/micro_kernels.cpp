@@ -23,15 +23,6 @@
 // frontiers stay thin relative to the live graph, so kAuto should stay in
 // push and the speedup should hover around 1x.
 //
-// The rmat14-packed-gather row is an informational A/B of
-// MrbcOptions::packed_gather on the gated pull kernel: the push_forward_s
-// column holds the unpacked (master-CSR) kAuto time, auto_forward_s the
-// packed time, so "speedup" is the pure memory-layout effect of the 32-bit
-// packed gather CSR (around parity on rmat14, whose per-host frontier plane
-// is cache-resident either way; the halved offset footprint matters as the
-// local graph outgrows cache). pull_rounds must match between the two arms
-// (the packing is bit-inert) and is gated for drift like every other row.
-//
 // The gate is meaningful at any thread count — the pull win is algorithmic
 // (O(1) skips of finalized vertices plus word-wide source masks), not a
 // parallelism artifact. Writes micro_kernels.csv; compare_bench --micro
@@ -65,12 +56,9 @@ struct Case {
   std::uint32_t num_sources = 16;
   double alpha = 0;           ///< 0 = engine default
   double budget = 0;          ///< enforced min speedup; 0 = informational
-  /// A/B the packed gather CSR instead of push-vs-auto: both arms run kAuto,
-  /// the "push" arm with packed_gather off and the "auto" arm with it on.
-  bool packed_ab = false;
 };
 
-Sample run_once(const Case& c, core::Direction dir, bool packed = true) {
+Sample run_once(const Case& c, core::Direction dir) {
   std::vector<graph::VertexId> sources;
   for (graph::VertexId s = 0; s < c.num_sources; ++s) sources.push_back(s);
   if (c.engine == "mrbc") {
@@ -78,7 +66,6 @@ Sample run_once(const Case& c, core::Direction dir, bool packed = true) {
     opts.num_hosts = 4;
     opts.batch_size = c.batch;
     opts.direction = dir;
-    opts.packed_gather = packed;
     if (c.alpha > 0) {
       opts.pull_alpha = c.alpha;
       opts.pull_beta = c.alpha * 2;
@@ -124,20 +111,12 @@ int run() {
       {"rmat14", "sbbc", &rmat14, 1, 16, 0, 1.3},
       {"rmat14-batched", "mrbc", &rmat14, 64, 64, 0, 0},
       {"road64x64", "mrbc", &road, 64, 64, 0, 0},
-      {"rmat14-packed-gather", "mrbc", &rmat14, 1, 16, 2.0, 0, true},
   };
   for (const Case& c : cases) {
-    // One warm-up run, then min-of-3 to shed noise. packed_ab rows compare
-    // kAuto unpacked vs kAuto packed instead of kPush vs kAuto.
-    const core::Direction base_dir = c.packed_ab ? core::Direction::kAuto : core::Direction::kPush;
-    run_once(c, base_dir, !c.packed_ab);
-    const Sample push = min_of(3, [&] { return run_once(c, base_dir, !c.packed_ab); });
+    // One warm-up run, then min-of-3 to shed noise.
+    run_once(c, core::Direction::kPush);
+    const Sample push = min_of(3, [&] { return run_once(c, core::Direction::kPush); });
     const Sample opt = min_of(3, [&] { return run_once(c, core::Direction::kAuto); });
-    if (c.packed_ab && push.pull_rounds != opt.pull_rounds) {
-      std::printf("FAIL: packed gather changed pull_rounds on %s (%zu vs %zu)\n",
-                  c.workload.c_str(), push.pull_rounds, opt.pull_rounds);
-      ++failures;
-    }
     const double speedup = opt.forward_s > 0 ? push.forward_s / opt.forward_s : 1.0;
     std::printf("%-14s %s batch %2u  push %8.4f s  auto %8.4f s  speedup %5.2fx  "
                 "pull_rounds %zu%s\n",

@@ -264,6 +264,36 @@ void record_profile(const char* phase, const sim::RunStats& stats) {
   g_stats.set_value(p + ".recovery_seconds", stats.phases.recovery_seconds);
 }
 
+/// Prints a distributed run's forward/backward profile and records it for
+/// --stats-file.
+template <typename Run>
+void report(const Run& run) {
+  print_profile("forward", run.forward);
+  print_profile("backward", run.backward);
+  record_profile("forward", run.forward);
+  record_profile("backward", run.backward);
+}
+
+/// The shared MRBC/SBBC configuration, from the flags.
+void fill_engine_options(core::EngineOptions& o, const Args& args, comm::CodecMode codec,
+                         bool parallel) {
+  o.num_hosts = args.hosts;
+  o.policy = parse_policy(args.policy);
+  o.cluster.parallel_hosts = parallel;
+  o.cluster.codec = codec;
+  o.checkpoint_dir = args.checkpoint_dir;
+  o.resume = args.resume;
+  o.halt_flag = &g_halt;
+}
+
+/// Exit of a run that SIGINT/SIGTERM stopped at a durable snapshot write.
+int halted_by_signal(const Args& args) {
+  std::printf("halted by signal: durable checkpoint persisted in %s; "
+              "rerun with --resume to continue\n",
+              args.checkpoint_dir.c_str());
+  return 0;
+}
+
 int run_serve(const Args& args, graph::Graph g) {
   serve::ServerOptions sopts;
   sopts.port = static_cast<std::uint16_t>(args.serve_port);
@@ -307,6 +337,14 @@ static int run_tool(int argc, char** argv) {
   Args args;
   if (!parse(argc, argv, args)) {
     usage(argv[0]);
+    return 2;
+  }
+  // Outside serve mode only MRBC and SBBC checkpoint; anywhere else the
+  // flags would be ignored while still trapping SIGINT.
+  const bool durable_algo = !args.weighted && (args.algo == "mrbc" || args.algo == "sbbc");
+  if (args.serve_port < 0 && !durable_algo && (!args.checkpoint_dir.empty() || args.resume)) {
+    std::fprintf(stderr, "--checkpoint-dir and --resume need --algo mrbc or sbbc%s (got '%s')\n",
+                 args.weighted ? " without --weighted" : "", args.algo.c_str());
     return 2;
   }
   // Observability hooks come up before any graph or algorithm work so the
@@ -363,45 +401,21 @@ static int run_tool(int argc, char** argv) {
       opts.num_hosts = args.hosts;
       opts.batch_size = args.batch;
       auto run = baselines::mfbc_weighted_bc(wg, sources, opts);
-      print_profile("forward", run.forward);
-      print_profile("backward", run.backward);
+      report(run);
       bc = std::move(run.result.bc);
     } else {
       std::fprintf(stderr, "--weighted supports brandes, abbc, mfbc (got '%s')\n",
                    args.algo.c_str());
       return 2;
     }
-    print_sanity(bc);
-    if (!args.csv.empty()) {
-      util::CsvWriter csv(args.csv, {"vertex", "bc"});
-      for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
-        csv.add_row({std::to_string(v), std::to_string(bc[v])});
-      }
-    }
-    return 0;
-  }
-  if (args.algo == "mrbc") {
+  } else if (args.algo == "mrbc") {
     core::MrbcOptions opts;
-    opts.num_hosts = args.hosts;
-    opts.policy = parse_policy(args.policy);
+    fill_engine_options(opts, args, codec, parallel);
     opts.batch_size = args.batch;
     opts.delayed_sync = !args.no_delayed_sync;
-    opts.cluster.parallel_hosts = parallel;
-    opts.cluster.codec = codec;
-    opts.checkpoint_dir = args.checkpoint_dir;
-    opts.resume = args.resume;
-    opts.halt_flag = &g_halt;
     auto run = core::mrbc_bc(g, sources, opts);
-    if (run.halted) {
-      std::printf("halted by signal: durable checkpoint persisted in %s; "
-                  "rerun with --resume to continue\n",
-                  args.checkpoint_dir.c_str());
-      return 0;
-    }
-    print_profile("forward", run.forward);
-    print_profile("backward", run.backward);
-    record_profile("forward", run.forward);
-    record_profile("backward", run.backward);
+    if (run.halted) return halted_by_signal(args);
+    report(run);
     g_stats.set_value("replication_factor", run.replication_factor);
     if (run.anomalies) std::printf("WARNING: %zu pipelining anomalies\n", run.anomalies);
     bc = std::move(run.result.bc);
@@ -413,24 +427,10 @@ static int run_tool(int argc, char** argv) {
     bc = std::move(run.result.bc);
   } else if (args.algo == "sbbc") {
     baselines::SbbcOptions opts;
-    opts.num_hosts = args.hosts;
-    opts.policy = parse_policy(args.policy);
-    opts.cluster.parallel_hosts = parallel;
-    opts.cluster.codec = codec;
-    opts.checkpoint_dir = args.checkpoint_dir;
-    opts.resume = args.resume;
-    opts.halt_flag = &g_halt;
+    fill_engine_options(opts, args, codec, parallel);
     auto run = baselines::sbbc_bc(g, sources, opts);
-    if (run.halted) {
-      std::printf("halted by signal: durable checkpoint persisted in %s; "
-                  "rerun with --resume to continue\n",
-                  args.checkpoint_dir.c_str());
-      return 0;
-    }
-    print_profile("forward", run.forward);
-    print_profile("backward", run.backward);
-    record_profile("forward", run.forward);
-    record_profile("backward", run.backward);
+    if (run.halted) return halted_by_signal(args);
+    report(run);
     bc = std::move(run.result.bc);
   } else if (args.algo == "abbc") {
     auto run = baselines::abbc_bc(g, sources, {});
@@ -444,8 +444,7 @@ static int run_tool(int argc, char** argv) {
     opts.codec = codec;
     opts.replication = args.replication;
     auto run = baselines::mfbc_bc(g, sources, opts);
-    print_profile("forward", run.forward);
-    print_profile("backward", run.backward);
+    report(run);
     bc = std::move(run.result.bc);
   } else if (args.algo == "brandes") {
     bc = baselines::brandes_bc_sources(g, sources).bc;

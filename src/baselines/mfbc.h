@@ -54,17 +54,8 @@ struct MfbcOptions {
   comm::DeliveryOptions delivery;
 };
 
-struct MfbcRun {
-  BcResult result;
-  sim::RunStats forward;   ///< per-iteration allgather accounting
-  sim::RunStats backward;
-
-  sim::RunStats total() const {
-    sim::RunStats t = forward;
-    t += backward;
-    return t;
-  }
-};
+/// forward/backward hold the per-iteration allgather accounting.
+using MfbcRun = core::BcRun;
 
 MfbcRun mfbc_bc(const Graph& g, const std::vector<VertexId>& sources,
                 const MfbcOptions& options = {});

@@ -343,38 +343,18 @@ class SourceRunner final : public sim::Checkpointable {
     const std::size_t total = wl.size() + ss.size();
     const std::size_t grain = std::max<std::size_t>(opts_.drain_grain, 1);
     if (total > grain) {
-      // Direction decision: deterministic density heuristic over integer
-      // inputs (see MrbcOptions::direction / choose_pull in core/mrbc.cpp).
-      bool pull = false;
-      std::uint64_t fdeg = 0;
-      auto frontier_degree = [&] {
-        return util::ThreadPool::global().parallel_reduce(
-            0, total, grain, std::uint64_t{0},
-            [&](std::size_t ei) {
-              const VertexId lid = ei < wl.size() ? wl[ei] : ss[ei - wl.size()];
-              return static_cast<std::uint64_t>(hg.local.out_degree(lid));
-            },
-            [](std::uint64_t a, std::uint64_t b) { return a + b; });
-      };
-      switch (opts_.direction) {
-        case core::Direction::kPush:
-          break;
-        case core::Direction::kPull:
-          fdeg = frontier_degree();
-          pull = true;
-          break;
-        case core::Direction::kAuto: {
-          if (local_edges_[h] == 0) break;
-          fdeg = frontier_degree();
-          const double scan = static_cast<double>(local_edges_[h]);
-          const double threshold =
-              last_pull_[h] ? scan / opts_.pull_beta : scan / opts_.pull_alpha;
-          pull = static_cast<double>(fdeg) >= threshold;
-          break;
-        }
-      }
-      last_pull_[h] = pull ? 1 : 0;
-      if (pull) return compute_forward_pull(h, wl, ss, fdeg);
+      // The pull's scan cost is the static local edge count.
+      const std::optional<std::uint64_t> fdeg =
+          core::choose_pull(opts_, local_edges_[h], local_edges_[h], last_pull_[h], [&] {
+            return util::ThreadPool::global().parallel_reduce(
+                0, total, grain, std::uint64_t{0},
+                [&](std::size_t ei) {
+                  const VertexId lid = ei < wl.size() ? wl[ei] : ss[ei - wl.size()];
+                  return static_cast<std::uint64_t>(hg.local.out_degree(lid));
+                },
+                [](std::uint64_t a, std::uint64_t b) { return a + b; });
+          });
+      if (fdeg) return compute_forward_pull(h, wl, ss, *fdeg);
       // Two-phase staged drain (core/staged_drain.h; design comment in
       // core/mrbc.cpp). Snapshot-safe: a level-d frontier only produces
       // level d+1 labels, which a same-frontier entry's stale check
@@ -570,17 +550,12 @@ class SourceRunner final : public sim::Checkpointable {
 }  // namespace
 
 // ---- Durable restart-from-disk checkpoints --------------------------------
-// Source-boundary snapshots (see SbbcOptions::checkpoint_dir): meta pins
-// the configuration and the index of the next source; accum carries the
-// harvested scores/tables and stats of completed sources; the fault cursor
-// and membership ride along as in the MRBC snapshot.
+// sbbc.ckpt (sim::DurableFile), written at source boundaries: the meta
+// section pins the configuration and the index of the next source; the
+// accum section carries the harvested scores/tables and the stats of the
+// completed sources.
 
 namespace {
-
-constexpr std::uint32_t kSecMeta = 1;
-constexpr std::uint32_t kSecAccum = 2;
-constexpr std::uint32_t kSecFault = 5;
-constexpr std::uint32_t kSecMembership = 6;
 
 std::uint32_t config_fingerprint(const Partition& part, const std::vector<VertexId>& sources,
                                  const SbbcOptions& options) {
@@ -594,107 +569,64 @@ std::uint32_t config_fingerprint(const Partition& part, const std::vector<Vertex
   return util::crc32(buf.bytes());
 }
 
-template <typename T>
-void save_tables(util::SendBuffer& buf, const std::vector<std::vector<T>>& tables) {
-  buf.write<std::uint64_t>(tables.size());
-  for (const auto& row : tables) buf.write_vector(row);
-}
-
-template <typename T>
-void load_tables(util::RecvBuffer& buf, std::vector<std::vector<T>>& tables) {
-  const auto n = buf.read<std::uint64_t>();
-  tables.clear();
-  tables.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) tables.push_back(buf.read_vector<T>());
-}
-
 }  // namespace
 
 SbbcRun sbbc_bc(const Partition& part, const std::vector<VertexId>& sources,
                 const SbbcOptions& options) {
   SbbcRun run;
+  const std::size_t n = part.num_global_vertices();
+  const std::size_t rows = options.collect_tables ? sources.size() : 0;
   run.result.sources = sources;
-  run.result.bc.assign(part.num_global_vertices(), 0.0);
-  if (options.collect_tables) {
-    run.result.dist.assign(sources.size(),
-                           std::vector<std::uint32_t>(part.num_global_vertices(), kInfDist));
-    run.result.sigma.assign(sources.size(),
-                            std::vector<double>(part.num_global_vertices(), 0.0));
-    run.result.delta.assign(sources.size(),
-                            std::vector<double>(part.num_global_vertices(), 0.0));
-  }
+  run.result.bc.assign(n, 0.0);
+  run.result.dist.assign(rows, std::vector<std::uint32_t>(n, kInfDist));
+  run.result.sigma.assign(rows, std::vector<double>(n, 0.0));
+  run.result.delta.assign(rows, std::vector<double>(n, 0.0));
 
-  const bool durable = !options.checkpoint_dir.empty();
-  const std::string path = options.checkpoint_dir + "/sbbc.ckpt";
-  const std::uint32_t fingerprint =
-      durable ? config_fingerprint(part, sources, options) : 0;
+  sim::DurableFile file(
+      options.checkpoint_dir, "sbbc.ckpt",
+      options.checkpoint_dir.empty() ? 0 : config_fingerprint(part, sources, options),
+      options.cluster, options.halt_after_checkpoints, options.halt_flag);
   std::size_t start = 0;
   if (options.resume) {
-    if (!durable) throw sim::SnapshotError("SbbcOptions::resume requires checkpoint_dir");
-    sim::SnapshotReader reader = sim::SnapshotReader::from_file(path);
-    const std::vector<std::uint8_t>& meta_bytes = reader.section(kSecMeta);
-    util::RecvBuffer meta(meta_bytes.data(), meta_bytes.size());
-    if (meta.read<std::uint32_t>() != fingerprint) {
-      throw sim::SnapshotError(
-          "snapshot was written by a different configuration (fingerprint mismatch)");
-    }
-    start = meta.read<std::uint64_t>();
-    const std::vector<std::uint8_t>& accum_bytes = reader.section(kSecAccum);
-    util::RecvBuffer accum(accum_bytes.data(), accum_bytes.size());
-    run.result.bc = accum.read_vector<double>();
-    load_tables(accum, run.result.dist);
-    load_tables(accum, run.result.sigma);
-    load_tables(accum, run.result.delta);
-    run.forward = sim::load_run_stats(accum);
-    run.backward = sim::load_run_stats(accum);
-    if (options.cluster.fault != nullptr && reader.has(kSecFault)) {
-      const std::vector<std::uint8_t>& cursor_bytes = reader.section(kSecFault);
-      util::RecvBuffer cursor(cursor_bytes.data(), cursor_bytes.size());
-      options.cluster.fault->restore_cursor(cursor);
-    }
-    if (options.cluster.membership != nullptr && reader.has(kSecMembership)) {
-      const std::vector<std::uint8_t>& mem_bytes = reader.section(kSecMembership);
-      util::RecvBuffer mem(mem_bytes.data(), mem_bytes.size());
-      options.cluster.membership->restore(mem);
-    }
+    const sim::SnapshotReader reader = file.resume([&](util::RecvBuffer& meta) {
+      start = meta.read<std::uint64_t>();
+      if (start > sources.size()) {
+        throw std::out_of_range("next source " + std::to_string(start) + " past the " +
+                                std::to_string(sources.size()) + " sources");
+      }
+    });
+    reader.read(sim::kSectionAccum, "accum", [&](util::RecvBuffer& accum) {
+      run.result.bc = accum.read_vector<double>();
+      sim::expect_size("bc", run.result.bc.size(), n);
+      sim::load_tables(accum, run.result.dist, rows, n);
+      sim::load_tables(accum, run.result.sigma, rows, n);
+      sim::load_tables(accum, run.result.delta, rows, n);
+      run.forward = sim::load_run_stats(accum);
+      run.backward = sim::load_run_stats(accum);
+    });
   }
 
-  std::size_t writes = 0;
-  for (std::size_t i = start; i < sources.size(); ++i) {
-    SourceRunner runner(part, sources[i], options);
-    run.forward += runner.run_forward();
-    run.backward += runner.run_backward();
-    run.forward_pull_rounds += runner.pull_rounds();
-    runner.harvest(run.result, i);
-    if (durable) {
-      sim::SnapshotWriter w;
-      util::SendBuffer& meta = w.section(kSecMeta);
-      meta.write<std::uint32_t>(fingerprint);
-      meta.write<std::uint64_t>(i + 1);
-      util::SendBuffer& accum = w.section(kSecAccum);
-      accum.write_vector(run.result.bc);
-      save_tables(accum, run.result.dist);
-      save_tables(accum, run.result.sigma);
-      save_tables(accum, run.result.delta);
-      sim::save_run_stats(accum, run.forward);
-      sim::save_run_stats(accum, run.backward);
-      if (options.cluster.fault != nullptr) {
-        options.cluster.fault->save_cursor(w.section(kSecFault));
-      }
-      if (options.cluster.membership != nullptr) {
-        options.cluster.membership->save(w.section(kSecMembership));
-      }
-      w.write_file(path);
-      ++writes;
-      if (options.halt_after_checkpoints != 0 && writes >= options.halt_after_checkpoints) {
-        run.halted = true;
-        break;
-      }
-      if (options.halt_flag != nullptr && options.halt_flag->load(std::memory_order_acquire)) {
-        run.halted = true;
-        break;
-      }
+  try {
+    for (std::size_t i = start; i < sources.size(); ++i) {
+      SourceRunner runner(part, sources[i], options);
+      run.forward += runner.run_forward();
+      run.backward += runner.run_backward();
+      run.forward_pull_rounds += runner.pull_rounds();
+      runner.harvest(run.result, i);
+      if (!file.enabled()) continue;
+      file.write([&](sim::SnapshotWriter& w) {
+        w.section(sim::kSectionMeta).write<std::uint64_t>(i + 1);
+        util::SendBuffer& accum = w.section(sim::kSectionAccum);
+        accum.write_vector(run.result.bc);
+        sim::save_tables(accum, run.result.dist);
+        sim::save_tables(accum, run.result.sigma);
+        sim::save_tables(accum, run.result.delta);
+        sim::save_run_stats(accum, run.forward);
+        sim::save_run_stats(accum, run.backward);
+      });
     }
+  } catch (const sim::DurableHalt&) {
+    run.halted = true;
   }
   return run;
 }

@@ -6,13 +6,9 @@
 // level (backward) costs one BSP round, so a source of eccentricity L
 // executes ~2L rounds versus MRBC's pipelined batch.
 
-#include <atomic>
-#include <string>
 #include <vector>
 
 #include "core/bc_common.h"
-#include "core/mrbc.h"  // reuse MrbcOptions/MrbcRun-style option & stats types
-#include "engine/cluster.h"
 #include "partition/partition.h"
 
 namespace mrbc::baselines {
@@ -21,18 +17,7 @@ using core::BcResult;
 using graph::Graph;
 using graph::VertexId;
 
-struct SbbcOptions {
-  partition::HostId num_hosts = 4;
-  partition::Policy policy = partition::Policy::kCartesianVertexCut;
-  bool collect_tables = false;
-  /// Frontier entries per chunk for the intra-host parallel drain; same
-  /// semantics as MrbcOptions::drain_grain.
-  std::size_t drain_grain = 64;
-  /// Forward drain direction policy, with the same contract as
-  /// MrbcOptions::direction: staged rounds may pull (scan live-label
-  /// targets, gather from frontier in-neighbors via the frontier bitset),
-  /// with results, stats, and wire traffic bit-identical to push.
-  core::Direction direction = core::Direction::kAuto;
+struct SbbcOptions : core::EngineOptions {
   /// kAuto thresholds: enter pull at frontier out-degree >= local_edges /
   /// pull_alpha, leave below local_edges / pull_beta. Unlike MrbcOptions
   /// (which tracks the live in-degree exactly off its finality plane), SBBC
@@ -42,46 +27,18 @@ struct SbbcOptions {
   /// fraction of the local graph.
   double pull_alpha = 2.0;
   double pull_beta = 4.0;
-  sim::ClusterOptions cluster;
-
-  /// Durable restart-from-disk checkpoints, persisted to
-  /// <checkpoint_dir>/sbbc.ckpt after each completed source. Sources are
-  /// independent deterministic executions, so source-boundary granularity
-  /// preserves bit-identity: a killed in-flight source simply re-runs in
-  /// full on resume.
-  std::string checkpoint_dir;
-  /// Continue from <checkpoint_dir>/sbbc.ckpt; throws sim::SnapshotError
-  /// if it is missing, corrupt, or from a different configuration.
-  bool resume = false;
-  /// Test hook: stop (SbbcRun::halted = true) after this many durable
-  /// snapshot writes. 0 disables.
-  std::size_t halt_after_checkpoints = 0;
-  /// Cooperative-shutdown hook: stop at the next durable snapshot write
-  /// once the pointee turns true (see MrbcOptions::halt_flag).
-  const std::atomic<bool>* halt_flag = nullptr;
+  // Durable checkpoints (EngineOptions::checkpoint_dir) go to sbbc.ckpt
+  // after each completed source. Sources are independent deterministic
+  // executions, so source-boundary granularity preserves bit-identity: a
+  // killed in-flight source simply re-runs in full on resume.
 };
 
-struct SbbcRun {
-  BcResult result;
-  sim::RunStats forward;
-  sim::RunStats backward;
+struct SbbcRun : core::BcRun {
   /// Host-rounds the forward phase drained in pull mode (direction
   /// optimization diagnostic; in-process only, not persisted).
   std::size_t forward_pull_rounds = 0;
-  /// True when the run stopped early via halt_after_checkpoints.
+  /// True when the run stopped early at a durable snapshot write.
   bool halted = false;
-
-  sim::RunStats total() const {
-    sim::RunStats t = forward;
-    t += backward;
-    return t;
-  }
-  double rounds_per_source() const {
-    return result.sources.empty()
-               ? 0.0
-               : static_cast<double>(forward.rounds + backward.rounds) /
-                     static_cast<double>(result.sources.size());
-  }
 };
 
 SbbcRun sbbc_bc(const Graph& g, const std::vector<VertexId>& sources,

@@ -109,24 +109,6 @@ void read_pairs(util::RecvBuffer& buf,
   }
 }
 
-/// Packed gather CSR (MrbcOptions::packed_gather): a host-local copy of the
-/// in-adjacency with 32-bit offsets instead of the master CSR's 64-bit
-/// EdgeId keys — half the offset footprint on the pull scan, which keeps
-/// more of the frontier plane cache-resident during the gather. Neighbor
-/// order is copied verbatim from Graph::in_neighbors, so pull replays visit
-/// sources in the identical order and results stay bit-identical. Built
-/// lazily on a host's first pull round; push-only runs never pay for it.
-struct PackedIn {
-  std::vector<std::uint32_t> offsets;     ///< num_proxies + 1
-  std::vector<graph::VertexId> sources;
-  bool built = false;
-
-  std::span<const graph::VertexId> neighbors(graph::VertexId t) const {
-    return {sources.data() + offsets[t],
-            static_cast<std::size_t>(offsets[t + 1] - offsets[t])};
-  }
-};
-
 /// One batch's distributed execution: forward APSP then accumulation.
 /// Checkpointable so that BspLoop can snapshot/roll back the whole batch
 /// state (labels + round-local queues + substrate flags) for crash recovery.
@@ -160,7 +142,6 @@ class BatchRunner final : public sim::Checkpointable {
     final_count_.resize(H);
     pull_rounds_.assign(H, 0);
     scratch_.resize(H);
-    packed_in_.resize(H);
     for (HostId h = 0; h < H; ++h) {
       const auto& hg = part_.host(h);
       state_.emplace_back(hg.num_proxies(), k);
@@ -565,59 +546,6 @@ class BatchRunner final : public sim::Checkpointable {
     return num_drain_ranges(part_.host(h).num_proxies());
   }
 
-  /// kAuto direction decision for one staged forward round. All inputs are
-  /// integers derived from the drain list and the immutable local topology,
-  /// so every thread count (and a crash-replayed round) picks the same
-  /// direction. `fdeg` returns the frontier's out-degree sum when computed.
-  bool choose_pull(HostId h, std::size_t total, std::size_t grain, std::uint64_t& fdeg) {
-    bool pull = false;
-    switch (opts_.direction) {
-      case Direction::kPush:
-        break;
-      case Direction::kPull:
-        fdeg = frontier_degree(h, total, grain);
-        pull = true;
-        break;
-      case Direction::kAuto: {
-        if (local_edges_[h] == 0) break;
-        fdeg = frontier_degree(h, total, grain);
-        // Scan cost of a pull: the in-degree sum of lids with any non-final
-        // source (fully-final lids are skipped in O(1) via their zero avail
-        // word). Read at the round boundary, so the value is exact and
-        // thread-count independent.
-        const double scan = static_cast<double>(live_indeg_[h]);
-        const double threshold =
-            last_pull_[h] ? scan / opts_.pull_beta : scan / opts_.pull_alpha;
-        pull = static_cast<double>(fdeg) >= threshold;
-        break;
-      }
-    }
-    last_pull_[h] = pull ? 1 : 0;
-    return pull;
-  }
-
-  /// Packed gather CSR for host h, built on first use. Returns nullptr when
-  /// the option is off or the local edge count overflows 32-bit offsets
-  /// (the gather then walks the master CSR — same order, same bits).
-  const PackedIn* packed_in(HostId h) {
-    if (!opts_.packed_gather) return nullptr;
-    const auto& local = part_.host(h).local;
-    if (local.num_edges() > 0xFFFFFFFFull) return nullptr;
-    PackedIn& p = packed_in_[h];
-    if (!p.built) {
-      const graph::VertexId np = local.num_vertices();
-      p.offsets.assign(static_cast<std::size_t>(np) + 1, 0);
-      p.sources.reserve(static_cast<std::size_t>(local.num_edges()));
-      for (graph::VertexId t = 0; t < np; ++t) {
-        const auto in = local.in_neighbors(t);
-        p.sources.insert(p.sources.end(), in.begin(), in.end());
-        p.offsets[t + 1] = static_cast<std::uint32_t>(p.sources.size());
-      }
-      p.built = true;
-    }
-    return &p;
-  }
-
   /// Pull drain of one staged forward round; see the direction-optimization
   /// design comment above for why the replay is bit-identical to push.
   sim::HostWork compute_forward_pull(HostId h, std::size_t total, std::size_t grain,
@@ -650,7 +578,6 @@ class BatchRunner final : public sim::Checkpointable {
     // and the hot sort runs over 8-byte keys instead of full records.
     const std::size_t num_ranges = num_replay_ranges(h);
     const bool eager = !opts_.delayed_sync;
-    const PackedIn* pk = packed_in(h);  // built here, before ranges fan out
     DrainScratch& sc = scratch_[h];
     if (sc.range_keys.size() < num_ranges) sc.range_keys.resize(num_ranges);
     std::vector<std::size_t> range_anoms(num_ranges, 0);
@@ -668,9 +595,7 @@ class BatchRunner final : public sim::Checkpointable {
           // intersection inline instead of a per-edge kernel call.
           const Word a = av[0];
           if (a == 0) continue;
-          const std::span<const graph::VertexId> in =
-              pk != nullptr ? pk->neighbors(t) : hg.local.in_neighbors(t);
-          for (const graph::VertexId wv : in) {
+          for (const graph::VertexId wv : hg.local.in_neighbors(t)) {
             Word m = frontier[wv] & a;
             while (m != 0) {
               const auto sidx = static_cast<std::uint32_t>(__builtin_ctzll(m));
@@ -681,9 +606,7 @@ class BatchRunner final : public sim::Checkpointable {
           }
         } else {
           if (util::bitwords::find_nonzero(av, kw, 0) == kw) continue;
-          const std::span<const graph::VertexId> in =
-              pk != nullptr ? pk->neighbors(t) : hg.local.in_neighbors(t);
-          for (const graph::VertexId wv : in) {
+          for (const graph::VertexId wv : hg.local.in_neighbors(t)) {
             const Word* fr = frontier.data() + static_cast<std::size_t>(wv) * kw;
             if (!util::bitwords::any_intersect(fr, av, kw)) continue;
             for (std::uint32_t j = 0; j < kw; ++j) {
@@ -740,9 +663,13 @@ class BatchRunner final : public sim::Checkpointable {
     // mirrors + the master's own scheduled entries): each is the CONGEST
     // "send along all out-edges", performed as local proxy updates.
     if (total > grain) {
-      std::uint64_t fdeg = 0;
-      if (choose_pull(h, total, grain, fdeg)) {
-        w = compute_forward_pull(h, total, grain, fdeg);
+      // The pull's scan cost is the live in-degree: fully-final lids are
+      // skipped in O(1) via their zero avail word.
+      const std::optional<std::uint64_t> fdeg =
+          choose_pull(opts_, local_edges_[h], live_indeg_[h], last_pull_[h],
+                      [&] { return frontier_degree(h, total, grain); });
+      if (fdeg) {
+        w = compute_forward_pull(h, total, grain, *fdeg);
       } else {
         const std::size_t num_ranges = num_replay_ranges(h);
         std::span<ChunkRecs> chunks = stage_pushes(
@@ -1064,37 +991,23 @@ class BatchRunner final : public sim::Checkpointable {
   std::vector<std::vector<std::uint32_t>> final_count_;  ///< finalized sources per lid
   std::vector<std::size_t> pull_rounds_;       ///< diagnostic counter, per host
   std::vector<DrainScratch> scratch_;          ///< pooled drain buffers, per host
-  std::vector<PackedIn> packed_in_;            ///< lazy packed gather CSR, per host
   std::uint32_t forward_rounds_ = 0;
   std::uint32_t current_round_ = 0;
 };
 
 // ---- Durable restart-from-disk checkpoints --------------------------------
-// Snapshot layout (engine/snapshot.h container): a meta section pinning the
-// configuration + progress cursor, an accum section with everything
-// harvested from completed batches, and — when a batch is in flight — the
-// in-flight phase's stats plus the BSP loop's coordinated checkpoint. The
-// fault-schedule cursor and the membership map ride along so resumed runs
-// neither refire already-fired events nor forget declared deaths.
+// mrbc.ckpt (sim::DurableFile): the meta section pins the configuration
+// and the progress cursor (next batch, phase), the accum section carries
+// everything harvested from completed batches, and — when a batch is in
+// flight — the phase section holds the in-flight phase's stats and the
+// loop section the BSP loop's coordinated checkpoint.
 
-constexpr std::uint32_t kSecMeta = 1;
-constexpr std::uint32_t kSecAccum = 2;
 constexpr std::uint32_t kSecPhase = 3;
 constexpr std::uint32_t kSecLoop = 4;
-constexpr std::uint32_t kSecFault = 5;
-constexpr std::uint32_t kSecMembership = 6;
 
 constexpr std::uint32_t kPhaseForward = 0;
 constexpr std::uint32_t kPhaseBackward = 1;
 constexpr std::uint32_t kPhaseBatchDone = 2;
-
-/// Thrown by the durable writer to emulate a process killed immediately
-/// after persisting a snapshot (MrbcOptions::halt_after_checkpoints).
-struct HaltRun {};
-
-std::string durable_path(const MrbcOptions& options) {
-  return options.checkpoint_dir + "/mrbc.ckpt";
-}
 
 /// Everything that must match between the writing and the resuming run for
 /// a snapshot to mean the same computation, plus the loop snapshot's byte
@@ -1115,26 +1028,12 @@ std::uint32_t config_fingerprint(const Partition& part,
   return util::crc32(buf.bytes());
 }
 
-template <typename T>
-void save_tables(util::SendBuffer& buf, const std::vector<std::vector<T>>& tables) {
-  buf.write<std::uint64_t>(tables.size());
-  for (const auto& row : tables) buf.write_vector(row);
-}
-
-template <typename T>
-void load_tables(util::RecvBuffer& buf, std::vector<std::vector<T>>& tables) {
-  const auto n = buf.read<std::uint64_t>();
-  tables.clear();
-  tables.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) tables.push_back(buf.read_vector<T>());
-}
-
 void save_accum(util::SendBuffer& buf, const MrbcRun& run) {
   buf.write_vector(run.result.bc);
   buf.write_vector(run.result.sources);
-  save_tables(buf, run.result.dist);
-  save_tables(buf, run.result.sigma);
-  save_tables(buf, run.result.delta);
+  sim::save_tables(buf, run.result.dist);
+  sim::save_tables(buf, run.result.sigma);
+  sim::save_tables(buf, run.result.delta);
   sim::save_run_stats(buf, run.forward);
   sim::save_run_stats(buf, run.backward);
   buf.write<std::uint64_t>(run.num_batches);
@@ -1142,12 +1041,18 @@ void save_accum(util::SendBuffer& buf, const MrbcRun& run) {
   buf.write<double>(run.replication_factor);
 }
 
-void load_accum(util::RecvBuffer& buf, MrbcRun& run) {
+/// Mirror of save_accum, checked against the run: `n` vertices, and the
+/// `harvested` sources of the batches before the file's cursor.
+void load_accum(util::RecvBuffer& buf, MrbcRun& run, std::size_t n, std::size_t harvested,
+                bool tables) {
   run.result.bc = buf.read_vector<double>();
+  sim::expect_size("bc", run.result.bc.size(), n);
   run.result.sources = buf.read_vector<graph::VertexId>();
-  load_tables(buf, run.result.dist);
-  load_tables(buf, run.result.sigma);
-  load_tables(buf, run.result.delta);
+  sim::expect_size("sources", run.result.sources.size(), harvested);
+  const std::size_t rows = tables ? harvested : 0;
+  sim::load_tables(buf, run.result.dist, rows, n);
+  sim::load_tables(buf, run.result.sigma, rows, n);
+  sim::load_tables(buf, run.result.delta, rows, n);
   run.forward = sim::load_run_stats(buf);
   run.backward = sim::load_run_stats(buf);
   run.num_batches = buf.read<std::uint64_t>();
@@ -1155,29 +1060,25 @@ void load_accum(util::RecvBuffer& buf, MrbcRun& run) {
   run.replication_factor = buf.read<double>();
 }
 
-/// Serializes the current run state to <checkpoint_dir>/mrbc.ckpt. One
-/// writer lives for the whole driver call; the progress-cursor fields are
-/// updated as batches and phases advance.
+/// Writes the run state to mrbc.ckpt. One writer lives for the whole mrbc_bc
+/// call; the progress-cursor fields are updated as batches and phases
+/// advance.
 struct DurableWriter {
-  std::string path;
-  std::uint32_t fingerprint = 0;
-  const MrbcOptions* opts = nullptr;
-  const MrbcRun* accum = nullptr;  ///< state as of the current batch's start
+  sim::DurableFile& file;
+  const MrbcRun& accum;  ///< state as of the current batch's start
   std::uint64_t batch_begin = 0;
   std::uint32_t phase = kPhaseForward;
   const sim::RunStats* batch_forward = nullptr;  ///< set during backward
   const sim::RunStats* leg_prefix = nullptr;     ///< stats this leg resumed from
-  std::size_t writes = 0;
 
   /// `loop`/`partial` are null at batch boundaries (nothing in flight).
   void write(const sim::LoopCheckpoint* loop, const sim::RunStats* partial) {
-    sim::SnapshotWriter w;
-    util::SendBuffer& meta = w.section(kSecMeta);
-    meta.write<std::uint32_t>(fingerprint);
-    meta.write<std::uint64_t>(batch_begin);
-    meta.write<std::uint32_t>(phase);
-    save_accum(w.section(kSecAccum), *accum);
-    if (phase != kPhaseBatchDone) {
+    file.write([&](sim::SnapshotWriter& w) {
+      util::SendBuffer& meta = w.section(sim::kSectionMeta);
+      meta.write<std::uint64_t>(batch_begin);
+      meta.write<std::uint32_t>(phase);
+      save_accum(w.section(sim::kSectionAccum), accum);
+      if (phase == kPhaseBatchDone) return;
       util::SendBuffer& ph = w.section(kSecPhase);
       if (phase == kPhaseBackward) sim::save_run_stats(ph, *batch_forward);
       if (leg_prefix != nullptr) {
@@ -1192,21 +1093,7 @@ struct DurableWriter {
       lp.write<std::uint8_t>(loop->any_active ? 1 : 0);
       lp.write<std::uint64_t>(loop->snapshot.size());
       w.attach(kSecLoop, loop->snapshot.data(), loop->snapshot.size());
-    }
-    if (opts->cluster.fault != nullptr) {
-      opts->cluster.fault->save_cursor(w.section(kSecFault));
-    }
-    if (opts->cluster.membership != nullptr) {
-      opts->cluster.membership->save(w.section(kSecMembership));
-    }
-    w.write_file(path);
-    ++writes;
-    if (opts->halt_after_checkpoints != 0 && writes >= opts->halt_after_checkpoints) {
-      throw HaltRun{};
-    }
-    if (opts->halt_flag != nullptr && opts->halt_flag->load(std::memory_order_acquire)) {
-      throw HaltRun{};
-    }
+    });
   }
 };
 
@@ -1215,61 +1102,42 @@ struct DurableWriter {
 MrbcRun mrbc_bc(const Partition& part, const std::vector<graph::VertexId>& sources,
                 const MrbcOptions& options) {
   MrbcRun run;
-  run.result.bc.assign(part.num_global_vertices(), 0.0);
+  const std::size_t n = part.num_global_vertices();
+  run.result.bc.assign(n, 0.0);
   run.replication_factor = part.replication_factor();
   const std::uint32_t k = std::max<std::uint32_t>(options.batch_size, 1);
   const bool durable = !options.checkpoint_dir.empty();
+  sim::DurableFile file(options.checkpoint_dir, "mrbc.ckpt",
+                        durable ? config_fingerprint(part, sources, options) : 0,
+                        options.cluster, options.halt_after_checkpoints, options.halt_flag);
+  DurableWriter writer{file, run};
 
-  DurableWriter writer;
   std::size_t begin = 0;
   std::uint32_t resume_phase = kPhaseBatchDone;  // "at the start of batch `begin`"
   sim::LoopCheckpoint loop_ck;
   sim::RunStats saved_leg;            // interrupted leg's stats at the snapshot
   sim::RunStats saved_batch_forward;  // completed forward of the interrupted batch
-
-  if (durable) {
-    writer.path = durable_path(options);
-    writer.fingerprint = config_fingerprint(part, sources, options);
-    writer.opts = &options;
-    writer.accum = &run;
-  }
   if (options.resume) {
-    if (!durable) throw sim::SnapshotError("MrbcOptions::resume requires checkpoint_dir");
-    sim::SnapshotReader reader = sim::SnapshotReader::from_file(writer.path);
-    const std::vector<std::uint8_t>& meta_bytes = reader.section(kSecMeta);
-    util::RecvBuffer meta(meta_bytes.data(), meta_bytes.size());
-    const auto fp = meta.read<std::uint32_t>();
-    if (fp != writer.fingerprint) {
-      throw sim::SnapshotError(
-          "snapshot was written by a different configuration (fingerprint mismatch)");
-    }
-    begin = meta.read<std::uint64_t>();
-    resume_phase = meta.read<std::uint32_t>();
-    {
-      const std::vector<std::uint8_t>& accum_bytes = reader.section(kSecAccum);
-      util::RecvBuffer accum(accum_bytes.data(), accum_bytes.size());
-      load_accum(accum, run);
-    }
+    const sim::SnapshotReader reader = file.resume([&](util::RecvBuffer& meta) {
+      begin = meta.read<std::uint64_t>();
+      resume_phase = meta.read<std::uint32_t>();
+      if (resume_phase > kPhaseBatchDone) {
+        throw std::out_of_range("unknown phase " + std::to_string(resume_phase));
+      }
+    });
+    reader.read(sim::kSectionAccum, "accum", [&](util::RecvBuffer& buf) {
+      load_accum(buf, run, n, std::min(begin, sources.size()), options.collect_tables);
+    });
     if (resume_phase != kPhaseBatchDone) {
-      const std::vector<std::uint8_t>& phase_bytes = reader.section(kSecPhase);
-      util::RecvBuffer ph(phase_bytes.data(), phase_bytes.size());
-      if (resume_phase == kPhaseBackward) saved_batch_forward = sim::load_run_stats(ph);
-      saved_leg = sim::load_run_stats(ph);
-      const std::vector<std::uint8_t>& loop_bytes = reader.section(kSecLoop);
-      util::RecvBuffer lp(loop_bytes.data(), loop_bytes.size());
-      loop_ck.round = lp.read<std::uint64_t>();
-      loop_ck.any_active = lp.read<std::uint8_t>() != 0;
-      loop_ck.snapshot = lp.read_vector<std::uint8_t>();
-    }
-    if (options.cluster.fault != nullptr && reader.has(kSecFault)) {
-      const std::vector<std::uint8_t>& cursor_bytes = reader.section(kSecFault);
-      util::RecvBuffer cursor(cursor_bytes.data(), cursor_bytes.size());
-      options.cluster.fault->restore_cursor(cursor);
-    }
-    if (options.cluster.membership != nullptr && reader.has(kSecMembership)) {
-      const std::vector<std::uint8_t>& mem_bytes = reader.section(kSecMembership);
-      util::RecvBuffer mem(mem_bytes.data(), mem_bytes.size());
-      options.cluster.membership->restore(mem);
+      reader.read(kSecPhase, "phase", [&](util::RecvBuffer& ph) {
+        if (resume_phase == kPhaseBackward) saved_batch_forward = sim::load_run_stats(ph);
+        saved_leg = sim::load_run_stats(ph);
+      });
+      reader.read(kSecLoop, "loop", [&](util::RecvBuffer& lp) {
+        loop_ck.round = lp.read<std::uint64_t>();
+        loop_ck.any_active = lp.read<std::uint8_t>() != 0;
+        loop_ck.snapshot = lp.read_vector<std::uint8_t>();
+      });
     }
   }
 
@@ -1332,7 +1200,7 @@ MrbcRun mrbc_bc(const Partition& part, const std::vector<graph::VertexId>& sourc
         writer.write(nullptr, nullptr);
       }
     }
-  } catch (const HaltRun&) {
+  } catch (const sim::DurableHalt&) {
     run.halted = true;
   }
   return run;

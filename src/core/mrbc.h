@@ -17,50 +17,21 @@
 //     2(k + H) + O(1) rounds per batch where H is the largest finite
 //     distance from the batch.
 
-#include <atomic>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "core/bc_common.h"
-#include "engine/cluster.h"
 #include "partition/partition.h"
 
 namespace mrbc::core {
 
-/// Forward-phase drain direction. kAuto switches per host per round between
-/// the push drain (iterate the frontier, relax out-edges) and the pull drain
-/// (scan vertices with live labels, gather from frontier in-neighbors via
-/// the bitset planes) on a deterministic frontier-density heuristic — the
-/// Beamer-style direction optimization, restated so the pull rounds replay
-/// contributions in the exact push order and stay bit-identical. Shared by
-/// MRBC and the SBBC baseline.
-enum class Direction : std::uint8_t { kAuto, kPush, kPull };
-
-struct MrbcOptions {
-  partition::HostId num_hosts = 4;
-  partition::Policy policy = partition::Policy::kCartesianVertexCut;
+struct MrbcOptions : EngineOptions {
   std::uint32_t batch_size = 32;
   /// The Section 4.3 delayed-synchronization optimization. When false,
   /// masters additionally broadcast every intermediate label change
   /// (Gluon's default update-tracking behavior), modelling the extra
   /// traffic the optimization removes; algorithm results are identical.
   bool delayed_sync = true;
-  /// Retain per-source dist/sigma/delta tables in the result (tests).
-  bool collect_tables = false;
-  /// Worklist entries per chunk for the intra-host parallel drain. Rounds
-  /// draining more than this many (lid, sidx) entries use the two-phase
-  /// staged kernel (parallel push generation, then per-target-range replay
-  /// in sequential push order); smaller rounds drain directly. The grain is
-  /// part of the deterministic decomposition — results are bit-identical
-  /// for any thread count at a fixed grain, but changing the grain changes
-  /// which path small rounds take.
-  std::size_t drain_grain = 64;
-  /// Forward drain direction policy. Only staged rounds (drains larger than
-  /// drain_grain) consider pulling; sub-grain rounds always use the inline
-  /// push drain. Results, stats, and checkpoint bytes are identical for all
-  /// three settings on valid runs — the knob trades scan work for push work.
-  Direction direction = Direction::kAuto;
   /// kAuto enters pull when the frontier's out-degree sum reaches
   /// live_indeg / pull_alpha, where live_indeg is the in-degree sum of local
   /// vertices with at least one non-final source — the exact cost of a pull
@@ -74,44 +45,12 @@ struct MrbcOptions {
   /// keeping most vertices live — kAuto correctly stays in push there).
   double pull_alpha = 1.0;
   double pull_beta = 2.0;
-  /// Gather pull rounds through a packed copy of the host's in-adjacency
-  /// with 32-bit offsets (the master CSR keys edges with 64-bit EdgeId),
-  /// halving the offset footprint the gather streams through. Built lazily
-  /// on the first pull round, so push-only runs never pay for it. Pure
-  /// memory-layout optimization — neighbor order is preserved, so results
-  /// are bit-identical with it on or off (micro_kernels has the A/B row).
-  bool packed_gather = true;
-  sim::ClusterOptions cluster;
-
-  // ---- Durable restart-from-disk checkpoints ------------------------------
-  /// When non-empty, every coordinated checkpoint (and every batch
-  /// boundary) is additionally persisted to <checkpoint_dir>/mrbc.ckpt as a
-  /// versioned crc32-framed snapshot (engine/snapshot.h), so a killed
-  /// process can be restarted with `resume` and produce bit-identical
-  /// scores and round counts. The snapshot embeds a configuration
-  /// fingerprint; resuming under different options or sources throws
-  /// sim::SnapshotError.
-  std::string checkpoint_dir;
-  /// Continue from <checkpoint_dir>/mrbc.ckpt instead of starting fresh.
-  /// Throws sim::SnapshotError if the file is missing, corrupt, or was
-  /// written by a different configuration.
-  bool resume = false;
-  /// Test hook: stop the run (MrbcRun::halted = true, partial results)
-  /// after this many durable snapshot writes — simulates a process killed
-  /// right after persisting. 0 disables.
-  std::size_t halt_after_checkpoints = 0;
-  /// Cooperative-shutdown hook: when set and the pointee becomes true, the
-  /// run stops (MrbcRun::halted = true) at the next durable snapshot write
-  /// — the snapshot on disk is the state to resume from. bc_tool points
-  /// this at its SIGINT/SIGTERM flag so a signal means checkpoint-then-exit
-  /// instead of dying mid-write. Only consulted when checkpointing is on.
-  const std::atomic<bool>* halt_flag = nullptr;
+  // Durable checkpoints (EngineOptions::checkpoint_dir) go to mrbc.ckpt:
+  // every coordinated checkpoint and every batch boundary is persisted, so
+  // a resume continues mid-phase.
 };
 
-struct MrbcRun {
-  BcResult result;
-  sim::RunStats forward;   ///< summed over batches
-  sim::RunStats backward;  ///< summed over batches
+struct MrbcRun : BcRun {
   std::size_t num_batches = 0;
   std::size_t anomalies = 0;  ///< pipelining-invariant violations (must be 0)
   /// Host-rounds the forward phase drained in pull mode (direction
@@ -119,22 +58,10 @@ struct MrbcRun {
   /// snapshots, so a resumed run counts post-resume rounds only.
   std::size_t forward_pull_rounds = 0;
   double replication_factor = 0.0;
-  /// True when the run stopped early via halt_after_checkpoints (the
-  /// durable snapshot on disk is the state to resume from).
+  /// True when the run stopped early at a durable snapshot write
+  /// (halt_after_checkpoints or halt_flag); the file on disk is the state
+  /// to resume from.
   bool halted = false;
-
-  sim::RunStats total() const {
-    sim::RunStats t = forward;
-    t += backward;
-    return t;
-  }
-  /// Rounds per source, the paper's Table 1 normalization.
-  double rounds_per_source() const {
-    return result.sources.empty()
-               ? 0.0
-               : static_cast<double>(forward.rounds + backward.rounds) /
-                     static_cast<double>(result.sources.size());
-  }
 };
 
 /// Runs MRBC over `sources` (partitioning `g` internally).

@@ -8,9 +8,11 @@
 // disjoint in everything a push mutates.
 
 #include <cstdint>
+#include <optional>
 #include <utility>
 #include <vector>
 
+#include "core/bc_common.h"
 #include "graph/graph.h"
 
 namespace mrbc::core {
@@ -75,6 +77,32 @@ using OrdLid = std::pair<std::uint64_t, graph::VertexId>;
 /// Global ordinal of in-chunk push `ord` in chunk `c`: chunk-major order.
 inline std::uint64_t push_ordinal(std::size_t c, std::uint32_t ord) {
   return (static_cast<std::uint64_t>(c) << 32) | ord;
+}
+
+/// Direction of one staged forward round (EngineOptions::direction), shared
+/// by MRBC and SBBC. Returns the frontier's out-degree sum when the round
+/// pulls, nullopt when it pushes. kAuto is Beamer's alpha/beta hysteresis
+/// over the pull's scan cost `scan` (MRBC: live in-degree; SBBC: local edge
+/// count): enter pull at frontier degree >= scan / pull_alpha, stay while
+/// it is >= scan / pull_beta, never pull on a host without local edges.
+/// `last_pull` is the host's hysteresis bit. `frontier_degree()` runs only
+/// when the rule needs it. All inputs are integers derived from the drain
+/// list and the immutable local topology, so every thread count (and a
+/// crash-replayed round) picks the same direction.
+template <typename Options, typename FrontierDegree>
+std::optional<std::uint64_t> choose_pull(const Options& opts, std::uint64_t local_edges,
+                                         std::uint64_t scan, std::uint8_t& last_pull,
+                                         FrontierDegree&& frontier_degree) {
+  std::optional<std::uint64_t> fdeg;
+  if (opts.direction == Direction::kPull) {
+    fdeg = frontier_degree();
+  } else if (opts.direction == Direction::kAuto && local_edges != 0) {
+    const std::uint64_t d = frontier_degree();
+    const double s = static_cast<double>(scan);
+    if (static_cast<double>(d) >= (last_pull ? s / opts.pull_beta : s / opts.pull_alpha)) fdeg = d;
+  }
+  last_pull = fdeg ? 1 : 0;
+  return fdeg;
 }
 
 }  // namespace mrbc::core

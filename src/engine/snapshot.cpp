@@ -160,6 +160,53 @@ const std::vector<std::uint8_t>& SnapshotReader::section(std::uint32_t id) const
   throw SnapshotError("snapshot: missing section " + std::to_string(id));
 }
 
+void expect_size(const char* what, std::uint64_t size, std::uint64_t expected) {
+  if (size != expected) {
+    throw SnapshotError(std::string("restored ") + what + " has " +
+                        std::to_string(size) + " entries, expected " +
+                        std::to_string(expected));
+  }
+}
+
+// ---- DurableFile ------------------------------------------------------------
+
+DurableFile::DurableFile(const std::string& dir, const char* name, std::uint32_t fingerprint,
+                         const ClusterOptions& cluster, std::size_t halt_after_writes,
+                         const std::atomic<bool>* halt_flag)
+    : path_(dir.empty() ? std::string() : dir + "/" + name),
+      fingerprint_(fingerprint),
+      fault_(cluster.fault),
+      membership_(cluster.membership),
+      halt_after_writes_(halt_after_writes),
+      halt_flag_(halt_flag) {}
+
+SnapshotReader DurableFile::open() const {
+  if (!enabled()) throw SnapshotError("resume requires checkpoint_dir");
+  return SnapshotReader::from_file(path_);
+}
+
+void DurableFile::restore_cluster(const SnapshotReader& reader) const {
+  if (fault_ != nullptr && reader.has(kSectionFaultCursor)) {
+    reader.read(kSectionFaultCursor, "fault cursor",
+                [&](util::RecvBuffer& buf) { fault_->restore_cursor(buf); });
+  }
+  if (membership_ != nullptr && reader.has(kSectionMembership)) {
+    reader.read(kSectionMembership, "membership",
+                [&](util::RecvBuffer& buf) { membership_->restore(buf); });
+  }
+}
+
+void DurableFile::commit(SnapshotWriter& w) {
+  if (fault_ != nullptr) fault_->save_cursor(w.section(kSectionFaultCursor));
+  if (membership_ != nullptr) membership_->save(w.section(kSectionMembership));
+  w.write_file(path_);
+  ++writes_;
+  if ((halt_after_writes_ != 0 && writes_ >= halt_after_writes_) ||
+      (halt_flag_ != nullptr && halt_flag_->load(std::memory_order_acquire))) {
+    throw DurableHalt{};
+  }
+}
+
 // ---- RunStats serialization -------------------------------------------------
 
 void save_run_stats(util::SendBuffer& buf, const RunStats& stats) {
@@ -223,8 +270,8 @@ RunStats load_run_stats(util::RecvBuffer& buf) {
   stats.values = buf.read<std::uint64_t>();
   stats.imbalance_sum = buf.read<double>();
   stats.per_host_compute_seconds = buf.read_vector<double>();
+  // No reserve: the count is untrusted until the entries have been read.
   const auto log_entries = buf.read<std::uint64_t>();
-  stats.round_log.reserve(log_entries);
   for (std::uint64_t i = 0; i < log_entries; ++i) {
     RoundLogEntry e;
     e.round = buf.read<std::uint64_t>();
@@ -280,16 +327,12 @@ void save_fault_plan_file(const std::string& path, const FaultPlan& plan,
 
 FaultPlan load_fault_plan_file(const std::string& path, std::uint64_t* fuzz_seed) {
   const SnapshotReader reader = SnapshotReader::from_file(path);
-  const std::vector<std::uint8_t>& payload = reader.section(kSectionFaultPlan);
-  util::RecvBuffer buf(payload.data(), payload.size());
   FaultPlan plan;
-  try {
+  reader.read(kSectionFaultPlan, "fault-plan repro", [&](util::RecvBuffer& buf) {
     const auto seed = buf.read<std::uint64_t>();
     if (fuzz_seed) *fuzz_seed = seed;
     plan.restore(buf);
-  } catch (const std::out_of_range& e) {
-    throw SnapshotError(std::string("fault-plan repro: ") + e.what());
-  }
+  });
   return plan;
 }
 

@@ -1,8 +1,9 @@
 #pragma once
 // Durable on-disk snapshots: a versioned, crc32-framed container format
 // used for restart-from-disk checkpoints (bc_tool --checkpoint-dir /
-// --resume) and for fault-schedule repro files dumped by the differential
-// fuzzer.
+// --resume, driven for MRBC and SBBC by DurableFile below), for the
+// streaming engine's serve.ckpt, and for fault-schedule repro files dumped
+// by the differential fuzzer.
 //
 // File layout (all integers little-endian, written via util::SendBuffer):
 //
@@ -14,7 +15,10 @@
 // magic, version, per-section bounds, and per-section CRC — and any
 // violation throws SnapshotError with a message naming what failed, so a
 // truncated or bit-flipped file can never reach application restore code
-// (which would otherwise interpret garbage state). Writes go through a
+// (which would otherwise interpret garbage state). A CRC only proves the
+// bytes are the ones written, not that they fit this run, so restore code
+// parses each section through SnapshotReader::read and checks restored
+// sizes against the run (expect_size, load_tables). Writes go through a
 // temporary file + rename so a process killed mid-write leaves the previous
 // snapshot intact (atomic replacement on POSIX). The file is not fsynced:
 // a completed write survives the process dying (SIGKILL, OOM), not the
@@ -26,6 +30,7 @@
 // payload (attach) such as the BSP loop's snapshot, which is framed
 // without being copied.
 
+#include <atomic>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -39,9 +44,10 @@
 namespace mrbc::sim {
 
 /// Any structural problem with a snapshot: I/O failure, bad magic,
-/// unsupported version, truncation, CRC mismatch, or a missing/mismatched
-/// section. Restore paths convert lower-level deserialization errors into
-/// this type so callers have one failure mode to handle.
+/// unsupported version, truncation, CRC mismatch, a missing/mismatched
+/// section, or restored state that does not fit the run. Restore paths
+/// convert lower-level deserialization errors into this type (see
+/// SnapshotReader::read) so callers have one failure mode to handle.
 class SnapshotError : public std::runtime_error {
  public:
   explicit SnapshotError(const std::string& what) : std::runtime_error(what) {}
@@ -93,8 +99,129 @@ class SnapshotReader {
   /// absent. Read it through a util::RecvBuffer view.
   const std::vector<std::uint8_t>& section(std::uint32_t id) const;
 
+  /// Parses section `id` with `parse(util::RecvBuffer&)`, which must consume
+  /// the whole payload. Any failure inside — truncation, an oversized length
+  /// prefix, a failed allocation, a size check — and any unread trailing
+  /// byte is rethrown as SnapshotError naming the section.
+  template <typename Parse>
+  void read(std::uint32_t id, const char* name, Parse&& parse) const {
+    const std::vector<std::uint8_t>& payload = section(id);
+    util::RecvBuffer buf(payload.data(), payload.size());
+    try {
+      parse(buf);
+      if (buf.remaining() != 0) {
+        throw std::out_of_range(std::to_string(buf.remaining()) + " unread trailing bytes");
+      }
+    } catch (const std::exception& e) {
+      throw SnapshotError("snapshot: section " + std::to_string(id) + " (" + name +
+                          "): " + e.what());
+    }
+  }
+
  private:
   std::vector<std::pair<std::uint32_t, std::vector<std::uint8_t>>> sections_;
+};
+
+/// Throws SnapshotError unless restored state `what` holds `expected`
+/// entries — a CRC-valid snapshot of another graph or source set would
+/// otherwise index out of bounds.
+void expect_size(const char* what, std::uint64_t size, std::uint64_t expected);
+
+/// Per-source tables (dist/sigma/delta) in snapshots: a u64 row count, then
+/// each row write_vector-framed.
+template <typename T>
+void save_tables(util::SendBuffer& buf, const std::vector<std::vector<T>>& tables) {
+  buf.write<std::uint64_t>(tables.size());
+  for (const auto& row : tables) buf.write_vector(row);
+}
+
+/// Mirror of save_tables for a table of `rows` rows of `cols` entries. The
+/// row count is checked before anything is allocated, so a corrupt count
+/// cannot reach reserve().
+template <typename T>
+void load_tables(util::RecvBuffer& buf, std::vector<std::vector<T>>& tables, std::size_t rows,
+                 std::size_t cols) {
+  const auto n = buf.read<std::uint64_t>();
+  expect_size("table rows", n, rows);
+  tables.clear();
+  tables.reserve(rows);
+  for (std::size_t i = 0; i < rows; ++i) {
+    tables.push_back(buf.read_vector<T>());
+    expect_size("table row", tables.back().size(), cols);
+  }
+}
+
+/// Section ids shared by every DurableFile. Engines number their own
+/// sections in between (MRBC: 3 = in-flight phase stats, 4 = BSP loop).
+constexpr std::uint32_t kSectionMeta = 1;   ///< fingerprint, then the engine's cursor
+constexpr std::uint32_t kSectionAccum = 2;  ///< results of completed work
+constexpr std::uint32_t kSectionFaultCursor = 5;
+constexpr std::uint32_t kSectionMembership = 6;
+
+/// Thrown by DurableFile::write after the write that ends a run early
+/// (halt_after_checkpoints reached, or halt_flag raised). Engines catch it
+/// around their batch loop and return a run with halted = true; thrown from
+/// BspLoop's on_checkpoint hook, it unwinds the loop first.
+struct DurableHalt {};
+
+/// The restart-from-disk file of one engine run: <dir>/mrbc.ckpt for MRBC,
+/// <dir>/sbbc.ckpt for SBBC. It owns what both engines share — the path,
+/// the configuration fingerprint that leads the meta section, the
+/// fault-cursor and membership sections, the write count and the halt
+/// hooks — while each engine writes and parses its own cursor fields and
+/// sections through it.
+class DurableFile {
+ public:
+  /// Checkpointing is off (enabled() false) when `dir` is empty. The fault
+  /// injector and membership map of `cluster` travel with every snapshot.
+  DurableFile(const std::string& dir, const char* name, std::uint32_t fingerprint,
+              const ClusterOptions& cluster, std::size_t halt_after_writes,
+              const std::atomic<bool>* halt_flag);
+
+  bool enabled() const { return !path_.empty(); }
+
+  /// Loads the file to resume from and restores the fault cursor and the
+  /// membership map from it. Throws SnapshotError when checkpointing is off
+  /// or the file is missing, corrupt, or written under another fingerprint.
+  /// `parse_meta(buf)` reads the engine's meta fields after the fingerprint;
+  /// the engine parses its other sections from the returned reader.
+  template <typename ParseMeta>
+  SnapshotReader resume(ParseMeta&& parse_meta) const {
+    SnapshotReader reader = open();
+    reader.read(kSectionMeta, "meta", [&](util::RecvBuffer& buf) {
+      if (buf.read<std::uint32_t>() != fingerprint_) {
+        throw SnapshotError("written by a different configuration (fingerprint mismatch)");
+      }
+      parse_meta(buf);
+    });
+    restore_cluster(reader);
+    return reader;
+  }
+
+  /// Atomically replaces the file: the meta section starts with the
+  /// fingerprint, `fill(writer)` appends the engine's meta fields and
+  /// sections, and the fault-cursor and membership sections follow. Throws
+  /// DurableHalt after the write when the run must stop.
+  template <typename Fill>
+  void write(Fill&& fill) {
+    SnapshotWriter w;
+    w.section(kSectionMeta).write<std::uint32_t>(fingerprint_);
+    fill(w);
+    commit(w);
+  }
+
+ private:
+  SnapshotReader open() const;
+  void restore_cluster(const SnapshotReader& reader) const;
+  void commit(SnapshotWriter& w);
+
+  std::string path_;
+  std::uint32_t fingerprint_;
+  FaultInjector* fault_;
+  Membership* membership_;
+  std::size_t halt_after_writes_;
+  const std::atomic<bool>* halt_flag_;
+  std::size_t writes_ = 0;
 };
 
 /// RunStats round-trip for durable checkpoints: every deterministic counter

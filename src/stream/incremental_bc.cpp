@@ -18,20 +18,6 @@ constexpr std::uint32_t kSecMeta = 1;
 constexpr std::uint32_t kSecGraph = 2;
 constexpr std::uint32_t kSecState = 3;
 
-template <typename T>
-void save_tables(util::SendBuffer& buf, const std::vector<std::vector<T>>& tables) {
-  buf.write<std::uint64_t>(tables.size());
-  for (const auto& row : tables) buf.write_vector(row);
-}
-
-template <typename T>
-void load_tables(util::RecvBuffer& buf, std::vector<std::vector<T>>& tables) {
-  const auto n = buf.read<std::uint64_t>();
-  tables.clear();
-  tables.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) tables.push_back(buf.read_vector<T>());
-}
-
 }  // namespace
 
 IncrementalBc::IncrementalBc(graph::Graph base, IncrementalBcOptions options)
@@ -71,32 +57,49 @@ void IncrementalBc::save(const std::string& path) const {
   util::SendBuffer& st = w.section(kSecState);
   st.write_vector(sources_);
   st.write_vector(bc_);
-  save_tables(st, dist_);
-  save_tables(st, sigma_);
-  save_tables(st, dep_);
+  sim::save_tables(st, dist_);
+  sim::save_tables(st, sigma_);
+  sim::save_tables(st, dep_);
   w.write_file(path);
 }
 
 IncrementalBc IncrementalBc::load(const std::string& path, IncrementalBcOptions options) {
   sim::SnapshotReader reader = sim::SnapshotReader::from_file(path);
-  const std::vector<std::uint8_t>& graph_bytes = reader.section(kSecGraph);
-  util::RecvBuffer g(graph_bytes.data(), graph_bytes.size());
-  auto offsets = g.read_vector<graph::EdgeId>();
-  auto targets = g.read_vector<VertexId>();
+  std::vector<graph::EdgeId> offsets;
+  std::vector<VertexId> targets;
+  reader.read(kSecGraph, "graph", [&](util::RecvBuffer& g) {
+    offsets = g.read_vector<graph::EdgeId>();
+    targets = g.read_vector<VertexId>();
+    // Graph's constructor trusts its CSR; a malformed one would index out of
+    // bounds while building the in-adjacency.
+    const auto n = offsets.empty() ? 0 : offsets.size() - 1;
+    if (offsets.empty() || offsets.front() != 0 || offsets.back() != targets.size() ||
+        !std::is_sorted(offsets.begin(), offsets.end()) ||
+        std::any_of(targets.begin(), targets.end(), [&](VertexId t) { return t >= n; })) {
+      throw std::out_of_range("malformed CSR");
+    }
+  });
   IncrementalBc inc(graph::Graph(std::move(offsets), std::move(targets)), std::move(options),
                     RestoreTag{});
-  const std::vector<std::uint8_t>& meta_bytes = reader.section(kSecMeta);
-  util::RecvBuffer meta(meta_bytes.data(), meta_bytes.size());
-  const auto epoch = meta.read<std::uint64_t>();
-  const auto compactions = meta.read<std::uint64_t>();
-  inc.delta_.restore_epoch(epoch, compactions);
-  const std::vector<std::uint8_t>& state_bytes = reader.section(kSecState);
-  util::RecvBuffer st(state_bytes.data(), state_bytes.size());
-  inc.sources_ = st.read_vector<VertexId>();
-  inc.bc_ = st.read_vector<double>();
-  load_tables(st, inc.dist_);
-  load_tables(st, inc.sigma_);
-  load_tables(st, inc.dep_);
+  reader.read(kSecMeta, "meta", [&](util::RecvBuffer& meta) {
+    const auto epoch = meta.read<std::uint64_t>();
+    const auto compactions = meta.read<std::uint64_t>();
+    inc.delta_.restore_epoch(epoch, compactions);
+  });
+  const VertexId n = inc.delta_.num_vertices();
+  reader.read(kSecState, "state", [&](util::RecvBuffer& st) {
+    inc.sources_ = st.read_vector<VertexId>();
+    if (std::any_of(inc.sources_.begin(), inc.sources_.end(),
+                    [&](VertexId s) { return s >= n; })) {
+      throw std::out_of_range("source id out of range");
+    }
+    inc.bc_ = st.read_vector<double>();
+    sim::expect_size("bc", inc.bc_.size(), n);
+    const std::size_t k = inc.sources_.size();
+    sim::load_tables(st, inc.dist_, k, n);
+    sim::load_tables(st, inc.sigma_, k, n);
+    sim::load_tables(st, inc.dep_, k, n);
+  });
   inc.rebuild_partition();
   return inc;
 }

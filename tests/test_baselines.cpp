@@ -8,6 +8,7 @@
 #include "baselines/abbc.h"
 #include "baselines/brandes_seq.h"
 #include "core/congest_mrbc.h"
+#include "core/mrbc.h"
 #include "baselines/mfbc.h"
 #include "baselines/sbbc.h"
 #include "graph/algorithms.h"

@@ -12,10 +12,13 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "baselines/sbbc.h"
+#include "comm/codec.h"
 #include "core/mrbc.h"
 #include "engine/cluster.h"
 #include "engine/fault.h"
@@ -391,38 +394,31 @@ TEST(DurableRestart, MrbcColdRestartBitIdentity) {
   EXPECT_EQ(final_run.anomalies, 0u);
 }
 
-TEST(DurableRestart, MrbcResumeRejectsWrongConfiguration) {
-  const std::string dir = scratch_dir("mrbc_fingerprint");
-  const Graph g = graph::erdos_renyi(40, 0.1, 13);
-  const auto sources = graph::sample_sources(g, 6, 1, /*contiguous=*/false);
+/// Re-frames the snapshot at `path` section by section through a fresh
+/// writer, after `edit(id, payload)` has changed the payloads: the result is
+/// CRC-valid, so only the restore code's own checks can reject it.
+void reframe(const std::string& path,
+             const std::function<void(std::uint32_t, std::vector<std::uint8_t>&)>& edit) {
+  const sim::SnapshotReader reader = sim::SnapshotReader::from_file(path);
+  sim::SnapshotWriter w;
+  for (std::uint32_t id = 1; id <= 6; ++id) {
+    if (!reader.has(id)) continue;
+    std::vector<std::uint8_t> bytes = reader.section(id);
+    edit(id, bytes);
+    w.section(id).write_raw(bytes.data(), bytes.size());
+  }
+  w.write_file(path);
+}
 
-  core::MrbcOptions opts;
-  opts.num_hosts = 3;
-  opts.batch_size = 3;
-  opts.checkpoint_dir = dir;
-  opts.halt_after_checkpoints = 1;
-  ASSERT_TRUE(core::mrbc_bc(g, sources, opts).halted);
-
-  // Different batching is a different execution — resuming must refuse.
-  core::MrbcOptions wrong = opts;
-  wrong.halt_after_checkpoints = 0;
-  wrong.resume = true;
-  wrong.batch_size = 4;
-  EXPECT_THROW(core::mrbc_bc(g, sources, wrong), sim::SnapshotError);
-
-  // So is a different source set.
-  core::MrbcOptions wrong_sources = opts;
-  wrong_sources.halt_after_checkpoints = 0;
-  wrong_sources.resume = true;
-  const auto other = graph::sample_sources(g, 5, 2, /*contiguous=*/false);
-  EXPECT_THROW(core::mrbc_bc(g, other, wrong_sources), sim::SnapshotError);
-
-  // Resuming with no snapshot on disk fails with a clear error.
-  core::MrbcOptions missing = opts;
-  missing.halt_after_checkpoints = 0;
-  missing.resume = true;
-  missing.checkpoint_dir = scratch_dir("mrbc_missing");
-  EXPECT_THROW(core::mrbc_bc(g, sources, missing), sim::SnapshotError);
+/// Cuts the write_vector-framed score vector at `offset` to its first
+/// `keep` entries.
+void shorten_scores(std::vector<std::uint8_t>& bytes, std::size_t offset, std::uint64_t keep) {
+  std::uint64_t count = 0;
+  std::memcpy(&count, bytes.data() + offset, sizeof(count));
+  std::memcpy(bytes.data() + offset, &keep, sizeof(keep));
+  const auto first = bytes.begin() + static_cast<std::ptrdiff_t>(offset + sizeof(count));
+  bytes.erase(first + static_cast<std::ptrdiff_t>(keep * sizeof(double)),
+              first + static_cast<std::ptrdiff_t>(count * sizeof(double)));
 }
 
 TEST(DurableRestart, MrbcResumeRejectsOlderSlotLayout) {
@@ -452,25 +448,152 @@ TEST(DurableRestart, MrbcResumeRejectsOlderSlotLayout) {
   config.write_vector(sources);
   const std::uint32_t old_fingerprint = util::crc32(config.bytes());
 
-  // Re-frame the file with its meta section's fingerprint replaced.
-  auto rewrite = [&](const std::uint32_t* fingerprint) {
-    const sim::SnapshotReader reader = sim::SnapshotReader::from_file(path);
-    sim::SnapshotWriter w;
-    for (std::uint32_t id = 1; id <= 6; ++id) {
-      if (!reader.has(id)) continue;
-      std::vector<std::uint8_t> bytes = reader.section(id);
-      if (id == 1 && fingerprint != nullptr) std::memcpy(bytes.data(), fingerprint, 4);
-      w.section(id).write_raw(bytes.data(), bytes.size());
-    }
-    w.write_file(path);
-  };
   core::MrbcOptions ropts = opts;
   ropts.halt_after_checkpoints = 1;
   ropts.resume = true;
-  rewrite(nullptr);  // re-framing alone keeps the file resumable
-  EXPECT_NO_THROW(core::mrbc_bc(g, sources, ropts));
-  rewrite(&old_fingerprint);
+  reframe(path, [](std::uint32_t, std::vector<std::uint8_t>&) {});
+  EXPECT_NO_THROW(core::mrbc_bc(g, sources, ropts));  // re-framing alone keeps it resumable
+  reframe(path, [&](std::uint32_t id, std::vector<std::uint8_t>& bytes) {
+    if (id == 1) std::memcpy(bytes.data(), &old_fingerprint, sizeof(old_fingerprint));
+  });
   EXPECT_THROW(core::mrbc_bc(g, sources, ropts), sim::SnapshotError);
+}
+
+// ---- Resume rejection, for both durable engines -----------------------------
+
+struct MrbcEngine {
+  using Options = core::MrbcOptions;
+  static constexpr const char* kFile = "mrbc.ckpt";
+  static Options options() {
+    Options o;
+    o.num_hosts = 3;
+    o.batch_size = 3;
+    return o;
+  }
+  /// Different batching is a different execution.
+  static void change_configuration(Options& o) { o.batch_size = 4; }
+  static auto run(const Graph& g, const std::vector<VertexId>& s, const Options& o) {
+    return core::mrbc_bc(g, s, o);
+  }
+  /// Advances an accum-section reader to the dist table's row count.
+  static void skip_to_tables(util::RecvBuffer& accum) {
+    accum.read_vector<double>();
+    accum.read_vector<VertexId>();
+  }
+};
+
+struct SbbcEngine {
+  using Options = baselines::SbbcOptions;
+  static constexpr const char* kFile = "sbbc.ckpt";
+  static Options options() {
+    Options o;
+    o.num_hosts = 3;
+    return o;
+  }
+  /// Another wire codec is another byte count.
+  static void change_configuration(Options& o) { o.cluster.codec = comm::CodecMode::kFull; }
+  static auto run(const Graph& g, const std::vector<VertexId>& s, const Options& o) {
+    return baselines::sbbc_bc(g, s, o);
+  }
+  static void skip_to_tables(util::RecvBuffer& accum) { accum.read_vector<double>(); }
+};
+
+template <typename Engine>
+class DurableResume : public ::testing::Test {
+ protected:
+  using Options = typename Engine::Options;
+
+  DurableResume()
+      : dir_(scratch_dir(std::string("reject_") + Engine::kFile)),
+        g_(graph::erdos_renyi(40, 0.1, 13)),
+        sources_(graph::sample_sources(g_, 6, 1, /*contiguous=*/false)) {}
+
+  /// Runs until the first durable write, leaving a mid-run file behind.
+  void write_halted_file() {
+    Options o = Engine::options();
+    o.checkpoint_dir = dir_;
+    o.halt_after_checkpoints = 1;
+    ASSERT_TRUE(Engine::run(g_, sources_, o).halted);
+  }
+
+  Options resume_options() const {
+    Options o = Engine::options();
+    o.checkpoint_dir = dir_;
+    o.resume = true;
+    return o;
+  }
+
+  /// Re-frames the file with its accum section edited; it must no longer
+  /// resume.
+  void expect_edited_accum_rejected(
+      const std::function<void(std::vector<std::uint8_t>&)>& edit) {
+    write_halted_file();
+    reframe(dir_ + "/" + Engine::kFile, [&](std::uint32_t id, std::vector<std::uint8_t>& bytes) {
+      if (id == 2) edit(bytes);
+    });
+    EXPECT_THROW(Engine::run(g_, sources_, resume_options()), sim::SnapshotError);
+  }
+
+  std::string dir_;
+  Graph g_;
+  std::vector<VertexId> sources_;
+};
+
+struct EngineName {
+  template <typename Engine>
+  static std::string GetName(int) {
+    return std::is_same_v<Engine, MrbcEngine> ? "Mrbc" : "Sbbc";
+  }
+};
+
+using DurableEngines = ::testing::Types<MrbcEngine, SbbcEngine>;
+TYPED_TEST_SUITE(DurableResume, DurableEngines, EngineName);
+
+TYPED_TEST(DurableResume, RejectsWrongConfiguration) {
+  this->write_halted_file();
+
+  auto wrong = this->resume_options();
+  TypeParam::change_configuration(wrong);
+  EXPECT_THROW(TypeParam::run(this->g_, this->sources_, wrong), sim::SnapshotError);
+
+  // So is a different source set.
+  const auto other = graph::sample_sources(this->g_, 5, 2, /*contiguous=*/false);
+  EXPECT_THROW(TypeParam::run(this->g_, other, this->resume_options()), sim::SnapshotError);
+
+  // Resuming with no snapshot on disk fails with a clear error.
+  auto missing = this->resume_options();
+  missing.checkpoint_dir = scratch_dir(std::string("missing_") + TypeParam::kFile);
+  EXPECT_THROW(TypeParam::run(this->g_, this->sources_, missing), sim::SnapshotError);
+
+  // And there is nothing to resume from without a checkpoint directory.
+  auto no_dir = this->resume_options();
+  no_dir.checkpoint_dir.clear();
+  EXPECT_THROW(TypeParam::run(this->g_, this->sources_, no_dir), sim::SnapshotError);
+
+  // The untouched file still resumes.
+  EXPECT_FALSE(TypeParam::run(this->g_, this->sources_, this->resume_options()).halted);
+}
+
+TYPED_TEST(DurableResume, RejectsTruncatedAccum) {
+  this->expect_edited_accum_rejected(
+      [](std::vector<std::uint8_t>& bytes) { bytes.resize(bytes.size() / 2); });
+}
+
+TYPED_TEST(DurableResume, RejectsHugeTableCount) {
+  // A row count of 2^40 must be refused before anything is allocated.
+  this->expect_edited_accum_rejected([](std::vector<std::uint8_t>& bytes) {
+    util::RecvBuffer accum(bytes.data(), bytes.size());
+    TypeParam::skip_to_tables(accum);
+    const std::uint64_t huge = std::uint64_t{1} << 40;
+    std::memcpy(bytes.data() + (accum.size() - accum.remaining()), &huge, sizeof(huge));
+  });
+}
+
+TYPED_TEST(DurableResume, RejectsShortScores) {
+  // Scores for 10 of the graph's 40 vertices: CRC-valid and fully parsable,
+  // but resuming would index past the end of the score vector.
+  this->expect_edited_accum_rejected(
+      [](std::vector<std::uint8_t>& bytes) { shorten_scores(bytes, 0, 10); });
 }
 
 TEST(DurableRestart, SbbcColdRestartBitIdentity) {
@@ -626,6 +749,36 @@ TEST(DurableRestart, IncrementalBcSaveLoadContinuesExactly) {
   }
 
   EXPECT_THROW(stream::IncrementalBc::load(dir + "/absent.ckpt", opts), sim::SnapshotError);
+}
+
+TEST(DurableRestart, IncrementalBcLoadRejectsInconsistentState) {
+  const std::string path = scratch_dir("inc_inconsistent") + "/serve.ckpt";
+  const Graph g = graph::erdos_renyi(40, 0.08, 29);
+  stream::IncrementalBcOptions opts;
+  opts.num_samples = 12;
+  opts.mrbc.num_hosts = 3;
+  const stream::IncrementalBc inc(g, opts);
+
+  // Scores for 10 of the 40 vertices (state section: sources, then scores).
+  inc.save(path);
+  reframe(path, [](std::uint32_t id, std::vector<std::uint8_t>& bytes) {
+    if (id != 3) return;
+    util::RecvBuffer state(bytes.data(), bytes.size());
+    state.read_vector<VertexId>();
+    shorten_scores(bytes, state.size() - state.remaining(), 10);
+  });
+  EXPECT_THROW(stream::IncrementalBc::load(path, opts), sim::SnapshotError);
+
+  // An edge into vertex 40 of a 40-vertex graph (graph section: offsets,
+  // then targets; the last target is the file's last four bytes).
+  inc.save(path);
+  reframe(path, [](std::uint32_t id, std::vector<std::uint8_t>& bytes) {
+    if (id != 2) return;
+    const VertexId out_of_range = 40;
+    std::memcpy(bytes.data() + bytes.size() - sizeof(VertexId), &out_of_range,
+                sizeof(out_of_range));
+  });
+  EXPECT_THROW(stream::IncrementalBc::load(path, opts), sim::SnapshotError);
 }
 
 // ---- Snapshot corruption hardening ------------------------------------------
