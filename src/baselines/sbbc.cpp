@@ -317,10 +317,7 @@ class SourceRunner final : public sim::Checkpointable {
                              (static_cast<std::uint64_t>(p.ord) << 32) | p.target);
       }
     });
-    std::vector<core::OrdLid> all;
-    for (const auto& v : range_staged) all.insert(all.end(), v.begin(), v.end());
-    std::sort(all.begin(), all.end());
-    for (const auto& [ord, lid] : all) self_sched_[h].push_back(lid);
+    core::merge_side_lists(range_staged, self_sched_[h]);
     for (std::size_t ei = 0; ei < total; ++ei) {
       frontier.reset(ei < wl.size() ? wl[ei] : ss[ei - wl.size()]);
     }
@@ -360,43 +357,22 @@ class SourceRunner final : public sim::Checkpointable {
       // level d+1 labels, which a same-frontier entry's stale check
       // discards, so no drained entry's label changes mid-drain.
       const std::size_t num_ranges = core::num_drain_ranges(hg.num_proxies());
-      core::DrainScratch& sc = scratch_[h];
-      const std::size_t num_chunks = util::ThreadPool::chunk_count(total, grain);
-      if (sc.chunks.size() < num_chunks) sc.chunks.resize(num_chunks);
-      if (sc.raw.size() < num_chunks) sc.raw.resize(num_chunks);
-      util::ThreadPool::global().parallel_for_chunks(
-          0, total, grain, [&](std::size_t c, std::size_t b, std::size_t e) {
-            core::ChunkRecs& ch = sc.chunks[c];
-            ch.work_items = 0;
-            std::vector<core::PushRec>& recs = sc.raw[c];
-            recs.clear();
-            for (std::size_t ei = b; ei < e; ++ei) {
-              const VertexId lid = ei < wl.size() ? wl[ei] : ss[ei - wl.size()];
-              const DistSigma s = labels_[h][lid];
-              for (VertexId tl : hg.local.out_neighbors(lid)) {
-                recs.push_back(core::PushRec{tl, 0, s.dist + 1, s.sigma,
-                                             static_cast<std::uint32_t>(recs.size())});
-                ++ch.work_items;
-              }
-            }
-            ch.bucket_by_range(recs, num_ranges);
-          });
       std::vector<std::vector<core::OrdLid>> range_staged(num_ranges);
-      util::ThreadPool::global().parallel_for(0, num_ranges, 1, [&](std::size_t r) {
-        for (std::size_t c = 0; c < num_chunks; ++c) {
-          const core::ChunkRecs& ch = sc.chunks[c];
-          for (std::uint32_t i = ch.starts[r]; i < ch.starts[r + 1]; ++i) {
-            const core::PushRec& p = ch.sorted[i];
-            combine_forward_impl(h, p.target, p.dist, p.value, &range_staged[r],
-                                 core::push_ordinal(c, p.ord));
-          }
-        }
-      });
-      for (std::size_t c = 0; c < num_chunks; ++c) w.work_items += sc.chunks[c].work_items;
-      std::vector<core::OrdLid> all;
-      for (const auto& v : range_staged) all.insert(all.end(), v.begin(), v.end());
-      std::sort(all.begin(), all.end());
-      for (const auto& [ord, lid] : all) self_sched_[h].push_back(lid);
+      w.work_items = core::staged_drain(
+          scratch_[h], total, grain, num_ranges,
+          [&](core::ChunkRecs& ch, std::vector<core::PushRec>& recs, std::size_t ei) {
+            const VertexId lid = ei < wl.size() ? wl[ei] : ss[ei - wl.size()];
+            const DistSigma s = labels_[h][lid];
+            for (VertexId tl : hg.local.out_neighbors(lid)) {
+              recs.push_back(core::PushRec{tl, 0, s.dist + 1, s.sigma,
+                                           static_cast<std::uint32_t>(recs.size())});
+              ++ch.work_items;
+            }
+          },
+          [&](std::size_t r, const core::PushRec& p, std::uint64_t ord) {
+            combine_forward_impl(h, p.target, p.dist, p.value, &range_staged[r], ord);
+          });
+      core::merge_side_lists(range_staged, self_sched_[h]);
     } else {
       auto drain = [&](const std::vector<VertexId>& list) {
         for (VertexId lid : list) {
@@ -434,46 +410,28 @@ class SourceRunner final : public sim::Checkpointable {
       // Staged drain: pushes target level d-1 predecessors while the drain
       // list is all level d, so Phase-A snapshots (including the delta read
       // in m) match the sequential interleaving exactly.
-      const std::size_t num_ranges = core::num_drain_ranges(hg.num_proxies());
-      core::DrainScratch& sc = scratch_[h];
-      const std::size_t num_chunks = util::ThreadPool::chunk_count(total, grain);
-      if (sc.chunks.size() < num_chunks) sc.chunks.resize(num_chunks);
-      if (sc.raw.size() < num_chunks) sc.raw.resize(num_chunks);
-      util::ThreadPool::global().parallel_for_chunks(
-          0, total, grain, [&](std::size_t c, std::size_t b, std::size_t e) {
-            core::ChunkRecs& ch = sc.chunks[c];
-            ch.work_items = 0;
-            std::vector<core::PushRec>& recs = sc.raw[c];
-            recs.clear();
-            for (std::size_t ei = b; ei < e; ++ei) {
-              const VertexId lid = ei < worklist_[h].size()
-                                       ? worklist_[h][ei]
-                                       : self_sched_[h][ei - worklist_[h].size()];
-              const DistSigma& sv = labels_[h][lid];
-              if (sv.dist == kInfDist || sv.dist == 0) continue;
-              const double m = (1.0 + delta_[h][lid]) / sv.sigma;
-              for (VertexId pl : hg.local.in_neighbors(lid)) {
-                const DistSigma& sw = labels_[h][pl];
-                if (sw.dist != kInfDist && sw.dist + 1 == sv.dist) {
-                  recs.push_back(core::PushRec{pl, 0, 0, sw.sigma * m,
-                                               static_cast<std::uint32_t>(recs.size())});
-                }
-                ++ch.work_items;
+      w.work_items = core::staged_drain(
+          scratch_[h], total, grain, core::num_drain_ranges(hg.num_proxies()),
+          [&](core::ChunkRecs& ch, std::vector<core::PushRec>& recs, std::size_t ei) {
+            const VertexId lid = ei < worklist_[h].size()
+                                     ? worklist_[h][ei]
+                                     : self_sched_[h][ei - worklist_[h].size()];
+            const DistSigma& sv = labels_[h][lid];
+            if (sv.dist == kInfDist || sv.dist == 0) return;
+            const double m = (1.0 + delta_[h][lid]) / sv.sigma;
+            for (VertexId pl : hg.local.in_neighbors(lid)) {
+              const DistSigma& sw = labels_[h][pl];
+              if (sw.dist != kInfDist && sw.dist + 1 == sv.dist) {
+                recs.push_back(core::PushRec{pl, 0, 0, sw.sigma * m,
+                                             static_cast<std::uint32_t>(recs.size())});
               }
+              ++ch.work_items;
             }
-            ch.bucket_by_range(recs, num_ranges);
-          });
-      util::ThreadPool::global().parallel_for(0, num_ranges, 1, [&](std::size_t r) {
-        for (std::size_t c = 0; c < num_chunks; ++c) {
-          const core::ChunkRecs& ch = sc.chunks[c];
-          for (std::uint32_t i = ch.starts[r]; i < ch.starts[r + 1]; ++i) {
-            const core::PushRec& p = ch.sorted[i];
+          },
+          [&](std::size_t, const core::PushRec& p, std::uint64_t) {
             delta_[h][p.target] += p.value;
             if (!hg.is_master[p.target]) substrate_.flag_reduce(h, p.target);
-          }
-        }
-      });
-      for (std::size_t c = 0; c < num_chunks; ++c) w.work_items += sc.chunks[c].work_items;
+          });
     } else {
       auto drain = [&](const std::vector<VertexId>& list) {
         for (VertexId lid : list) {

@@ -1,5 +1,8 @@
 #include "comm/substrate.h"
 
+#include <stdexcept>
+#include <string>
+
 namespace mrbc::comm {
 
 SyncStats& SyncStats::operator+=(const SyncStats& other) {
@@ -32,20 +35,19 @@ SyncStats& SyncStats::operator+=(const SyncStats& other) {
   return *this;
 }
 
-Substrate::Substrate(const Partition& part) : part_(&part), H_(part.num_hosts()) {
-  reduce_flags_.resize(H_);
-  broadcast_flags_.resize(H_);
+Substrate::Substrate(const Partition& part) : Substrate(part.num_hosts()) {
+  part_ = &part;
   for (HostId h = 0; h < H_; ++h) {
     reduce_flags_[h].resize(part.host(h).num_proxies());
     broadcast_flags_[h].resize(part.host(h).num_proxies());
   }
-  pair_bufs_.resize(static_cast<std::size_t>(H_) * H_);
 }
 
 Substrate::Substrate(HostId num_hosts) : part_(nullptr), H_(num_hosts) {
   reduce_flags_.resize(H_);
   broadcast_flags_.resize(H_);
   pair_bufs_.resize(static_cast<std::size_t>(H_) * H_);
+  set_delivery(DeliveryOptions{});
 }
 
 void Substrate::set_delivery(const DeliveryOptions& options) {
@@ -74,12 +76,21 @@ void Substrate::save_state(util::SendBuffer& buf) const {
 }
 
 void Substrate::restore_state(util::RecvBuffer& buf) {
+  // The exchange lists index the flag sets and deliver() indexes the H^2
+  // sequence tables, so state of another partition or host count is refused.
+  const auto restore = [](auto& dst, auto&& src) {
+    if (src.size() != dst.size()) {
+      throw std::out_of_range("substrate: restored state of size " + std::to_string(src.size()) +
+                              ", expected " + std::to_string(dst.size()));
+    }
+    dst = std::move(src);
+  };
   for (HostId h = 0; h < H_; ++h) {
-    reduce_flags_[h] = buf.read_bitset();
-    broadcast_flags_[h] = buf.read_bitset();
+    restore(reduce_flags_[h], buf.read_bitset());
+    restore(broadcast_flags_[h], buf.read_bitset());
   }
-  next_seq_ = buf.read_vector<std::uint64_t>();
-  last_accepted_ = buf.read_vector<std::uint64_t>();
+  restore(next_seq_, buf.read_vector<std::uint64_t>());
+  restore(last_accepted_, buf.read_vector<std::uint64_t>());
 }
 
 bool Substrate::any_pending() const {

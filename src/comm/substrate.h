@@ -35,18 +35,21 @@
 // engine's NetworkModel can cost it without distorting the headline
 // payload-byte comparisons.
 //
-// Execution: each sync phase runs in two sub-phases. Serialization of the
-// independent (master-host, other-host) pair messages fans out across the
-// shared util::ThreadPool — every mirror lid belongs to exactly one pair
-// and reduce-reset touches only that pair's mirrors, so any interleaving
-// serializes identical bytes — into a pool of per-pair SendBuffers that
-// keep their allocations across rounds. Delivery then walks the pairs
-// sequentially in the historical loop order, so ChannelFaults consultation
-// order, sequence numbers, SyncStats accounting, and apply order are all
-// bit-identical to the single-threaded engine.
+// Execution: reduce and broadcast are one routine (exchange) that differs
+// only in direction and in the accessor's body kind (see Substrate). Each
+// phase runs in two sub-phases over one list of (src, dst) pair messages,
+// src-major. Serialization fans out across the shared util::ThreadPool —
+// every exchange-list lid belongs to exactly one pair and reduce-reset
+// touches only that pair's mirrors, so any interleaving serializes
+// identical bytes — into a pool of per-pair SendBuffers that keep their
+// allocations across rounds. Delivery then walks the same list
+// sequentially, so ChannelFaults consultation order, sequence numbers,
+// SyncStats accounting, and apply order are all bit-identical to the
+// single-threaded engine.
 
 #include <algorithm>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "comm/codec.h"
@@ -108,18 +111,40 @@ inline void write_presence(CodecWriter& w, const util::DynamicBitset& present,
   }
 }
 
-/// Invokes fn(index) for each present exchange-list position, in order.
-/// The presence encoding is fully consumed before the first fn call, so a
-/// message body following it in the same buffer can be read inside fn.
+/// Invokes fn(index) for each present position of an exchange list of
+/// length `n`, in order. The presence encoding is fully consumed before the
+/// first fn call, so a message body following it in the same buffer can be
+/// read inside fn. A position at or past `n` is a corrupted frame.
 template <typename Fn>
-void read_presence(CodecReader& r, Fn&& fn) {
+void read_presence(CodecReader& r, std::size_t n, Fn&& fn) {
   const auto tag = r.u8();
   if (tag == 0) {
     util::DynamicBitset present = r.buffer().read_bitset();
+    if (present.size() > n) {
+      throw std::out_of_range("substrate: presence bitset longer than the exchange list");
+    }
     present.for_each_set(fn);
   } else {
-    for (std::uint32_t i : r.sorted_u32_list()) fn(i);
+    for (std::uint32_t i : r.sorted_u32_list()) {
+      if (i >= n) throw std::out_of_range("substrate: presence offset past the exchange list");
+      fn(i);
+    }
   }
+}
+
+/// Decodes a fixed-Value message (presence, then one ValueCodec plane) over
+/// an exchange list of length `n`: fn(index, value) per present entry, in
+/// order. A plane whose length differs from the presence count is a
+/// corrupted frame.
+template <typename Value, typename Fn>
+void read_value_message(CodecReader& r, std::size_t n, Fn&& fn) {
+  std::vector<std::size_t> indices;
+  read_presence(r, n, [&](std::size_t i) { indices.push_back(i); });
+  const std::vector<Value> values = ValueCodec<Value>::read_plane(r);
+  if (values.size() != indices.size()) {
+    throw std::out_of_range("substrate: value plane length does not match the presence count");
+  }
+  for (std::size_t k = 0; k < indices.size(); ++k) fn(indices[k], values[k]);
 }
 
 }  // namespace detail
@@ -197,13 +222,33 @@ struct SyncStats {
 
 /// Per-host flag sets plus the reduce/broadcast engine.
 ///
-/// The Accessor type parameter of sync/reduce/broadcast supplies the
-/// label semantics:
+/// reduce/broadcast/sync take an Accessor of one of two kinds, told apart at
+/// compile time by whether it declares a Value type.
+///
+/// Fixed-size labels: one Value per proxy; a message body is one
+/// ValueCodec<Value> plane.
 ///   using Value = <trivially copyable>;
 ///   Value get(HostId h, VertexId lid);                 // read proxy label
 ///   void reduce(HostId h, VertexId lid, Value v);      // combine into master
 ///   void set(HostId h, VertexId lid, Value v);         // overwrite mirror
 ///   void reset(HostId h, VertexId lid);                // mirror -> identity
+///
+/// Per-vertex lists: no Value; the accessor owns each proxy's wire format
+/// through the mode-aware codec (field-class methods pick varint/tagged
+/// encodings per DeliveryOptions::codec). MRBC syncs this way: the set of
+/// (source, dist, sigma) entries that finalized differs per vertex and round.
+///   void serialize_reduce(HostId h, VertexId lid, CodecWriter&);
+///       (must also reset the mirror's contribution — reduce-reset)
+///   void apply_reduce(HostId h, VertexId lid, CodecReader&);
+///   void serialize_broadcast(HostId h, VertexId lid, CodecWriter&);
+///       (called once per mirror host; must not mutate)
+///   void apply_broadcast(HostId h, VertexId lid, CodecReader&);
+///
+/// For both kinds, get/reset and serialize_* run concurrently across host
+/// pairs and may touch only the proxy they serialize. reduce/set and
+/// apply_* run sequentially and must not set reduce flags: reduce receivers
+/// are masters, and the reduce phase consumes every host's reduce flags
+/// once, after delivery.
 class Substrate {
  public:
   explicit Substrate(const Partition& part);
@@ -252,224 +297,18 @@ class Substrate {
   /// a contribution (or that were themselves reduce-flagged) become
   /// broadcast-flagged. Reduce flags are consumed.
   template <typename Accessor>
-  SyncStats reduce(Accessor& acc) {
-    obs::Span span(obs::Category::kComm, "reduce");
-    SyncStats stats;
-    stats.bytes_per_host.assign(H_, 0);
-    stats.msgs_per_host.assign(H_, 0);
-    const Partition& p = *part_;
-    // Phase A: serialize every pair message in parallel into the per-pair
-    // buffer pool. Pairs are independent — mirror_lids(mh, *) partitions
-    // mh's mirrors, so the reduce-reset of one pair never touches another
-    // pair's reads — and the applies all happen later, so any thread
-    // interleaving serializes identical bytes.
-    std::vector<PairWork> work = pair_serialize_order(/*reduce=*/true);
-    util::ThreadPool::global().parallel_for(0, work.size(), 1, [&](std::size_t w) {
-      PairWork& pw = work[w];
-      const auto& mirrors = p.mirror_lids(pw.src, pw.dst);
-      util::SendBuffer& buf = pair_buf(pw.src, pw.dst);
-      buf.clear();
-      // Serialize flagged entries: presence bitset over the exchange
-      // list + packed values.
-      util::DynamicBitset present(mirrors.size());
-      std::size_t count = 0;
-      for (std::size_t i = 0; i < mirrors.size(); ++i) {
-        if (reduce_flags_[pw.src].test(mirrors[i])) {
-          present.set(i);
-          ++count;
-        }
-      }
-      if (count == 0) return;
-      buf.reserve(kPresenceSlack + present.byte_size() +
-                  count * (sizeof(typename Accessor::Value) + sizeof(std::uint32_t)));
-      CodecWriter cw(buf, delivery_.codec);
-      detail::write_presence(cw, present, count);
-      // Collect the flagged values first: plane codecs (frame-of-reference)
-      // need the whole plane before the first wire byte. In kRaw the plane
-      // serializes to exactly the historical count-prefixed value run.
-      std::vector<typename Accessor::Value> vals;
-      vals.reserve(count);
-      for (std::size_t i = 0; i < mirrors.size(); ++i) {
-        const VertexId lid = mirrors[i];
-        if (reduce_flags_[pw.src].test(lid)) {
-          vals.push_back(acc.get(pw.src, lid));
-          acc.reset(pw.src, lid);
-        }
-      }
-      ValueCodec<typename Accessor::Value>::write_plane(cw, vals);
-      pw.values = count;
-    });
-    // Phase B: deliver sequentially in the historical pair order.
-    std::size_t w = 0;
-    for (HostId mh = 0; mh < H_; ++mh) {
-      for (HostId oh = 0; oh < H_; ++oh) {
-        if (mh == oh || p.mirror_lids(mh, oh).empty()) continue;
-        const std::size_t values = work[w++].values;
-        if (values == 0) continue;
-        stats.values += values;
-        const auto& masters = p.master_lids(mh, oh);
-        deliver(mh, oh, pair_buf(mh, oh), stats, [&](util::RecvBuffer& rbuf) {
-          CodecReader r(rbuf, delivery_.codec);
-          std::vector<std::size_t> indices;
-          detail::read_presence(r, [&](std::size_t i) { indices.push_back(i); });
-          auto rvalues = ValueCodec<typename Accessor::Value>::read_plane(r);
-          std::size_t next = 0;
-          for (std::size_t i : indices) {
-            const VertexId master_lid = masters[i];
-            acc.reduce(oh, master_lid, rvalues[next++]);
-            broadcast_flags_[oh].set(master_lid);
-          }
-        });
-      }
-      // Masters flagged locally (their own host updated them) broadcast too.
-      const auto& hg = p.host(mh);
-      reduce_flags_[mh].for_each_set([&](std::size_t lid) {
-        if (hg.is_master[lid]) broadcast_flags_[mh].set(lid);
-      });
-      reduce_flags_[mh].reset_all();
-    }
-    return stats;
-  }
+  SyncStats reduce(Accessor& acc) { return exchange<true>(acc); }
 
   /// broadcast phase: flagged masters -> all their mirrors. Broadcast flags
   /// are consumed.
   template <typename Accessor>
-  SyncStats broadcast(Accessor& acc) {
-    obs::Span span(obs::Category::kComm, "broadcast");
-    SyncStats stats;
-    stats.bytes_per_host.assign(H_, 0);
-    stats.msgs_per_host.assign(H_, 0);
-    const Partition& p = *part_;
-    // Phase A: parallel serialization (masters are only read — a master
-    // serialized toward several mirror hosts is shared read-only state).
-    std::vector<PairWork> work = pair_serialize_order(/*reduce=*/false);
-    util::ThreadPool::global().parallel_for(0, work.size(), 1, [&](std::size_t w) {
-      PairWork& pw = work[w];
-      const auto& masters = p.master_lids(pw.dst, pw.src);
-      util::SendBuffer& buf = pair_buf(pw.src, pw.dst);
-      buf.clear();
-      util::DynamicBitset present(masters.size());
-      std::size_t count = 0;
-      for (std::size_t i = 0; i < masters.size(); ++i) {
-        if (broadcast_flags_[pw.src].test(masters[i])) {
-          present.set(i);
-          ++count;
-        }
-      }
-      if (count == 0) return;
-      buf.reserve(kPresenceSlack + present.byte_size() +
-                  count * (sizeof(typename Accessor::Value) + sizeof(std::uint32_t)));
-      CodecWriter cw(buf, delivery_.codec);
-      detail::write_presence(cw, present, count);
-      std::vector<typename Accessor::Value> vals;
-      vals.reserve(count);
-      for (std::size_t i = 0; i < masters.size(); ++i) {
-        const VertexId lid = masters[i];
-        if (broadcast_flags_[pw.src].test(lid)) vals.push_back(acc.get(pw.src, lid));
-      }
-      ValueCodec<typename Accessor::Value>::write_plane(cw, vals);
-      pw.values = count;
-    });
-    // Phase B: sequential delivery in the historical pair order.
-    std::size_t w = 0;
-    for (HostId oh = 0; oh < H_; ++oh) {
-      for (HostId mh = 0; mh < H_; ++mh) {
-        if (mh == oh || p.master_lids(mh, oh).empty()) continue;
-        const std::size_t values = work[w++].values;
-        if (values == 0) continue;
-        stats.values += values;
-        const auto& mirrors = p.mirror_lids(mh, oh);
-        deliver(oh, mh, pair_buf(oh, mh), stats, [&](util::RecvBuffer& rbuf) {
-          CodecReader r(rbuf, delivery_.codec);
-          std::vector<std::size_t> indices;
-          detail::read_presence(r, [&](std::size_t i) { indices.push_back(i); });
-          auto rvalues = ValueCodec<typename Accessor::Value>::read_plane(r);
-          std::size_t next = 0;
-          for (std::size_t i : indices) {
-            acc.set(mh, mirrors[i], rvalues[next++]);
-          }
-        });
-      }
-    }
-    for (HostId oh = 0; oh < H_; ++oh) broadcast_flags_[oh].reset_all();
-    return stats;
-  }
+  SyncStats broadcast(Accessor& acc) { return exchange<false>(acc); }
 
   /// Full sync: reduce then broadcast, as at the start of each BSP round.
   template <typename Accessor>
   SyncStats sync(Accessor& acc) {
     SyncStats stats = reduce(acc);
     stats += broadcast(acc);
-    return stats;
-  }
-
-  /// Variable-length flavor of reduce, for labels whose per-vertex payload
-  /// is a list (MRBC syncs the set of (source, dist, sigma) entries that
-  /// finalized, which differs per vertex and round). The accessor owns the
-  /// wire format, expressed through the mode-aware codec (field-class
-  /// methods pick varint/tagged encodings per DeliveryOptions::codec):
-  ///   void serialize_reduce(HostId h, VertexId lid, CodecWriter&);
-  ///       (must also reset the mirror's contribution — reduce-reset)
-  ///   void apply_reduce(HostId h, VertexId lid, CodecReader&);
-  ///   void serialize_broadcast(HostId h, VertexId lid, CodecWriter&);
-  ///       (called once per mirror host; must not mutate)
-  ///   void apply_broadcast(HostId h, VertexId lid, CodecReader&);
-  template <typename VarAccessor>
-  SyncStats reduce_var(VarAccessor& acc) {
-    obs::Span span(obs::Category::kComm, "reduce");
-    SyncStats stats;
-    stats.bytes_per_host.assign(H_, 0);
-    stats.msgs_per_host.assign(H_, 0);
-    const Partition& p = *part_;
-    // Phase A: parallel per-pair serialization. serialize_reduce mutates
-    // only the serialized mirror's own state (reduce-reset), and each
-    // mirror lid appears in exactly one pair, so pairs stay independent.
-    std::vector<PairWork> work = pair_serialize_order(/*reduce=*/true);
-    util::ThreadPool::global().parallel_for(0, work.size(), 1, [&](std::size_t w) {
-      PairWork& pw = work[w];
-      const auto& mirrors = p.mirror_lids(pw.src, pw.dst);
-      util::SendBuffer& buf = pair_buf(pw.src, pw.dst);
-      buf.clear();
-      util::DynamicBitset present(mirrors.size());
-      std::size_t count = 0;
-      for (std::size_t i = 0; i < mirrors.size(); ++i) {
-        if (reduce_flags_[pw.src].test(mirrors[i])) {
-          present.set(i);
-          ++count;
-        }
-      }
-      if (count == 0) return;
-      buf.reserve(kPresenceSlack + present.byte_size() + count * sizeof(std::uint32_t));
-      CodecWriter cw(buf, delivery_.codec);
-      detail::write_presence(cw, present, count);
-      for (std::size_t i = 0; i < mirrors.size(); ++i) {
-        if (present.test(i)) acc.serialize_reduce(pw.src, mirrors[i], cw);
-      }
-      pw.values = count;
-    });
-    // Phase B: sequential delivery in the historical pair order.
-    std::size_t w = 0;
-    for (HostId mh = 0; mh < H_; ++mh) {
-      for (HostId oh = 0; oh < H_; ++oh) {
-        if (mh == oh || p.mirror_lids(mh, oh).empty()) continue;
-        const std::size_t values = work[w++].values;
-        if (values == 0) continue;
-        stats.values += values;
-        const auto& masters = p.master_lids(mh, oh);
-        deliver(mh, oh, pair_buf(mh, oh), stats, [&](util::RecvBuffer& rbuf) {
-          CodecReader r(rbuf, delivery_.codec);
-          detail::read_presence(r, [&](std::size_t i) {
-            acc.apply_reduce(oh, masters[i], r);
-            broadcast_flags_[oh].set(masters[i]);
-          });
-        });
-      }
-      const auto& hg = p.host(mh);
-      reduce_flags_[mh].for_each_set([&](std::size_t lid) {
-        if (hg.is_master[lid]) broadcast_flags_[mh].set(lid);
-      });
-      reduce_flags_[mh].reset_all();
-    }
     return stats;
   }
 
@@ -500,60 +339,6 @@ class Substrate {
     return stats;
   }
 
-  /// Variable-length flavor of broadcast; see reduce_var.
-  template <typename VarAccessor>
-  SyncStats broadcast_var(VarAccessor& acc) {
-    obs::Span span(obs::Category::kComm, "broadcast");
-    SyncStats stats;
-    stats.bytes_per_host.assign(H_, 0);
-    stats.msgs_per_host.assign(H_, 0);
-    const Partition& p = *part_;
-    // Phase A: parallel per-pair serialization (serialize_broadcast is
-    // contractually read-only, so shared masters are safe).
-    std::vector<PairWork> work = pair_serialize_order(/*reduce=*/false);
-    util::ThreadPool::global().parallel_for(0, work.size(), 1, [&](std::size_t w) {
-      PairWork& pw = work[w];
-      const auto& masters = p.master_lids(pw.dst, pw.src);
-      util::SendBuffer& buf = pair_buf(pw.src, pw.dst);
-      buf.clear();
-      util::DynamicBitset present(masters.size());
-      std::size_t count = 0;
-      for (std::size_t i = 0; i < masters.size(); ++i) {
-        if (broadcast_flags_[pw.src].test(masters[i])) {
-          present.set(i);
-          ++count;
-        }
-      }
-      if (count == 0) return;
-      buf.reserve(kPresenceSlack + present.byte_size() + count * sizeof(std::uint32_t));
-      CodecWriter cw(buf, delivery_.codec);
-      detail::write_presence(cw, present, count);
-      for (std::size_t i = 0; i < masters.size(); ++i) {
-        if (present.test(i)) acc.serialize_broadcast(pw.src, masters[i], cw);
-      }
-      pw.values = count;
-    });
-    // Phase B: sequential delivery in the historical pair order.
-    std::size_t w = 0;
-    for (HostId oh = 0; oh < H_; ++oh) {
-      for (HostId mh = 0; mh < H_; ++mh) {
-        if (mh == oh || p.master_lids(mh, oh).empty()) continue;
-        const std::size_t values = work[w++].values;
-        if (values == 0) continue;
-        stats.values += values;
-        const auto& mirrors = p.mirror_lids(mh, oh);
-        deliver(oh, mh, pair_buf(oh, mh), stats, [&](util::RecvBuffer& rbuf) {
-          CodecReader r(rbuf, delivery_.codec);
-          detail::read_presence(r, [&](std::size_t i) {
-            acc.apply_broadcast(mh, mirrors[i], r);
-          });
-        });
-      }
-    }
-    for (HostId oh = 0; oh < H_; ++oh) broadcast_flags_[oh].reset_all();
-    return stats;
-  }
-
  private:
   /// [seq:u64][crc:u32] prepended to every payload in framed mode.
   static constexpr std::size_t kFrameHeaderBytes = sizeof(std::uint64_t) + sizeof(std::uint32_t);
@@ -564,29 +349,125 @@ class Substrate {
     return static_cast<std::size_t>(src) * H_ + dst;
   }
 
-  /// One host-pair message of a sync phase: serialization target in Phase
-  /// A, delivery bookkeeping (serialized value count) for Phase B.
+  /// One host-pair message of a sync phase: src serializes the flagged
+  /// entries of `send` (lids on src) in Phase A; Phase B applies them at the
+  /// matching positions of `recv` (lids on dst). `values` is the serialized
+  /// entry count.
   struct PairWork {
     HostId src = 0;
     HostId dst = 0;
+    const std::vector<VertexId>* send = nullptr;
+    const std::vector<VertexId>* recv = nullptr;
     std::size_t values = 0;
   };
 
-  /// The nonempty pair messages of one phase, in delivery order. reduce:
-  /// (mh -> oh) over nonempty mirror lists, mh-major; broadcast: (oh -> mh)
-  /// over nonempty master lists, oh-major — exactly the historical loops.
-  std::vector<PairWork> pair_serialize_order(bool reduce) const {
+  /// One sync phase; see reduce/broadcast and the accessor contract above.
+  template <bool kReduce, typename Accessor>
+  SyncStats exchange(Accessor& acc) {
+    constexpr bool kFixed = requires { typename Accessor::Value; };
+    obs::Span span(obs::Category::kComm, kReduce ? "reduce" : "broadcast");
+    SyncStats stats;
+    stats.bytes_per_host.assign(H_, 0);
+    stats.msgs_per_host.assign(H_, 0);
+    std::vector<util::DynamicBitset>& flags = kReduce ? reduce_flags_ : broadcast_flags_;
+    // The nonempty pair messages, src-major: reduce sends mirror host ->
+    // master host, broadcast master host -> mirror host.
     std::vector<PairWork> work;
-    const Partition& p = *part_;
-    for (HostId a = 0; a < H_; ++a) {
-      for (HostId b = 0; b < H_; ++b) {
-        if (a == b) continue;
-        const bool nonempty =
-            reduce ? !p.mirror_lids(a, b).empty() : !p.master_lids(b, a).empty();
-        if (nonempty) work.push_back(PairWork{a, b, 0});
+    for (HostId src = 0; src < H_; ++src) {
+      for (HostId dst = 0; dst < H_; ++dst) {
+        if (src == dst) continue;
+        const HostId mh = kReduce ? src : dst;
+        const HostId oh = kReduce ? dst : src;
+        const auto& mirrors = part_->mirror_lids(mh, oh);
+        const auto& masters = part_->master_lids(mh, oh);
+        if (mirrors.empty()) continue;
+        work.push_back(kReduce ? PairWork{src, dst, &mirrors, &masters}
+                               : PairWork{src, dst, &masters, &mirrors});
       }
     }
-    return work;
+    // Phase A: serialize every pair message in parallel into the per-pair
+    // buffer pool: a presence set over the send list, then the body.
+    util::ThreadPool::global().parallel_for(0, work.size(), 1, [&](std::size_t w) {
+      PairWork& pw = work[w];
+      const std::vector<VertexId>& send = *pw.send;
+      util::SendBuffer& buf = pair_buf(pw.src, pw.dst);
+      buf.clear();
+      util::DynamicBitset present(send.size());
+      std::size_t count = 0;
+      for (std::size_t i = 0; i < send.size(); ++i) {
+        if (flags[pw.src].test(send[i])) {
+          present.set(i);
+          ++count;
+        }
+      }
+      if (count == 0) return;
+      std::size_t entry_bytes = sizeof(std::uint32_t);
+      if constexpr (kFixed) entry_bytes += sizeof(typename Accessor::Value);
+      buf.reserve(kPresenceSlack + present.byte_size() + count * entry_bytes);
+      CodecWriter cw(buf, delivery_.codec);
+      detail::write_presence(cw, present, count);
+      if constexpr (kFixed) {
+        // Plane codecs (frame-of-reference) need the whole plane before the
+        // first wire byte. In kRaw the plane serializes to exactly the
+        // historical count-prefixed value run.
+        std::vector<typename Accessor::Value> vals;
+        vals.reserve(count);
+        present.for_each_set_bit([&](std::size_t i) {
+          vals.push_back(acc.get(pw.src, send[i]));
+          if constexpr (kReduce) acc.reset(pw.src, send[i]);
+        });
+        ValueCodec<typename Accessor::Value>::write_plane(cw, vals);
+      } else {
+        present.for_each_set_bit([&](std::size_t i) {
+          if constexpr (kReduce) {
+            acc.serialize_reduce(pw.src, send[i], cw);
+          } else {
+            acc.serialize_broadcast(pw.src, send[i], cw);
+          }
+        });
+      }
+      pw.values = count;
+    });
+    // Phase B: deliver sequentially in the same pair order.
+    for (const PairWork& pw : work) {
+      if (pw.values == 0) continue;
+      stats.values += pw.values;
+      const std::vector<VertexId>& recv = *pw.recv;
+      deliver(pw.src, pw.dst, pair_buf(pw.src, pw.dst), stats, [&](util::RecvBuffer& rbuf) {
+        CodecReader r(rbuf, delivery_.codec);
+        if constexpr (kFixed) {
+          detail::read_value_message<typename Accessor::Value>(
+              r, recv.size(), [&](std::size_t i, const typename Accessor::Value& v) {
+                if constexpr (kReduce) {
+                  acc.reduce(pw.dst, recv[i], v);
+                  broadcast_flags_[pw.dst].set(recv[i]);
+                } else {
+                  acc.set(pw.dst, recv[i], v);
+                }
+              });
+        } else {
+          detail::read_presence(r, recv.size(), [&](std::size_t i) {
+            if constexpr (kReduce) {
+              acc.apply_reduce(pw.dst, recv[i], r);
+              broadcast_flags_[pw.dst].set(recv[i]);
+            } else {
+              acc.apply_broadcast(pw.dst, recv[i], r);
+            }
+          });
+        }
+      });
+    }
+    for (HostId h = 0; h < H_; ++h) {
+      if constexpr (kReduce) {
+        // Masters flagged locally (their own host updated them) broadcast too.
+        const auto& hg = part_->host(h);
+        reduce_flags_[h].for_each_set([&](std::size_t lid) {
+          if (hg.is_master[lid]) broadcast_flags_[h].set(lid);
+        });
+      }
+      flags[h].reset_all();
+    }
+    return stats;
   }
 
   /// Reusable per-pair serialization buffer (cleared each phase, capacity

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <span>
 
 #include "comm/substrate.h"
 #include "core/mrbc_state.h"
@@ -54,8 +53,8 @@ constexpr std::uint8_t kEagerStaged = 4; // staged for eager (non-final) broadca
 // count anomalies differently than the sequential drain; they are reported
 // as broken either way.
 //
-// PushRec / ChunkRecs / the 64-lid range partition live in
-// core/staged_drain.h, shared with the SBBC baseline's identical drain.
+// The drain (staged_drain) with its PushRec / ChunkRecs records and 64-lid
+// range partition lives in core/staged_drain.h, shared with SBBC.
 //
 // ---- Direction optimization (forward phase) -------------------------------
 // Dense rounds invert the drain: instead of iterating the frontier and
@@ -86,28 +85,14 @@ constexpr std::uint8_t kEagerStaged = 4; // staged for eager (non-final) broadca
 // frontier slots (avail = 0), replay writes only avail slots, and both
 // planes are frozen between the Phase-A barrier and the end of the round.
 
-// Checkpoint helpers: std::pair is not guaranteed trivially copyable, so
-// (lid, sidx) worklists are serialized elementwise.
-void write_pairs(util::SendBuffer& buf,
-                 const std::vector<std::pair<graph::VertexId, std::uint32_t>>& pairs) {
-  buf.write<std::uint64_t>(pairs.size());
-  for (const auto& [lid, sidx] : pairs) {
-    buf.write<graph::VertexId>(lid);
-    buf.write<std::uint32_t>(sidx);
-  }
-}
-
-void read_pairs(util::RecvBuffer& buf,
-                std::vector<std::pair<graph::VertexId, std::uint32_t>>& pairs) {
-  const auto n = buf.read<std::uint64_t>();
-  pairs.clear();
-  pairs.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const auto lid = buf.read<graph::VertexId>();
-    const auto sidx = buf.read<std::uint32_t>();
-    pairs.emplace_back(lid, sidx);
-  }
-}
+/// One worklist entry: source `sidx`'s label on proxy `lid` is final and
+/// drains this round. POD, so worklists checkpoint through write_vector as
+/// a u64 count plus two u32 per entry.
+struct DrainEntry {
+  graph::VertexId lid = 0;
+  std::uint32_t sidx = 0;
+};
+static_assert(sizeof(DrainEntry) == 2 * sizeof(std::uint32_t));
 
 /// One batch's distributed execution: forward APSP then accumulation.
 /// Checkpointable so that BspLoop can snapshot/roll back the whole batch
@@ -181,14 +166,14 @@ class BatchRunner final : public sim::Checkpointable {
           // Reduce first: every mirror contribution of this round must be
           // at the master BEFORE the delayed-sync rule is evaluated, or an
           // entry could fire with an incomplete position or sigma.
-          comm::SyncStats s = substrate_.reduce_var(acc);
+          comm::SyncStats s = substrate_.reduce(acc);
           // Host-disjoint (each call touches only host h's state and sync
           // flags), so schedule alongside the cluster's host parallelism.
           util::for_each_index(part_.num_hosts(), opts_.cluster.parallel_hosts,
                                [&](std::size_t h) {
                                  schedule_forward(static_cast<HostId>(h), current_round_);
                                });
-          s += substrate_.broadcast_var(acc);
+          s += substrate_.broadcast(acc);
           return s;
         },
         [&](HostId h, std::size_t round) {
@@ -215,11 +200,7 @@ class BatchRunner final : public sim::Checkpointable {
     BackwardAccessor acc{*this};
     sim::BspLoop loop(part_.num_hosts(), opts_.cluster);
     return loop.run(
-        [&](std::size_t) {
-          comm::SyncStats s = substrate_.reduce_var(acc);
-          s += substrate_.broadcast_var(acc);
-          return s;
-        },
+        [&](std::size_t) { return substrate_.sync(acc); },
         [&](HostId h, std::size_t round) {
           // forward_rounds_ is read per call, not captured: on a resumed
           // backward phase its restored value only exists after the loop's
@@ -247,8 +228,8 @@ class BatchRunner final : public sim::Checkpointable {
     for (HostId h = 0; h < H; ++h) {
       state_[h].save(buf);
       buf.write_vector(flags_[h]);
-      write_pairs(buf, worklist_[h]);
-      write_pairs(buf, self_sched_[h]);
+      buf.write_vector(worklist_[h]);
+      buf.write_vector(self_sched_[h]);
       buf.write_vector(staged_lids_[h]);
     }
     buf.write_vector(anomalies_);
@@ -263,8 +244,8 @@ class BatchRunner final : public sim::Checkpointable {
     for (HostId h = 0; h < H; ++h) {
       state_[h].restore(buf);
       flags_[h] = buf.read_vector<std::uint8_t>();
-      read_pairs(buf, worklist_[h]);
-      read_pairs(buf, self_sched_[h]);
+      worklist_[h] = buf.read_vector<DrainEntry>();
+      self_sched_[h] = buf.read_vector<DrainEntry>();
       staged_lids_[h] = buf.read_vector<graph::VertexId>();
       // The direction-optimization planes are derived state: avail mirrors
       // the restored kFwdFinal flags, the frontier is all-zero between
@@ -382,7 +363,7 @@ class BatchRunner final : public sim::Checkpointable {
     return util::ThreadPool::global().parallel_reduce(
         0, total, grain, std::uint64_t{0},
         [&](std::size_t ei) {
-          return static_cast<std::uint64_t>(hg.local.out_degree(drain_entry(h, ei).first));
+          return static_cast<std::uint64_t>(hg.local.out_degree(drain_entry(h, ei).lid));
         },
         [](std::uint64_t a, std::uint64_t b) { return a + b; });
   }
@@ -479,67 +460,38 @@ class BatchRunner final : public sim::Checkpointable {
 
   /// One drained entry: position e in the concatenation worklist ++
   /// self_sched (the exact sequential drain order).
-  std::pair<graph::VertexId, std::uint32_t> drain_entry(HostId h, std::size_t e) const {
+  DrainEntry drain_entry(HostId h, std::size_t e) const {
     const auto& wl = worklist_[h];
     return e < wl.size() ? wl[e] : self_sched_[h][e - wl.size()];
   }
 
   std::size_t drain_size(HostId h) const { return worklist_[h].size() + self_sched_[h].size(); }
 
-  /// Phase A shared by both phases: chunk the entry list, run
-  /// `snapshot(chunk_recs, entry_index)` per entry (it finalizes the entry
-  /// and appends its pushes), bucket each chunk's pushes by target range.
-  /// The chunk and record buffers are pooled per host (DrainScratch) and
-  /// reused round after round.
-  template <typename SnapshotFn>
-  std::span<ChunkRecs> stage_pushes(HostId h, std::size_t total, std::size_t grain,
-                                    std::size_t num_ranges, SnapshotFn&& snapshot) {
-    DrainScratch& sc = scratch_[h];
-    const std::size_t n = util::ThreadPool::chunk_count(total, grain);
-    if (sc.chunks.size() < n) sc.chunks.resize(n);
-    if (sc.raw.size() < n) sc.raw.resize(n);
-    util::ThreadPool::global().parallel_for_chunks(
-        0, total, grain, [&](std::size_t c, std::size_t b, std::size_t e) {
-          ChunkRecs& ch = sc.chunks[c];
-          ch.work_items = 0;
-          std::vector<PushRec>& recs = sc.raw[c];
-          recs.clear();
-          for (std::size_t ei = b; ei < e; ++ei) snapshot(ch, recs, ei);
-          ch.bucket_by_range(recs, num_ranges);
-        });
-    return {sc.chunks.data(), n};
-  }
-
-  /// Phase B shared by both phases: replay every range's pushes in
-  /// (chunk, in-chunk) order — the sequential push order — then fold the
-  /// per-range side accumulators back deterministically.
-  template <typename ReplayFn>
-  sim::HostWork replay_pushes(HostId h, std::span<const ChunkRecs> chunks,
-                              std::size_t num_ranges, ReplayFn&& replay) {
+  /// Staged drain of one round (core/staged_drain.h): combine(push, anoms,
+  /// staged, ordinal) applies one push against its range's side
+  /// accumulators, which fold back deterministically afterwards.
+  template <typename SnapshotFn, typename CombineFn>
+  sim::HostWork staged_round(HostId h, std::size_t total, std::size_t grain,
+                             SnapshotFn&& snapshot, CombineFn&& combine) {
+    const std::size_t num_ranges = num_replay_ranges(h);
     const bool eager = !opts_.delayed_sync;
     std::vector<std::size_t> range_anoms(num_ranges, 0);
     std::vector<std::vector<OrdLid>> range_staged(eager ? num_ranges : 0);
-    util::ThreadPool::global().parallel_for(0, num_ranges, 1, [&](std::size_t r) {
-      std::size_t anoms = 0;
-      std::vector<OrdLid>* staged = eager ? &range_staged[r] : nullptr;
-      for (std::size_t c = 0; c < chunks.size(); ++c) {
-        const ChunkRecs& ch = chunks[c];
-        for (std::uint32_t i = ch.starts[r]; i < ch.starts[r + 1]; ++i) {
-          replay(ch.sorted[i], anoms, staged, push_ordinal(c, ch.sorted[i].ord));
-        }
-      }
-      range_anoms[r] = anoms;
-    });
     sim::HostWork w;
-    for (const ChunkRecs& ch : chunks) w.work_items += ch.work_items;
-    for (std::size_t a : range_anoms) anomalies_[h] += a;
-    if (eager) {
-      std::vector<OrdLid> all;
-      for (const auto& v : range_staged) all.insert(all.end(), v.begin(), v.end());
-      std::sort(all.begin(), all.end());
-      for (const auto& [ord, lid] : all) staged_lids_[h].push_back(lid);
-    }
+    w.work_items = staged_drain(scratch_[h], total, grain, num_ranges, snapshot,
+                                [&](std::size_t r, const PushRec& p, std::uint64_t ord) {
+                                  combine(p, range_anoms[r], eager ? &range_staged[r] : nullptr,
+                                          ord);
+                                });
+    fold_ranges(h, range_anoms, range_staged);
     return w;
+  }
+
+  /// Folds per-range anomaly counts and eager staging lists into host h.
+  void fold_ranges(HostId h, const std::vector<std::size_t>& range_anoms,
+                   const std::vector<std::vector<OrdLid>>& range_staged) {
+    for (std::size_t a : range_anoms) anomalies_[h] += a;
+    merge_side_lists(range_staged, staged_lids_[h]);
   }
 
   std::size_t num_replay_ranges(HostId h) const {
@@ -634,17 +586,11 @@ class BatchRunner final : public sim::Checkpointable {
       }
       range_anoms[r] = anoms;
     });
-    for (std::size_t a : range_anoms) anomalies_[h] += a;
-    if (eager) {
-      std::vector<OrdLid> all;
-      for (const auto& v : range_staged) all.insert(all.end(), v.begin(), v.end());
-      std::sort(all.begin(), all.end());
-      for (const auto& [ord, lid] : all) staged_lids_[h].push_back(lid);
-    }
+    fold_ranges(h, range_anoms, range_staged);
     // Clear the frontier rows (every set bit in a touched row was set this
     // round). Entries sharing a lid re-clear the same words — idempotent.
     for (std::size_t ei = 0; ei < total; ++ei) {
-      const auto lid = drain_entry(h, ei).first;
+      const auto lid = drain_entry(h, ei).lid;
       std::fill_n(frontier.begin() + static_cast<std::size_t>(lid) * kw, kw, Word{0});
     }
     ++pull_rounds_[h];
@@ -671,9 +617,8 @@ class BatchRunner final : public sim::Checkpointable {
       if (fdeg) {
         w = compute_forward_pull(h, total, grain, *fdeg);
       } else {
-        const std::size_t num_ranges = num_replay_ranges(h);
-        std::span<ChunkRecs> chunks = stage_pushes(
-            h, total, grain, num_ranges,
+        w = staged_round(
+            h, total, grain,
             [&](ChunkRecs& ch, std::vector<PushRec>& recs, std::size_t ei) {
               const auto [lid, sidx] = drain_entry(h, ei);
               finalize_forward(h, lid, sidx);
@@ -683,16 +628,14 @@ class BatchRunner final : public sim::Checkpointable {
                                        static_cast<std::uint32_t>(recs.size())});
                 ++ch.work_items;
               }
+            },
+            [&](const PushRec& p, std::size_t& anoms, std::vector<OrdLid>* staged,
+                std::uint64_t ord) {
+              combine_forward_impl(h, p.target, p.sidx, p.dist, p.value, anoms, staged, ord);
             });
-        w = replay_pushes(h, chunks, num_ranges,
-                          [&](const PushRec& p, std::size_t& anoms, std::vector<OrdLid>* staged,
-                              std::uint64_t ord) {
-                            combine_forward_impl(h, p.target, p.sidx, p.dist, p.value, anoms,
-                                                 staged, ord);
-                          });
       }
     } else {
-      auto drain = [&](const std::vector<std::pair<graph::VertexId, std::uint32_t>>& list) {
+      auto drain = [&](const std::vector<DrainEntry>& list) {
         for (const auto& [lid, sidx] : list) {
           finalize_forward(h, lid, sidx);
           const SourceSlot s = st.slot(lid, sidx);
@@ -795,9 +738,8 @@ class BatchRunner final : public sim::Checkpointable {
     const std::size_t total = drain_size(h);
     const std::size_t grain = std::max<std::size_t>(opts_.drain_grain, 1);
     if (total > grain) {
-      const std::size_t num_ranges = num_replay_ranges(h);
-      std::span<ChunkRecs> chunks = stage_pushes(
-          h, total, grain, num_ranges,
+      w = staged_round(
+          h, total, grain,
           [&](ChunkRecs& ch, std::vector<PushRec>& recs, std::size_t ei) {
             const auto [lid, sidx] = drain_entry(h, ei);
             flags(h, lid, sidx) |= kAccFinal;
@@ -812,14 +754,13 @@ class BatchRunner final : public sim::Checkpointable {
               }
               ++ch.work_items;
             }
+          },
+          [&](const PushRec& p, std::size_t& anoms, std::vector<OrdLid>* staged,
+              std::uint64_t ord) {
+            combine_backward_impl(h, p.target, p.sidx, p.value, anoms, staged, ord);
           });
-      w = replay_pushes(h, chunks, num_ranges,
-                        [&](const PushRec& p, std::size_t& anoms, std::vector<OrdLid>* staged,
-                            std::uint64_t ord) {
-                          combine_backward_impl(h, p.target, p.sidx, p.value, anoms, staged, ord);
-                        });
     } else {
-      auto drain = [&](const std::vector<std::pair<graph::VertexId, std::uint32_t>>& list) {
+      auto drain = [&](const std::vector<DrainEntry>& list) {
         for (const auto& [lid, sidx] : list) {
           flags(h, lid, sidx) |= kAccFinal;
           const SourceSlot& sv = st.slot(lid, sidx);
@@ -974,8 +915,8 @@ class BatchRunner final : public sim::Checkpointable {
   comm::Substrate substrate_;
   std::vector<HostState> state_;
   std::vector<std::vector<graph::VertexId>> masters_;
-  std::vector<std::vector<std::pair<graph::VertexId, std::uint32_t>>> worklist_;
-  std::vector<std::vector<std::pair<graph::VertexId, std::uint32_t>>> self_sched_;
+  std::vector<std::vector<DrainEntry>> worklist_;
+  std::vector<std::vector<DrainEntry>> self_sched_;
   std::vector<std::vector<graph::VertexId>> staged_lids_;
   std::vector<std::size_t> anomalies_;
   std::vector<std::vector<std::uint8_t>> flags_;

@@ -7,6 +7,7 @@
 // sequential push order — with ranges running concurrently because they are
 // disjoint in everything a push mutates.
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <utility>
@@ -14,6 +15,7 @@
 
 #include "core/bc_common.h"
 #include "graph/graph.h"
+#include "util/thread_pool.h"
 
 namespace mrbc::core {
 
@@ -77,6 +79,50 @@ using OrdLid = std::pair<std::uint64_t, graph::VertexId>;
 /// Global ordinal of in-chunk push `ord` in chunk `c`: chunk-major order.
 inline std::uint64_t push_ordinal(std::size_t c, std::uint32_t ord) {
   return (static_cast<std::uint64_t>(c) << 32) | ord;
+}
+
+/// One two-phase staged drain of `total` entries; returns the summed work
+/// items. Phase A cuts the entries into grain-sized chunks (thread-count
+/// independent) and calls snapshot(chunk, recs, entry_index) per entry: it
+/// appends the entry's pushes to recs and counts chunk.work_items. Phase B
+/// calls replay(range, push, push_ordinal) for each range's pushes in
+/// sequential push order, ranges concurrently. Buffers are pooled in `sc`.
+template <typename SnapshotFn, typename ReplayFn>
+std::uint64_t staged_drain(DrainScratch& sc, std::size_t total, std::size_t grain,
+                           std::size_t num_ranges, SnapshotFn&& snapshot, ReplayFn&& replay) {
+  const std::size_t n = util::ThreadPool::chunk_count(total, grain);
+  if (sc.chunks.size() < n) sc.chunks.resize(n);
+  if (sc.raw.size() < n) sc.raw.resize(n);
+  util::ThreadPool::global().parallel_for_chunks(
+      0, total, grain, [&](std::size_t c, std::size_t b, std::size_t e) {
+        ChunkRecs& ch = sc.chunks[c];
+        ch.work_items = 0;
+        std::vector<PushRec>& recs = sc.raw[c];
+        recs.clear();
+        for (std::size_t ei = b; ei < e; ++ei) snapshot(ch, recs, ei);
+        ch.bucket_by_range(recs, num_ranges);
+      });
+  util::ThreadPool::global().parallel_for(0, num_ranges, 1, [&](std::size_t r) {
+    for (std::size_t c = 0; c < n; ++c) {
+      const ChunkRecs& ch = sc.chunks[c];
+      for (std::uint32_t i = ch.starts[r]; i < ch.starts[r + 1]; ++i) {
+        replay(r, ch.sorted[i], push_ordinal(c, ch.sorted[i].ord));
+      }
+    }
+  });
+  std::uint64_t work_items = 0;
+  for (std::size_t c = 0; c < n; ++c) work_items += sc.chunks[c].work_items;
+  return work_items;
+}
+
+/// Appends the lids of per-range side lists to `out` in push-ordinal order:
+/// the order the sequential drain would have appended them.
+inline void merge_side_lists(const std::vector<std::vector<OrdLid>>& ranges,
+                             std::vector<graph::VertexId>& out) {
+  std::vector<OrdLid> all;
+  for (const auto& v : ranges) all.insert(all.end(), v.begin(), v.end());
+  std::sort(all.begin(), all.end());
+  for (const auto& [ord, lid] : all) out.push_back(lid);
 }
 
 /// Direction of one staged forward round (EngineOptions::direction), shared

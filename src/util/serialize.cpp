@@ -32,6 +32,16 @@ void SendBuffer::write_string(const std::string& s) {
 DynamicBitset RecvBuffer::read_bitset() {
   const auto num_bits = read<std::uint64_t>();
   auto words = read_vector<DynamicBitset::Word>();
+  // Exactly ceil(bits / 64) words with zero padding, or the bitset's word
+  // kernels would read set bits past size().
+  const std::uint64_t tail = num_bits % DynamicBitset::kBitsPerWord;
+  if (words.size() != num_bits / DynamicBitset::kBitsPerWord + (tail != 0 ? 1 : 0)) {
+    throw std::out_of_range("RecvBuffer: bitset of " + std::to_string(num_bits) + " bits with " +
+                            std::to_string(words.size()) + " words");
+  }
+  if (tail != 0 && (words.back() >> tail) != 0) {
+    throw std::out_of_range("RecvBuffer: bitset padding bits set");
+  }
   DynamicBitset bits(num_bits);
   bits.words() = std::move(words);
   return bits;

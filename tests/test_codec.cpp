@@ -435,11 +435,87 @@ TEST(Codec, PresenceRoundTripBothTags) {
       CodecReader r(in, mode);
       std::vector<std::uint32_t> got;
       comm::detail::read_presence(
-          r, [&](std::size_t i) { got.push_back(static_cast<std::uint32_t>(i)); });
+          r, n, [&](std::size_t i) { got.push_back(static_cast<std::uint32_t>(i)); });
       EXPECT_EQ(got, expected) << "density " << density << " mode "
                                << static_cast<int>(mode);
       EXPECT_TRUE(in.exhausted());
     }
+  }
+}
+
+TEST(Codec, PresencePastExchangeListThrows) {
+  // A receiver's exchange list is 100 long; presence positions at or past
+  // it must be rejected as a corrupted frame, never used as an index.
+  constexpr std::size_t kListLength = 100;
+  for (CodecMode mode : kAllModes) {
+    // Bitset tag: a 512-bit presence set (dense, so the bitset wins).
+    util::DynamicBitset wide(512);
+    for (std::size_t i = 0; i < wide.size(); i += 2) wide.set(i);
+    SendBuffer dense;
+    CodecWriter dw(dense, mode);
+    comm::detail::write_presence(dw, wide, wide.count());
+    ASSERT_EQ(dense.bytes()[0], 0u);
+    RecvBuffer din(dense.take());
+    CodecReader dr(din, mode);
+    std::size_t calls = 0;
+    EXPECT_THROW(comm::detail::read_presence(dr, kListLength, [&](std::size_t) { ++calls; }),
+                 std::out_of_range)
+        << "mode " << static_cast<int>(mode);
+    EXPECT_EQ(calls, 0u);
+
+    // Offset-list tag: one offset equal to the list length.
+    SendBuffer sparse;
+    CodecWriter sw(sparse, mode);
+    sw.u8(1);
+    sw.sorted_u32_list({3, static_cast<std::uint32_t>(kListLength)});
+    RecvBuffer sin(sparse.take());
+    CodecReader sr(sin, mode);
+    std::vector<std::size_t> seen;
+    EXPECT_THROW(comm::detail::read_presence(sr, kListLength,
+                                             [&](std::size_t i) { seen.push_back(i); }),
+                 std::out_of_range)
+        << "mode " << static_cast<int>(mode);
+    EXPECT_EQ(seen, std::vector<std::size_t>{3});
+  }
+}
+
+TEST(Codec, ValueMessagePlaneLengthMismatchThrows) {
+  // Three present positions but a plane of two (or four) values.
+  for (CodecMode mode : kAllModes) {
+    for (std::size_t plane_length : {std::size_t{2}, std::size_t{4}}) {
+      util::DynamicBitset present(8);
+      present.set(1);
+      present.set(4);
+      present.set(6);
+      SendBuffer out;
+      CodecWriter w(out, mode);
+      comm::detail::write_presence(w, present, 3);
+      comm::ValueCodec<double>::write_plane(w, std::vector<double>(plane_length, 1.0));
+      RecvBuffer in(out.take());
+      CodecReader r(in, mode);
+      std::size_t calls = 0;
+      EXPECT_THROW(comm::detail::read_value_message<double>(
+                       r, present.size(), [&](std::size_t, double) { ++calls; }),
+                   std::out_of_range)
+          << "mode " << static_cast<int>(mode) << " plane " << plane_length;
+      EXPECT_EQ(calls, 0u);
+    }
+    // The matching plane decodes in order.
+    util::DynamicBitset present(8);
+    present.set(2);
+    present.set(5);
+    SendBuffer out;
+    CodecWriter w(out, mode);
+    comm::detail::write_presence(w, present, 2);
+    comm::ValueCodec<double>::write_plane(w, {0.5, 7.0});
+    RecvBuffer in(out.take());
+    CodecReader r(in, mode);
+    std::vector<std::pair<std::size_t, double>> got;
+    comm::detail::read_value_message<double>(
+        r, present.size(), [&](std::size_t i, double v) { got.emplace_back(i, v); });
+    const std::vector<std::pair<std::size_t, double>> expected = {{2, 0.5}, {5, 7.0}};
+    EXPECT_EQ(got, expected);
+    EXPECT_TRUE(in.exhausted());
   }
 }
 

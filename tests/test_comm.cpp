@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "comm/substrate.h"
+#include "engine/fault.h"
 #include "graph/builder.h"
 #include "graph/generators.h"
 #include "test_helpers.h"
@@ -259,6 +262,202 @@ TEST(Substrate, SingleHostHasNoTrafficButClearsFlags) {
   SyncStats stats = sub.sync(acc);
   EXPECT_EQ(stats.messages, 0u);
   EXPECT_FALSE(sub.any_pending()) << "flags must be consumed even with no peers";
+}
+
+TEST(Substrate, RestoreStateRejectsForeignShapes) {
+  Partition part = make_partition();
+  const HostId H = part.num_hosts();
+  // Hand-written save_state bytes; `short_host` gets a reduce flag set one
+  // bit short of its proxy count, and the sequence tables have `pairs`
+  // entries.
+  const auto crafted = [&](HostId short_host, std::size_t pairs) {
+    util::SendBuffer buf;
+    for (HostId h = 0; h < H; ++h) {
+      const std::size_t np = part.host(h).num_proxies();
+      buf.write_bitset(util::DynamicBitset(h == short_host ? np - 1 : np));
+      buf.write_bitset(util::DynamicBitset(np));
+    }
+    buf.write_vector(std::vector<std::uint64_t>(pairs, 0));
+    buf.write_vector(std::vector<std::uint64_t>(pairs, 0));
+    return buf.take();
+  };
+  const std::size_t kPairs = static_cast<std::size_t>(H) * H;
+  {
+    Substrate sub(part);
+    util::RecvBuffer in(crafted(H, kPairs));  // no short host: well formed
+    EXPECT_NO_THROW(sub.restore_state(in));
+    EXPECT_TRUE(in.exhausted());
+  }
+  {
+    Substrate sub(part);
+    util::RecvBuffer in(crafted(1, kPairs));
+    EXPECT_THROW(sub.restore_state(in), std::out_of_range);
+  }
+  {
+    Substrate sub(part);
+    util::RecvBuffer in(crafted(H, (H - 1) * (H - 1)));  // a 3-host file
+    EXPECT_THROW(sub.restore_state(in), std::out_of_range);
+  }
+  // save_state of a substrate restores into another over the same
+  // partition, including one that never had a delivery configuration.
+  Substrate source(part);
+  source.flag_reduce(1, 0);
+  util::SendBuffer saved;
+  source.save_state(saved);
+  Substrate target(part);
+  util::RecvBuffer in(saved.take());
+  EXPECT_NO_THROW(target.restore_state(in));
+  EXPECT_TRUE(target.any_pending());
+}
+
+/// A per-vertex list label, for the exchange's list-accessor path: each
+/// proxy holds (token, weight) entries. Reduce appends a mirror's entries
+/// to its master and clears the mirror; broadcast overwrites every mirror
+/// with its master's list.
+struct ListAccessor {
+  struct Entry {
+    std::uint32_t token = 0;
+    double weight = 0.0;
+  };
+  std::vector<std::vector<std::vector<Entry>>>& lists;  // [host][lid]
+
+  static void write(const std::vector<Entry>& list, CodecWriter& w) {
+    w.meta_u32(static_cast<std::uint32_t>(list.size()));
+    for (const Entry& e : list) {
+      w.value_u32(e.token);
+      w.f64(e.weight);
+    }
+  }
+  static void read(CodecReader& r, std::vector<Entry>& out) {
+    const std::uint32_t n = r.meta_u32();
+    for (std::uint32_t i = 0; i < n; ++i) {
+      const std::uint32_t token = r.value_u32();
+      out.push_back({token, r.f64()});
+    }
+  }
+
+  void serialize_reduce(HostId h, VertexId lid, CodecWriter& w) {
+    write(lists[h][lid], w);
+    lists[h][lid].clear();
+  }
+  void apply_reduce(HostId h, VertexId lid, CodecReader& r) { read(r, lists[h][lid]); }
+  void serialize_broadcast(HostId h, VertexId lid, CodecWriter& w) { write(lists[h][lid], w); }
+  void apply_broadcast(HostId h, VertexId lid, CodecReader& r) {
+    lists[h][lid].clear();
+    read(r, lists[h][lid]);
+  }
+};
+
+/// FNV-1a over raw bytes, to pin decoded label state in one constant.
+void fnv1a(std::uint64_t& hash, const void* data, std::size_t n) {
+  const auto* p = static_cast<const std::uint8_t*>(data);
+  for (std::size_t i = 0; i < n; ++i) hash = (hash ^ p[i]) * 0x100000001b3ull;
+}
+
+struct WireCase {
+  bool list;  ///< list accessor (else the fixed-Value SumAccessor)
+  CodecMode mode;
+  bool faulty;  ///< framed, reliable, with a seeded drop/duplicate/corrupt plan
+  std::size_t messages, bytes, raw_bytes, values, drops, retransmits, duplicates_suppressed;
+  std::uint64_t labels;  ///< FNV-1a of every host's decoded labels
+};
+
+/// One reduce + broadcast over a fixed flag pattern, returning the summed
+/// stats and the hash of the decoded labels. Hosts 0 and 1 flag about two
+/// thirds of their proxies (dense: bitset presence), hosts 2 and 3 about
+/// one in eleven (sparse: offset-list presence).
+std::pair<SyncStats, std::uint64_t> wire_sync(const WireCase& c) {
+  Partition part = make_partition();
+  Substrate sub(part);
+  sim::FaultPlan plan;
+  plan.seed = 0x5eed;
+  plan.drop_rate = 0.2;
+  plan.duplicate_rate = 0.2;
+  plan.corrupt_rate = 0.2;
+  sim::FaultInjector injector(plan, part.num_hosts());
+  DeliveryOptions opts;
+  opts.codec = c.mode;
+  if (c.faulty) {
+    opts.reliable = true;
+    opts.faults = &injector;
+  }
+  sub.set_delivery(opts);
+  const HostId H = part.num_hosts();
+  std::vector<std::vector<double>> sums(H);
+  std::vector<std::vector<std::vector<ListAccessor::Entry>>> lists(H);
+  for (HostId h = 0; h < H; ++h) {
+    const auto& hg = part.host(h);
+    sums[h].assign(hg.num_proxies(), 0.0);
+    lists[h].resize(hg.num_proxies());
+    for (VertexId l = 0; l < hg.num_proxies(); ++l) {
+      const VertexId gv = hg.local_to_global[l];
+      // Odd tokens give non-integral weights: both tagged-f64 forms.
+      sums[h][l] = gv + (h + 1) * 0.25;
+      for (std::uint32_t j = 0; j < (gv + h) % 4; ++j) {
+        const std::uint32_t token = gv * 16 + h * 4 + j;
+        lists[h][l].push_back({token, token * 0.5});
+      }
+      if (h < 2 ? (gv * 7 + h) % 3 != 0 : gv % 11 == 0) sub.flag_reduce(h, l);
+    }
+  }
+  SumAccessor sum_acc{sums};
+  ListAccessor list_acc{lists};
+  SyncStats stats = c.list ? sub.sync(list_acc) : sub.sync(sum_acc);
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  for (HostId h = 0; h < H; ++h) {
+    if (c.list) {
+      for (const auto& list : lists[h]) {
+        const std::uint64_t n = list.size();
+        fnv1a(hash, &n, sizeof(n));
+        for (const auto& e : list) {
+          fnv1a(hash, &e.token, sizeof(e.token));
+          fnv1a(hash, &e.weight, sizeof(e.weight));
+        }
+      }
+    } else {
+      fnv1a(hash, sums[h].data(), sums[h].size() * sizeof(double));
+    }
+  }
+  return {std::move(stats), hash};
+}
+
+TEST(Substrate, ExchangeWireBytesArePinned) {
+  // Stats and decoded labels of both accessor kinds, in every codec mode,
+  // unframed and under reliable delivery with injected faults. The
+  // constants pin the exchange's wire format (presence encoding, value
+  // order, body layout) and its fault-consultation order.
+  constexpr CodecMode kRaw = CodecMode::kRaw;
+  constexpr CodecMode kMeta = CodecMode::kMetadataOnly;
+  constexpr CodecMode kFull = CodecMode::kFull;
+  const WireCase cases[] = {
+      // list, mode, faulty, messages, bytes, raw_bytes, values, drops,
+      // retransmits, duplicates_suppressed, labels
+      {false, kRaw, false, 14, 1186, 1186, 92, 0, 0, 0, 0x3937e0953e61de56ull},
+      {false, kRaw, true, 14, 1354, 1354, 92, 4, 9, 2, 0x3937e0953e61de56ull},
+      {false, kMeta, false, 14, 870, 1342, 92, 0, 0, 0, 0x3937e0953e61de56ull},
+      {false, kMeta, true, 14, 1038, 1510, 92, 4, 9, 2, 0x3937e0953e61de56ull},
+      {false, kFull, false, 14, 847, 1342, 92, 0, 0, 0, 0x3937e0953e61de56ull},
+      {false, kFull, true, 14, 1015, 1510, 92, 4, 9, 2, 0x3937e0953e61de56ull},
+      {true, kRaw, false, 14, 3082, 3082, 92, 0, 0, 0, 0xfe83c5e3e42355e7ull},
+      {true, kRaw, true, 14, 3250, 3250, 92, 4, 9, 2, 0xfe83c5e3e42355e7ull},
+      {true, kMeta, false, 14, 2588, 3238, 92, 0, 0, 0, 0xfe83c5e3e42355e7ull},
+      {true, kMeta, true, 14, 2756, 3406, 92, 4, 9, 2, 0xfe83c5e3e42355e7ull},
+      {true, kFull, false, 14, 1365, 3238, 92, 0, 0, 0, 0xfe83c5e3e42355e7ull},
+      {true, kFull, true, 14, 1533, 3406, 92, 4, 9, 2, 0xfe83c5e3e42355e7ull},
+  };
+  for (const WireCase& c : cases) {
+    const auto [stats, labels] = wire_sync(c);
+    SCOPED_TRACE(::testing::Message() << (c.list ? "list" : "fixed") << " "
+                                      << codec_mode_name(c.mode) << (c.faulty ? " faulty" : ""));
+    EXPECT_EQ(stats.messages, c.messages);
+    EXPECT_EQ(stats.bytes, c.bytes);
+    EXPECT_EQ(stats.raw_bytes, c.raw_bytes);
+    EXPECT_EQ(stats.values, c.values);
+    EXPECT_EQ(stats.drops, c.drops);
+    EXPECT_EQ(stats.retransmits, c.retransmits);
+    EXPECT_EQ(stats.duplicates_suppressed, c.duplicates_suppressed);
+    EXPECT_EQ(labels, c.labels);
+  }
 }
 
 }  // namespace

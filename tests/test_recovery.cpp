@@ -19,7 +19,9 @@
 
 #include "baselines/sbbc.h"
 #include "comm/codec.h"
+#include "comm/substrate.h"
 #include "core/mrbc.h"
+#include "core/mrbc_state.h"
 #include "engine/cluster.h"
 #include "engine/fault.h"
 #include "engine/network_model.h"
@@ -457,6 +459,41 @@ TEST(DurableRestart, MrbcResumeRejectsOlderSlotLayout) {
     if (id == 1) std::memcpy(bytes.data(), &old_fingerprint, sizeof(old_fingerprint));
   });
   EXPECT_THROW(core::mrbc_bc(g, sources, ropts), sim::SnapshotError);
+}
+
+TEST(DurableRestart, MrbcResumeRejectsHugeWorklist) {
+  // A CRC-valid loop snapshot whose host-0 worklist declares 2^40 entries
+  // must be refused by the bounded reader before anything is allocated.
+  const std::string dir = scratch_dir("mrbc_worklist");
+  const Graph g = graph::erdos_renyi(40, 0.1, 13);
+  const auto sources = graph::sample_sources(g, 6, 1, /*contiguous=*/false);
+  core::MrbcOptions opts;
+  opts.num_hosts = 3;
+  opts.batch_size = 3;
+  opts.checkpoint_dir = dir;
+  opts.halt_after_checkpoints = 1;
+  ASSERT_TRUE(core::mrbc_bc(g, sources, opts).halted);
+  const partition::Partition part(g, opts.num_hosts, opts.policy);
+  constexpr std::uint32_t kLoopSection = 4;
+  bool edited = false;
+  reframe(dir + "/mrbc.ckpt", [&](std::uint32_t id, std::vector<std::uint8_t>& bytes) {
+    if (id != kLoopSection) return;
+    // Replay the section's own readers up to host 0's worklist count.
+    util::RecvBuffer loop(bytes.data(), bytes.size());
+    loop.read<std::uint64_t>();  // round
+    loop.read<std::uint8_t>();   // any_active
+    loop.read<std::uint64_t>();  // snapshot length
+    comm::Substrate(part).restore_state(loop);
+    core::HostState(part.host(0).num_proxies(), opts.batch_size).restore(loop);
+    loop.read_vector<std::uint8_t>();  // per-slot status flags
+    const std::uint64_t huge = std::uint64_t{1} << 40;
+    std::memcpy(bytes.data() + (loop.size() - loop.remaining()), &huge, sizeof(huge));
+    edited = true;
+  });
+  ASSERT_TRUE(edited) << "the first durable write carries a loop snapshot";
+  core::MrbcOptions ropts = opts;
+  ropts.resume = true;
+  EXPECT_THROW(core::mrbc_bc(g, sources, ropts), std::out_of_range);
 }
 
 // ---- Resume rejection, for both durable engines -----------------------------

@@ -397,6 +397,30 @@ TEST(Serialize, BitsetRoundTrip) {
   EXPECT_TRUE(in.read_bitset() == bits);
 }
 
+TEST(Serialize, BitsetWithWrongWordCountOrPaddingThrows) {
+  // 77 bits need exactly two words, the second with 51 padding bits clear.
+  const auto crafted = [](std::uint64_t bits, const std::vector<std::uint64_t>& words) {
+    SendBuffer out;
+    out.write<std::uint64_t>(bits);
+    out.write_vector(words);
+    return out.take();
+  };
+  RecvBuffer good(crafted(77, {1, std::uint64_t{1} << 12}));
+  EXPECT_TRUE(good.read_bitset().test(76));
+  RecvBuffer short_words(crafted(77, {1}));
+  EXPECT_THROW(short_words.read_bitset(), std::out_of_range);
+  RecvBuffer long_words(crafted(77, {1, 0, 0}));
+  EXPECT_THROW(long_words.read_bitset(), std::out_of_range);
+  RecvBuffer padding(crafted(77, {1, std::uint64_t{1} << 13}));
+  EXPECT_THROW(padding.read_bitset(), std::out_of_range);
+  // A huge declared size over a small word vector is refused, not allocated.
+  RecvBuffer huge(crafted(std::uint64_t{1} << 62, {0}));
+  EXPECT_THROW(huge.read_bitset(), std::out_of_range);
+  // Word-aligned sizes have no padding to check.
+  RecvBuffer aligned(crafted(128, {~std::uint64_t{0}, ~std::uint64_t{0}}));
+  EXPECT_EQ(aligned.read_bitset().count(), 128u);
+}
+
 TEST(Serialize, StringRoundTrip) {
   SendBuffer out;
   out.write_string("hello, world");
