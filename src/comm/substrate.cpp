@@ -37,9 +37,14 @@ SyncStats& SyncStats::operator+=(const SyncStats& other) {
 
 Substrate::Substrate(const Partition& part) : Substrate(part.num_hosts()) {
   part_ = &part;
+  presence_.resize(pair_bufs_.size());
+  presence_count_.assign(pair_bufs_.size(), 0);
   for (HostId h = 0; h < H_; ++h) {
     reduce_flags_[h].resize(part.host(h).num_proxies());
     broadcast_flags_[h].resize(part.host(h).num_proxies());
+    for (HostId oh = 0; oh < H_; ++oh) {
+      presence_[pair_index(h, oh)].resize(part.mirror_lids(h, oh).size());
+    }
   }
 }
 

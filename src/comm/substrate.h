@@ -36,13 +36,16 @@
 // payload-byte comparisons.
 //
 // Execution: reduce and broadcast are one routine (exchange) that differs
-// only in direction and in the accessor's body kind (see Substrate). Each
-// phase runs in two sub-phases over one list of (src, dst) pair messages,
-// src-major. Serialization fans out across the shared util::ThreadPool —
-// every exchange-list lid belongs to exactly one pair and reduce-reset
-// touches only that pair's mirrors, so any interleaving serializes
-// identical bytes — into a pool of per-pair SendBuffers that keep their
-// allocations across rounds. Delivery then walks the same list
+// only in direction and in the accessor's body kind (see Substrate). A
+// phase costs O(flagged proxies + H^2), not O(exchange-list lengths), and
+// one with no flag set returns at once. Phase A1 walks each host's set
+// flags, hosts in parallel, and marks each flag's exchange-list positions
+// (Partition::slots) in per-list presence bitsets. Phase A2 serializes only
+// the marked lists, as (src, dst) pair messages, src-major, fanned out
+// across the shared util::ThreadPool — every list position belongs to one
+// pair and reduce-reset touches only that pair's mirrors, so any
+// interleaving serializes identical bytes — into per-pair SendBuffers that
+// keep their allocations across rounds. Phase B delivers the same pair list
 // sequentially, so ChannelFaults consultation order, sequence numbers,
 // SyncStats accounting, and apply order are all bit-identical to the
 // single-threaded engine.
@@ -114,7 +117,9 @@ inline void write_presence(CodecWriter& w, const util::DynamicBitset& present,
 /// Invokes fn(index) for each present position of an exchange list of
 /// length `n`, in order. The presence encoding is fully consumed before the
 /// first fn call, so a message body following it in the same buffer can be
-/// read inside fn. A position at or past `n` is a corrupted frame.
+/// read inside fn. What write_presence never writes is a corrupted frame: a
+/// tag above 1, a position at or past `n`, or an offset list that does not
+/// strictly ascend (a repeated offset would apply one slot twice).
 template <typename Fn>
 void read_presence(CodecReader& r, std::size_t n, Fn&& fn) {
   const auto tag = r.u8();
@@ -124,11 +129,16 @@ void read_presence(CodecReader& r, std::size_t n, Fn&& fn) {
       throw std::out_of_range("substrate: presence bitset longer than the exchange list");
     }
     present.for_each_set(fn);
-  } else {
+  } else if (tag == 1) {
+    std::size_t next = 0;  // the lowest offset that still ascends
     for (std::uint32_t i : r.sorted_u32_list()) {
       if (i >= n) throw std::out_of_range("substrate: presence offset past the exchange list");
+      if (i < next) throw std::out_of_range("substrate: presence offsets do not ascend");
+      next = std::size_t{i} + 1;
       fn(i);
     }
+  } else {
+    throw std::out_of_range("substrate: unknown presence tag");
   }
 }
 
@@ -198,6 +208,7 @@ struct SyncStats {
   /// per mode, so the denominator tracks the encoding actually sent.)
   std::size_t raw_bytes = 0;
   std::size_t values = 0;  ///< proxy labels moved
+  // Both per-host vectors are empty after an exchange that sent nothing.
   std::vector<std::size_t> bytes_per_host;  ///< egress bytes per host (network model input)
   std::vector<std::size_t> msgs_per_host;   ///< egress messages per host
 
@@ -246,9 +257,11 @@ struct SyncStats {
 ///
 /// For both kinds, get/reset and serialize_* run concurrently across host
 /// pairs and may touch only the proxy they serialize. reduce/set and
-/// apply_* run sequentially and must not set reduce flags: reduce receivers
-/// are masters, and the reduce phase consumes every host's reduce flags
-/// once, after delivery.
+/// apply_* run sequentially, after the phase has consumed every host's
+/// flags, and must not set reduce flags: reduce receivers are masters.
+///
+/// A phase walks only the set flags, so its cost follows the updated
+/// proxies; with no flag set it sends, allocates and dispatches nothing.
 class Substrate {
  public:
   explicit Substrate(const Partition& part);
@@ -349,13 +362,13 @@ class Substrate {
     return static_cast<std::size_t>(src) * H_ + dst;
   }
 
-  /// One host-pair message of a sync phase: src serializes the flagged
-  /// entries of `send` (lids on src) in Phase A; Phase B applies them at the
-  /// matching positions of `recv` (lids on dst). `values` is the serialized
-  /// entry count.
+  /// One host-pair message of a sync phase: Phase A2 serializes the `values`
+  /// present entries of exchange list `list` from `send` (lids on src), and
+  /// Phase B applies them at the matching positions of `recv` (lids on dst).
   struct PairWork {
     HostId src = 0;
     HostId dst = 0;
+    std::size_t list = 0;
     const std::vector<VertexId>* send = nullptr;
     const std::vector<VertexId>* recv = nullptr;
     std::size_t values = 0;
@@ -366,52 +379,67 @@ class Substrate {
   SyncStats exchange(Accessor& acc) {
     constexpr bool kFixed = requires { typename Accessor::Value; };
     obs::Span span(obs::Category::kComm, kReduce ? "reduce" : "broadcast");
-    SyncStats stats;
-    stats.bytes_per_host.assign(H_, 0);
-    stats.msgs_per_host.assign(H_, 0);
     std::vector<util::DynamicBitset>& flags = kReduce ? reduce_flags_ : broadcast_flags_;
-    // The nonempty pair messages, src-major: reduce sends mirror host ->
+    if (std::none_of(flags.begin(), flags.end(), [](const auto& f) { return f.any(); })) {
+      return {};
+    }
+    // Phase A1: each host consumes its flags and marks the slots it sends
+    // on. Reduce: a mirror marks its slot, a master is promoted to a
+    // broadcast flag. Broadcast: a master marks all its slots, a mirror
+    // sends nothing. Each list has one sender, so hosts run in parallel.
+    util::ThreadPool::global().parallel_for(0, H_, 1, [&](std::size_t h) {
+      const HostId src = static_cast<HostId>(h);
+      const std::vector<bool>& is_master = part_->host(src).is_master;
+      flags[src].for_each_set_bit([&](std::size_t lid) {
+        if (is_master[lid] == kReduce) {
+          if constexpr (kReduce) broadcast_flags_[src].set(lid);
+          return;
+        }
+        for (const partition::Slot& slot : part_->slots(src, static_cast<VertexId>(lid))) {
+          const std::size_t list = kReduce ? pair_index(src, slot.peer)
+                                           : pair_index(slot.peer, src);
+          presence_[list].set(slot.index);
+          ++presence_count_[list];
+        }
+      });
+      flags[src].reset_all();
+    });
+    // The lists with a present entry, src-major: reduce sends mirror host ->
     // master host, broadcast master host -> mirror host.
     std::vector<PairWork> work;
     for (HostId src = 0; src < H_; ++src) {
       for (HostId dst = 0; dst < H_; ++dst) {
-        if (src == dst) continue;
         const HostId mh = kReduce ? src : dst;
         const HostId oh = kReduce ? dst : src;
-        const auto& mirrors = part_->mirror_lids(mh, oh);
-        const auto& masters = part_->master_lids(mh, oh);
-        if (mirrors.empty()) continue;
-        work.push_back(kReduce ? PairWork{src, dst, &mirrors, &masters}
-                               : PairWork{src, dst, &masters, &mirrors});
+        const std::size_t list = pair_index(mh, oh);
+        if (src == dst || presence_count_[list] == 0) continue;
+        const auto* mirrors = &part_->mirror_lids(mh, oh);
+        const auto* masters = &part_->master_lids(mh, oh);
+        work.push_back({src, dst, list, kReduce ? mirrors : masters, kReduce ? masters : mirrors,
+                        presence_count_[list]});
       }
     }
-    // Phase A: serialize every pair message in parallel into the per-pair
-    // buffer pool: a presence set over the send list, then the body.
+    if (work.empty()) return {};
+    // Phase A2: serialize those lists in parallel into the per-pair buffer
+    // pool, a presence set over the send list and then the body, and clear
+    // their presence state.
     util::ThreadPool::global().parallel_for(0, work.size(), 1, [&](std::size_t w) {
-      PairWork& pw = work[w];
+      const PairWork& pw = work[w];
       const std::vector<VertexId>& send = *pw.send;
+      util::DynamicBitset& present = presence_[pw.list];
       util::SendBuffer& buf = pair_buf(pw.src, pw.dst);
       buf.clear();
-      util::DynamicBitset present(send.size());
-      std::size_t count = 0;
-      for (std::size_t i = 0; i < send.size(); ++i) {
-        if (flags[pw.src].test(send[i])) {
-          present.set(i);
-          ++count;
-        }
-      }
-      if (count == 0) return;
       std::size_t entry_bytes = sizeof(std::uint32_t);
       if constexpr (kFixed) entry_bytes += sizeof(typename Accessor::Value);
-      buf.reserve(kPresenceSlack + present.byte_size() + count * entry_bytes);
+      buf.reserve(kPresenceSlack + present.byte_size() + pw.values * entry_bytes);
       CodecWriter cw(buf, delivery_.codec);
-      detail::write_presence(cw, present, count);
+      detail::write_presence(cw, present, pw.values);
       if constexpr (kFixed) {
         // Plane codecs (frame-of-reference) need the whole plane before the
         // first wire byte. In kRaw the plane serializes to exactly the
         // historical count-prefixed value run.
         std::vector<typename Accessor::Value> vals;
-        vals.reserve(count);
+        vals.reserve(pw.values);
         present.for_each_set_bit([&](std::size_t i) {
           vals.push_back(acc.get(pw.src, send[i]));
           if constexpr (kReduce) acc.reset(pw.src, send[i]);
@@ -426,11 +454,14 @@ class Substrate {
           }
         });
       }
-      pw.values = count;
+      present.reset_all();
+      presence_count_[pw.list] = 0;
     });
     // Phase B: deliver sequentially in the same pair order.
+    SyncStats stats;
+    stats.bytes_per_host.assign(H_, 0);
+    stats.msgs_per_host.assign(H_, 0);
     for (const PairWork& pw : work) {
-      if (pw.values == 0) continue;
       stats.values += pw.values;
       const std::vector<VertexId>& recv = *pw.recv;
       deliver(pw.src, pw.dst, pair_buf(pw.src, pw.dst), stats, [&](util::RecvBuffer& rbuf) {
@@ -456,16 +487,6 @@ class Substrate {
           });
         }
       });
-    }
-    for (HostId h = 0; h < H_; ++h) {
-      if constexpr (kReduce) {
-        // Masters flagged locally (their own host updated them) broadcast too.
-        const auto& hg = part_->host(h);
-        reduce_flags_[h].for_each_set([&](std::size_t lid) {
-          if (hg.is_master[lid]) broadcast_flags_[h].set(lid);
-        });
-      }
-      flags[h].reset_all();
     }
     return stats;
   }
@@ -599,6 +620,10 @@ class Substrate {
   std::vector<std::uint64_t> next_seq_;       ///< per (src,dst) sender counter
   std::vector<std::uint64_t> last_accepted_;  ///< per (src,dst) receiver high-water mark
   std::vector<util::SendBuffer> pair_bufs_;   ///< per (src,dst) reusable message buffers
+  /// Per (mirror host, master host) list: the positions a phase sends and
+  /// their count. All-zero between phases; none without a partition.
+  std::vector<util::DynamicBitset> presence_;
+  std::vector<std::size_t> presence_count_;
   std::vector<std::uint8_t> wire_scratch_;    ///< corruption-path frame copy
 };
 

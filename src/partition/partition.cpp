@@ -73,9 +73,12 @@ void Partition::build(const Graph& g, Policy policy) {
     }
   }
 
-  // Pass 3: exchange lists, ascending global-id order for determinism.
+  // Pass 3: exchange lists, ascending global-id order for determinism, and
+  // each proxy's slot count for the slot table.
   mirror_lids_.assign(H, std::vector<std::vector<VertexId>>(H));
   master_lids_.assign(H, std::vector<std::vector<VertexId>>(H));
+  slot_offsets_.resize(H);
+  for (HostId h = 0; h < H; ++h) slot_offsets_[h].assign(hosts_[h].num_proxies() + 1, 0);
   for (HostId mh = 0; mh < H; ++mh) {
     const auto& hg = hosts_[mh];
     // local_to_global is in insertion order; sort indices by global id.
@@ -90,6 +93,30 @@ void Partition::build(const Graph& g, Policy policy) {
       const HostId oh = master_host_[gv];
       mirror_lids_[mh][oh].push_back(l);
       master_lids_[mh][oh].push_back(global_to_local_[oh][gv]);
+      ++slot_offsets_[mh][l + 1];
+      ++slot_offsets_[oh][global_to_local_[oh][gv] + 1];
+    }
+  }
+
+  // Pass 4: the slot table, a CSR per host. The counts become row starts;
+  // filling in (mirror host, master host) order makes every master's slots
+  // ascend by peer.
+  slots_.resize(H);
+  std::vector<std::vector<std::size_t>> cursor(H);
+  for (HostId h = 0; h < H; ++h) {
+    std::vector<std::size_t>& off = slot_offsets_[h];
+    std::partial_sum(off.begin(), off.end(), off.begin());
+    slots_[h].resize(off.back());
+    cursor[h].assign(off.begin(), off.end() - 1);
+  }
+  for (HostId mh = 0; mh < H; ++mh) {
+    for (HostId oh = 0; oh < H; ++oh) {
+      const std::vector<VertexId>& mirrors = mirror_lids_[mh][oh];
+      const std::vector<VertexId>& masters = master_lids_[mh][oh];
+      for (std::uint32_t i = 0; i < mirrors.size(); ++i) {
+        slots_[mh][cursor[mh][mirrors[i]]++] = {oh, i};
+        slots_[oh][cursor[oh][masters[i]]++] = {mh, i};
+      }
     }
   }
 }

@@ -6,6 +6,7 @@
 // the master, the rest are mirrors reconciled during communication.
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -38,6 +39,13 @@ struct HostGraph {
   VertexId num_masters = 0;
 
   VertexId num_proxies() const { return static_cast<VertexId>(local_to_global.size()); }
+};
+
+/// One exchange-list position of a proxy: the host at the other end of the
+/// list and the proxy's index in it.
+struct Slot {
+  HostId peer = 0;
+  std::uint32_t index = 0;
 };
 
 /// Full partition of a graph over `num_hosts` hosts, plus the exchange
@@ -73,6 +81,16 @@ class Partition {
     return master_lids_[mirror_host][master_host];
   }
 
+  /// The exchange lists inverted, built once with them: the slots of proxy
+  /// `lid` on host h. A mirror has one slot, {its master host, its index in
+  /// mirror_lids(h, peer)}. A master has one slot per host holding a mirror
+  /// of it, in ascending peer order: {that host, its index in
+  /// master_lids(peer, h)}. A 1-host partition has no slots.
+  std::span<const Slot> slots(HostId h, VertexId lid) const {
+    const std::vector<std::size_t>& off = slot_offsets_[h];
+    return {slots_[h].data() + off[lid], off[lid + 1] - off[lid]};
+  }
+
   /// Total proxies across hosts divided by |V|; 1.0 means no replication.
   double replication_factor() const;
 
@@ -93,6 +111,8 @@ class Partition {
   std::vector<std::vector<VertexId>> global_to_local_;          // [host][global] -> local
   std::vector<std::vector<std::vector<VertexId>>> mirror_lids_; // [mh][oh] -> lids on mh
   std::vector<std::vector<std::vector<VertexId>>> master_lids_; // [mh][oh] -> lids on oh
+  std::vector<std::vector<std::size_t>> slot_offsets_;          // [host][lid] -> CSR row start
+  std::vector<std::vector<Slot>> slots_;                        // [host] -> slots, by lid
 };
 
 /// Block owner used by the cut policies: global vertex ids are split into

@@ -479,6 +479,44 @@ TEST(Codec, PresencePastExchangeListThrows) {
   }
 }
 
+TEST(Codec, PresenceRejectsWhatTheEncoderNeverWrites) {
+  // write_presence writes tag 0 or 1, and its offsets are the set bits of a
+  // bitset, so they strictly ascend. A repeated offset would apply one slot
+  // twice (a reduce would add its value twice). The offset lists below are
+  // written as the wire carries them: a u32 vector in kRaw, u64 varint
+  // deltas otherwise, where a descending offset is a delta that wraps.
+  constexpr std::size_t kListLength = 100;
+  for (CodecMode mode : kAllModes) {
+    const auto decode = [mode](std::uint8_t tag, const std::vector<std::uint32_t>& offsets) {
+      SendBuffer out;
+      out.write<std::uint8_t>(tag);
+      if (!comm::compress_metadata(mode)) {
+        out.write_vector(offsets);
+      } else {
+        out.write_varint(offsets.size(), sizeof(std::uint64_t));
+        std::uint64_t prev = 0;
+        for (std::uint32_t v : offsets) {
+          out.write_varint(v - prev, sizeof(std::uint32_t));
+          prev = v;
+        }
+      }
+      RecvBuffer in(out.take());
+      CodecReader r(in, mode);
+      std::vector<std::size_t> seen;
+      comm::detail::read_presence(r, kListLength, [&](std::size_t i) { seen.push_back(i); });
+      EXPECT_TRUE(in.exhausted());
+      return seen;
+    };
+    SCOPED_TRACE(comm::codec_mode_name(mode));
+    EXPECT_EQ(decode(1, {0, 3, 99}), (std::vector<std::size_t>{0, 3, 99}));
+    EXPECT_THROW(decode(1, {3, 3}), std::out_of_range);
+    EXPECT_THROW(decode(1, {7, 2}), std::out_of_range);
+    EXPECT_THROW(decode(1, {0, 0}), std::out_of_range);
+    EXPECT_THROW(decode(7, {3, 5}), std::out_of_range);
+    EXPECT_THROW(decode(2, {}), std::out_of_range);
+  }
+}
+
 TEST(Codec, ValueMessagePlaneLengthMismatchThrows) {
   // Three present positions but a plane of two (or four) values.
   for (CodecMode mode : kAllModes) {

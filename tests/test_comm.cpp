@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <ostream>
 #include <stdexcept>
 
 #include "comm/substrate.h"
@@ -140,6 +142,9 @@ TEST(Substrate, NoFlagsMeansNoTraffic) {
   EXPECT_EQ(stats.bytes, 0u);
   EXPECT_EQ(stats.values, 0u);
   EXPECT_FALSE(sub.any_pending());
+  // An exchange with no flag set returns at once, per-host vectors empty.
+  EXPECT_TRUE(stats.bytes_per_host.empty());
+  EXPECT_TRUE(stats.msgs_per_host.empty());
 }
 
 TEST(Substrate, UpdateTrackingSendsOnlyFlaggedValues) {
@@ -457,6 +462,152 @@ TEST(Substrate, ExchangeWireBytesArePinned) {
     EXPECT_EQ(stats.retransmits, c.retransmits);
     EXPECT_EQ(stats.duplicates_suppressed, c.duplicates_suppressed);
     EXPECT_EQ(labels, c.labels);
+  }
+}
+
+/// One step of phase_script: its summed SyncStats counters and the hash of
+/// every host's decoded labels after it.
+struct PhaseStep {
+  std::size_t messages, bytes, raw_bytes, values;
+  std::uint64_t labels;
+  bool operator==(const PhaseStep&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const PhaseStep& s) {
+  return os << "{" << s.messages << ", " << s.bytes << ", " << s.raw_bytes << ", " << s.values
+            << ", 0x" << std::hex << s.labels << std::dec << "ull}";
+}
+
+/// A fixed script of syncs on one substrate, moved partway through into a
+/// fresh substrate by save_state/restore_state: dense flags, sparse flags,
+/// one host only, an empty phase, broadcast flags on mirrors (ignored) and
+/// masters, reduce flags on masters only (promoted to broadcasts), and
+/// dense flags again. Each step updates the labels it flags, so presence
+/// state leaking from one phase into a later one changes what is sent.
+std::vector<PhaseStep> phase_script(bool list, CodecMode mode) {
+  Partition part = make_partition();
+  const HostId H = part.num_hosts();
+  DeliveryOptions opts;
+  opts.codec = mode;
+  auto sub = std::make_unique<Substrate>(part);
+  sub->set_delivery(opts);
+  std::vector<std::vector<double>> sums(H);
+  std::vector<std::vector<std::vector<ListAccessor::Entry>>> lists(H);
+  for (HostId h = 0; h < H; ++h) {
+    sums[h].assign(part.host(h).num_proxies(), 0.0);
+    lists[h].resize(part.host(h).num_proxies());
+  }
+  SumAccessor sum_acc{sums};
+  ListAccessor list_acc{lists};
+  enum Flag { kNone, kReduce, kBroadcast };
+  // pick(h, is_master, gv) chooses each proxy's flag for step k.
+  const auto flag = [&](std::uint32_t k, auto&& pick) {
+    for (HostId h = 0; h < H; ++h) {
+      const auto& hg = part.host(h);
+      for (VertexId l = 0; l < hg.num_proxies(); ++l) {
+        const VertexId gv = hg.local_to_global[l];
+        const Flag f = pick(h, static_cast<bool>(hg.is_master[l]), gv);
+        if (f == kNone) continue;
+        sums[h][l] += k + gv * 0.25;
+        lists[h][l].push_back({gv * 16 + k, (gv + k) * 0.5});
+        if (f == kReduce) sub->flag_reduce(h, l);
+        if (f == kBroadcast) sub->flag_broadcast(h, l);
+      }
+    }
+  };
+  std::vector<PhaseStep> steps;
+  const auto finish = [&] {
+    const SyncStats s = list ? sub->sync(list_acc) : sub->sync(sum_acc);
+    EXPECT_FALSE(sub->any_pending());
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    for (HostId h = 0; h < H; ++h) {
+      fnv1a(hash, sums[h].data(), sums[h].size() * sizeof(double));
+      for (const auto& entries : lists[h]) {
+        for (const auto& e : entries) {
+          fnv1a(hash, &e.token, sizeof(e.token));
+          fnv1a(hash, &e.weight, sizeof(e.weight));
+        }
+      }
+    }
+    steps.push_back({s.messages, s.bytes, s.raw_bytes, s.values, hash});
+  };
+  flag(0, [](HostId h, bool, VertexId gv) { return (gv * 7 + h) % 3 != 0 ? kReduce : kNone; });
+  finish();
+  flag(1, [](HostId, bool, VertexId gv) { return gv % 11 == 0 ? kReduce : kNone; });
+  finish();
+  flag(2, [](HostId h, bool, VertexId gv) { return h == 2 && gv % 3 == 1 ? kReduce : kNone; });
+  finish();
+  finish();  // nothing flagged
+  flag(4, [](HostId, bool master, VertexId gv) {
+    return (master ? gv % 5 == 0 : gv % 2 == 0) ? kBroadcast : kNone;
+  });
+  finish();
+  flag(5, [](HostId, bool master, VertexId gv) { return master && gv % 4 == 1 ? kReduce : kNone; });
+  util::SendBuffer saved;
+  sub->save_state(saved);
+  sub = std::make_unique<Substrate>(part);
+  sub->set_delivery(opts);
+  util::RecvBuffer in(saved.take());
+  sub->restore_state(in);
+  finish();
+  flag(6, [](HostId h, bool, VertexId gv) { return (gv + h) % 3 != 0 ? kReduce : kNone; });
+  finish();
+  return steps;
+}
+
+TEST(Substrate, ExchangeAcrossPhasesIsPinned) {
+  // Per-step stats and labels of phase_script for both accessor kinds, in
+  // kRaw and kFull. The empty phase (step 3) sends nothing; the
+  // mirror-broadcast flags of step 4 send nothing; the master reduce flags
+  // of step 5 go out only as broadcasts.
+  struct Case {
+    bool list;
+    CodecMode mode;
+    std::vector<PhaseStep> steps;
+  };
+  // messages, bytes, raw_bytes, values, labels
+  const Case cases[] = {
+      {false,
+       CodecMode::kRaw,
+       {{16, 1496, 1496, 121, 0xd6d1b19022b0d3e0ull},
+        {8, 352, 352, 14, 0x594fb8e112d42a4cull},
+        {8, 428, 428, 22, 0x2c0b059ff2846da2ull},
+        {0, 0, 0, 0, 0x2c0b059ff2846da2ull},
+        {7, 291, 291, 12, 0xe872b8d37c3ab70eull},
+        {8, 392, 392, 19, 0xac0a68d1d1982215ull},
+        {16, 1496, 1496, 121, 0x57c2b454b72d2949ull}}},
+      {false,
+       CodecMode::kFull,
+       {{16, 842, 1724, 121, 0xd6d1b19022b0d3e0ull},
+        {8, 117, 304, 14, 0x594fb8e112d42a4cull},
+        {8, 158, 400, 22, 0x2c0b059ff2846da2ull},
+        {0, 0, 0, 0, 0x2c0b059ff2846da2ull},
+        {7, 85, 263, 12, 0xe872b8d37c3ab70eull},
+        {8, 167, 364, 19, 0xac0a68d1d1982215ull},
+        {16, 651, 1724, 121, 0x57c2b454b72d2949ull}}},
+      {true,
+       CodecMode::kRaw,
+       {{16, 2984, 2984, 121, 0xf9b69b4e864504ddull},
+        {8, 1108, 1108, 14, 0x11f5adc4cacb46d0ull},
+        {8, 1140, 1140, 22, 0x677e1ad9661308bbull},
+        {0, 0, 0, 0, 0x677e1ad9661308bbull},
+        {7, 823, 823, 12, 0x14a49b7c5ca060e5ull},
+        {8, 1164, 1164, 19, 0x63e901558c0ea0f3ull},
+        {16, 11612, 11612, 121, 0xf901f6e2b9ca3d47ull}}},
+      {true,
+       CodecMode::kFull,
+       {{16, 1334, 3212, 121, 0xf9b69b4e864504ddull},
+        {8, 519, 1060, 14, 0x11f5adc4cacb46d0ull},
+        {8, 498, 1112, 22, 0x677e1ad9661308bbull},
+        {0, 0, 0, 0, 0x677e1ad9661308bbull},
+        {7, 355, 795, 12, 0x14a49b7c5ca060e5ull},
+        {8, 670, 1136, 19, 0x63e901558c0ea0f3ull},
+        {16, 5300, 11840, 121, 0xf901f6e2b9ca3d47ull}}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(::testing::Message() << (c.list ? "list " : "fixed ") << codec_mode_name(c.mode));
+    const std::vector<PhaseStep> steps = phase_script(c.list, c.mode);
+    EXPECT_EQ(steps, c.steps);
   }
 }
 

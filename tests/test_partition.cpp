@@ -138,6 +138,51 @@ TEST_P(PolicySweep, ExchangeListsAreAligned) {
   }
 }
 
+TEST_P(PolicySweep, SlotsInvertExchangeLists) {
+  const auto [policy, hosts] = GetParam();
+  Graph g = graph::rmat({.scale = 6, .edge_factor = 5.0, .seed = 11});
+  Partition part(g, static_cast<HostId>(hosts), policy);
+  const HostId H = part.num_hosts();
+  std::size_t list_total = 0;
+  for (HostId mh = 0; mh < H; ++mh) {
+    for (HostId oh = 0; oh < H; ++oh) list_total += part.mirror_lids(mh, oh).size();
+  }
+  std::size_t slot_total = 0;
+  for (HostId h = 0; h < H; ++h) {
+    const auto& hg = part.host(h);
+    for (VertexId l = 0; l < hg.num_proxies(); ++l) {
+      const VertexId gv = hg.local_to_global[l];
+      const auto slots = part.slots(h, l);
+      slot_total += slots.size();
+      if (!hg.is_master[l]) {
+        // A mirror's one slot points back at its own position.
+        ASSERT_EQ(slots.size(), 1u);
+        EXPECT_EQ(slots[0].peer, part.master_host(gv));
+        const auto& mirrors = part.mirror_lids(h, slots[0].peer);
+        ASSERT_LT(slots[0].index, mirrors.size());
+        EXPECT_EQ(mirrors[slots[0].index], l);
+        continue;
+      }
+      // A master has one slot per host holding a mirror of it, ascending.
+      std::vector<HostId> mirror_hosts;
+      for (HostId mh = 0; mh < H; ++mh) {
+        if (mh != h && part.local_id(mh, gv) != graph::kInvalidVertex) mirror_hosts.push_back(mh);
+      }
+      ASSERT_EQ(slots.size(), mirror_hosts.size()) << "host " << h << " lid " << l;
+      for (std::size_t k = 0; k < slots.size(); ++k) {
+        EXPECT_EQ(slots[k].peer, mirror_hosts[k]);
+        const auto& masters = part.master_lids(slots[k].peer, h);
+        ASSERT_LT(slots[k].index, masters.size());
+        EXPECT_EQ(masters[slots[k].index], l);
+      }
+    }
+  }
+  EXPECT_EQ(slot_total, 2 * list_total);
+  if (H == 1) {
+    EXPECT_EQ(slot_total, 0u);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Sweep, PolicySweep,
                          ::testing::Combine(::testing::ValuesIn(kAllPolicies),
                                             ::testing::Values(1, 2, 4, 6, 16)));
