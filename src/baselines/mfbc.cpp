@@ -88,6 +88,9 @@ MfbcRun mfbc_bc(const Graph& g, const std::vector<VertexId>& sources, const Mfbc
     obs::Span fwd_span(obs::Category::kAlgo, "forward");
     while (!engine.forward_done()) {
       ++run.forward.rounds;
+      // Tags the step's host-compute and scatter spans with its iteration.
+      const obs::ScopedContext ctx(obs::kEngineHost,
+                                   static_cast<std::uint32_t>(run.forward.rounds));
       const matrix::DistBcStep step = engine.forward_step();
       account_step(run.forward, options.network, step, grid);
     }
@@ -96,6 +99,8 @@ MfbcRun mfbc_bc(const Graph& g, const std::vector<VertexId>& sources, const Mfbc
     obs::Span bwd_span(obs::Category::kAlgo, "backward");
     for (std::uint32_t level = engine.max_level(); level >= 1; --level) {
       ++run.backward.rounds;
+      const obs::ScopedContext ctx(obs::kEngineHost,
+                                   static_cast<std::uint32_t>(run.backward.rounds));
       const matrix::DistBcStep step = engine.backward_level(level);
       account_step(run.backward, options.network, step, grid);
     }

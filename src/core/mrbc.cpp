@@ -1097,6 +1097,14 @@ MrbcRun mrbc_bc(const Partition& part, const std::vector<graph::VertexId>& sourc
       BatchRunner runner(part, std::move(batch), opts);
 
       const bool resume_here = resume_phase != kPhaseBatchDone;
+      if (resume_here) {
+        // The loop snapshot is CRC-valid but not yet parsed: restore it here
+        // so a malformed one fails as a SnapshotError naming its section
+        // before any round runs. BspLoop then restores it again as its
+        // rollback point.
+        sim::parse_section(kSecLoop, "loop", loop_ck.snapshot,
+                           [&](util::RecvBuffer& buf) { runner.restore_checkpoint(buf); });
+      }
       sim::RunStats fwd;
       if (resume_here && resume_phase == kPhaseBackward) {
         // Forward already completed before the snapshot; its stats were

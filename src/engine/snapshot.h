@@ -82,6 +82,26 @@ class SnapshotWriter {
   std::vector<Section> sections_;
 };
 
+/// Parses `payload`, the bytes of section `id`, with
+/// `parse(util::RecvBuffer&)`, which must consume all of them. Any failure
+/// inside — truncation, an oversized length prefix, a failed allocation, a
+/// size check — and any unread trailing byte is rethrown as SnapshotError
+/// naming the section.
+template <typename Parse>
+void parse_section(std::uint32_t id, const char* name, const std::vector<std::uint8_t>& payload,
+                   Parse&& parse) {
+  util::RecvBuffer buf(payload.data(), payload.size());
+  try {
+    parse(buf);
+    if (buf.remaining() != 0) {
+      throw std::out_of_range(std::to_string(buf.remaining()) + " unread trailing bytes");
+    }
+  } catch (const std::exception& e) {
+    throw SnapshotError("snapshot: section " + std::to_string(id) + " (" + name + "): " +
+                        e.what());
+  }
+}
+
 /// Parses and fully validates a snapshot container. Construction throws
 /// SnapshotError on any structural problem; a constructed reader's
 /// sections are known-intact (CRC-verified) payloads.
@@ -99,23 +119,10 @@ class SnapshotReader {
   /// absent. Read it through a util::RecvBuffer view.
   const std::vector<std::uint8_t>& section(std::uint32_t id) const;
 
-  /// Parses section `id` with `parse(util::RecvBuffer&)`, which must consume
-  /// the whole payload. Any failure inside — truncation, an oversized length
-  /// prefix, a failed allocation, a size check — and any unread trailing
-  /// byte is rethrown as SnapshotError naming the section.
+  /// parse_section over section `id`'s payload.
   template <typename Parse>
   void read(std::uint32_t id, const char* name, Parse&& parse) const {
-    const std::vector<std::uint8_t>& payload = section(id);
-    util::RecvBuffer buf(payload.data(), payload.size());
-    try {
-      parse(buf);
-      if (buf.remaining() != 0) {
-        throw std::out_of_range(std::to_string(buf.remaining()) + " unread trailing bytes");
-      }
-    } catch (const std::exception& e) {
-      throw SnapshotError("snapshot: section " + std::to_string(id) + " (" + name +
-                          "): " + e.what());
-    }
+    parse_section(id, name, section(id), std::forward<Parse>(parse));
   }
 
  private:

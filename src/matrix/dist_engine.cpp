@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "obs/trace.h"
 #include "util/threading.h"
 #include "util/timer.h"
 
@@ -24,6 +25,33 @@ double pairwise_tree(const double* q, std::uint32_t len) {
 std::uint64_t cell_key(VertexId v, std::uint32_t sidx) {
   return (static_cast<std::uint64_t>(v) << 32) | sidx;
 }
+
+/// Times one host's sweep or merge into DistBcStep::host_seconds and, when
+/// tracing, emits its host-compute span the way sim::BspLoop does, so the
+/// spans sum to RunStats::per_host_compute_seconds. `round` is the caller's
+/// obs context round, read before the work fans out to pool threads.
+class HostComputeTimer {
+ public:
+  explicit HostComputeTimer(std::uint32_t round)
+      : round_(round),
+        tracing_(obs::tracing_enabled()),
+        start_us_(tracing_ ? obs::Tracer::global().now_us() : 0.0) {}
+
+  void stop(double& host_seconds, HostId host) const {
+    const double seconds = timer_.seconds();
+    host_seconds += seconds;
+    if (tracing_) {
+      obs::Tracer::global().emit(obs::Category::kCompute, "host-compute", host, round_, start_us_,
+                                 seconds * 1e6);
+    }
+  }
+
+ private:
+  std::uint32_t round_;
+  bool tracing_;
+  double start_us_;
+  util::Timer timer_;
+};
 
 }  // namespace
 
@@ -156,6 +184,7 @@ DistBcStep DistBcEngine::forward_step() {
   const HostId H = grid_.hosts;
   const HostId pr = grid_.rows;
   const HostId c = grid_.layers;
+  const std::uint32_t round = obs::current_context().round;
   DistBcStep step;
   step.host_seconds.assign(H, 0.0);
   step.host_work.assign(H, 0.0);
@@ -166,7 +195,7 @@ DistBcStep DistBcEngine::forward_step() {
 
   // ---- 1. per-host SpMSpV sweeps over (row, layer) tiles ----------------
   util::for_each_index(H, opts_.parallel_hosts, [&](std::size_t h) {
-    util::Timer timer;
+    const HostComputeTimer timer(round);
     const HostId r = grid_.row_of(static_cast<HostId>(h));
     const HostId l = grid_.layer_of(static_cast<HostId>(h));
     const Graph& tile = mat_.forward_tile(static_cast<HostId>(h));
@@ -207,7 +236,7 @@ DistBcStep DistBcEngine::forward_step() {
         part.push_back({w, sidx, p});
       }
     }
-    step.host_seconds[h] = timer.seconds();
+    timer.stop(step.host_seconds[h], static_cast<HostId>(h));
   });
 
   // ---- 2. replica-group all-reduce of partial products ------------------
@@ -236,7 +265,7 @@ DistBcStep DistBcEngine::forward_step() {
   // ---- 3. merge partials into group tables, collect changed cells -------
   std::vector<std::uint32_t> group_max(pr, 0);
   util::for_each_index(pr, opts_.parallel_hosts, [&](std::size_t r) {
-    util::Timer timer;
+    const HostComputeTimer timer(round);
     const VertexId rs = grid_.row_start(static_cast<HostId>(r), n_);
     HostScratch& s = scratch_[grid_.group_leader(static_cast<HostId>(r))];
     std::vector<Entry>& changed = group_changed_[r];
@@ -272,7 +301,8 @@ DistBcStep DistBcEngine::forward_step() {
       e.val = table_[static_cast<std::size_t>(e.v) * k_ + e.sidx];
       group_max[r] = std::max(group_max[r], e.val.dist);
     }
-    step.host_seconds[grid_.group_leader(static_cast<HostId>(r))] += timer.seconds();
+    const HostId leader = grid_.group_leader(static_cast<HostId>(r));
+    timer.stop(step.host_seconds[leader], leader);
   });
   for (HostId r = 0; r < pr; ++r) max_level_ = std::max(max_level_, group_max[r]);
 
@@ -306,6 +336,7 @@ DistBcStep DistBcEngine::backward_level(std::uint32_t level) {
   const HostId H = grid_.hosts;
   const HostId pr = grid_.rows;
   const HostId c = grid_.layers;
+  const std::uint32_t round = obs::current_context().round;
   DistBcStep step;
   step.host_seconds.assign(H, 0.0);
   step.host_work.assign(H, 0.0);
@@ -368,7 +399,7 @@ DistBcStep DistBcEngine::backward_level(std::uint32_t level) {
   // one-time build is not charged to whichever host's sweep triggers it.
   mat_.backward_tile(0);
   util::for_each_index(H, opts_.parallel_hosts, [&](std::size_t h) {
-    util::Timer timer;
+    const HostComputeTimer timer(round);
     const HostId r = grid_.row_of(static_cast<HostId>(h));
     const HostId l = grid_.layer_of(static_cast<HostId>(h));
     const Graph& tile = mat_.backward_tile(static_cast<HostId>(h));
@@ -403,7 +434,7 @@ DistBcStep DistBcEngine::backward_level(std::uint32_t level) {
       // are strictly positive, so the partial is too.
       dp.push_back({u, sidx, pairwise_tree(&s.panels[ci * ppl], ppl)});
     }
-    step.host_seconds[h] = timer.seconds();
+    timer.stop(step.host_seconds[h], static_cast<HostId>(h));
   });
 
   // ---- 3. replica-group all-reduce of delta partials --------------------
@@ -440,7 +471,7 @@ DistBcStep DistBcEngine::backward_level(std::uint32_t level) {
 
   // ---- 4. merge: balanced cross-layer tree per cell ---------------------
   util::for_each_index(pr, opts_.parallel_hosts, [&](std::size_t r) {
-    util::Timer timer;
+    const HostComputeTimer timer(round);
     const std::vector<DeltaPartial>* lists[ProcessGrid::kColumnPanels];
     std::size_t idx[ProcessGrid::kColumnPanels] = {};
     for (HostId l = 0; l < c; ++l) {
@@ -473,7 +504,8 @@ DistBcStep DistBcEngine::backward_level(std::uint32_t level) {
       const std::uint32_t sidx = static_cast<std::uint32_t>(best);
       delta_[static_cast<std::size_t>(v) * k_ + sidx] += pairwise_tree(q, c);
     }
-    step.host_seconds[grid_.group_leader(static_cast<HostId>(r))] += timer.seconds();
+    const HostId leader = grid_.group_leader(static_cast<HostId>(r));
+    timer.stop(step.host_seconds[leader], leader);
   });
   return step;
 }

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdio>
 #include <fstream>
 #include <stdexcept>
+
+#include "util/json.h"
 
 namespace mrbc::obs {
 
@@ -18,25 +19,33 @@ const char* hist_name(Hist h) {
     case Hist::kSpanMicros: return "obs/span_micros";
     case Hist::kIngestBatchOps: return "stream/ingest_batch_ops";
     case Hist::kCompressionPct: return "comm/compression_pct";
+    case Hist::kServeCoalescedBatches: return "serve/coalesced_batches";
+    case Hist::kServeRequestMicros: return "serve/request_us";
     case Hist::kCount: break;
   }
   return "?";
 }
 
 std::size_t Histogram::bucket_index(std::uint64_t value) {
-  // bit_width(0) == 0, bit_width(2^k..2^(k+1)-1) == k + 1: exactly the
-  // bucket layout documented in the header.
-  return static_cast<std::size_t>(std::bit_width(value));
+  if (value < kSubBuckets) return static_cast<std::size_t>(value);
+  const std::size_t octave = static_cast<std::size_t>(std::bit_width(value)) - 1;
+  if (octave > kMaxOctave) return kNumBuckets - 1;
+  const std::size_t sub = static_cast<std::size_t>(value >> (octave - 3)) - kSubBuckets;
+  return kSubBuckets + (octave - 3) * kSubBuckets + sub;
 }
 
 std::uint64_t Histogram::bucket_lower(std::size_t i) {
-  return i == 0 ? 0 : std::uint64_t{1} << (i - 1);
+  if (i < kSubBuckets) return i;
+  const std::size_t octave = 3 + (i - kSubBuckets) / kSubBuckets;
+  const std::size_t sub = (i - kSubBuckets) % kSubBuckets;
+  return static_cast<std::uint64_t>(kSubBuckets + sub) << (octave - 3);
 }
 
 std::uint64_t Histogram::bucket_upper(std::size_t i) {
-  if (i == 0) return 0;
-  if (i >= 64) return UINT64_MAX;
-  return (std::uint64_t{1} << i) - 1;
+  if (i < kSubBuckets) return i;
+  if (i >= kNumBuckets - 1) return UINT64_MAX;
+  const std::size_t octave = 3 + (i - kSubBuckets) / kSubBuckets;
+  return bucket_lower(i) + ((std::uint64_t{1} << (octave - 3)) - 1);
 }
 
 namespace {
@@ -63,67 +72,25 @@ void Histogram::record(std::uint64_t value) {
   }
 }
 
-std::uint64_t Histogram::count() const {
-  std::uint64_t n = 0;
-  for (const Shard& s : shards_) n += s.count.load(std::memory_order_relaxed);
-  return n;
-}
-
-std::uint64_t Histogram::sum() const {
-  std::uint64_t n = 0;
-  for (const Shard& s : shards_) n += s.sum.load(std::memory_order_relaxed);
-  return n;
-}
-
-std::uint64_t Histogram::bucket(std::size_t i) const {
-  std::uint64_t n = 0;
-  for (const Shard& s : shards_) n += s.buckets[i].load(std::memory_order_relaxed);
-  return n;
-}
-
-std::uint64_t Histogram::max() const {
-  std::uint64_t m = 0;
-  for (const Shard& s : shards_) m = std::max(m, s.max.load(std::memory_order_relaxed));
-  return m;
-}
-
-std::uint64_t Histogram::min() const {
-  std::uint64_t m = UINT64_MAX;
-  for (const Shard& s : shards_) m = std::min(m, s.min.load(std::memory_order_relaxed));
-  return m == UINT64_MAX ? 0 : m;
-}
-
-double Histogram::mean() const {
-  const std::uint64_t n = count();
-  return n == 0 ? 0.0 : static_cast<double>(sum()) / static_cast<double>(n);
-}
-
-double Histogram::percentile(double p) const {
-  const std::uint64_t n = count();
-  if (n == 0) return 0.0;
-  if (p < 0) p = 0;
-  if (p > 100) p = 100;
-  // Nearest-rank target in [1, n].
-  std::uint64_t target = static_cast<std::uint64_t>(p / 100.0 * static_cast<double>(n) + 0.5);
-  target = std::clamp<std::uint64_t>(target, 1, n);
-  std::uint64_t cum = 0;
-  for (std::size_t i = 0; i < kNumBuckets; ++i) {
-    const std::uint64_t b = bucket(i);
-    if (b == 0) continue;
-    if (cum + b >= target) {
-      const double lo = static_cast<double>(bucket_lower(i));
-      const double hi = static_cast<double>(bucket_upper(i));
-      const double frac = static_cast<double>(target - cum) / static_cast<double>(b);
-      double v = lo + (hi - lo) * frac;
-      // Bucket bounds can be wider than what was actually observed.
-      v = std::min(v, static_cast<double>(max()));
-      v = std::max(v, static_cast<double>(min()));
-      return v;
+HistWindow Histogram::merged() const {
+  HistWindow out;
+  std::uint64_t lo = UINT64_MAX;
+  for (const Shard& s : shards_) {
+    const std::uint64_t n = s.count.load(std::memory_order_relaxed);
+    if (n == 0) continue;  // a shard no thread has recorded into
+    out.count += n;
+    out.sum += s.sum.load(std::memory_order_relaxed);
+    lo = std::min(lo, s.min.load(std::memory_order_relaxed));
+    out.max = std::max(out.max, s.max.load(std::memory_order_relaxed));
+    for (std::size_t i = 0; i < kNumBuckets; ++i) {
+      out.buckets[i] += s.buckets[i].load(std::memory_order_relaxed);
     }
-    cum += b;
   }
-  return static_cast<double>(max());
+  out.min = lo == UINT64_MAX ? 0 : lo;
+  return out;
 }
+
+double Histogram::percentile(double p) const { return merged().percentile(p); }
 
 void Histogram::clear() {
   for (Shard& s : shards_) {
@@ -135,6 +102,28 @@ void Histogram::clear() {
   }
 }
 
+double HistWindow::percentile(double p) const {
+  // Ranks count the buckets, not `count`: a merge taken while recorders
+  // run can see a sample in one and not yet in the other.
+  std::uint64_t n = 0;
+  for (std::uint64_t b : buckets) n += b;
+  if (n == 0) return 0.0;
+  p = std::clamp(p, 0.0, 100.0);
+  // Nearest-rank target in [1, n].
+  std::uint64_t target = static_cast<std::uint64_t>(p / 100.0 * static_cast<double>(n) + 0.5);
+  target = std::clamp<std::uint64_t>(target, 1, n);
+  std::uint64_t cum = 0;
+  std::size_t i = 0;
+  while (cum + buckets[i] < target) cum += buckets[i++];
+  const double lo = static_cast<double>(Histogram::bucket_lower(i));
+  const double hi = static_cast<double>(Histogram::bucket_upper(i));
+  const double frac = static_cast<double>(target - cum) / static_cast<double>(buckets[i]);
+  // Bucket bounds can be wider than what was actually observed. (min/max,
+  // not std::clamp: a racing merge may read min above max.)
+  return std::min(std::max(lo + (hi - lo) * frac, static_cast<double>(min)),
+                  static_cast<double>(max));
+}
+
 Metrics& Metrics::global() {
   static Metrics metrics;
   return metrics;
@@ -142,65 +131,35 @@ Metrics& Metrics::global() {
 
 void Metrics::clear() {
   for (auto& h : builtin_) h.clear();
-  std::lock_guard<std::mutex> lock(named_mutex_);
-  named_.clear();
 }
-
-Histogram& Metrics::named(const std::string& name) {
-  std::lock_guard<std::mutex> lock(named_mutex_);
-  auto& slot = named_[name];
-  if (!slot) slot = std::make_unique<Histogram>();
-  return *slot;
-}
-
-namespace {
-
-void append_histogram_json(std::string& out, const std::string& name, const Histogram& h,
-                           bool& first) {
-  if (h.count() == 0) return;
-  if (!first) out.push_back(',');
-  first = false;
-  char buf[256];
-  out.push_back('"');
-  out += name;  // names are internal identifiers without JSON-special chars
-  out += "\":{";
-  std::snprintf(buf, sizeof(buf),
-                "\"count\":%llu,\"sum\":%llu,\"min\":%llu,\"max\":%llu,\"mean\":%.6g,"
-                "\"p50\":%.6g,\"p90\":%.6g,\"p99\":%.6g,\"buckets\":[",
-                static_cast<unsigned long long>(h.count()),
-                static_cast<unsigned long long>(h.sum()),
-                static_cast<unsigned long long>(h.min()),
-                static_cast<unsigned long long>(h.max()), h.mean(), h.percentile(50),
-                h.percentile(90), h.percentile(99));
-  out += buf;
-  bool first_bucket = true;
-  for (std::size_t i = 0; i < Histogram::kNumBuckets; ++i) {
-    const std::uint64_t n = h.bucket(i);
-    if (n == 0) continue;
-    if (!first_bucket) out.push_back(',');
-    first_bucket = false;
-    std::snprintf(buf, sizeof(buf), "{\"le\":%llu,\"n\":%llu}",
-                  static_cast<unsigned long long>(Histogram::bucket_upper(i)),
-                  static_cast<unsigned long long>(n));
-    out += buf;
-  }
-  out += "]}";
-}
-
-}  // namespace
 
 std::string Metrics::json() const {
-  std::string out = "{\"histograms\":{";
-  bool first = true;
+  util::JsonWriter w;
+  w.begin_object().key("histograms").begin_object();
   for (std::size_t i = 0; i < kNumHists; ++i) {
-    append_histogram_json(out, hist_name(static_cast<Hist>(i)), builtin_[i], first);
+    const HistWindow h = builtin_[i].merged();
+    if (h.count == 0) continue;
+    w.key(hist_name(static_cast<Hist>(i))).begin_object()
+        .key("count").value(h.count)
+        .key("sum").value(h.sum)
+        .key("min").value(h.min)
+        .key("max").value(h.max)
+        .key("mean").value(h.mean())
+        .key("p50").value(h.percentile(50))
+        .key("p90").value(h.percentile(90))
+        .key("p99").value(h.percentile(99))
+        .key("buckets").begin_array();
+    for (std::size_t b = 0; b < Histogram::kNumBuckets; ++b) {
+      if (h.buckets[b] == 0) continue;
+      w.begin_object()
+          .key("le").value(Histogram::bucket_upper(b))
+          .key("n").value(h.buckets[b])
+          .end_object();
+    }
+    w.end_array().end_object();
   }
-  {
-    std::lock_guard<std::mutex> lock(named_mutex_);
-    for (const auto& [name, h] : named_) append_histogram_json(out, name, *h, first);
-  }
-  out += "}}";
-  return out;
+  w.end_object().end_object();
+  return w.take();
 }
 
 void Metrics::write_json(const std::string& path) const {

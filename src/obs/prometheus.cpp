@@ -2,7 +2,6 @@
 
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 
 namespace mrbc::obs {
@@ -114,42 +113,22 @@ PromWriter& PromWriter::sample(std::string_view name, const PromLabels& labels,
 
 PromWriter& PromWriter::histogram(std::string_view name, const PromLabels& labels,
                                   const Histogram& h) {
-  const std::uint64_t total = h.count();
-  if (total == 0) return *this;
+  const HistWindow m = h.merged();
+  if (m.count == 0) return *this;
   const std::string bucket_name = std::string(name) + "_bucket";
   std::uint64_t cum = 0;
-  char le[32];
   for (std::size_t i = 0; i < Histogram::kNumBuckets; ++i) {
-    const std::uint64_t n = h.bucket(i);
-    if (n == 0) continue;
-    cum += n;
-    std::snprintf(le, sizeof le, "%llu",
-                  static_cast<unsigned long long>(Histogram::bucket_upper(i)));
-    series(bucket_name, labels, le, static_cast<double>(cum));
+    if (m.buckets[i] == 0) continue;
+    cum += m.buckets[i];
+    series(bucket_name, labels, std::to_string(Histogram::bucket_upper(i)),
+           static_cast<double>(cum));
   }
-  series(bucket_name, labels, "+Inf", static_cast<double>(total));
-  series(std::string(name) + "_sum", labels, {}, static_cast<double>(h.sum()));
-  series(std::string(name) + "_count", labels, {}, static_cast<double>(total));
-  return *this;
-}
-
-PromWriter& PromWriter::histogram(std::string_view name, const PromLabels& labels,
-                                  const WindowedMetrics::HistWindow& w) {
-  if (w.count == 0) return *this;
-  const std::string bucket_name = std::string(name) + "_bucket";
-  std::uint64_t cum = 0;
-  char le[32];
-  for (std::size_t i = 0; i < WindowedMetrics::kValueBuckets; ++i) {
-    const std::uint64_t n = w.buckets[i];
-    if (n == 0) continue;
-    cum += n;
-    std::snprintf(le, sizeof le, "%llu",
-                  static_cast<unsigned long long>(WindowedMetrics::bucket_upper(i)));
-    series(bucket_name, labels, le, static_cast<double>(cum));
-  }
-  series(bucket_name, labels, "+Inf", static_cast<double>(w.count));
-  series(std::string(name) + "_sum", labels, {}, static_cast<double>(w.sum));
-  series(std::string(name) + "_count", labels, {}, static_cast<double>(w.count));
+  // +Inf and _count repeat the bucket total, not m.count: a scrape racing
+  // live recorders can see a sample's bucket before its count, and the
+  // format requires +Inf == _count >= every finite bucket.
+  series(bucket_name, labels, "+Inf", static_cast<double>(cum));
+  series(std::string(name) + "_sum", labels, {}, static_cast<double>(m.sum));
+  series(std::string(name) + "_count", labels, {}, static_cast<double>(cum));
   return *this;
 }
 

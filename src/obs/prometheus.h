@@ -1,7 +1,7 @@
 #pragma once
 // Prometheus / OpenMetrics text exposition for the obs layer: a small
-// writer that renders counters, gauges, and (cumulative) log₂ histograms
-// in the text format scrapers understand, plus a deliberately strict
+// writer that renders counters, gauges, and cumulative obs::Histogram
+// histograms in the text format scrapers understand, plus a deliberately strict
 // parser used by the tests, the CI smoke step, and bench/serve_load's
 // reconciliation pass. The parser rejects everything the format forbids —
 // malformed names, unquoted or unescaped label values, NaN samples,
@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "obs/windowed.h"
 
 namespace mrbc::obs {
 
@@ -30,14 +29,11 @@ class PromWriter {
   PromWriter& type(std::string_view name, std::string_view kind, std::string_view help);
   PromWriter& sample(std::string_view name, const PromLabels& labels, double value);
   PromWriter& sample(std::string_view name, const PromLabels& labels, std::uint64_t value);
-  /// Cumulative-histogram family from a log₂ obs::Histogram: one
+  /// Cumulative-histogram family from an obs::Histogram, merged once: one
   /// <name>_bucket series per occupied le boundary plus le="+Inf",
   /// <name>_sum and <name>_count. Emits nothing when the histogram is
   /// empty (a scrape of an idle daemon stays small).
   PromWriter& histogram(std::string_view name, const PromLabels& labels, const Histogram& h);
-  /// Same for a merged windowed view (log-linear buckets).
-  PromWriter& histogram(std::string_view name, const PromLabels& labels,
-                        const WindowedMetrics::HistWindow& w);
 
   const std::string& str() const { return out_; }
   std::string take() { return std::move(out_); }

@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <stdexcept>
 #include <thread>
 
 #include "obs/metrics.h"
+#include "util/json.h"
 #include "util/log.h"
 
 namespace mrbc::obs {
@@ -20,31 +22,6 @@ std::int64_t steady_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-/// Escapes a string for a JSON literal (span names are static literals we
-/// control, but exporters should never be able to emit invalid JSON).
-void append_json_string(std::string& out, const char* s) {
-  out.push_back('"');
-  for (; *s; ++s) {
-    const char c = *s;
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
 }
 
 std::atomic<bool> g_progress{false};
@@ -185,51 +162,43 @@ std::vector<SpanRecord> Tracer::snapshot() const {
 
 std::string Tracer::chrome_json() const {
   const std::vector<SpanRecord> records = snapshot();
-  std::string out;
-  out.reserve(records.size() * 160 + 1024);
-  out += "{\"traceEvents\":[";
-  bool first = true;
-  char buf[160];
+  // Microseconds rounded to the nanosecond: finer digits are clock noise
+  // that only grows the file.
+  const auto us = [](double v) { return std::round(v * 1e3) / 1e3; };
+  util::JsonWriter w;
+  w.begin_object().key("traceEvents").begin_array();
   // pid 0 is the engine lane; host h renders as pid h + 1.
-  auto pid_of = [](std::uint32_t host) -> std::uint64_t {
-    return host == kEngineHost ? 0 : static_cast<std::uint64_t>(host) + 1;
-  };
   std::vector<std::uint64_t> pids;
   for (const SpanRecord& r : records) {
-    if (!first) out.push_back(',');
-    first = false;
-    out += "{\"name\":";
-    append_json_string(out, r.name != nullptr ? r.name : "?");
-    out += ",\"cat\":";
-    append_json_string(out, category_name(r.category));
-    const std::uint64_t pid = pid_of(r.host);
+    const std::uint64_t pid = r.host == kEngineHost ? 0 : std::uint64_t{r.host} + 1;
     if (std::find(pids.begin(), pids.end(), pid) == pids.end()) pids.push_back(pid);
-    std::snprintf(buf, sizeof(buf),
-                  ",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":%llu,\"tid\":%llu,"
-                  "\"args\":{\"round\":%u,\"modeled\":%s}}",
-                  r.start_us, r.dur_us, static_cast<unsigned long long>(pid),
-                  static_cast<unsigned long long>(pid), r.round, r.modeled ? "true" : "false");
-    out += buf;
+    w.begin_object()
+        .key("name").value(r.name != nullptr ? r.name : "?")
+        .key("cat").value(category_name(r.category))
+        .key("ph").value("X")
+        .key("ts").value(us(r.start_us))
+        .key("dur").value(us(r.dur_us))
+        .key("pid").value(pid)
+        .key("tid").value(pid)
+        .key("args").begin_object()
+            .key("round").value(r.round)
+            .key("modeled").value(r.modeled)
+            .end_object()
+        .end_object();
   }
   // Process-name metadata so Perfetto labels the lanes.
   for (std::uint64_t pid : pids) {
-    if (!first) out.push_back(',');
-    first = false;
-    if (pid == 0) {
-      std::snprintf(buf, sizeof(buf),
-                    "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"args\":{\"name\":"
-                    "\"engine\"}}");
-    } else {
-      std::snprintf(buf, sizeof(buf),
-                    "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%llu,\"args\":{\"name\":"
-                    "\"host %llu\"}}",
-                    static_cast<unsigned long long>(pid),
-                    static_cast<unsigned long long>(pid - 1));
-    }
-    out += buf;
+    w.begin_object()
+        .key("name").value("process_name")
+        .key("ph").value("M")
+        .key("pid").value(pid)
+        .key("args").begin_object()
+            .key("name").value(pid == 0 ? "engine" : "host " + std::to_string(pid - 1))
+            .end_object()
+        .end_object();
   }
-  out += "],\"displayTimeUnit\":\"ms\"}";
-  return out;
+  w.end_array().key("displayTimeUnit").value("ms").end_object();
+  return w.take();
 }
 
 void Tracer::write_chrome_json(const std::string& path) const {

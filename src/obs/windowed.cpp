@@ -1,7 +1,6 @@
 #include "obs/windowed.h"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <stdexcept>
 
@@ -12,7 +11,7 @@ WindowedMetrics::WindowedMetrics(std::size_t num_counters, std::size_t num_hists
     : num_counters_(num_counters),
       num_hists_(num_hists),
       ring_(std::max<std::size_t>(ring_seconds, 2)),
-      stride_(num_counters + num_hists * 2 + num_hists * kValueBuckets),
+      stride_(num_counters + num_hists * 2 + num_hists * Histogram::kNumBuckets),
       clock_(clock) {
   if (stride_ == 0) throw std::invalid_argument("WindowedMetrics: no counters or histograms");
   seconds_ = std::make_unique<std::atomic<std::int64_t>[]>(ring_);
@@ -69,8 +68,8 @@ void WindowedMetrics::record_value_at(std::size_t h, std::uint64_t value, std::i
   const std::size_t meta = hist_meta_index(slot, h);
   data_[meta].fetch_add(1, std::memory_order_relaxed);
   data_[meta + 1].fetch_add(value, std::memory_order_relaxed);
-  data_[hist_bucket_index(slot, h, value_bucket(value))].fetch_add(1,
-                                                                   std::memory_order_relaxed);
+  data_[hist_bucket_index(slot, h, Histogram::bucket_index(value))].fetch_add(
+      1, std::memory_order_relaxed);
 }
 
 std::uint64_t WindowedMetrics::counter_sum(std::size_t c, std::size_t window_s,
@@ -86,8 +85,8 @@ std::uint64_t WindowedMetrics::counter_sum(std::size_t c, std::size_t window_s,
   return total;
 }
 
-WindowedMetrics::HistWindow WindowedMetrics::hist_window(std::size_t h, std::size_t window_s,
-                                                         std::int64_t now_s) const {
+HistWindow WindowedMetrics::hist_window(std::size_t h, std::size_t window_s,
+                                        std::int64_t now_s) const {
   if (now_s < 0) now_s = now_seconds();
   const std::int64_t lo = now_s - static_cast<std::int64_t>(std::min(window_s, ring_ - 1));
   HistWindow out;
@@ -97,55 +96,21 @@ WindowedMetrics::HistWindow WindowedMetrics::hist_window(std::size_t h, std::siz
     const std::size_t meta = hist_meta_index(slot, h);
     out.count += data_[meta].load(std::memory_order_relaxed);
     out.sum += data_[meta + 1].load(std::memory_order_relaxed);
-    for (std::size_t b = 0; b < kValueBuckets; ++b) {
+    for (std::size_t b = 0; b < Histogram::kNumBuckets; ++b) {
       out.buckets[b] += data_[hist_bucket_index(slot, h, b)].load(std::memory_order_relaxed);
     }
   }
-  return out;
-}
-
-double WindowedMetrics::HistWindow::percentile(double p) const {
-  if (count == 0) return 0.0;
-  p = std::clamp(p, 0.0, 100.0);
-  std::uint64_t target =
-      static_cast<std::uint64_t>(p / 100.0 * static_cast<double>(count) + 0.5);
-  target = std::clamp<std::uint64_t>(target, 1, count);
-  std::uint64_t cum = 0;
-  for (std::size_t i = 0; i < kValueBuckets; ++i) {
-    const std::uint64_t b = buckets[i];
-    if (b == 0) continue;
-    if (cum + b >= target) {
-      const double lo = static_cast<double>(bucket_lower(i));
-      const double hi = static_cast<double>(bucket_upper(i));
-      const double frac = static_cast<double>(target - cum) / static_cast<double>(b);
-      return lo + (hi - lo) * frac;
-    }
-    cum += b;
+  // Slots keep no extremes: the occupied buckets' bounds are the tightest
+  // the window knows.
+  std::size_t first = 0;
+  std::size_t last = Histogram::kNumBuckets;
+  while (first < last && out.buckets[first] == 0) ++first;
+  while (last > first && out.buckets[last - 1] == 0) --last;
+  if (first < last) {
+    out.min = Histogram::bucket_lower(first);
+    out.max = Histogram::bucket_upper(last - 1);
   }
-  return static_cast<double>(bucket_upper(kValueBuckets - 1));
-}
-
-std::size_t WindowedMetrics::value_bucket(std::uint64_t value) {
-  if (value < kSubBuckets) return static_cast<std::size_t>(value);
-  std::size_t octave = static_cast<std::size_t>(std::bit_width(value)) - 1;
-  if (octave > kMaxOctave) return kValueBuckets - 1;
-  const std::size_t shift = octave - 3;
-  const std::size_t sub = static_cast<std::size_t>(value >> shift) - kSubBuckets;
-  return kSubBuckets + (octave - 3) * kSubBuckets + sub;
-}
-
-std::uint64_t WindowedMetrics::bucket_lower(std::size_t i) {
-  if (i < kSubBuckets) return i;
-  const std::size_t octave = 3 + (i - kSubBuckets) / kSubBuckets;
-  const std::size_t sub = (i - kSubBuckets) % kSubBuckets;
-  return static_cast<std::uint64_t>(kSubBuckets + sub) << (octave - 3);
-}
-
-std::uint64_t WindowedMetrics::bucket_upper(std::size_t i) {
-  if (i < kSubBuckets) return i;
-  if (i >= kValueBuckets - 1) return UINT64_MAX;
-  const std::size_t octave = 3 + (i - kSubBuckets) / kSubBuckets;
-  return bucket_lower(i) + ((std::uint64_t{1} << (octave - 3)) - 1);
+  return out;
 }
 
 }  // namespace mrbc::obs

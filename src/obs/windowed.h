@@ -1,11 +1,11 @@
 #pragma once
 // obs::WindowedMetrics — "what is happening right now" companion to the
 // cumulative obs::Metrics histograms. A ring of per-second buckets holds
-// counter deltas and log-linear value histograms; readers aggregate the
-// buckets whose timestamps fall inside a sliding window (10s / 1m / 5m by
-// convention) to answer rolling-rate and rolling-percentile questions —
-// qps over the last minute, p99 latency over the last ten seconds — that
-// a cumulative histogram mathematically cannot (it never forgets).
+// counter deltas and value histograms; readers aggregate the buckets whose
+// timestamps fall inside a sliding window (10s / 1m / 5m by convention) to
+// answer rolling-rate and rolling-percentile questions — qps over the last
+// minute, p99 latency over the last ten seconds — that a cumulative
+// histogram mathematically cannot (it never forgets).
 //
 // Hot path: one relaxed enabled-check, one clock read, and a handful of
 // relaxed fetch_adds into the current second's bucket. Bucket rotation is
@@ -17,15 +17,17 @@
 // second. Disabled cost is one relaxed load + branch — same budget as the
 // tracer's span sites (enforced by bench/micro_obs).
 //
-// Value histograms are log-linear (HDR-style): 8 sub-buckets per power of
-// two, so quantile interpolation error is bounded by ~1/8 of the value —
-// tight enough that a windowed p99 reconciles within ±10% of client-side
-// truth (bench/serve_load checks exactly that).
+// Value histograms use obs::Histogram's log-linear bucket layout and merge
+// into the same obs::HistWindow, so a windowed quantile carries the same
+// ≤12.5% interpolation bound as a cumulative one — tight enough that a
+// windowed p99 reconciles within ±10% of client-side truth (bench/serve_load
+// checks exactly that).
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <vector>
+
+#include "obs/metrics.h"
 
 namespace mrbc::obs {
 
@@ -39,14 +41,6 @@ class WindowedMetrics {
   static constexpr std::size_t kDefaultRingSeconds = 384;
   /// Slot-stamp sentinel while a recorder zeroes a recycled bucket.
   static constexpr std::int64_t kClearing = INT64_MIN;
-
-  // Log-linear value buckets: 0..7 exact, then 8 sub-buckets per octave up
-  // to 2^30 (values above clamp into the last bucket). In microseconds
-  // that spans 1us .. ~18min, more than any request the daemon would have
-  // left alive.
-  static constexpr std::size_t kSubBuckets = 8;
-  static constexpr std::size_t kMaxOctave = 29;
-  static constexpr std::size_t kValueBuckets = kSubBuckets + (kMaxOctave - 2) * kSubBuckets;
 
   WindowedMetrics(std::size_t num_counters, std::size_t num_hists,
                   std::size_t ring_seconds = kDefaultRingSeconds, ClockFn clock = nullptr);
@@ -84,24 +78,8 @@ class WindowedMetrics {
   /// exactly window_s). now_s < 0 means "read the clock".
   std::uint64_t counter_sum(std::size_t c, std::size_t window_s, std::int64_t now_s = -1) const;
 
-  /// Merged view of histogram `h` over the same complete-second window.
-  struct HistWindow {
-    std::uint64_t count = 0;
-    std::uint64_t sum = 0;
-    std::uint64_t buckets[kValueBuckets] = {};
-
-    double mean() const {
-      return count == 0 ? 0.0 : static_cast<double>(sum) / static_cast<double>(count);
-    }
-    /// Nearest-rank percentile with intra-bucket interpolation; 0 if empty.
-    double percentile(double p) const;
-  };
+  /// Histogram `h` merged over the same complete-second window.
   HistWindow hist_window(std::size_t h, std::size_t window_s, std::int64_t now_s = -1) const;
-
-  static std::size_t value_bucket(std::uint64_t value);
-  static std::uint64_t bucket_lower(std::size_t i);
-  /// Inclusive upper bound of value bucket i.
-  static std::uint64_t bucket_upper(std::size_t i);
 
  private:
   /// Rotates the slot for second `s` into place if stale. Returns the slot
@@ -116,7 +94,7 @@ class WindowedMetrics {
     return slot * stride_ + num_counters_ + h * 2;  // [count, sum]
   }
   std::size_t hist_bucket_index(std::size_t slot, std::size_t h, std::size_t b) const {
-    return slot * stride_ + num_counters_ + num_hists_ * 2 + h * kValueBuckets + b;
+    return slot * stride_ + num_counters_ + num_hists_ * 2 + h * Histogram::kNumBuckets + b;
   }
 
   std::size_t num_counters_;

@@ -415,7 +415,7 @@ void Server::handle_connection(int fd) {
     const double request_us = seconds_since(t0) * 1e6;
     if (obs::metrics_enabled()) {
       obs::Metrics::global()
-          .named("serve/request_us")
+          .histogram(obs::Hist::kServeRequestMicros)
           .record(static_cast<std::uint64_t>(request_us));
     }
     if (telemetry) {
@@ -724,7 +724,7 @@ std::string Server::handle_metrics(const EpochSnapshot& snap, bool keep_alive) {
 
   // -- requests: per-endpoint cumulative latency histograms -------------------
   w.type("mrbc_serve_request_duration_us", "histogram",
-         "Request wall latency by endpoint, microseconds (cumulative log2 buckets).");
+         "Request wall latency by endpoint, microseconds (cumulative log-linear buckets).");
   for (std::size_t r = 0; r < kNumRoutes; ++r) {
     const auto route = static_cast<Route>(r);
     w.histogram("mrbc_serve_request_duration_us", {{"endpoint", route_label(route)}},
@@ -758,8 +758,7 @@ std::string Server::handle_metrics(const EpochSnapshot& snap, bool keep_alive) {
     w.sample("mrbc_serve_window_bytes_per_second",
              {{"direction", "out"}, {"window", win_def.label}},
              static_cast<double>(win.counter_sum(kWinBytesOut, win_def.seconds, now_s)) / secs);
-    const obs::WindowedMetrics::HistWindow lat =
-        win.hist_window(kWinRequestMicros, win_def.seconds, now_s);
+    const obs::HistWindow lat = win.hist_window(kWinRequestMicros, win_def.seconds, now_s);
     for (const auto& q : kQuantiles) {
       w.sample("mrbc_serve_window_request_latency_us",
                {{"quantile", q.label}, {"window", win_def.label}}, lat.percentile(q.pct));
@@ -803,8 +802,7 @@ std::string Server::handle_metrics(const EpochSnapshot& snap, bool keep_alive) {
   w.type("mrbc_serve_window_apply_latency_us", "gauge",
          "Windowed apply (coalesce+recompute+publish) latency quantiles, microseconds.");
   for (const auto& win_def : kWindows) {
-    const obs::WindowedMetrics::HistWindow ap =
-        win.hist_window(kWinApplyMicros, win_def.seconds, now_s);
+    const obs::HistWindow ap = win.hist_window(kWinApplyMicros, win_def.seconds, now_s);
     for (const auto& q : kQuantiles) {
       w.sample("mrbc_serve_window_apply_latency_us",
                {{"quantile", q.label}, {"window", win_def.label}}, ap.percentile(q.pct));
@@ -984,7 +982,7 @@ void Server::ingest_loop() {
     telemetry_.on_apply(seconds_since(t0) * 1e6);
     if (obs::metrics_enabled()) {
       obs::Metrics::global()
-          .named("serve/coalesced_batches")
+          .histogram(obs::Hist::kServeCoalescedBatches)
           .record(static_cast<std::uint64_t>(pending.size()));
     }
     {

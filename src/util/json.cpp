@@ -9,10 +9,20 @@ namespace mrbc::util {
 
 // ---- Escaping / writer ------------------------------------------------------
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (unsigned char c : s) {
+namespace {
+
+/// Appends `s` to `out` as a quoted JSON string literal: ", \ and control
+/// characters below 0x20 are escaped (\n, \r, \t, \b, \f get their short
+/// forms, the rest \u00XX); everything else — including multi-byte UTF-8 —
+/// passes through untouched.
+void append_string(std::string& out, std::string_view s) {
+  out += '"';
+  std::size_t run = 0;  // start of the pending run of characters copied as is
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -21,18 +31,25 @@ std::string json_escape(std::string_view s) {
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += static_cast<char>(c);
-        }
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof buf, "\\u%04x", c);
+        out += buf;
+      }
     }
   }
-  return out;
+  out.append(s.data() + run, s.size() - run);
+  out += '"';
 }
+
+template <typename Int>
+void append_int(std::string& out, Int v) {
+  char buf[24];
+  const auto r = std::to_chars(buf, buf + sizeof buf, v);
+  out.append(buf, r.ptr);
+}
+
+}  // namespace
 
 void JsonWriter::comma() {
   if (need_comma_) out_ += ',';
@@ -67,18 +84,15 @@ JsonWriter& JsonWriter::end_array() {
 
 JsonWriter& JsonWriter::key(std::string_view k) {
   comma();
-  out_ += '"';
-  out_ += json_escape(k);
-  out_ += "\":";
+  append_string(out_, k);
+  out_ += ':';
   need_comma_ = false;
   return *this;
 }
 
 JsonWriter& JsonWriter::value(std::string_view v) {
   comma();
-  out_ += '"';
-  out_ += json_escape(v);
-  out_ += '"';
+  append_string(out_, v);
   return *this;
 }
 
@@ -96,13 +110,13 @@ JsonWriter& JsonWriter::value(double v) {
 
 JsonWriter& JsonWriter::value(std::uint64_t v) {
   comma();
-  out_ += std::to_string(v);
+  append_int(out_, v);
   return *this;
 }
 
 JsonWriter& JsonWriter::value(std::int64_t v) {
   comma();
-  out_ += std::to_string(v);
+  append_int(out_, v);
   return *this;
 }
 

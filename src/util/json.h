@@ -17,12 +17,6 @@
 
 namespace mrbc::util {
 
-/// Escapes `s` for inclusion inside a JSON string literal (quotes not
-/// included): ", \ and control characters below 0x20 are escaped (\n, \r,
-/// \t, \b, \f get their short forms, the rest \u00XX); everything else —
-/// including multi-byte UTF-8 — passes through untouched.
-std::string json_escape(std::string_view s);
-
 /// Incremental JSON document builder. Comma/colon placement is handled by
 /// the writer; the caller is responsible for well-formed nesting (an
 /// assertion-free, trusting API — the unit tests pin the grammar).

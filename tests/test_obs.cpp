@@ -1,23 +1,30 @@
-// Tests for the observability layer: span ring semantics, log2 histogram
-// buckets/percentiles, the Chrome trace-event / metrics JSON exporters,
-// and — the load-bearing contract — reconciliation of the emitted spans
-// and round log against the BSP engine's RunStats aggregates, including
-// fault-injected runs with crashes and rollback.
+// Tests for the observability layer: span ring semantics, the histogram
+// bucket layout and its quantile error bound on every export, concurrent
+// recording, the Chrome trace-event / metrics JSON exporters, and — the
+// load-bearing contract — reconciliation of the emitted spans and round
+// log against the engines' RunStats aggregates, including fault-injected
+// runs with crashes and rollback.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "baselines/mfbc.h"
 #include "engine/cluster.h"
 #include "engine/fault.h"
+#include "graph/algorithms.h"
+#include "graph/generators.h"
 #include "obs/metrics.h"
 #include "obs/prometheus.h"
 #include "obs/trace.h"
 #include "obs/windowed.h"
+#include "util/json.h"
 
 namespace mrbc {
 namespace {
@@ -152,38 +159,55 @@ struct ObsGuard {
 
 // ---- Histogram --------------------------------------------------------------
 
-TEST(Histogram, BucketBoundaries) {
-  EXPECT_EQ(Histogram::bucket_index(0), 0u);
-  EXPECT_EQ(Histogram::bucket_index(1), 1u);
-  EXPECT_EQ(Histogram::bucket_index(2), 2u);
-  EXPECT_EQ(Histogram::bucket_index(3), 2u);
-  EXPECT_EQ(Histogram::bucket_index(4), 3u);
-  EXPECT_EQ(Histogram::bucket_index(7), 3u);
-  EXPECT_EQ(Histogram::bucket_index(8), 4u);
-  EXPECT_EQ(Histogram::bucket_index(UINT64_MAX), 64u);
-  for (std::size_t i = 1; i < Histogram::kNumBuckets; ++i) {
-    // Every bucket's bounds bracket exactly the values that map into it.
-    EXPECT_EQ(Histogram::bucket_index(Histogram::bucket_lower(i)), i);
-    EXPECT_EQ(Histogram::bucket_index(Histogram::bucket_upper(i)), i);
+TEST(Histogram, ValueBucketBoundsBracketTheirValues) {
+  // 0..7 are exact buckets.
+  for (std::uint64_t v = 0; v < 8; ++v) {
+    EXPECT_EQ(Histogram::bucket_index(v), v);
+    EXPECT_EQ(Histogram::bucket_lower(v), v);
+    EXPECT_EQ(Histogram::bucket_upper(v), v);
   }
+  // Then 8 sub-buckets per octave: [8, 16) one value each, [16, 32) two.
+  EXPECT_EQ(Histogram::bucket_index(15), 15u);
+  EXPECT_EQ(Histogram::bucket_index(16), 16u);
+  EXPECT_EQ(Histogram::bucket_index(17), 16u);
+  EXPECT_EQ(Histogram::bucket_index(18), 17u);
+  // Every log-linear bucket's bounds map back into it, and buckets tile
+  // the value axis with no gaps: upper(i) + 1 == lower(i + 1).
+  for (std::size_t i = 8; i < Histogram::kNumBuckets; ++i) {
+    EXPECT_EQ(Histogram::bucket_index(Histogram::bucket_lower(i)), i) << "lower of bucket " << i;
+    EXPECT_EQ(Histogram::bucket_index(Histogram::bucket_upper(i)), i) << "upper of bucket " << i;
+    EXPECT_EQ(Histogram::bucket_upper(i - 1) + 1, Histogram::bucket_lower(i))
+        << "gap before bucket " << i;
+    if (i == Histogram::kNumBuckets - 1) continue;  // last bucket is the clamp catch-all
+    // Sub-bucket width bounds relative quantile error at 1/8.
+    const double width =
+        static_cast<double>(Histogram::bucket_upper(i) - Histogram::bucket_lower(i) + 1);
+    EXPECT_LE(width / static_cast<double>(Histogram::bucket_lower(i)), 0.1251) << "bucket " << i;
+  }
+  // Values beyond the last octave clamp into the top bucket instead of
+  // indexing out of range.
+  EXPECT_EQ(Histogram::bucket_index(std::uint64_t{1} << 30), Histogram::kNumBuckets - 1);
+  EXPECT_EQ(Histogram::bucket_index(UINT64_MAX), Histogram::kNumBuckets - 1);
 }
 
 TEST(Histogram, CountsSumMinMax) {
   Histogram h;
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.min(), 0u);
-  EXPECT_EQ(h.max(), 0u);
+  EXPECT_EQ(h.merged().count, 0u);
+  EXPECT_EQ(h.merged().min, 0u);
+  EXPECT_EQ(h.merged().max, 0u);
   EXPECT_DOUBLE_EQ(h.percentile(50), 0.0);
   for (std::uint64_t v : {5u, 17u, 0u, 1024u, 3u}) h.record(v);
-  EXPECT_EQ(h.count(), 5u);
-  EXPECT_EQ(h.sum(), 5u + 17u + 0u + 1024u + 3u);
-  EXPECT_EQ(h.min(), 0u);
-  EXPECT_EQ(h.max(), 1024u);
-  EXPECT_EQ(h.bucket(0), 1u);                          // the zero
-  EXPECT_EQ(h.bucket(Histogram::bucket_index(5)), 1u);  // [4, 8)
+  const obs::HistWindow m = h.merged();
+  EXPECT_EQ(m.count, 5u);
+  EXPECT_EQ(m.sum, 5u + 17u + 0u + 1024u + 3u);
+  EXPECT_EQ(m.min, 0u);
+  EXPECT_EQ(m.max, 1024u);
+  EXPECT_EQ(m.buckets[0], 1u);                          // the zero
+  EXPECT_EQ(m.buckets[Histogram::bucket_index(5)], 1u);  // exact bucket
+  EXPECT_EQ(m.buckets[Histogram::bucket_index(17)], 1u);  // [16, 17]
   h.clear();
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.max(), 0u);
+  EXPECT_EQ(h.merged().count, 0u);
+  EXPECT_EQ(h.merged().max, 0u);
 }
 
 TEST(Histogram, PercentilesBracketTrueValues) {
@@ -192,7 +216,7 @@ TEST(Histogram, PercentilesBracketTrueValues) {
   // Percentiles are clamped to the observed extremes...
   EXPECT_DOUBLE_EQ(h.percentile(0), 1.0);
   EXPECT_DOUBLE_EQ(h.percentile(100), 100.0);
-  // ...and interior queries land inside the true value's log2 bucket.
+  // ...and interior queries land near the true values (50, 90).
   const double p50 = h.percentile(50);
   EXPECT_GE(p50, 32.0);
   EXPECT_LE(p50, 64.0);
@@ -208,6 +232,110 @@ TEST(Histogram, ConstantStreamCollapsesAllPercentiles) {
   for (int i = 0; i < 1000; ++i) h.record(42);
   for (double p : {0.0, 10.0, 50.0, 90.0, 99.9, 100.0}) {
     EXPECT_DOUBLE_EQ(h.percentile(p), 42.0) << "p" << p;
+  }
+}
+
+/// Nearest-rank percentile of an exact stream, as HistWindow ranks it.
+std::uint64_t exact_percentile(std::vector<std::uint64_t> values, double p) {
+  std::sort(values.begin(), values.end());
+  const auto n = static_cast<double>(values.size());
+  const auto rank = std::clamp<std::uint64_t>(static_cast<std::uint64_t>(p / 100.0 * n + 0.5), 1,
+                                               values.size());
+  return values[rank - 1];
+}
+
+/// Within the 12.5% sub-bucket width of the exact value, or within +1 in
+/// the exact 0..7 buckets.
+void expect_quantile_close(double got, std::uint64_t exact, const char* where, double p) {
+  const double bound = exact < 8 ? 1.0 : 0.125 * static_cast<double>(exact);
+  EXPECT_NEAR(got, static_cast<double>(exact), bound) << where << " p" << p;
+}
+
+TEST(Histogram, QuantileErrorBoundedOnEveryExport) {
+  ObsGuard guard;
+  obs::Metrics& m = obs::Metrics::global();
+  m.enable();
+  // 10×70, 80×100, 10×120: a log₂ layout puts 70 and 100 in one [64, 127]
+  // bucket and reads p90 as 120.
+  const std::vector<std::vector<std::uint64_t>> streams = {
+      [] {
+        std::vector<std::uint64_t> v(10, 70);
+        v.insert(v.end(), 80, 100);
+        v.insert(v.end(), 10, 120);
+        return v;
+      }(),
+      {0, 1, 1, 2, 3, 3, 3, 5, 6, 7, 7, 7},
+  };
+  for (const std::vector<std::uint64_t>& stream : streams) {
+    m.clear();
+    Histogram h;
+    obs::WindowedMetrics win(0, 1, /*ring_seconds=*/16);
+    for (std::uint64_t v : stream) {
+      h.record(v);
+      win.record_value_at(0, v, /*now_s=*/10);
+      m.histogram(obs::Hist::kServeRequestMicros).record(v);
+    }
+    const obs::HistWindow windowed = win.hist_window(0, 10, /*now_s=*/11);
+    ASSERT_EQ(windowed.count, stream.size());
+    const util::JsonValue exported =
+        util::json_parse(m.json()).at("histograms").at("serve/request_us");
+    static constexpr struct { double p; const char* key; } kQuantiles[] = {
+        {50, "p50"}, {90, "p90"}, {99, "p99"}};
+    for (const auto& q : kQuantiles) {
+      const std::uint64_t exact = exact_percentile(stream, q.p);
+      expect_quantile_close(h.percentile(q.p), exact, "Histogram::percentile", q.p);
+      expect_quantile_close(windowed.percentile(q.p), exact, "hist_window().percentile", q.p);
+      expect_quantile_close(exported.at(q.key).as_double(), exact, "Metrics::json", q.p);
+    }
+  }
+}
+
+TEST(Histogram, ConcurrentRecordingMergesExactly) {
+  // Threads race on the sharded counters and the CAS min/max of one
+  // Histogram, and on the first claim of two fresh WindowedMetrics slots.
+  constexpr std::size_t kThreads = 4;
+  constexpr std::uint64_t kPerThread = 5000;
+  const auto value_of = [](std::size_t t, std::uint64_t i) { return (i * 7919 + t * 31) % 4099; };
+  Histogram h;
+  obs::WindowedMetrics win(1, 1, /*ring_seconds=*/8);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::uint64_t i = 0; i < kPerThread; ++i) {
+        const std::uint64_t v = value_of(t, i);
+        const std::int64_t second = 100 + static_cast<std::int64_t>(i % 2);
+        h.record(v);
+        win.record_value_at(0, v, second);
+        win.add_counter_at(0, 1, second);
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  obs::HistWindow want;
+  want.min = UINT64_MAX;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    for (std::uint64_t i = 0; i < kPerThread; ++i) {
+      const std::uint64_t v = value_of(t, i);
+      ++want.count;
+      want.sum += v;
+      want.min = std::min(want.min, v);
+      want.max = std::max(want.max, v);
+      ++want.buckets[Histogram::bucket_index(v)];
+    }
+  }
+  const obs::HistWindow got = h.merged();
+  const obs::HistWindow windowed = win.hist_window(0, 4, /*now_s=*/102);
+  EXPECT_EQ(got.count, want.count);
+  EXPECT_EQ(got.sum, want.sum);
+  EXPECT_EQ(got.min, want.min);
+  EXPECT_EQ(got.max, want.max);
+  EXPECT_EQ(windowed.count, want.count);
+  EXPECT_EQ(windowed.sum, want.sum);
+  EXPECT_EQ(win.counter_sum(0, 4, /*now_s=*/102), want.count);
+  for (std::size_t b = 0; b < Histogram::kNumBuckets; ++b) {
+    EXPECT_EQ(got.buckets[b], want.buckets[b]) << "bucket " << b;
+    EXPECT_EQ(windowed.buckets[b], want.buckets[b]) << "windowed bucket " << b;
   }
 }
 
@@ -305,13 +433,16 @@ TEST(Metrics, JsonSchemaAndNamedHistograms) {
   obs::Metrics& m = obs::Metrics::global();
   m.enable();
   for (std::uint64_t v = 1; v <= 64; ++v) m.histogram(obs::Hist::kMessageBytes).record(v);
-  m.named("custom/thing").record(7);
+  m.histogram(obs::Hist::kServeRequestMicros).record(7);
+  m.histogram(obs::Hist::kServeCoalescedBatches).record(3);
   const std::string json = m.json();
   JsonChecker checker(json);
   EXPECT_TRUE(checker.valid()) << json;
   EXPECT_NE(json.find("\"histograms\""), std::string::npos);
   EXPECT_NE(json.find("\"comm/message_bytes\""), std::string::npos);
-  EXPECT_NE(json.find("\"custom/thing\""), std::string::npos);
+  // The daemon's histograms keep their export names.
+  EXPECT_NE(json.find("\"serve/request_us\""), std::string::npos);
+  EXPECT_NE(json.find("\"serve/coalesced_batches\""), std::string::npos);
   for (const char* key : {"\"count\"", "\"sum\"", "\"min\"", "\"max\"", "\"mean\"", "\"p50\"",
                           "\"p90\"", "\"p99\"", "\"buckets\"", "\"le\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << key;
@@ -323,29 +454,6 @@ TEST(Metrics, JsonSchemaAndNamedHistograms) {
 // ---- WindowedMetrics --------------------------------------------------------
 // All rotation tests use the _at variants with explicit fake timestamps so
 // rotation, idle gaps, clock steps, and ring wrap are driven deterministically.
-
-TEST(WindowedMetrics, ValueBucketBoundsBracketTheirValues) {
-  using W = obs::WindowedMetrics;
-  // 0..7 are exact buckets.
-  for (std::uint64_t v = 0; v < 8; ++v) {
-    EXPECT_EQ(W::value_bucket(v), v);
-    EXPECT_EQ(W::bucket_lower(v), v);
-    EXPECT_EQ(W::bucket_upper(v), v);
-  }
-  // Every log-linear bucket's bounds map back into it, and buckets tile
-  // the value axis with no gaps: upper(i) + 1 == lower(i + 1).
-  for (std::size_t i = 8; i < W::kValueBuckets; ++i) {
-    EXPECT_EQ(W::value_bucket(W::bucket_lower(i)), i) << "lower of bucket " << i;
-    EXPECT_EQ(W::value_bucket(W::bucket_upper(i)), i) << "upper of bucket " << i;
-    EXPECT_EQ(W::bucket_upper(i - 1) + 1, W::bucket_lower(i)) << "gap before bucket " << i;
-    if (i == W::kValueBuckets - 1) continue;  // last bucket is the clamp catch-all
-    // Sub-bucket width bounds relative quantile error at 1/8.
-    const double width = static_cast<double>(W::bucket_upper(i) - W::bucket_lower(i) + 1);
-    EXPECT_LE(width / static_cast<double>(W::bucket_lower(i)), 0.1251) << "bucket " << i;
-  }
-  // Values beyond the last bucket clamp instead of indexing out of range.
-  EXPECT_EQ(W::value_bucket(UINT64_MAX), W::kValueBuckets - 1);
-}
 
 TEST(WindowedMetrics, WindowExcludesCurrentPartialSecond) {
   obs::WindowedMetrics win(1, 0, /*ring_seconds=*/16);
@@ -578,6 +686,42 @@ TEST(ObsReconciliation, SpanSumsMatchRunStats) {
               stats.network_seconds, 1e-12);
 }
 
+TEST(ObsReconciliation, MfbcHostComputeSpansMatchRunStats) {
+  // MFBC runs outside BspLoop: its sweeps and group merges emit their own
+  // host-compute spans, which must sum per host to the RunStats totals.
+  ObsGuard guard;
+  const graph::Graph g = graph::erdos_renyi(60, 0.08, 7);
+  const auto sources = graph::sample_sources(g, 6, 1, /*contiguous=*/false);
+  baselines::MfbcOptions opts;
+  opts.num_hosts = 4;
+  opts.replication = 2;  // 2 grid rows: two group merges per step
+  opts.batch_size = 3;
+  opts.parallel_hosts = true;  // spans are emitted from pool threads
+  Tracer& t = Tracer::global();
+  t.enable(1 << 14);
+  const RunStats stats = baselines::mfbc_bc(g, sources, opts).total();
+  t.disable();
+
+  std::vector<double> span_sums(opts.num_hosts, 0.0);
+  std::size_t spans = 0;
+  for (const SpanRecord& s : t.snapshot()) {
+    if (std::string(s.name) != "host-compute") continue;
+    ASSERT_LT(s.host, opts.num_hosts);
+    EXPECT_FALSE(s.modeled);
+    EXPECT_GE(s.round, 1u) << "tagged with its iteration";
+    span_sums[s.host] += s.dur_us * 1e-6;
+    ++spans;
+  }
+  ASSERT_GT(stats.rounds, 0u);
+  // Every step: one sweep per host and one merge per grid row.
+  EXPECT_EQ(spans, stats.rounds * (4 + 2));
+  ASSERT_EQ(stats.per_host_compute_seconds.size(), opts.num_hosts);
+  for (std::uint32_t h = 0; h < opts.num_hosts; ++h) {
+    const double want = stats.per_host_compute_seconds[h];
+    EXPECT_NEAR(span_sums[h], want, 1e-9 * want + 1e-12) << "host " << h;
+  }
+}
+
 TEST(ObsReconciliation, FaultInjectedRunReconcilesSpansAndPhases) {
   ObsGuard guard;
   Tracer& t = Tracer::global();
@@ -645,7 +789,7 @@ TEST(ObsReconciliation, SpanDurationsFeedSpanMicrosHistogram) {
   obs::Metrics::global().enable();
   { obs::Span s(Category::kAlgo, "timed"); }
   { obs::Span s(Category::kAlgo, "timed"); }
-  EXPECT_EQ(obs::Metrics::global().histogram(obs::Hist::kSpanMicros).count(), 2u);
+  EXPECT_EQ(obs::Metrics::global().histogram(obs::Hist::kSpanMicros).merged().count, 2u);
 }
 
 }  // namespace

@@ -463,7 +463,8 @@ TEST(DurableRestart, MrbcResumeRejectsOlderSlotLayout) {
 
 TEST(DurableRestart, MrbcResumeRejectsHugeWorklist) {
   // A CRC-valid loop snapshot whose host-0 worklist declares 2^40 entries
-  // must be refused by the bounded reader before anything is allocated.
+  // must be refused by the bounded reader before anything is allocated,
+  // as a SnapshotError naming the loop section, before any round runs.
   const std::string dir = scratch_dir("mrbc_worklist");
   const Graph g = graph::erdos_renyi(40, 0.1, 13);
   const auto sources = graph::sample_sources(g, 6, 1, /*contiguous=*/false);
@@ -493,7 +494,12 @@ TEST(DurableRestart, MrbcResumeRejectsHugeWorklist) {
   ASSERT_TRUE(edited) << "the first durable write carries a loop snapshot";
   core::MrbcOptions ropts = opts;
   ropts.resume = true;
-  EXPECT_THROW(core::mrbc_bc(g, sources, ropts), std::out_of_range);
+  try {
+    core::mrbc_bc(g, sources, ropts);
+    ADD_FAILURE() << "resume accepted a 2^40-entry worklist";
+  } catch (const sim::SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find("section 4 (loop)"), std::string::npos) << e.what();
+  }
 }
 
 // ---- Resume rejection, for both durable engines -----------------------------
