@@ -1,7 +1,9 @@
 // Google-benchmark microbenchmarks for the data structures on MRBC's hot
-// paths: DynamicBitset iteration (source sets per distance bucket), FlatMap
-// vs std::map (the M_v index, paper footnote 1), and the HostState
-// nth_entry / position queries that implement the pipelined send schedule.
+// paths: DynamicBitset iteration and counting (the source and proxy planes),
+// FlatMap vs std::map (the paper's footnote-1 choice of index for M_v), and
+// HostState's sorted L_v rows — one (dist << 32 | source) key row per
+// vertex — through update_distance (binary search plus one memmove) and
+// nth_entry (an index), the queries behind the pipelined send schedule.
 //
 // After the benchmark suite, main runs frontier_scan_gate(): an enforced
 // check that the dispatched bitwords kernels beat their scalar references on
@@ -74,7 +76,7 @@ void BM_FlatMapChurn(benchmark::State& state) {
 void BM_StdMapChurn(benchmark::State& state) {
   map_churn<std::map<std::uint32_t, double>>(state);
 }
-// The M_v index holds few distinct distances (the diameter reached by the
+// An M_v index holds few distinct distances (the diameter reached by the
 // batch): 16 and 64 bracket the realistic range.
 BENCHMARK(BM_FlatMapChurn)->Arg(16)->Arg(64);
 BENCHMARK(BM_StdMapChurn)->Arg(16)->Arg(64);

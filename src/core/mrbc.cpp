@@ -38,7 +38,7 @@ constexpr std::uint8_t kEagerStaged = 4; // staged for eager (non-final) broadca
 // in global sequential order — chunk-index major, in-chunk push order minor
 // — so every slot sees exactly the arithmetic sequence the sequential drain
 // would have applied. Ranges are disjoint in everything a push mutates (the
-// slot array is lid-major, dirty/dist-map/to_broadcast state is per-lid, and
+// slot array is lid-major, dirty/L_v-row/to_broadcast state is per-lid, and
 // 64-lid alignment keeps substrate flag-bitset words range-private), so
 // ranges can replay concurrently.
 //
@@ -127,6 +127,8 @@ class BatchRunner final : public sim::Checkpointable {
     final_count_.resize(H);
     pull_rounds_.assign(H, 0);
     scratch_.resize(H);
+    pending_.resize(H);
+    calendar_.resize(H);
     for (HostId h = 0; h < H; ++h) {
       const auto& hg = part_.host(h);
       state_.emplace_back(hg.num_proxies(), k);
@@ -135,6 +137,7 @@ class BatchRunner final : public sim::Checkpointable {
       avail_[h].resize(static_cast<std::size_t>(hg.num_proxies()) * kw * 64);
       frontier_[h].resize(static_cast<std::size_t>(hg.num_proxies()) * kw * 64);
       frontier_ord_[h].assign(static_cast<std::size_t>(hg.num_proxies()) * k, 0);
+      pending_[h].resize(hg.num_proxies());
       rebuild_avail(h);
       local_edges_[h] = hg.local.num_edges();
       for (graph::VertexId l = 0; l < hg.num_proxies(); ++l) {
@@ -156,6 +159,7 @@ class BatchRunner final : public sim::Checkpointable {
         const graph::VertexId lid = part_.local_id(h, gv);
         state_[h].update_distance(lid, sidx, 0);
         state_[h].slot(lid, sidx).sigma = 1.0;
+        pending_[h].set(lid);
       }
     }
     ForwardAccessor acc{*this};
@@ -238,24 +242,56 @@ class BatchRunner final : public sim::Checkpointable {
     buf.write<std::uint32_t>(current_round_);
   }
 
+  /// Throws on any index or size outside this batch's label state, so a
+  /// CRC-valid but inconsistent snapshot is refused before any round reads
+  /// it.
   void restore_checkpoint(util::RecvBuffer& buf) override {
     substrate_.restore_state(buf);
     const HostId H = part_.num_hosts();
+    const auto k = static_cast<std::uint32_t>(batch_.size());
     for (HostId h = 0; h < H; ++h) {
+      const VertexId np = part_.host(h).num_proxies();
       state_[h].restore(buf);
+      if (state_[h].num_sources() != k || state_[h].num_proxies() != np) {
+        throw std::out_of_range("host " + std::to_string(h) + ": labels for " +
+                                std::to_string(state_[h].num_proxies()) + " proxies x " +
+                                std::to_string(state_[h].num_sources()) + " sources");
+      }
       flags_[h] = buf.read_vector<std::uint8_t>();
+      sim::expect_size("slot flags", flags_[h].size(), static_cast<std::uint64_t>(np) * k);
       worklist_[h] = buf.read_vector<DrainEntry>();
       self_sched_[h] = buf.read_vector<DrainEntry>();
       staged_lids_[h] = buf.read_vector<graph::VertexId>();
+      for (const auto* list : {&worklist_[h], &self_sched_[h]}) {
+        for (const auto& [lid, sidx] : *list) {
+          if (lid >= np || sidx >= k) {
+            throw std::out_of_range("host " + std::to_string(h) + ": drain entry (" +
+                                    std::to_string(lid) + ", " + std::to_string(sidx) +
+                                    ") out of range");
+          }
+        }
+      }
+      for (graph::VertexId lid : staged_lids_[h]) {
+        if (lid >= np) {
+          throw std::out_of_range("host " + std::to_string(h) + ": staged lid " +
+                                  std::to_string(lid) + " out of range");
+        }
+      }
       // The direction-optimization planes are derived state: avail mirrors
       // the restored kFwdFinal flags, the frontier is all-zero between
       // rounds (restores happen at sync boundaries). Snapshot bytes are
-      // untouched by the direction machinery.
+      // untouched by the direction machinery. So are the scheduler's
+      // pending set, rebuilt here from the cursors, and the backward
+      // calendar, rebuilt on its next use.
       rebuild_avail(h);
       frontier_[h].reset_all();
+      rebuild_pending(h);
+      calendar_[h].built = false;
     }
     anomalies_ = buf.read_vector<std::size_t>();
+    sim::expect_size("anomalies", anomalies_.size(), H);
     host_active_ = buf.read_vector<std::uint8_t>();
+    sim::expect_size("host_active", host_active_.size(), H);
     forward_rounds_ = buf.read<std::uint32_t>();
     current_round_ = buf.read<std::uint32_t>();
   }
@@ -354,6 +390,16 @@ class BatchRunner final : public sim::Checkpointable {
     }
   }
 
+  /// Derives the forward scheduler's pending set from the cursors: the
+  /// masters with unsent L_v entries (ctor state is all-clear; restore).
+  void rebuild_pending(HostId h) {
+    const HostState& st = state_[h];
+    pending_[h].reset_all();
+    for (graph::VertexId lid : masters_[h]) {
+      if (st.fwd_sent[lid] < st.entry_count(lid)) pending_[h].set(lid);
+    }
+  }
+
   /// Out-degree sum of this round's drain entries: the push cost of the
   /// round, and exactly what the push drain charges as work_items. u64
   /// addition is associative, so the chunked reduction is exact and
@@ -393,6 +439,8 @@ class BatchRunner final : public sim::Checkpointable {
       s.sigma += sigma;
     }
     if (part_.host(h).is_master[lid]) {
+      // A staged replay range owns whole words of the pending set.
+      pending_[h].set(lid);
       if (!opts_.delayed_sync) stage_eager(h, lid, sidx, staged, ord);
     } else {
       st.mark_dirty(lid, sidx);
@@ -444,17 +492,25 @@ class BatchRunner final : public sim::Checkpointable {
     }
   }
 
-  /// Per-round pass over all masters, run between the reduce and broadcast
-  /// phases of round `round`'s sync: with every contribution of the round
-  /// already reduced, fire everything due. This is where the paper's rule
-  /// "synchronize d and sigma in round r = d + l(d,s)" is evaluated.
+  /// Per-round pass over the pending masters, run between the reduce and
+  /// broadcast phases of round `round`'s sync: with every contribution of
+  /// the round already reduced, fire everything due. This is where the
+  /// paper's rule "synchronize d and sigma in round r = d + l(d,s)" is
+  /// evaluated. Ascending lid order, as a walk over all masters would fire
+  /// them; a master leaves the set once every entry is sent.
   void schedule_forward(HostId h, std::uint32_t round) {
     HostState& st = state_[h];
+    util::DynamicBitset& pending = pending_[h];
     bool active = false;
-    for (graph::VertexId lid : masters_[h]) {
+    pending.for_each_set_bit([&](std::size_t l) {
+      const auto lid = static_cast<graph::VertexId>(l);
       flush_due_forward(h, lid, round);
-      active = active || st.fwd_sent[lid] < st.entry_count(lid);
-    }
+      if (st.fwd_sent[lid] < st.entry_count(lid)) {
+        active = true;
+      } else {
+        pending.reset(lid);
+      }
+    });
     host_active_[h] = active;
   }
 
@@ -650,57 +706,98 @@ class BatchRunner final : public sim::Checkpointable {
     }
     worklist_[h].clear();
     self_sched_[h].clear();
-    for (graph::VertexId lid : staged_lids_[h]) {
-      st.to_broadcast[lid].clear();
-      // clear eager-staging marks
-      for (std::uint32_t sidx = 0; sidx < batch_.size(); ++sidx) {
-        flags(h, lid, sidx) &= static_cast<std::uint8_t>(~kEagerStaged);
-      }
-    }
-    staged_lids_[h].clear();
+    end_staging(h);
     (void)round;
     // Re-evaluate after the drain: local pushes can seed brand-new entries
     // at same-host masters without setting any sync flag, and the loop
-    // must not quiesce while any master still has unsent entries.
+    // must not quiesce while any master still has unsent entries. Every
+    // such master is in the pending set.
+    const util::DynamicBitset& pending = pending_[h];
     bool active = false;
-    for (graph::VertexId lid : masters_[h]) {
-      if (st.fwd_sent[lid] < st.entry_count(lid)) {
-        active = true;
-        break;
-      }
+    for (std::size_t l = pending.find_first(); l < pending.size() && !active;
+         l = pending.find_first_from(l + 1)) {
+      active = st.fwd_sent[l] < st.entry_count(static_cast<graph::VertexId>(l));
     }
     w.active = active;
     return w;
   }
 
+  /// Ends a round's broadcast staging: empties each staged lid's list and
+  /// clears the kEagerStaged marks of its non-final entries, the only ones
+  /// stage_eager sets.
+  void end_staging(HostId h) {
+    HostState& st = state_[h];
+    for (graph::VertexId lid : staged_lids_[h]) {
+      for (const auto& [sidx, is_final] : st.to_broadcast[lid]) {
+        if (!is_final) flags(h, lid, sidx) &= static_cast<std::uint8_t>(~kEagerStaged);
+      }
+      st.to_broadcast[lid].clear();
+    }
+    staged_lids_[h].clear();
+  }
+
   // ---- Accumulation phase -------------------------------------------------
 
-  /// tau_sv is re-derived from the final list (Section 4.3: "we can derive
-  /// the round in which sigma was sent using d_sv in the map ... and the
-  /// number of already sent dependencies"). Entries fire in reverse
-  /// lexicographic order: A_sv = R - tau_sv + 1.
+  /// Backward fire round of L_v entry `idx` at distance `d`. tau_sv is
+  /// re-derived from the final list (Section 4.3: "we can derive the round
+  /// in which sigma was sent using d_sv in the map ... and the number of
+  /// already sent dependencies"); tau matches the shifted forward fire
+  /// round d + position + 1, and A_sv = R - tau_sv + 1. Along reverse
+  /// lexicographic order tau falls, so a vertex's fire rounds never fall.
+  static std::uint32_t backward_fire(std::uint32_t d, std::size_t idx, std::uint32_t R) {
+    const std::uint32_t tau = d + static_cast<std::uint32_t>(idx) + 2;
+    return (R >= tau ? R - tau : 0) + 1;
+  }
+
+  /// Counting-sorts host h's unfired (master, entry) pairs by fire round.
+  /// Labels are frozen once the forward phase ends, so every fire round is
+  /// known up front. Within a round, masters ascend and each master's
+  /// entries run in reverse lexicographic order: the order the per-master
+  /// scan fired them in.
+  void build_calendar(HostId h, std::uint32_t R) {
+    const HostState& st = state_[h];
+    Calendar& cal = calendar_[h];
+    const std::uint32_t last = std::max<std::uint32_t>(R, 1);  // fire lies in [1, last]
+    auto for_each_unfired = [&](auto&& fn) {
+      for (graph::VertexId lid : masters_[h]) {
+        const std::size_t count = st.entry_count(lid);
+        for (std::size_t i = st.acc_sent[lid]; i < count; ++i) {
+          const std::size_t idx = count - 1 - i;
+          fn(lid, idx, backward_fire(st.nth_entry(lid, idx).first, idx, R));
+        }
+      }
+    };
+    cal.start.assign(last + 2, 0);
+    for_each_unfired([&](graph::VertexId, std::size_t, std::uint32_t f) { ++cal.start[f + 1]; });
+    for (std::uint32_t f = 1; f < last + 2; ++f) cal.start[f] += cal.start[f - 1];
+    cal.entries.resize(cal.start[last + 1]);
+    std::vector<std::uint32_t> fill(cal.start.begin(), cal.start.end() - 1);
+    for_each_unfired([&](graph::VertexId lid, std::size_t idx, std::uint32_t f) {
+      cal.entries[fill[f]++] = {lid, st.nth_entry(lid, idx).second};
+    });
+    cal.next = 0;
+    cal.built = true;
+  }
+
+  /// Fires every calendar entry due by `next_round`, in calendar order.
+  /// An entry due before `next_round` missed its round: an anomaly.
   void schedule_backward(HostId h, std::uint32_t next_round, std::uint32_t R) {
     HostState& st = state_[h];
-    bool active = false;
-    for (graph::VertexId lid : masters_[h]) {
-      const std::size_t count = st.entry_count(lid);
-      while (st.acc_sent[lid] < count) {
-        const std::size_t idx = count - 1 - st.acc_sent[lid];
-        const auto [d, sidx] = st.nth_entry(lid, idx);
-        // tau matches the shifted forward fire round: d + position + 1.
-        const std::uint32_t tau = d + static_cast<std::uint32_t>(idx) + 2;
-        const std::uint32_t fire = (R >= tau ? R - tau : 0) + 1;
-        if (fire > next_round) break;
-        if (fire < next_round) ++anomalies_[h];
+    Calendar& cal = calendar_[h];
+    if (!cal.built) build_calendar(h, R);
+    const auto last = static_cast<std::uint32_t>(cal.start.size() - 2);
+    for (; cal.next <= std::min(next_round, last); ++cal.next) {
+      for (std::uint32_t i = cal.start[cal.next]; i < cal.start[cal.next + 1]; ++i) {
+        const auto [lid, sidx] = cal.entries[i];
+        if (cal.next < next_round) ++anomalies_[h];
         if (st.to_broadcast[lid].empty()) staged_lids_[h].push_back(lid);
         st.to_broadcast[lid].push_back({sidx, true});
         substrate_.flag_broadcast(h, lid);
         self_sched_[h].push_back({lid, sidx});
         ++st.acc_sent[lid];
       }
-      active = active || st.acc_sent[lid] < count;
     }
-    host_active_[h] = active;
+    host_active_[h] = cal.start[cal.next] < cal.entries.size();
   }
 
   void combine_backward_impl(HostId h, graph::VertexId lid, std::uint32_t sidx,
@@ -780,13 +877,7 @@ class BatchRunner final : public sim::Checkpointable {
     }
     worklist_[h].clear();
     self_sched_[h].clear();
-    for (graph::VertexId lid : staged_lids_[h]) {
-      st.to_broadcast[lid].clear();
-      for (std::uint32_t sidx = 0; sidx < batch_.size(); ++sidx) {
-        flags(h, lid, sidx) &= static_cast<std::uint8_t>(~kEagerStaged);
-      }
-    }
-    staged_lids_[h].clear();
+    end_staging(h);
     schedule_backward(h, round + 1, R);
     w.active = host_active_[h];
     return w;
@@ -932,6 +1023,16 @@ class BatchRunner final : public sim::Checkpointable {
   std::vector<std::vector<std::uint32_t>> final_count_;  ///< finalized sources per lid
   std::vector<std::size_t> pull_rounds_;       ///< diagnostic counter, per host
   std::vector<DrainScratch> scratch_;          ///< pooled drain buffers, per host
+  // Delayed-sync scheduler state, derived from the labels and cursors and
+  // never checkpointed (rebuilt in restore_checkpoint):
+  std::vector<util::DynamicBitset> pending_;  ///< per host: masters that may hold unsent entries
+  struct Calendar {
+    std::vector<DrainEntry> entries;  ///< unfired (master, source) pairs in fire order
+    std::vector<std::uint32_t> start;  ///< start[f]: first entry firing at round >= f
+    std::uint32_t next = 0;            ///< first fire round not yet popped
+    bool built = false;
+  };
+  std::vector<Calendar> calendar_;  ///< per host, backward phase only
   std::uint32_t forward_rounds_ = 0;
   std::uint32_t current_round_ = 0;
 };

@@ -11,11 +11,19 @@
 
 namespace mrbc::core {
 
+namespace {
+
+/// L_v row key: lexicographic (dist, source) order is u64 order.
+constexpr std::uint64_t entry_key(std::uint32_t dist, std::uint32_t sidx) {
+  return (std::uint64_t{dist} << 32) | sidx;
+}
+
+}  // namespace
+
 HostState::HostState(VertexId num_proxies, std::uint32_t num_sources)
     : num_proxies_(num_proxies), k_(num_sources) {
   layout();
   first_touch_init();
-  dist_map_.resize(num_proxies);
   dirty_.resize(num_proxies);
   to_broadcast.resize(num_proxies);
 }
@@ -24,9 +32,11 @@ void HostState::layout() {
   const std::size_t np = num_proxies_;
   kw_ = (k_ + 63) / 64;
   using util::Arena;
-  arena_.reserve(Arena::bytes_for<SourceSlot>(np * k_) + Arena::bytes_for<std::size_t>(np) +
-                 2 * Arena::bytes_for<std::uint32_t>(np) + Arena::bytes_for<Word>(np * kw_));
+  arena_.reserve(Arena::bytes_for<SourceSlot>(np * k_) + Arena::bytes_for<std::uint64_t>(np * k_) +
+                 Arena::bytes_for<std::size_t>(np) + 2 * Arena::bytes_for<std::uint32_t>(np) +
+                 Arena::bytes_for<Word>(np * kw_));
   slots_ = arena_.alloc<SourceSlot>(np * k_);
+  keys_ = arena_.alloc<std::uint64_t>(np * k_);
   entry_counts_ = arena_.alloc<std::size_t>(np);
   fwd_sent = arena_.alloc<std::uint32_t>(np);
   acc_sent = arena_.alloc<std::uint32_t>(np);
@@ -42,6 +52,7 @@ void HostState::first_touch_init() {
       0, static_cast<std::size_t>(num_proxies_), grain,
       [&](std::size_t, std::size_t b, std::size_t e) {
         std::fill(slots_.begin() + b * k_, slots_.begin() + e * k_, SourceSlot{});
+        std::fill(keys_.begin() + b * k_, keys_.begin() + e * k_, std::uint64_t{0});
         std::fill(entry_counts_.begin() + b, entry_counts_.begin() + e, std::size_t{0});
         std::fill(fwd_sent.begin() + b, fwd_sent.begin() + e, 0u);
         std::fill(acc_sent.begin() + b, acc_sent.begin() + e, 0u);
@@ -51,67 +62,50 @@ void HostState::first_touch_init() {
 
 void HostState::update_distance(VertexId lid, std::uint32_t sidx, std::uint32_t new_dist) {
   SourceSlot& s = slot(lid, sidx);
-  auto& map = dist_map_[lid];
-  if (s.dist != graph::kInfDist) {
+  std::uint64_t* row = keys_.data() + static_cast<std::size_t>(lid) * k_;
+  std::uint64_t* end = row + entry_counts_[lid];
+  const std::uint64_t key = entry_key(new_dist, sidx);
+  if (s.dist == graph::kInfDist) {
+    std::uint64_t* at = std::lower_bound(row, end, key);
+    std::copy_backward(at, end, end + 1);
+    *at = key;
+    ++entry_counts_[lid];
+  } else {
     if (s.dist == new_dist) return;
-    auto it = map.find(s.dist);
-    assert(it != map.end());
-    it->second.reset(sidx);
-    if (it->second.none()) map.erase(it);
-    --entry_counts_[lid];
+    // Move the entry from its old position to the new one: one shift of
+    // the keys between them.
+    std::uint64_t* old = std::lower_bound(row, end, entry_key(s.dist, sidx));
+    assert(old != end && *old == entry_key(s.dist, sidx));
+    if (key < *old) {
+      std::uint64_t* at = std::lower_bound(row, old, key);
+      std::copy_backward(at, old, old + 1);
+      *at = key;
+    } else {
+      std::uint64_t* at = std::lower_bound(old + 1, end, key);
+      std::copy(old + 1, at, old);
+      *(at - 1) = key;
+    }
   }
   s.dist = new_dist;
-  auto [it, inserted] = map.try_emplace(new_dist);
-  if (inserted) it->second.resize(k_);
-  it->second.set(sidx);
-  ++entry_counts_[lid];
 }
 
 void HostState::clear_distance(VertexId lid, std::uint32_t sidx) {
   SourceSlot& s = slot(lid, sidx);
   if (s.dist == graph::kInfDist) return;
-  auto& map = dist_map_[lid];
-  auto it = map.find(s.dist);
-  assert(it != map.end());
-  it->second.reset(sidx);
-  if (it->second.none()) map.erase(it);
+  std::uint64_t* row = keys_.data() + static_cast<std::size_t>(lid) * k_;
+  std::uint64_t* end = row + entry_counts_[lid];
+  std::uint64_t* old = std::lower_bound(row, end, entry_key(s.dist, sidx));
+  assert(old != end && *old == entry_key(s.dist, sidx));
+  std::copy(old + 1, end, old);
   --entry_counts_[lid];
   s.dist = graph::kInfDist;
 }
 
-std::pair<std::uint32_t, std::uint32_t> HostState::nth_entry(VertexId lid,
-                                                             std::size_t idx) const {
-  assert(idx < entry_counts_[lid]);
-  for (const auto& [dist, sources] : dist_map_[lid]) {
-    const std::size_t bucket = sources.count();
-    if (idx < bucket) {
-      // Select the idx-th set bit within this distance bucket.
-      std::size_t bit = sources.find_first();
-      while (idx-- > 0) bit = sources.find_first_from(bit + 1);
-      return {dist, static_cast<std::uint32_t>(bit)};
-    }
-    idx -= bucket;
-  }
-  assert(false && "nth_entry out of range");
-  return {graph::kInfDist, 0};
-}
-
 std::size_t HostState::position(VertexId lid, std::uint32_t dist, std::uint32_t sidx) const {
-  std::size_t pos = 0;
-  for (const auto& [d, sources] : dist_map_[lid]) {
-    if (d < dist) {
-      pos += sources.count();
-      continue;
-    }
-    assert(d == dist && sources.test(sidx));
-    for (std::size_t bit = sources.find_first(); bit < sidx;
-         bit = sources.find_first_from(bit + 1)) {
-      ++pos;
-    }
-    return pos + 1;  // 1-based
-  }
-  assert(false && "position: entry not present");
-  return 0;
+  const std::uint64_t* row = keys_.data() + static_cast<std::size_t>(lid) * k_;
+  const std::uint64_t* at = std::lower_bound(row, row + entry_counts_[lid], entry_key(dist, sidx));
+  assert(at != row + entry_counts_[lid] && *at == entry_key(dist, sidx));
+  return static_cast<std::size_t>(at - row) + 1;  // 1-based
 }
 
 bool HostState::mark_dirty(VertexId lid, std::uint32_t sidx) {
@@ -170,6 +164,12 @@ void HostState::restore(util::RecvBuffer& buf) {
     throw std::out_of_range("HostState: slot count " + std::to_string(num_slots) +
                             " does not match expected " + std::to_string(slots_.size()));
   }
+  auto check_source = [&](std::uint32_t sidx, const char* what) {
+    if (sidx >= k_) {
+      throw std::out_of_range(std::string("HostState: ") + what + " " + std::to_string(sidx) +
+                              " out of range for " + std::to_string(k_) + " sources");
+    }
+  };
   const std::uint8_t* in = buf.consume(slots_.size() * kPackedSlotBytes);
   for (SourceSlot& s : slots_) {
     std::memcpy(&s.dist, in, sizeof s.dist);
@@ -178,7 +178,10 @@ void HostState::restore(util::RecvBuffer& buf) {
     in += kPackedSlotBytes;
   }
   dirty_.assign(num_proxies_, {});
-  for (VertexId lid = 0; lid < num_proxies_; ++lid) dirty_[lid] = buf.read_vector<std::uint32_t>();
+  for (VertexId lid = 0; lid < num_proxies_; ++lid) {
+    dirty_[lid] = buf.read_vector<std::uint32_t>();
+    for (std::uint32_t sidx : dirty_[lid]) check_source(sidx, "dirty source");
+  }
   buf.read_array(fwd_sent.data(), fwd_sent.size());
   buf.read_array(acc_sent.data(), acc_sent.size());
   to_broadcast.assign(num_proxies_, {});
@@ -187,24 +190,28 @@ void HostState::restore(util::RecvBuffer& buf) {
     to_broadcast[lid].reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) {
       const auto sidx = buf.read<std::uint32_t>();
+      check_source(sidx, "staged source");
       const bool is_final = buf.read<std::uint8_t>() != 0;
       to_broadcast[lid].emplace_back(sidx, is_final);
     }
   }
-  // Rebuild the derived structures: M_v / entry counts from A_v, the dirty
-  // word plane from the dirty lists.
-  dist_map_.assign(num_proxies_, {});
-  std::fill(entry_counts_.begin(), entry_counts_.end(), std::size_t{0});
+  // Rebuild the derived structures: the L_v rows and entry counts from A_v,
+  // the dirty word plane from the dirty lists.
   std::fill(dirty_words_.begin(), dirty_words_.end(), Word{0});
   for (VertexId lid = 0; lid < num_proxies_; ++lid) {
-    auto& map = dist_map_[lid];
+    std::uint64_t* row = keys_.data() + static_cast<std::size_t>(lid) * k_;
+    std::size_t n = 0;
     for (std::uint32_t sidx = 0; sidx < k_; ++sidx) {
       const std::uint32_t d = slot(lid, sidx).dist;
-      if (d == graph::kInfDist) continue;
-      auto [it, inserted] = map.try_emplace(d);
-      if (inserted) it->second.resize(k_);
-      it->second.set(sidx);
-      ++entry_counts_[lid];
+      if (d != graph::kInfDist) row[n++] = entry_key(d, sidx);
+    }
+    std::sort(row, row + n);
+    entry_counts_[lid] = n;
+    if (fwd_sent[lid] > n || acc_sent[lid] > n) {
+      throw std::out_of_range("HostState: lid " + std::to_string(lid) + " has " +
+                              std::to_string(n) + " entries but cursors " +
+                              std::to_string(fwd_sent[lid]) + "/" +
+                              std::to_string(acc_sent[lid]));
     }
     for (std::uint32_t sidx : dirty_[lid]) {
       dirty_words_[static_cast<std::size_t>(lid) * kw_ + sidx / 64] |= Word{1} << (sidx % 64);

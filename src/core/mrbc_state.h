@@ -3,20 +3,27 @@
 //   A_v — a dense array of per-source structs {dist, sigma, delta} giving
 //         O(1) access by (vertex, source); the three fields share one
 //         struct for spatial locality, exactly as the paper describes.
-//   M_v — a flat map from current distance to a dense bitvector over the
-//         batch's sources, allowing iteration of the (dist, source) pairs
-//         in lexicographic order (the list L_v of Algorithm 3) and rank
-//         queries for the pipelined send rounds.
+//   L_v — the list of finite (dist, source) pairs in lexicographic order
+//         (Algorithm 3), kept as one sorted row of k u64 keys
+//         (dist << 32 | source) per vertex, of which the first
+//         entry_count(lid) are live. The paper's flat map from distance to
+//         a source bitvector serves the same two queries; the row answers
+//         them directly: the idx-th entry is row[idx], and the rank l_v(d, s)
+//         that fixes an entry's pipelined send round is a binary search.
+//         A distance change is a binary search plus one memmove within the
+//         row. The rows are derived from A_v and never serialized.
 //
 // Everything the per-round drains touch per vertex — the slot row, the
-// pipelining cursors, the entry count, and the dirty-flag words — lives in
-// ONE flat arena allocation (util/arena.h), lid-major, instead of a
-// per-vertex constellation of heap vectors/bitsets. The staged replay
-// walks target lids in ascending order within 64-lid ranges, so the
-// physical memory order now matches the access order, and the arena pages
-// are first-touched through the thread pool with the same chunk deal the
-// replay uses (see the locality contract in util/thread_pool.h).
+// L_v row, the pipelining cursors, the entry count, and the dirty-flag
+// words — lives in ONE flat arena allocation (util/arena.h), lid-major,
+// instead of a per-vertex constellation of heap vectors/bitsets. The
+// staged replay walks target lids in ascending order within 64-lid
+// ranges, so the physical memory order now matches the access order, and
+// the arena pages are first-touched through the thread pool with the same
+// chunk deal the replay uses (see the locality contract in
+// util/thread_pool.h).
 
+#include <cassert>
 #include <cstdint>
 #include <span>
 #include <utility>
@@ -25,7 +32,6 @@
 #include "graph/graph.h"
 #include "util/arena.h"
 #include "util/bitset.h"
-#include "util/flat_map.h"
 #include "util/serialize.h"
 
 namespace mrbc::core {
@@ -62,12 +68,12 @@ class HostState {
     return slots_[static_cast<std::size_t>(lid) * k_ + sidx];
   }
 
-  // --- M_v maintenance --------------------------------------------------
-  // update_distance keeps slot.dist and the map consistent: pass the new
+  // --- L_v maintenance --------------------------------------------------
+  // update_distance keeps slot.dist and the row consistent: pass the new
   // distance; the old one is read from the slot.
   void update_distance(VertexId lid, std::uint32_t sidx, std::uint32_t new_dist);
 
-  /// Removes (slot.dist, sidx) from the map and resets the slot's dist to
+  /// Removes (slot.dist, sidx) from the row and resets the slot's dist to
   /// infinity (mirror reduce-reset).
   void clear_distance(VertexId lid, std::uint32_t sidx);
 
@@ -75,7 +81,11 @@ class HostState {
   std::size_t entry_count(VertexId lid) const { return entry_counts_[lid]; }
 
   /// idx-th (0-based) entry of L_v in lexicographic (dist, source) order.
-  std::pair<std::uint32_t, std::uint32_t> nth_entry(VertexId lid, std::size_t idx) const;
+  std::pair<std::uint32_t, std::uint32_t> nth_entry(VertexId lid, std::size_t idx) const {
+    assert(idx < entry_counts_[lid]);
+    const std::uint64_t key = keys_[static_cast<std::size_t>(lid) * k_ + idx];
+    return {static_cast<std::uint32_t>(key >> 32), static_cast<std::uint32_t>(key)};
+  }
 
   /// 1-based lexicographic position of (dist, sidx) in L_v — the paper's
   /// l_v(d, s). The entry must exist.
@@ -100,8 +110,11 @@ class HostState {
 
   // --- Checkpointing ------------------------------------------------------
   // Serializes / restores the complete label state for crash recovery.
-  // M_v and the entry counts are derivable from A_v, so only the slots and
-  // round-local cursors/queues go on the wire; restore() rebuilds the index.
+  // The L_v rows and entry counts are derivable from A_v, so only the slots
+  // and round-local cursors/queues go on the wire; restore() rebuilds each
+  // row by sorting its lid's finite slots. restore() throws
+  // std::out_of_range when a source index or cursor in the buffer lies
+  // outside the label state it describes.
   // The slot plane is a u64 count followed by kPackedSlotBytes per slot
   // (dist u32, sigma f64, delta f64, no padding), so equal label states
   // always serialize to equal bytes: SourceSlot's in-memory padding is
@@ -128,9 +141,9 @@ class HostState {
   std::uint32_t kw_ = 0;  ///< ceil(k / 64): words per lid in dirty_words_
   util::Arena arena_;
   std::span<SourceSlot> slots_;
+  std::span<std::uint64_t> keys_;  ///< np x k L_v rows, sorted, entry_count live
   std::span<std::size_t> entry_counts_;
   std::span<Word> dirty_words_;  ///< np x kw_ idempotency bits for mark_dirty
-  std::vector<util::FlatMap<std::uint32_t, util::DynamicBitset>> dist_map_;
   std::vector<std::vector<std::uint32_t>> dirty_;
 };
 

@@ -4,11 +4,21 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <filesystem>
+#include <ostream>
+#include <string>
+#include <vector>
+
 #include "baselines/brandes_seq.h"
 #include "core/congest_mrbc.h"
 #include "core/mrbc.h"
+#include "engine/fault.h"
+#include "engine/snapshot.h"
 #include "graph/algorithms.h"
 #include "test_helpers.h"
+#include "util/serialize.h"
 
 namespace mrbc {
 namespace {
@@ -191,6 +201,190 @@ TEST(Mrbc, RepeatedRunsAreDeterministic) {
   EXPECT_EQ(r1.result.bc, r2.result.bc);
   EXPECT_EQ(r1.total().bytes, r2.total().bytes);
   EXPECT_EQ(r1.total().messages, r2.total().messages);
+}
+
+// ---- Pinned schedule ----------------------------------------------------------
+
+/// FNV-1a over the score bytes: one constant pins every score bit.
+std::uint64_t score_hash(const core::BcScores& bc) {
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  const auto* p = reinterpret_cast<const std::uint8_t*>(bc.data());
+  for (std::size_t i = 0; i < bc.size() * sizeof(double); ++i) {
+    hash = (hash ^ p[i]) * 0x100000001b3ull;
+  }
+  return hash;
+}
+
+struct ScheduleCase {
+  bool web;  ///< web_crawl_like with tails, else RMAT scale 9
+  std::uint32_t batch;
+  bool delayed;
+  std::size_t forward_rounds, backward_rounds, messages, bytes, values;
+  std::uint64_t scores;
+};
+
+std::ostream& operator<<(std::ostream& os, const ScheduleCase& c) {
+  return os << "{" << (c.web ? "true" : "false") << ", " << c.batch << ", "
+            << (c.delayed ? "true" : "false") << ", " << c.forward_rounds << ", "
+            << c.backward_rounds << ", " << c.messages << ", " << c.bytes << ", " << c.values
+            << ", 0x" << std::hex << c.scores << std::dec << "ull}";
+}
+
+/// Phase cursor and loop round of the MRBC snapshot at `path` (meta
+/// section: fingerprint, batch cursor, phase; loop section: round first).
+std::pair<std::uint32_t, std::uint64_t> snapshot_position(const std::string& path) {
+  const sim::SnapshotReader reader = sim::SnapshotReader::from_file(path);
+  const auto& meta_bytes = reader.section(sim::kSectionMeta);
+  util::RecvBuffer meta(meta_bytes.data(), meta_bytes.size());
+  meta.read<std::uint32_t>();  // fingerprint
+  meta.read<std::uint64_t>();  // batch cursor
+  const auto phase = meta.read<std::uint32_t>();
+  constexpr std::uint32_t kLoopSection = 4;
+  if (!reader.has(kLoopSection)) return {phase, 0};
+  const auto& loop_bytes = reader.section(kLoopSection);
+  util::RecvBuffer loop(loop_bytes.data(), loop_bytes.size());
+  return {phase, loop.read<std::uint64_t>()};
+}
+
+/// Rounds of each BSP loop in a phase's round log (a loop starts at round 1).
+std::vector<std::size_t> loop_rounds(const std::vector<sim::RoundLogEntry>& log) {
+  std::vector<std::size_t> rounds;
+  for (const sim::RoundLogEntry& e : log) {
+    if (e.round == 1) rounds.push_back(0);
+    rounds.back() = e.round;
+  }
+  return rounds;
+}
+
+/// Durable writes up to the first snapshot taken after a backward round
+/// has run (0 if there is none): each BSP loop writes when it starts and
+/// every `interval` rounds, and each finished batch writes once more.
+std::size_t writes_to_mid_backward(const core::MrbcRun& logged, std::size_t interval) {
+  const std::vector<std::size_t> fwd = loop_rounds(logged.forward.round_log);
+  const std::vector<std::size_t> bwd = loop_rounds(logged.backward.round_log);
+  std::size_t writes = 0;
+  for (std::size_t b = 0; b < bwd.size(); ++b) {
+    writes += 1 + fwd[b] / interval + 1;
+    if (bwd[b] >= interval) return writes + 1;
+    writes += 1;
+  }
+  return 0;
+}
+
+TEST(MrbcSchedule, RoundsTrafficAndScoresArePinned) {
+  // Round counts, sync traffic and score bits of the delayed-sync schedule
+  // and of its eager ablation, on a long-tail and a low-diameter input, at
+  // batch sizes on both sides of one and two 64-source words. A run resumed
+  // from a mid-backward durable snapshot must reproduce all of them. Runs
+  // that crash — in a forward phase, and in a resumed backward phase — and
+  // roll back must reproduce the rounds and scores (their traffic adds the
+  // replayed rounds and the fault framing). On a mismatch the observed row
+  // is printed in table syntax.
+  const Graph web = graph::web_crawl_like(7, 4.0, 4, 24, 71);
+  const Graph rmat = graph::rmat({.scale = 9, .edge_factor = 8.0, .seed = 73});
+  const ScheduleCase cases[] = {
+      // web, batch, delayed, forward_rounds, backward_rounds, messages,
+      // bytes, values, scores
+      {true, 1, true, 1474, 1409, 2687, 230059, 9600, 0xc6cc7be4d12204dull},
+      {true, 17, true, 166, 162, 1600, 222436, 10050, 0x2dac323749124a9cull},
+      {true, 64, true, 108, 106, 1322, 223654, 9899, 0x3e536bbb4beb6237ull},
+      {true, 65, true, 80, 79, 1293, 223513, 9901, 0x1c1211c21359a12bull},
+      {true, 1, false, 1474, 1409, 2687, 258475, 9600, 0xc6cc7be4d12204dull},
+      {true, 17, false, 166, 162, 1602, 263661, 10506, 0x2dac323749124a9cull},
+      {true, 64, false, 108, 106, 1322, 270196, 10117, 0x3e536bbb4beb6237ull},
+      {true, 65, false, 80, 79, 1293, 270518, 10131, 0x1c1211c21359a12bull},
+      {false, 1, true, 374, 309, 4724, 1671432, 81947, 0x8402dab43705395dull},
+      {false, 17, true, 82, 78, 1726, 1890206, 88048, 0x94300651127381d9ull},
+      {false, 64, true, 69, 67, 1539, 2031927, 85807, 0xcf23cd3f2f74413ull},
+      {false, 65, true, 64, 63, 1486, 2041478, 85879, 0x5123034a32a10f2bull},
+      {false, 1, false, 374, 309, 4724, 2168202, 81947, 0x8402dab43705395dull},
+      {false, 17, false, 82, 78, 1726, 2691142, 89000, 0x94300651127381d9ull},
+      {false, 64, false, 69, 67, 1539, 2979412, 86219, 0xcf23cd3f2f74413ull},
+      {false, 65, false, 64, 63, 1486, 2996316, 86289, 0x5123034a32a10f2bull},
+  };
+  const std::filesystem::path dir = std::filesystem::temp_directory_path() / "mrbc_schedule_pin";
+  const std::string file = (dir / "mrbc.ckpt").string();
+  const std::string saved = (dir / "mid_backward.ckpt").string();
+  for (const ScheduleCase& c : cases) {
+    const Graph& g = c.web ? web : rmat;
+    const auto sources = graph::sample_sources(g, 65, 79);
+    MrbcOptions opts;
+    opts.num_hosts = 4;
+    opts.batch_size = c.batch;
+    opts.delayed_sync = c.delayed;
+    const std::string label = std::string(c.web ? "web" : "rmat9") + " batch=" +
+                              std::to_string(c.batch) + (c.delayed ? " delayed" : " eager");
+    auto expect_pinned = [&](const core::MrbcRun& run, const std::string& how) {
+      ScheduleCase o = c;
+      o.forward_rounds = run.forward.rounds;
+      o.backward_rounds = run.backward.rounds;
+      o.messages = run.total().messages;
+      o.bytes = run.total().bytes;
+      o.values = run.total().values;
+      o.scores = score_hash(run.result.bc);
+      EXPECT_FALSE(run.halted) << label << " " << how;
+      EXPECT_EQ(run.anomalies, 0u) << label << " " << how;
+      EXPECT_TRUE(o.forward_rounds == c.forward_rounds &&
+                  o.backward_rounds == c.backward_rounds && o.messages == c.messages &&
+                  o.bytes == c.bytes && o.values == c.values && o.scores == c.scores)
+          << label << " " << how << ": observed " << o;
+    };
+    auto expect_rounds_and_scores = [&](const core::MrbcRun& run, const std::string& how) {
+      EXPECT_EQ(run.anomalies, 0u) << label << " " << how;
+      EXPECT_EQ(run.forward.rounds, c.forward_rounds) << label << " " << how;
+      EXPECT_EQ(run.backward.rounds, c.backward_rounds) << label << " " << how;
+      EXPECT_EQ(score_hash(run.result.bc), c.scores) << label << " " << how;
+    };
+
+    MrbcOptions logged = opts;
+    logged.cluster.record_round_log = true;
+    const core::MrbcRun plain = mrbc_bc(g, sources, logged);
+    expect_pinned(plain, "plain");
+
+    // Halt at the first durable snapshot taken after a backward round has
+    // run, then resume to the end from the file alone.
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    MrbcOptions dopts = opts;
+    dopts.checkpoint_dir = dir.string();
+    dopts.cluster.checkpoint_interval = 4;
+    dopts.halt_after_checkpoints = writes_to_mid_backward(plain, 4);
+    ASSERT_NE(dopts.halt_after_checkpoints, 0u) << label << ": no backward phase of 4 rounds";
+    ASSERT_TRUE(mrbc_bc(g, sources, dopts).halted) << label;
+    const auto [phase, halt_round] = snapshot_position(file);
+    ASSERT_EQ(phase, 1u) << label;
+    ASSERT_EQ(halt_round, 4u) << label;
+    std::filesystem::copy_file(file, saved);
+    dopts.halt_after_checkpoints = 0;
+    dopts.resume = true;
+    expect_pinned(mrbc_bc(g, sources, dopts), "resumed");
+
+    // The same snapshot resumed once more, crashing one round in: the
+    // rollback restores the backward phase from the snapshot itself.
+    std::filesystem::copy_file(saved, file, std::filesystem::copy_options::overwrite_existing);
+    sim::FaultPlan resume_crash;
+    resume_crash.crash_round = static_cast<std::uint32_t>(halt_round + 1);
+    resume_crash.crash_host = 1;
+    sim::FaultInjector resume_injector(resume_crash, opts.num_hosts);
+    MrbcOptions ropts = dopts;
+    ropts.cluster.fault = &resume_injector;
+    const core::MrbcRun resumed_crash = mrbc_bc(g, sources, ropts);
+    EXPECT_EQ(resumed_crash.backward.faults.crashes, 1u) << label;
+    expect_rounds_and_scores(resumed_crash, "resumed crash");
+
+    // A crash in the first forward phase, rolled back and replayed.
+    sim::FaultPlan plan;
+    plan.crash_round = 3;
+    plan.crash_host = 1;
+    sim::FaultInjector injector(plan, opts.num_hosts);
+    MrbcOptions fopts = opts;
+    fopts.cluster.fault = &injector;
+    fopts.cluster.checkpoint_interval = 2;
+    const core::MrbcRun crashed = mrbc_bc(g, sources, fopts);
+    EXPECT_EQ(crashed.forward.faults.crashes, 1u) << label;
+    expect_rounds_and_scores(crashed, "crash");
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -502,6 +502,128 @@ TEST(DurableRestart, MrbcResumeRejectsHugeWorklist) {
   }
 }
 
+/// Offsets of host 0's state inside an MRBC loop section, found by
+/// replaying the section's own readers: the write_vector-framed dirty list
+/// of lid 0, the slot flags, and the worklist.
+struct LoopOffsets {
+  std::size_t dirty0 = 0;
+  std::size_t flags = 0;
+  std::size_t worklist = 0;
+};
+
+LoopOffsets loop_offsets(const std::vector<std::uint8_t>& bytes,
+                         const partition::Partition& part, std::uint32_t k) {
+  util::RecvBuffer loop(bytes.data(), bytes.size());
+  auto at = [&] { return loop.size() - loop.remaining(); };
+  loop.read<std::uint64_t>();  // round
+  loop.read<std::uint8_t>();   // any_active
+  loop.read<std::uint64_t>();  // snapshot length
+  comm::Substrate(part).restore_state(loop);
+  // Host 0's labels: k (u32), proxy count (u32), slot count (u64), the
+  // packed slots, then one dirty list per lid.
+  LoopOffsets o;
+  std::uint64_t num_slots = 0;
+  std::memcpy(&num_slots, bytes.data() + at() + 2 * sizeof(std::uint32_t), sizeof(num_slots));
+  o.dirty0 = at() + 2 * sizeof(std::uint32_t) + sizeof(std::uint64_t) +
+             num_slots * core::HostState::kPackedSlotBytes;
+  core::HostState(part.host(0).num_proxies(), k).restore(loop);
+  o.flags = at();
+  loop.read_vector<std::uint8_t>();
+  o.worklist = at();
+  return o;
+}
+
+/// Replaces the elements of the write_vector-framed vector at `offset` of
+/// an MRBC loop section by `elems` (raw bytes, `elem_size` per element) and
+/// keeps the framed loop snapshot's length prefix consistent.
+void replace_vector(std::vector<std::uint8_t>& bytes, std::size_t offset, std::size_t elem_size,
+                    const std::vector<std::uint8_t>& elems) {
+  std::uint64_t count = 0;
+  std::memcpy(&count, bytes.data() + offset, sizeof(count));
+  const std::uint64_t new_count = elems.size() / elem_size;
+  std::memcpy(bytes.data() + offset, &new_count, sizeof(new_count));
+  const auto body = static_cast<std::ptrdiff_t>(offset + sizeof(count));
+  bytes.erase(bytes.begin() + body,
+              bytes.begin() + body + static_cast<std::ptrdiff_t>(count * elem_size));
+  bytes.insert(bytes.begin() + body, elems.begin(), elems.end());
+  constexpr std::size_t kSnapshotLength = sizeof(std::uint64_t) + sizeof(std::uint8_t);
+  std::uint64_t length = 0;
+  std::memcpy(&length, bytes.data() + kSnapshotLength, sizeof(length));
+  length = length - count * elem_size + elems.size();
+  std::memcpy(bytes.data() + kSnapshotLength, &length, sizeof(length));
+}
+
+template <typename T>
+std::vector<std::uint8_t> raw_bytes(const T& value) {
+  std::vector<std::uint8_t> out(sizeof(T));
+  std::memcpy(out.data(), &value, sizeof(T));
+  return out;
+}
+
+TEST(DurableRestart, MrbcResumeRejectsOutOfRangeLoopIndices) {
+  // CRC-valid loop snapshots whose host-0 state would index past the
+  // batch's labels once a round runs: a slot-flag vector one byte short of
+  // np * k, a dirty source index equal to k, and a worklist lid equal to
+  // np. Each must be refused as a SnapshotError naming the loop section
+  // before any round runs.
+  const Graph g = graph::erdos_renyi(40, 0.1, 13);
+  const auto sources = graph::sample_sources(g, 6, 1, /*contiguous=*/false);
+  core::MrbcOptions opts;
+  opts.num_hosts = 3;
+  opts.batch_size = 3;
+  opts.halt_after_checkpoints = 1;
+  const partition::Partition part(g, opts.num_hosts, opts.policy);
+  const std::uint32_t k = opts.batch_size;
+  const VertexId np = part.host(0).num_proxies();
+  struct Craft {
+    const char* name;
+    const char* reason;  ///< expected in the error message
+    std::function<void(std::vector<std::uint8_t>&, const LoopOffsets&)> edit;
+  };
+  const Craft crafts[] = {
+      {"short_flags", "slot flags",
+       [&](std::vector<std::uint8_t>& bytes, const LoopOffsets& o) {
+         const auto first = bytes.begin() + static_cast<std::ptrdiff_t>(o.flags + 8);
+         const std::vector<std::uint8_t> shorter(first, first + np * k - 1);
+         replace_vector(bytes, o.flags, 1, shorter);
+       }},
+      {"dirty_source_k", "dirty source",
+       [&](std::vector<std::uint8_t>& bytes, const LoopOffsets& o) {
+         replace_vector(bytes, o.dirty0, sizeof(std::uint32_t), raw_bytes(k));
+       }},
+      {"worklist_lid_np", "drain entry",
+       [&](std::vector<std::uint8_t>& bytes, const LoopOffsets& o) {
+         const std::uint32_t entry[2] = {np, 0};  // (lid, sidx)
+         replace_vector(bytes, o.worklist, sizeof(entry), raw_bytes(entry));
+       }},
+  };
+  constexpr std::uint32_t kLoopSection = 4;
+  for (const auto& [name, reason, edit] : crafts) {
+    const std::string dir = scratch_dir(std::string("mrbc_loop_") + name);
+    core::MrbcOptions wopts = opts;
+    wopts.checkpoint_dir = dir;
+    ASSERT_TRUE(core::mrbc_bc(g, sources, wopts).halted) << name;
+    bool edited = false;
+    reframe(dir + "/mrbc.ckpt", [&](std::uint32_t id, std::vector<std::uint8_t>& bytes) {
+      if (id != kLoopSection) return;
+      edit(bytes, loop_offsets(bytes, part, k));
+      edited = true;
+    });
+    ASSERT_TRUE(edited) << name;
+    core::MrbcOptions ropts = wopts;
+    ropts.resume = true;
+    ropts.halt_after_checkpoints = 0;
+    try {
+      core::mrbc_bc(g, sources, ropts);
+      ADD_FAILURE() << name << ": resume accepted the crafted loop section";
+    } catch (const sim::SnapshotError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("section 4 (loop)"), std::string::npos) << name << ": " << what;
+      EXPECT_NE(what.find(reason), std::string::npos) << name << ": " << what;
+    }
+  }
+}
+
 // ---- Resume rejection, for both durable engines -----------------------------
 
 struct MrbcEngine {
