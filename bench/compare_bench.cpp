@@ -28,8 +28,7 @@
 // git log. Informational only: it always exits 0.
 //
 // --micro mode gates the CSVs the micro benchmarks write
-// (micro_threading.csv, micro_datastructures.csv, micro_kernels.csv,
-// micro_spmm.csv). The
+// (micro_threading.csv, micro_kernels.csv, micro_spmm.csv). The
 // schema is recognized from the header: rows are matched on their identity
 // columns, the measured ratio column (advantage / speedup) gates
 // higher-is-better under the same relative threshold, and deterministic
@@ -185,7 +184,6 @@ const MicroSchema* recognize(const Csv& csv) {
       // encoded bytes are bit-deterministic, so any drift is a protocol change.
       {"micro_spmm", {"workload", "hosts", "c"}, "bytes_reduction",
        {"rounds", "encoded_bytes"}},
-      {"micro_datastructures", {"kernel", "bits"}, "speedup", {}},
       {"micro_threading", {"hosts"}, "advantage", {}},
   };
   for (const MicroSchema& s : kSchemas) {

@@ -9,6 +9,7 @@
 // time reduction on average), which is what wins at scale.
 
 #include <cstdio>
+#include <vector>
 
 #include "baselines/sbbc.h"
 #include "core/mrbc.h"
@@ -19,16 +20,34 @@
 namespace mrbc::bench {
 namespace {
 
+/// Per-run seconds of one engine on one input, plus the last run's totals
+/// for the deterministic volume and message columns.
+struct Times {
+  std::vector<double> compute, comm, fwd, bwd;
+  sim::RunStats last;
+
+  void add(const core::BcRun& run) {
+    last = run.total();
+    compute.push_back(last.phases.compute_seconds);
+    comm.push_back(last.phases.comm_seconds);
+    fwd.push_back(run.forward.phases.compute_seconds);
+    bwd.push_back(run.backward.phases.compute_seconds);
+  }
+};
+
 void run() {
-  // fwd_compute_s / bwd_compute_s split compute_s by phase (appended
-  // columns, so existing fig2 consumers keep working): the forward APSP is
-  // where the direction-optimized drain acts, the backward accumulation is
-  // push-only — publishing the split is what lets the obs plane and the
-  // micro gates attribute a forward-phase win without re-running anything.
+  // Each input runs both engines kRuns times, alternating which goes first,
+  // so drift in the machine's speed hits both alike; a single run takes
+  // milliseconds and cannot resolve a before/after. The time columns are
+  // medians, and compute_q1_s / compute_q3_s bound compute_s's spread.
+  // fwd_compute_s / bwd_compute_s split compute_s by phase, so a change to
+  // one phase's kernel is attributable without re-running anything. Volume
+  // and messages are deterministic.
+  constexpr int kRuns = 7;
   Report report("Figure 2: computation vs non-overlapped communication (+ comm volume)",
                 "fig2_breakdown.csv",
                 {"input", "hosts", "algo", "compute_s", "comm_s", "volume", "msgs",
-                 "fwd_compute_s", "bwd_compute_s"},
+                 "fwd_compute_s", "bwd_compute_s", "compute_q1_s", "compute_q3_s"},
                 13);
   std::vector<double> comm_ratios;
   for (const Workload& w : all_workloads()) {
@@ -39,27 +58,38 @@ void run() {
     // reflect the compressed bytes (decoded state is mode-invariant).
     baselines::SbbcOptions sopts;
     sopts.cluster.codec = comm::CodecMode::kFull;
-    auto sbbc = baselines::sbbc_bc(part, w.sources, sopts);
     core::MrbcOptions mopts;
     mopts.batch_size = w.large ? 16 : 32;
     if (w.name == "road-s") mopts.batch_size = 8;
     mopts.cluster.codec = comm::CodecMode::kFull;
-    auto mrbc = core::mrbc_bc(part, w.sources, mopts);
+
+    Times sbbc_t, mrbc_t;
+    for (int i = 0; i < kRuns; ++i) {
+      const auto run_sbbc = [&] { sbbc_t.add(baselines::sbbc_bc(part, w.sources, sopts)); };
+      const auto run_mrbc = [&] { mrbc_t.add(core::mrbc_bc(part, w.sources, mopts)); };
+      if (i % 2 == 0) {
+        run_sbbc();
+        run_mrbc();
+      } else {
+        run_mrbc();
+        run_sbbc();
+      }
+    }
 
     // The bars consume the engine's per-phase attribution rather than the
     // legacy compute/network aggregates: "comm_s" is modeled sync time
     // only, with recovery/checkpoint overheads kept out of the comparison.
-    const auto st = sbbc.total();
-    const auto mt = mrbc.total();
-    report.add({w.name, std::to_string(hosts), "SBBC", util::fmt(st.phases.compute_seconds, 4),
-                util::fmt(st.phases.comm_seconds, 4), util::fmt_bytes(st.bytes),
-                std::to_string(st.messages), util::fmt(sbbc.forward.phases.compute_seconds, 4),
-                util::fmt(sbbc.backward.phases.compute_seconds, 4)});
-    report.add({w.name, std::to_string(hosts), "MRBC", util::fmt(mt.phases.compute_seconds, 4),
-                util::fmt(mt.phases.comm_seconds, 4), util::fmt_bytes(mt.bytes),
-                std::to_string(mt.messages), util::fmt(mrbc.forward.phases.compute_seconds, 4),
-                util::fmt(mrbc.backward.phases.compute_seconds, 4)});
-    comm_ratios.push_back(st.phases.comm_seconds / mt.phases.comm_seconds);
+    const auto q = [](const std::vector<double>& v, double at) {
+      return util::fmt(util::quantile(v, at), 4);
+    };
+    const auto add_row = [&](const char* algo, const Times& t) {
+      report.add({w.name, std::to_string(hosts), algo, q(t.compute, 0.5), q(t.comm, 0.5),
+                  util::fmt_bytes(t.last.bytes), std::to_string(t.last.messages), q(t.fwd, 0.5),
+                  q(t.bwd, 0.5), q(t.compute, 0.25), q(t.compute, 0.75)});
+    };
+    add_row("SBBC", sbbc_t);
+    add_row("MRBC", mrbc_t);
+    comm_ratios.push_back(util::quantile(sbbc_t.comm, 0.5) / util::quantile(mrbc_t.comm, 0.5));
   }
   report.finish();
   std::printf("Geomean SBBC/MRBC communication-time ratio: %.1fx (paper reports 2.8x)\n",

@@ -1,6 +1,7 @@
 #include "baselines/sbbc.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "comm/substrate.h"
 #include "core/staged_drain.h"
@@ -81,6 +82,13 @@ namespace mrbc::baselines {
 
 namespace {
 
+/// kAuto's Beamer alpha/beta thresholds (choose_pull). Their basis is the
+/// static local edge count: settledness is distance-based (the pull skips
+/// targets below the frontier level), so the dense mid-BFS levels are the
+/// rounds whose frontier degree is a large fraction of the local graph.
+constexpr double kPullAlpha = 2.0;
+constexpr double kPullBeta = 4.0;
+
 /// One source's level-synchronous execution over the partition.
 class SourceRunner final : public sim::Checkpointable {
  public:
@@ -99,6 +107,7 @@ class SourceRunner final : public sim::Checkpointable {
     masters_by_level_.resize(H);
     pull_frontier_.resize(H);
     pull_ord_.resize(H);
+    pull_recs_.resize(H);
     last_pull_.assign(H, 0);
     local_edges_.assign(H, 0);
     pull_rounds_.assign(H, 0);
@@ -262,16 +271,56 @@ class SourceRunner final : public sim::Checkpointable {
     combine_forward_impl(h, lid, d, sigma, nullptr, 0);
   }
 
-  /// Pull drain of one staged forward round. Same bit-identity argument as
-  /// the MRBC pull (design comment in core/mrbc.cpp), with one SBBC twist:
-  /// there is no finality plane, so targets are skipped by the stale test
-  /// instead — a target with dist < dmin + 1 (dmin = the frontier's minimum
-  /// level) can only receive strictly stale pushes, which the push drain
-  /// discards with zero side effects. Every other target gets its full
-  /// frontier-neighbor push sequence, replayed in (drain ordinal, target)
-  /// order = push's order. Generation and replay are separated by a barrier
-  /// so pushed values read pre-replay labels, exactly like push's Phase-A
-  /// snapshots.
+  /// Direction of one staged forward round: the frontier's out-degree sum
+  /// when the round pulls, nullopt when it pushes. kAuto is Beamer's
+  /// alpha/beta hysteresis over the pull's scan cost, the host's local edge
+  /// count: enter pull at frontier degree >= edges / kPullAlpha, stay while
+  /// it is >= edges / kPullBeta, never pull on a host without local edges.
+  /// The inputs are integers derived from the drain list and the immutable
+  /// local topology, so every thread count (and a crash-replayed round)
+  /// picks the same direction; the frontier degree is summed only when the
+  /// rule needs it.
+  std::optional<std::uint64_t> choose_pull(HostId h, const std::vector<VertexId>& wl,
+                                           const std::vector<VertexId>& ss, std::size_t grain) {
+    const auto& hg = part_.host(h);
+    const auto frontier_degree = [&] {
+      return util::ThreadPool::global().parallel_reduce(
+          0, wl.size() + ss.size(), grain, std::uint64_t{0},
+          [&](std::size_t ei) {
+            const VertexId lid = ei < wl.size() ? wl[ei] : ss[ei - wl.size()];
+            return static_cast<std::uint64_t>(hg.local.out_degree(lid));
+          },
+          [](std::uint64_t a, std::uint64_t b) { return a + b; });
+    };
+    std::optional<std::uint64_t> fdeg;
+    if (opts_.direction == Direction::kPull) {
+      fdeg = frontier_degree();
+    } else if (opts_.direction == Direction::kAuto && local_edges_[h] != 0) {
+      const std::uint64_t d = frontier_degree();
+      const double edges = static_cast<double>(local_edges_[h]);
+      if (static_cast<double>(d) >= edges / (last_pull_[h] ? kPullBeta : kPullAlpha)) {
+        fdeg = d;
+      }
+    }
+    last_pull_[h] = fdeg ? 1 : 0;
+    return fdeg;
+  }
+
+  /// Pull drain of one staged forward round. Instead of iterating the
+  /// frontier and relaxing out-edges, each 64-lid replay range scans its
+  /// targets and gathers from frontier in-neighbors, recording one PushRec
+  /// per hit tagged with the frontier entry's drain ordinal. Local adjacency
+  /// is sorted ascending, so push's (entry, edge position) order is
+  /// (drain ordinal, target) order: sorting each range's records that way
+  /// and replaying them through combine_forward_impl applies push's exact
+  /// sequence. The only targets skipped are those with dist < dmin + 1
+  /// (dmin = the frontier's minimum level): they can only receive strictly
+  /// stale pushes, which the push drain discards with zero side effects.
+  /// Work items are charged as the frontier's out-degree sum, push's
+  /// per-edge count, so scores, stats, wire traffic and checkpoint bytes
+  /// are bit-identical to push. Generation and replay are separated by a
+  /// barrier so pushed values read pre-replay labels, exactly like push's
+  /// Phase-A snapshots.
   sim::HostWork compute_forward_pull(HostId h, const std::vector<VertexId>& wl,
                                      const std::vector<VertexId>& ss, std::uint64_t fdeg) {
     const auto& hg = part_.host(h);
@@ -288,10 +337,10 @@ class SourceRunner final : public sim::Checkpointable {
       dmin = std::min(dmin, labels_[h][lid].dist);
     }
     const std::size_t num_ranges = core::num_drain_ranges(hg.num_proxies());
-    core::DrainScratch& sc = scratch_[h];
-    if (sc.range_recs.size() < num_ranges) sc.range_recs.resize(num_ranges);
+    std::vector<std::vector<core::PushRec>>& range_recs = pull_recs_[h];
+    if (range_recs.size() < num_ranges) range_recs.resize(num_ranges);
     util::ThreadPool::global().parallel_for(0, num_ranges, 1, [&](std::size_t r) {
-      std::vector<core::PushRec>& recs = sc.range_recs[r];
+      std::vector<core::PushRec>& recs = range_recs[r];
       recs.clear();
       const auto tb = static_cast<VertexId>(r << core::kRangeShift);
       const auto te = static_cast<VertexId>(
@@ -312,7 +361,7 @@ class SourceRunner final : public sim::Checkpointable {
     // Barrier passed: every rec's value snapshot is pre-replay. Replay.
     std::vector<std::vector<core::OrdLid>> range_staged(num_ranges);
     util::ThreadPool::global().parallel_for(0, num_ranges, 1, [&](std::size_t r) {
-      for (const core::PushRec& p : sc.range_recs[r]) {
+      for (const core::PushRec& p : range_recs[r]) {
         combine_forward_impl(h, p.target, p.dist, p.value, &range_staged[r],
                              (static_cast<std::uint64_t>(p.ord) << 32) | p.target);
       }
@@ -340,18 +389,9 @@ class SourceRunner final : public sim::Checkpointable {
     const std::size_t total = wl.size() + ss.size();
     const std::size_t grain = std::max<std::size_t>(opts_.drain_grain, 1);
     if (total > grain) {
-      // The pull's scan cost is the static local edge count.
-      const std::optional<std::uint64_t> fdeg =
-          core::choose_pull(opts_, local_edges_[h], local_edges_[h], last_pull_[h], [&] {
-            return util::ThreadPool::global().parallel_reduce(
-                0, total, grain, std::uint64_t{0},
-                [&](std::size_t ei) {
-                  const VertexId lid = ei < wl.size() ? wl[ei] : ss[ei - wl.size()];
-                  return static_cast<std::uint64_t>(hg.local.out_degree(lid));
-                },
-                [](std::uint64_t a, std::uint64_t b) { return a + b; });
-          });
-      if (fdeg) return compute_forward_pull(h, wl, ss, *fdeg);
+      if (const auto fdeg = choose_pull(h, wl, ss, grain)) {
+        return compute_forward_pull(h, wl, ss, *fdeg);
+      }
       // Two-phase staged drain (core/staged_drain.h; design comment in
       // core/mrbc.cpp). Snapshot-safe: a level-d frontier only produces
       // level d+1 labels, which a same-frontier entry's stale check
@@ -498,6 +538,7 @@ class SourceRunner final : public sim::Checkpointable {
   // Direction-optimization state (derived, round-local; never serialized).
   std::vector<util::DynamicBitset> pull_frontier_;
   std::vector<std::vector<std::uint32_t>> pull_ord_;  ///< drain ordinal per frontier lid
+  std::vector<std::vector<std::vector<core::PushRec>>> pull_recs_;  ///< per replay range
   std::vector<std::uint8_t> last_pull_;               ///< per-host hysteresis bit
   std::vector<std::uint64_t> local_edges_;
   std::vector<std::size_t> pull_rounds_;

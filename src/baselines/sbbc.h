@@ -6,6 +6,7 @@
 // level (backward) costs one BSP round, so a source of eccentricity L
 // executes ~2L rounds versus MRBC's pipelined batch.
 
+#include <cstdint>
 #include <vector>
 
 #include "core/bc_common.h"
@@ -17,16 +18,19 @@ using core::BcResult;
 using graph::Graph;
 using graph::VertexId;
 
+/// Forward-phase drain direction. kAuto switches per host per round between
+/// the push drain (iterate the frontier, relax out-edges) and the pull drain
+/// (scan unsettled targets, gather from frontier in-neighbors) — Beamer's
+/// direction optimization, restated so a pull round replays the push
+/// round's contributions in push order and stays bit-identical.
+enum class Direction : std::uint8_t { kAuto, kPush, kPull };
+
 struct SbbcOptions : core::EngineOptions {
-  /// kAuto thresholds: enter pull at frontier out-degree >= local_edges /
-  /// pull_alpha, leave below local_edges / pull_beta. Unlike MrbcOptions
-  /// (which tracks the live in-degree exactly off its finality plane), SBBC
-  /// uses the static local edge count: settledness here is distance-based
-  /// (the pull skips targets below the frontier level), so the dense
-  /// mid-BFS levels are simply the rounds whose frontier degree is a large
-  /// fraction of the local graph.
-  double pull_alpha = 2.0;
-  double pull_beta = 4.0;
+  /// Forward drain direction policy. Only staged rounds (drains larger than
+  /// drain_grain) consider pulling; smaller rounds always push inline.
+  /// Scores, stats, wire traffic and checkpoint bytes are identical for all
+  /// three settings — the knob trades scan work for push work.
+  Direction direction = Direction::kAuto;
   // Durable checkpoints (EngineOptions::checkpoint_dir) go to sbbc.ckpt
   // after each completed source. Sources are independent deterministic
   // executions, so source-boundary granularity preserves bit-identity: a

@@ -87,7 +87,7 @@ inline void write_presence(CodecWriter& w, const util::DynamicBitset& present,
       w.u8(1);
       std::vector<std::uint32_t> offsets;
       offsets.reserve(count);
-      present.for_each_set(
+      present.for_each_set_bit(
           [&](std::size_t i) { offsets.push_back(static_cast<std::uint32_t>(i)); });
       w.buffer().write_vector(offsets);
     }
@@ -98,7 +98,8 @@ inline void write_presence(CodecWriter& w, const util::DynamicBitset& present,
   // toward offsets much earlier than under fixed-width accounting.
   std::vector<std::uint32_t> offsets;
   offsets.reserve(count);
-  present.for_each_set([&](std::size_t i) { offsets.push_back(static_cast<std::uint32_t>(i)); });
+  present.for_each_set_bit(
+      [&](std::size_t i) { offsets.push_back(static_cast<std::uint32_t>(i)); });
   std::size_t offsets_bytes = util::varint_size(offsets.size());
   std::uint32_t prev = 0;
   for (std::uint32_t v : offsets) {
@@ -128,7 +129,7 @@ void read_presence(CodecReader& r, std::size_t n, Fn&& fn) {
     if (present.size() > n) {
       throw std::out_of_range("substrate: presence bitset longer than the exchange list");
     }
-    present.for_each_set(fn);
+    present.for_each_set_bit(fn);
   } else if (tag == 1) {
     std::size_t next = 0;  // the lowest offset that still ascends
     for (std::uint32_t i : r.sorted_u32_list()) {

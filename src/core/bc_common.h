@@ -49,14 +49,6 @@ struct BcRun {
 /// Maximum finite distance in a distance table ("H" in Lemma 8).
 std::uint32_t max_finite_distance(const std::vector<std::vector<std::uint32_t>>& dist);
 
-/// Forward-phase drain direction. kAuto switches per host per round between
-/// the push drain (iterate the frontier, relax out-edges) and the pull drain
-/// (scan vertices with live labels, gather from frontier in-neighbors via
-/// the bitset planes) on a deterministic frontier-density heuristic — the
-/// Beamer-style direction optimization, restated so the pull rounds replay
-/// contributions in the exact push order and stay bit-identical.
-enum class Direction : std::uint8_t { kAuto, kPush, kPull };
-
 /// Configuration shared by the two D-Galois engines, MRBC (core/mrbc.h) and
 /// SBBC (baselines/sbbc.h); each engine's options add their own fields.
 struct EngineOptions {
@@ -70,15 +62,9 @@ struct EngineOptions {
   /// push order); smaller rounds drain directly. The grain is part of the
   /// deterministic decomposition — results are bit-identical for any thread
   /// count at a fixed grain, but changing the grain changes which path
-  /// small rounds take.
+  /// small rounds take. Only SBBC's staged forward rounds may pull instead
+  /// (SbbcOptions::direction); MRBC always pushes.
   std::size_t drain_grain = 64;
-  /// Forward drain direction policy. Only staged rounds (drains larger than
-  /// drain_grain) consider pulling; sub-grain rounds always use the inline
-  /// push drain. Results, stats, wire traffic and checkpoint bytes are
-  /// identical for all three settings on valid runs — the knob trades scan
-  /// work for push work. kAuto's thresholds are each engine's pull_alpha /
-  /// pull_beta.
-  Direction direction = Direction::kAuto;
   sim::ClusterOptions cluster;
 
   // ---- Durable restart-from-disk checkpoints ------------------------------

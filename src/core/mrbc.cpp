@@ -1,7 +1,6 @@
 #include "core/mrbc.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 
 #include "comm/substrate.h"
@@ -12,7 +11,6 @@
 #include "engine/snapshot.h"
 #include "graph/algorithms.h"
 #include "obs/trace.h"
-#include "util/thread_pool.h"
 #include "util/threading.h"
 
 namespace mrbc::core {
@@ -55,35 +53,6 @@ constexpr std::uint8_t kEagerStaged = 4; // staged for eager (non-final) broadca
 //
 // The drain (staged_drain) with its PushRec / ChunkRecs records and 64-lid
 // range partition lives in core/staged_drain.h, shared with SBBC.
-//
-// ---- Direction optimization (forward phase) -------------------------------
-// Dense rounds invert the drain: instead of iterating the frontier and
-// relaxing out-edges (push), each 64-lid range scans its *targets* and
-// gathers contributions from frontier in-neighbors (pull). Two bit planes
-// drive the scan, both lid-major with source_words() words per lid:
-//   avail    — bit (lid, sidx) set while the slot is NOT forward-finalized;
-//              maintained by finalize_forward() on every drain path and
-//              rebuilt from the kFwdFinal flags on checkpoint restore.
-//   frontier — bit set for exactly this round's drained entries; cleared
-//              before the round ends.
-// A pull round finalizes the frontier first (Phase A, recording each
-// entry's drain ordinal), then per target range intersects each
-// in-neighbor's frontier row with the target's avail row, emits a PushRec
-// per hit, sorts by (entry ordinal, target), and replays through the same
-// combine_forward_impl as push mode. Because local adjacency is sorted
-// ascending, push's (entry, edge-position) order IS (entry, target) order,
-// so the replay sequence equals push's sequence restricted to
-// not-yet-finalized targets — and on valid runs every omitted push is a
-// stale contribution into a finalized slot, discarded with zero side
-// effects (the d > dist check precedes everything; a non-stale push into a
-// finalized slot is a pipelining violation). Results, stats (pull charges
-// work_items analytically as the frontier's out-degree sum — push's
-// per-edge count), wire traffic, and checkpoint bytes are therefore
-// bit-identical to push; runs that are already broken (anomalies > 0) may
-// count anomalies differently, as with the staged/sequential split above.
-// Generation and replay fuse into one parallel pass: generation reads only
-// frontier slots (avail = 0), replay writes only avail slots, and both
-// planes are frozen between the Phase-A barrier and the end of the round.
 
 /// One worklist entry: source `sidx`'s label on proxy `lid` is final and
 /// drains this round. POD, so worklists checkpoint through write_vector as
@@ -118,14 +87,6 @@ class BatchRunner final : public sim::Checkpointable {
     anomalies_.assign(H, 0);
     host_active_.assign(H, 0);
     flags_.resize(H);
-    avail_.resize(H);
-    frontier_.resize(H);
-    frontier_ord_.resize(H);
-    last_pull_.assign(H, 0);
-    local_edges_.assign(H, 0);
-    live_indeg_.assign(H, 0);
-    final_count_.resize(H);
-    pull_rounds_.assign(H, 0);
     scratch_.resize(H);
     pending_.resize(H);
     calendar_.resize(H);
@@ -133,13 +94,7 @@ class BatchRunner final : public sim::Checkpointable {
       const auto& hg = part_.host(h);
       state_.emplace_back(hg.num_proxies(), k);
       flags_[h].assign(static_cast<std::size_t>(hg.num_proxies()) * k, 0);
-      const std::uint32_t kw = state_[h].source_words();
-      avail_[h].resize(static_cast<std::size_t>(hg.num_proxies()) * kw * 64);
-      frontier_[h].resize(static_cast<std::size_t>(hg.num_proxies()) * kw * 64);
-      frontier_ord_[h].assign(static_cast<std::size_t>(hg.num_proxies()) * k, 0);
       pending_[h].resize(hg.num_proxies());
-      rebuild_avail(h);
-      local_edges_[h] = hg.local.num_edges();
       for (graph::VertexId l = 0; l < hg.num_proxies(); ++l) {
         if (hg.is_master[l]) masters_[h].push_back(l);
       }
@@ -180,9 +135,7 @@ class BatchRunner final : public sim::Checkpointable {
           s += substrate_.broadcast(acc);
           return s;
         },
-        [&](HostId h, std::size_t round) {
-          return compute_forward(h, static_cast<std::uint32_t>(round));
-        },
+        [&](HostId h, std::size_t) { return compute_forward(h); },
         [&] { return substrate_.any_pending(); }, this, resume);
     forward_rounds_ = static_cast<std::uint32_t>(stats.rounds);
     return stats;
@@ -277,14 +230,9 @@ class BatchRunner final : public sim::Checkpointable {
                                   std::to_string(lid) + " out of range");
         }
       }
-      // The direction-optimization planes are derived state: avail mirrors
-      // the restored kFwdFinal flags, the frontier is all-zero between
-      // rounds (restores happen at sync boundaries). Snapshot bytes are
-      // untouched by the direction machinery. So are the scheduler's
-      // pending set, rebuilt here from the cursors, and the backward
-      // calendar, rebuilt on its next use.
-      rebuild_avail(h);
-      frontier_[h].reset_all();
+      // The scheduler's state is derived, never checkpointed: the pending
+      // set is rebuilt here from the cursors, the backward calendar on its
+      // next use.
       rebuild_pending(h);
       calendar_[h].built = false;
     }
@@ -331,63 +279,9 @@ class BatchRunner final : public sim::Checkpointable {
     return total;
   }
 
-  /// Host-rounds the forward phase drained in pull mode (diagnostic).
-  std::size_t pull_rounds() const {
-    std::size_t total = 0;
-    for (std::size_t p : pull_rounds_) total += p;
-    return total;
-  }
-
  private:
-  using Word = util::DynamicBitset::Word;
-
   std::uint8_t& flags(HostId h, graph::VertexId lid, std::uint32_t sidx) {
     return flags_[h][static_cast<std::size_t>(lid) * batch_.size() + sidx];
-  }
-
-  /// Sets kFwdFinal, clears the slot's avail bit, and maintains the live
-  /// in-degree (the heuristic's pull scan cost). Every forward drain path
-  /// finalizes through this so the pull plane stays exact. The avail word
-  /// is shared by up to 64 sources of one lid and drain entries of the same
-  /// lid can land in different chunks, so the updates are atomic RMWs; AND
-  /// and ADD are commutative, so the results are order-independent, and
-  /// exactly one finalize observes a lid's final count reaching k — that
-  /// one retires the lid's in-degree from live_indeg_.
-  void finalize_forward(HostId h, graph::VertexId lid, std::uint32_t sidx) {
-    flags(h, lid, sidx) |= kFwdFinal;
-    const std::uint32_t kw = state_[h].source_words();
-    Word& w = avail_[h].words()[static_cast<std::size_t>(lid) * kw + sidx / 64];
-    std::atomic_ref<Word>(w).fetch_and(~(Word{1} << (sidx % 64)), std::memory_order_relaxed);
-    const std::uint32_t prior = std::atomic_ref<std::uint32_t>(final_count_[h][lid])
-                                    .fetch_add(1, std::memory_order_relaxed);
-    if (prior + 1 == static_cast<std::uint32_t>(batch_.size())) {
-      const auto deg = static_cast<std::uint64_t>(part_.host(h).local.in_degree(lid));
-      std::atomic_ref<std::uint64_t>(live_indeg_[h]).fetch_sub(deg, std::memory_order_relaxed);
-    }
-  }
-
-  /// Derives the avail plane, per-lid final counts, and live in-degree from
-  /// the kFwdFinal flags (ctor and restore).
-  void rebuild_avail(HostId h) {
-    const std::uint32_t k = static_cast<std::uint32_t>(batch_.size());
-    const std::uint32_t kw = state_[h].source_words();
-    auto& words = avail_[h].words();
-    std::fill(words.begin(), words.end(), Word{0});
-    const VertexId np = part_.host(h).num_proxies();
-    final_count_[h].assign(np, 0);
-    live_indeg_[h] = 0;
-    for (VertexId lid = 0; lid < np; ++lid) {
-      for (std::uint32_t sidx = 0; sidx < k; ++sidx) {
-        if (!(flags(h, lid, sidx) & kFwdFinal)) {
-          words[static_cast<std::size_t>(lid) * kw + sidx / 64] |= Word{1} << (sidx % 64);
-        } else {
-          ++final_count_[h][lid];
-        }
-      }
-      if (final_count_[h][lid] < k) {
-        live_indeg_[h] += static_cast<std::uint64_t>(part_.host(h).local.in_degree(lid));
-      }
-    }
   }
 
   /// Derives the forward scheduler's pending set from the cursors: the
@@ -398,20 +292,6 @@ class BatchRunner final : public sim::Checkpointable {
     for (graph::VertexId lid : masters_[h]) {
       if (st.fwd_sent[lid] < st.entry_count(lid)) pending_[h].set(lid);
     }
-  }
-
-  /// Out-degree sum of this round's drain entries: the push cost of the
-  /// round, and exactly what the push drain charges as work_items. u64
-  /// addition is associative, so the chunked reduction is exact and
-  /// thread-count independent.
-  std::uint64_t frontier_degree(HostId h, std::size_t total, std::size_t grain) {
-    const auto& hg = part_.host(h);
-    return util::ThreadPool::global().parallel_reduce(
-        0, total, grain, std::uint64_t{0},
-        [&](std::size_t ei) {
-          return static_cast<std::uint64_t>(hg.local.out_degree(drain_entry(h, ei).lid));
-        },
-        [](std::uint64_t a, std::uint64_t b) { return a + b; });
   }
 
   // ---- Forward phase ----------------------------------------------------
@@ -525,11 +405,11 @@ class BatchRunner final : public sim::Checkpointable {
 
   /// Staged drain of one round (core/staged_drain.h): combine(push, anoms,
   /// staged, ordinal) applies one push against its range's side
-  /// accumulators, which fold back deterministically afterwards.
+  /// accumulators, which fold back into host h deterministically afterwards.
   template <typename SnapshotFn, typename CombineFn>
   sim::HostWork staged_round(HostId h, std::size_t total, std::size_t grain,
                              SnapshotFn&& snapshot, CombineFn&& combine) {
-    const std::size_t num_ranges = num_replay_ranges(h);
+    const std::size_t num_ranges = num_drain_ranges(part_.host(h).num_proxies());
     const bool eager = !opts_.delayed_sync;
     std::vector<std::size_t> range_anoms(num_ranges, 0);
     std::vector<std::vector<OrdLid>> range_staged(eager ? num_ranges : 0);
@@ -539,123 +419,12 @@ class BatchRunner final : public sim::Checkpointable {
                                   combine(p, range_anoms[r], eager ? &range_staged[r] : nullptr,
                                           ord);
                                 });
-    fold_ranges(h, range_anoms, range_staged);
-    return w;
-  }
-
-  /// Folds per-range anomaly counts and eager staging lists into host h.
-  void fold_ranges(HostId h, const std::vector<std::size_t>& range_anoms,
-                   const std::vector<std::vector<OrdLid>>& range_staged) {
     for (std::size_t a : range_anoms) anomalies_[h] += a;
     merge_side_lists(range_staged, staged_lids_[h]);
-  }
-
-  std::size_t num_replay_ranges(HostId h) const {
-    return num_drain_ranges(part_.host(h).num_proxies());
-  }
-
-  /// Pull drain of one staged forward round; see the direction-optimization
-  /// design comment above for why the replay is bit-identical to push.
-  sim::HostWork compute_forward_pull(HostId h, std::size_t total, std::size_t grain,
-                                     std::uint64_t fdeg) {
-    HostState& st = state_[h];
-    const auto& hg = part_.host(h);
-    const std::uint32_t k = static_cast<std::uint32_t>(batch_.size());
-    const std::uint32_t kw = st.source_words();
-    auto& avail = avail_[h].words();
-    auto& frontier = frontier_[h].words();
-    auto& ford = frontier_ord_[h];
-    // Phase A: finalize the frontier, publish its bits and drain ordinals.
-    // OR into the frontier word is atomic for the same reason finalize's
-    // AND is: up to 64 sources of one lid share a word across chunks.
-    util::ThreadPool::global().parallel_for(0, total, grain, [&](std::size_t ei) {
-      const auto [lid, sidx] = drain_entry(h, ei);
-      finalize_forward(h, lid, sidx);
-      Word& w = frontier[static_cast<std::size_t>(lid) * kw + sidx / 64];
-      std::atomic_ref<Word>(w).fetch_or(Word{1} << (sidx % 64), std::memory_order_relaxed);
-      ford[static_cast<std::size_t>(lid) * k + sidx] = static_cast<std::uint32_t>(ei);
-    });
-    // Phases B+C fused per range: gather hit keys, sort into the sequential
-    // push order, replay. Generation reads only frontier slots, replay
-    // writes only avail slots — disjoint by construction, so no barrier is
-    // needed between a range's generation and another range's replay. A hit
-    // is recorded as the bare (drain ordinal << 32 | target) u64 — the
-    // replay ordinal itself — and the (dist, sigma) snapshot is loaded at
-    // replay time: frontier slots stay frozen for the whole pass, so the
-    // deferred load reads exactly what Phase-A staging would have copied,
-    // and the hot sort runs over 8-byte keys instead of full records.
-    const std::size_t num_ranges = num_replay_ranges(h);
-    const bool eager = !opts_.delayed_sync;
-    DrainScratch& sc = scratch_[h];
-    if (sc.range_keys.size() < num_ranges) sc.range_keys.resize(num_ranges);
-    std::vector<std::size_t> range_anoms(num_ranges, 0);
-    std::vector<std::vector<OrdLid>> range_staged(eager ? num_ranges : 0);
-    util::ThreadPool::global().parallel_for(0, num_ranges, 1, [&](std::size_t r) {
-      std::vector<std::uint64_t>& keys = sc.range_keys[r];
-      keys.clear();
-      const auto tb = static_cast<graph::VertexId>(r << kRangeShift);
-      const auto te = static_cast<graph::VertexId>(
-          std::min<std::size_t>(hg.num_proxies(), (r + 1) << kRangeShift));
-      for (graph::VertexId t = tb; t < te; ++t) {
-        const Word* av = avail.data() + static_cast<std::size_t>(t) * kw;
-        if (kw == 1) {
-          // Dominant case (batch <= 64 sources): one word per lid, keep the
-          // intersection inline instead of a per-edge kernel call.
-          const Word a = av[0];
-          if (a == 0) continue;
-          for (const graph::VertexId wv : hg.local.in_neighbors(t)) {
-            Word m = frontier[wv] & a;
-            while (m != 0) {
-              const auto sidx = static_cast<std::uint32_t>(__builtin_ctzll(m));
-              m &= m - 1;
-              const std::uint64_t ord = ford[static_cast<std::size_t>(wv) * k + sidx];
-              keys.push_back((ord << 32) | t);
-            }
-          }
-        } else {
-          if (util::bitwords::find_nonzero(av, kw, 0) == kw) continue;
-          for (const graph::VertexId wv : hg.local.in_neighbors(t)) {
-            const Word* fr = frontier.data() + static_cast<std::size_t>(wv) * kw;
-            if (!util::bitwords::any_intersect(fr, av, kw)) continue;
-            for (std::uint32_t j = 0; j < kw; ++j) {
-              Word m = fr[j] & av[j];
-              while (m != 0) {
-                const auto sidx = j * 64 + static_cast<std::uint32_t>(__builtin_ctzll(m));
-                m &= m - 1;
-                const std::uint64_t ord = ford[static_cast<std::size_t>(wv) * k + sidx];
-                keys.push_back((ord << 32) | t);
-              }
-            }
-          }
-        }
-      }
-      // Keys are unique — ord pins (source lid, sidx), and a lid pushes at
-      // most once per target — so (ord, target) order is total.
-      std::sort(keys.begin(), keys.end());
-      std::size_t anoms = 0;
-      std::vector<OrdLid>* staged = eager ? &range_staged[r] : nullptr;
-      for (const std::uint64_t key : keys) {
-        const auto t = static_cast<graph::VertexId>(key & 0xFFFFFFFFu);
-        const auto [wv, sidx] = drain_entry(h, key >> 32);
-        const SourceSlot& sw = st.slot(wv, sidx);
-        combine_forward_impl(h, t, sidx, sw.dist + 1, sw.sigma, anoms, staged, key);
-      }
-      range_anoms[r] = anoms;
-    });
-    fold_ranges(h, range_anoms, range_staged);
-    // Clear the frontier rows (every set bit in a touched row was set this
-    // round). Entries sharing a lid re-clear the same words — idempotent.
-    for (std::size_t ei = 0; ei < total; ++ei) {
-      const auto lid = drain_entry(h, ei).lid;
-      std::fill_n(frontier.begin() + static_cast<std::size_t>(lid) * kw, kw, Word{0});
-    }
-    ++pull_rounds_[h];
-    sim::HostWork w;
-    w.work_items = fdeg;
     return w;
   }
 
-  sim::HostWork compute_forward(HostId h, std::uint32_t round) {
+  sim::HostWork compute_forward(HostId h) {
     HostState& st = state_[h];
     const auto& hg = part_.host(h);
     sim::HostWork w;
@@ -665,35 +434,26 @@ class BatchRunner final : public sim::Checkpointable {
     // mirrors + the master's own scheduled entries): each is the CONGEST
     // "send along all out-edges", performed as local proxy updates.
     if (total > grain) {
-      // The pull's scan cost is the live in-degree: fully-final lids are
-      // skipped in O(1) via their zero avail word.
-      const std::optional<std::uint64_t> fdeg =
-          choose_pull(opts_, local_edges_[h], live_indeg_[h], last_pull_[h],
-                      [&] { return frontier_degree(h, total, grain); });
-      if (fdeg) {
-        w = compute_forward_pull(h, total, grain, *fdeg);
-      } else {
-        w = staged_round(
-            h, total, grain,
-            [&](ChunkRecs& ch, std::vector<PushRec>& recs, std::size_t ei) {
-              const auto [lid, sidx] = drain_entry(h, ei);
-              finalize_forward(h, lid, sidx);
-              const SourceSlot s = st.slot(lid, sidx);
-              for (graph::VertexId tl : hg.local.out_neighbors(lid)) {
-                recs.push_back(PushRec{tl, sidx, s.dist + 1, s.sigma,
-                                       static_cast<std::uint32_t>(recs.size())});
-                ++ch.work_items;
-              }
-            },
-            [&](const PushRec& p, std::size_t& anoms, std::vector<OrdLid>* staged,
-                std::uint64_t ord) {
-              combine_forward_impl(h, p.target, p.sidx, p.dist, p.value, anoms, staged, ord);
-            });
-      }
+      w = staged_round(
+          h, total, grain,
+          [&](ChunkRecs& ch, std::vector<PushRec>& recs, std::size_t ei) {
+            const auto [lid, sidx] = drain_entry(h, ei);
+            flags(h, lid, sidx) |= kFwdFinal;
+            const SourceSlot s = st.slot(lid, sidx);
+            for (graph::VertexId tl : hg.local.out_neighbors(lid)) {
+              recs.push_back(PushRec{tl, sidx, s.dist + 1, s.sigma,
+                                     static_cast<std::uint32_t>(recs.size())});
+              ++ch.work_items;
+            }
+          },
+          [&](const PushRec& p, std::size_t& anoms, std::vector<OrdLid>* staged,
+              std::uint64_t ord) {
+            combine_forward_impl(h, p.target, p.sidx, p.dist, p.value, anoms, staged, ord);
+          });
     } else {
       auto drain = [&](const std::vector<DrainEntry>& list) {
         for (const auto& [lid, sidx] : list) {
-          finalize_forward(h, lid, sidx);
+          flags(h, lid, sidx) |= kFwdFinal;
           const SourceSlot s = st.slot(lid, sidx);
           for (graph::VertexId tl : hg.local.out_neighbors(lid)) {
             combine_forward(h, tl, sidx, s.dist + 1, s.sigma);
@@ -707,7 +467,6 @@ class BatchRunner final : public sim::Checkpointable {
     worklist_[h].clear();
     self_sched_[h].clear();
     end_staging(h);
-    (void)round;
     // Re-evaluate after the drain: local pushes can seed brand-new entries
     // at same-host masters without setting any sync flag, and the loop
     // must not quiesce while any master still has unsent entries. Every
@@ -1012,17 +771,7 @@ class BatchRunner final : public sim::Checkpointable {
   std::vector<std::size_t> anomalies_;
   std::vector<std::vector<std::uint8_t>> flags_;
   std::vector<std::uint8_t> host_active_;  // not vector<bool>: hosts write concurrently
-  // Direction-optimization state (all derived / round-local; none of it is
-  // checkpointed — see restore_checkpoint):
-  std::vector<util::DynamicBitset> avail_;     ///< per host: np x kw plane, bit = not final
-  std::vector<util::DynamicBitset> frontier_;  ///< per host: this round's drained slots
-  std::vector<std::vector<std::uint32_t>> frontier_ord_;  ///< np x k drain ordinals
-  std::vector<std::uint8_t> last_pull_;        ///< kAuto hysteresis, per host
-  std::vector<std::uint64_t> local_edges_;     ///< cached |E(local graph)|, per host
-  std::vector<std::uint64_t> live_indeg_;      ///< in-degree sum of not-fully-final lids
-  std::vector<std::vector<std::uint32_t>> final_count_;  ///< finalized sources per lid
-  std::vector<std::size_t> pull_rounds_;       ///< diagnostic counter, per host
-  std::vector<DrainScratch> scratch_;          ///< pooled drain buffers, per host
+  std::vector<DrainScratch> scratch_;      ///< pooled drain buffers, per host
   // Delayed-sync scheduler state, derived from the labels and cursors and
   // never checkpointed (rebuilt in restore_checkpoint):
   std::vector<util::DynamicBitset> pending_;  ///< per host: masters that may hold unsent entries
@@ -1241,7 +990,6 @@ MrbcRun mrbc_bc(const Partition& part, const std::vector<graph::VertexId>& sourc
 
       runner.harvest(run.result);
       run.anomalies += runner.anomalies();
-      run.forward_pull_rounds += runner.pull_rounds();
       ++run.num_batches;
       if (durable) {
         // Batch-boundary snapshot: nothing in flight, accum carries it all.

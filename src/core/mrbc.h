@@ -5,8 +5,8 @@
 // partitioned graph, with Gluon-style proxy synchronization and the
 // paper's optimizations:
 //
-//   * Section 4.3 data structures: dense per-source array + flat-map
-//     distance index (mrbc_state.h);
+//   * Section 4.3 data structures: dense per-source array + the sorted
+//     (dist, source) list L_v per vertex (mrbc_state.h);
 //   * delayed synchronization: a vertex's (dist, sigma) is broadcast to
 //     its proxies only in the round r = d_sv + l_v(d_sv, s) when it is
 //     final, and its dependency only in round A_sv = R - tau_sv + 1;
@@ -16,6 +16,12 @@
 //   * source batching (Lemma 8): k sources per execution, at most
 //     2(k + H) + O(1) rounds per batch where H is the largest finite
 //     distance from the batch.
+//
+// Both phases drain push-only (inline, or staged above drain_grain). Delayed
+// sync fires at most one (vertex, source) entry per vertex per round, so
+// MRBC's frontiers stay thin next to the live graph — not the regime where
+// a direction-optimized pull drain pays; that optimization lives in SBBC
+// (baselines/sbbc.h), whose level-synchronous frontiers are dense.
 
 #include <cstdint>
 #include <vector>
@@ -32,19 +38,6 @@ struct MrbcOptions : EngineOptions {
   /// (Gluon's default update-tracking behavior), modelling the extra
   /// traffic the optimization removes; algorithm results are identical.
   bool delayed_sync = true;
-  /// kAuto enters pull when the frontier's out-degree sum reaches
-  /// live_indeg / pull_alpha, where live_indeg is the in-degree sum of local
-  /// vertices with at least one non-final source — the exact cost of a pull
-  /// scan, since fully-final vertices are skipped in O(1) off their zero
-  /// avail word. A pulling host stays in pull until the frontier falls below
-  /// live_indeg / pull_beta — Beamer-style alpha/beta hysteresis, evaluated
-  /// per host from thread-count-independent integer inputs. Pull pays off
-  /// when live_indeg shrinks well below the frontier degree, which happens
-  /// at small batch sizes (batching pipelines a vertex's per-source sends
-  /// across rounds, so larger batches thin each round's frontier while
-  /// keeping most vertices live — kAuto correctly stays in push there).
-  double pull_alpha = 1.0;
-  double pull_beta = 2.0;
   // Durable checkpoints (EngineOptions::checkpoint_dir) go to mrbc.ckpt:
   // every coordinated checkpoint and every batch boundary is persisted, so
   // a resume continues mid-phase.
@@ -53,9 +46,9 @@ struct MrbcOptions : EngineOptions {
 struct MrbcRun : BcRun {
   std::size_t num_batches = 0;
   std::size_t anomalies = 0;  ///< pipelining-invariant violations (must be 0)
-  /// Host-rounds the forward phase drained in pull mode (direction
-  /// optimization diagnostic). In-process only — not persisted in durable
-  /// snapshots, so a resumed run counts post-resume rounds only.
+  /// Always 0: MRBC drains push-only. Kept so readers of the old
+  /// pull-round diagnostic (the perfbench exact record) still compile;
+  /// SbbcRun::forward_pull_rounds is the live counter.
   std::size_t forward_pull_rounds = 0;
   double replication_factor = 0.0;
   /// True when the run stopped early at a durable snapshot write

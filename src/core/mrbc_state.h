@@ -57,9 +57,6 @@ class HostState {
 
   std::uint32_t num_sources() const { return k_; }
   VertexId num_proxies() const { return num_proxies_; }
-  /// 64-bit words per lid in the per-source flag planes (ceil(k / 64)) —
-  /// the row stride shared with the runner's frontier/availability planes.
-  std::uint32_t source_words() const { return kw_; }
 
   SourceSlot& slot(VertexId lid, std::uint32_t sidx) {
     return slots_[static_cast<std::size_t>(lid) * k_ + sidx];

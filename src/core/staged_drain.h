@@ -9,11 +9,9 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <optional>
 #include <utility>
 #include <vector>
 
-#include "core/bc_common.h"
 #include "graph/graph.h"
 #include "util/thread_pool.h"
 
@@ -64,12 +62,6 @@ struct ChunkRecs {
 struct DrainScratch {
   std::vector<ChunkRecs> chunks;             ///< Phase-A output, per entry chunk
   std::vector<std::vector<PushRec>> raw;     ///< Phase-A record buffer, per chunk
-  std::vector<std::vector<PushRec>> range_recs;  ///< SBBC pull-mode buffer, per range
-  /// MRBC pull-mode buffer, per range: packed (drain ordinal << 32 | target)
-  /// keys. The full record is reconstructed at replay time — the frontier
-  /// slots a pull reads are frozen for the whole fused pass, so deferring
-  /// the (dist, sigma) loads is exact and the sort works on bare u64s.
-  std::vector<std::vector<std::uint64_t>> range_keys;
 };
 
 /// Side-list append captured during replay: (global push ordinal, lid).
@@ -123,32 +115,6 @@ inline void merge_side_lists(const std::vector<std::vector<OrdLid>>& ranges,
   for (const auto& v : ranges) all.insert(all.end(), v.begin(), v.end());
   std::sort(all.begin(), all.end());
   for (const auto& [ord, lid] : all) out.push_back(lid);
-}
-
-/// Direction of one staged forward round (EngineOptions::direction), shared
-/// by MRBC and SBBC. Returns the frontier's out-degree sum when the round
-/// pulls, nullopt when it pushes. kAuto is Beamer's alpha/beta hysteresis
-/// over the pull's scan cost `scan` (MRBC: live in-degree; SBBC: local edge
-/// count): enter pull at frontier degree >= scan / pull_alpha, stay while
-/// it is >= scan / pull_beta, never pull on a host without local edges.
-/// `last_pull` is the host's hysteresis bit. `frontier_degree()` runs only
-/// when the rule needs it. All inputs are integers derived from the drain
-/// list and the immutable local topology, so every thread count (and a
-/// crash-replayed round) picks the same direction.
-template <typename Options, typename FrontierDegree>
-std::optional<std::uint64_t> choose_pull(const Options& opts, std::uint64_t local_edges,
-                                         std::uint64_t scan, std::uint8_t& last_pull,
-                                         FrontierDegree&& frontier_degree) {
-  std::optional<std::uint64_t> fdeg;
-  if (opts.direction == Direction::kPull) {
-    fdeg = frontier_degree();
-  } else if (opts.direction == Direction::kAuto && local_edges != 0) {
-    const std::uint64_t d = frontier_degree();
-    const double s = static_cast<double>(scan);
-    if (static_cast<double>(d) >= (last_pull ? s / opts.pull_beta : s / opts.pull_alpha)) fdeg = d;
-  }
-  last_pull = fdeg ? 1 : 0;
-  return fdeg;
 }
 
 }  // namespace mrbc::core

@@ -1,18 +1,13 @@
 #pragma once
-// Dynamic bitset used throughout the system: per-source frontier membership
-// in the MRBC state (Section 4.3 of the paper keeps a map from distance to a
-// dense bitvector of sources), update-tracking metadata in the Gluon-like
-// communication substrate, and the direction-optimized drain's frontier /
-// availability planes.
+// Dynamic bitset used throughout the system: update-tracking flags and
+// per-list presence marks in the Gluon-like communication substrate, MRBC's
+// per-host set of masters with unsent entries, and SBBC's frontier
+// membership.
 //
-// The word-at-a-time kernels live in the bitwords namespace below: each has
-// a scalar reference implementation and (on x86-64) an AVX2 variant selected
-// at runtime. Both produce bit-identical results — the SIMD path only
-// changes how many words are inspected per instruction, never the outcome —
-// so algorithm determinism is independent of the dispatch decision.
-// Dispatch is a cached process-wide flag: compile-time opt-out via the
-// MRBC_DISABLE_SIMD CMake option, runtime opt-out via the MRBC_NO_SIMD
-// environment variable, and a __builtin_cpu_supports("avx2") probe.
+// The set-bit scans (for_each_set_bit, any, find_first_from) skip zero
+// words with bitwords::find_nonzero. Their callers are the substrate's flag
+// and presence sets and MRBC's pending masters; SBBC's frontier bitsets are
+// only set, tested and reset.
 
 #include <cstdint>
 #include <cstddef>
@@ -20,32 +15,12 @@
 
 namespace mrbc::util {
 
-/// True when the AVX2 kernel variants are compiled in, the CPU supports
-/// AVX2, and MRBC_NO_SIMD is not set in the environment. Cached on first
-/// call; the bitwords kernels consult it on every dispatch.
-bool simd_enabled();
-
-/// Raw kernels over arrays of 64-bit words. The *_scalar versions are the
-/// reference semantics; the unsuffixed versions dispatch to AVX2 when
-/// simd_enabled() and are bit-identical to the reference (pinned by the
-/// differential tests in test_util).
 namespace bitwords {
 
 using Word = std::uint64_t;
 
-std::size_t count_scalar(const Word* w, std::size_t n);
-void and_not_scalar(Word* dst, const Word* src, std::size_t n);
-bool any_intersect_scalar(const Word* a, const Word* b, std::size_t n);
-std::size_t find_nonzero_scalar(const Word* w, std::size_t n, std::size_t from);
-
-/// Total set bits in w[0..n).
-std::size_t count(const Word* w, std::size_t n);
-/// dst[i] &= ~src[i] for i in [0, n).
-void and_not(Word* dst, const Word* src, std::size_t n);
-/// True when (a[i] & b[i]) != 0 for any i in [0, n).
-bool any_intersect(const Word* a, const Word* b, std::size_t n);
 /// Smallest i in [from, n) with w[i] != 0, or n when all remaining words
-/// are zero — the zero-word skip of the frontier scans.
+/// are zero — the zero-word skip of the set-bit scans.
 std::size_t find_nonzero(const Word* w, std::size_t n, std::size_t from);
 
 }  // namespace bitwords
@@ -84,9 +59,9 @@ class DynamicBitset {
   std::size_t find_first() const { return find_first_from(0); }
 
   /// Invokes `fn(std::size_t bit)` for every set bit in ascending order,
-  /// skipping runs of zero words at SIMD speed — the hot frontier scan of
-  /// the direction-optimized drains, where late dense rounds leave most
-  /// words fully finalized (zero).
+  /// skipping runs of zero words — sparse flag sets, such as the
+  /// substrate's presence marks or late rounds' pending masters, are mostly
+  /// zero words.
   template <typename Fn>
   void for_each_set_bit(Fn&& fn) const {
     const Word* w = words_.data();
@@ -102,18 +77,8 @@ class DynamicBitset {
     }
   }
 
-  /// Historical name; same iteration as for_each_set_bit.
-  template <typename Fn>
-  void for_each_set(Fn&& fn) const {
-    for_each_set_bit(static_cast<Fn&&>(fn));
-  }
-
   DynamicBitset& operator|=(const DynamicBitset& other);
   DynamicBitset& operator&=(const DynamicBitset& other);
-  /// this &= ~other, word-at-a-time (bitwords::and_not).
-  DynamicBitset& and_not_assign(const DynamicBitset& other);
-  /// True when this and `other` share any set bit; early-out word scan.
-  bool any_intersect(const DynamicBitset& other) const;
   bool operator==(const DynamicBitset& other) const;
 
   const std::vector<Word>& words() const { return words_; }

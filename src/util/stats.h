@@ -42,6 +42,11 @@ double max_of(const std::vector<double>& values);
 /// the paper's abstract.
 double geomean_of(const std::vector<double>& values);
 
+/// Quantile q in [0, 1] of a sample (copied; empty -> 0), linearly
+/// interpolated at 0-based rank q * (n - 1), as perfbench's report does.
+/// The bench/ programs take their medians and quartiles from it.
+double quantile(std::vector<double> values, double q);
+
 /// Formats a double with fixed precision (report printing helper).
 std::string fmt(double value, int precision = 2);
 

@@ -109,13 +109,11 @@ core::MrbcRun run_mrbc(const Graph& g, const std::vector<VertexId>& sources, std
                        bool parallel_hosts, std::size_t drain_grain,
                        sim::FaultInjector* fault = nullptr,
                        comm::CodecMode codec = comm::CodecMode::kRaw,
-                       core::Direction direction = core::Direction::kAuto,
                        bool delayed_sync = true) {
   core::MrbcOptions opts;
   opts.num_hosts = 4;
   opts.batch_size = 8;
   opts.drain_grain = drain_grain;
-  opts.direction = direction;
   opts.delayed_sync = delayed_sync;
   opts.cluster.threads = threads;
   opts.cluster.parallel_hosts = parallel_hosts;
@@ -132,7 +130,7 @@ core::MrbcRun run_mrbc(const Graph& g, const std::vector<VertexId>& sources, std
 baselines::SbbcRun run_sbbc(const Graph& g, const std::vector<VertexId>& sources,
                             std::size_t threads, bool parallel_hosts, std::size_t drain_grain,
                             comm::CodecMode codec = comm::CodecMode::kRaw,
-                            core::Direction direction = core::Direction::kAuto) {
+                            baselines::Direction direction = baselines::Direction::kAuto) {
   baselines::SbbcOptions opts;
   opts.num_hosts = 4;
   opts.drain_grain = drain_grain;
@@ -168,15 +166,26 @@ TEST_F(DeterminismTest, MrbcStagedDrainMatchesInlineDrain) {
 TEST_F(DeterminismTest, MrbcIsThreadCountInvariant) {
   const Graph g = det_graph();
   const auto sources = det_sources(g, 16);
-  const auto reference = run_mrbc(g, sources, 1, false, 4);
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    const auto run = run_mrbc(g, sources, threads, true, 4);
-    const std::string label = "mrbc threads=" + std::to_string(threads);
-    EXPECT_EQ(run.anomalies, reference.anomalies) << label;
-    EXPECT_EQ(run.num_batches, reference.num_batches) << label;
-    expect_bits_equal(run.result.bc, reference.result.bc, label);
-    expect_stats_equal(run.forward, reference.forward, label + " forward");
-    expect_stats_equal(run.backward, reference.backward, label + " backward");
+  // Grain 1 stages every multi-entry round through the ordered replay; eager
+  // sync also routes intermediate-label staging through its side lists.
+  for (const std::size_t grain : {std::size_t{4}, std::size_t{1}}) {
+    for (const bool delayed_sync : {true, false}) {
+      const auto reference =
+          run_mrbc(g, sources, 1, false, grain, nullptr, comm::CodecMode::kRaw, delayed_sync);
+      EXPECT_EQ(reference.anomalies, 0u);
+      for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+        const auto run = run_mrbc(g, sources, threads, true, grain, nullptr,
+                                  comm::CodecMode::kRaw, delayed_sync);
+        const std::string label = "mrbc grain=" + std::to_string(grain) +
+                                  " delayed_sync=" + std::to_string(delayed_sync) +
+                                  " threads=" + std::to_string(threads);
+        EXPECT_EQ(run.anomalies, reference.anomalies) << label;
+        EXPECT_EQ(run.num_batches, reference.num_batches) << label;
+        expect_bits_equal(run.result.bc, reference.result.bc, label);
+        expect_stats_equal(run.forward, reference.forward, label + " forward");
+        expect_stats_equal(run.backward, reference.backward, label + " backward");
+      }
+    }
   }
 }
 
@@ -204,81 +213,55 @@ TEST_F(DeterminismTest, FaultInjectedRunReplaysIdenticallyAcrossThreadCounts) {
   plan.crash_round = 5;
   plan.crash_host = 2;
   sim::FaultInjector injector(plan, 4);
-
-  const auto reference = run_mrbc(g, sources, 1, false, 4, &injector);
-  const auto total_ref = reference.total();
-  EXPECT_EQ(total_ref.faults.crashes, 1u);
-  EXPECT_GT(total_ref.faults.drops + total_ref.faults.duplicates +
-                total_ref.faults.corruptions_detected,
-            0u);
-  for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
-    const auto run = run_mrbc(g, sources, threads, true, 4, &injector);
-    const std::string label = "mrbc faulted threads=" + std::to_string(threads);
-    EXPECT_EQ(run.anomalies, reference.anomalies) << label;
-    expect_bits_equal(run.result.bc, reference.result.bc, label);
-    expect_stats_equal(run.forward, reference.forward, label + " forward");
-    expect_stats_equal(run.backward, reference.backward, label + " backward");
-  }
-  // And the recovered result is still correct, not merely consistent.
   const auto golden = baselines::brandes_bc_sources(g, sources);
-  mrbc::testing::expect_bc_equal(golden.bc, reference.result.bc, "faulted determinism");
-}
 
-// ---- Direction optimization (push vs pull vs auto) -------------------------
-// The pull drain's contract: it replays exactly the pushes the push drain
-// would have generated, in the exact sequential push order, so EVERYTHING —
-// scores, anomalies, round counts, per-round message/byte/value logs — is
-// bit-identical across Direction settings and thread counts. Grain 1 stages
-// every multi-entry round, which is what makes the forced-kPull runs
-// actually take the pull path round after round.
-
-TEST_F(DeterminismTest, DirectionModesAreBitIdenticalForMrbc) {
-  const Graph g = det_graph();
-  const auto sources = det_sources(g, 16);
-  const auto reference =
-      run_mrbc(g, sources, 1, false, 1, nullptr, comm::CodecMode::kRaw, core::Direction::kPush);
-  EXPECT_EQ(reference.forward_pull_rounds, 0u);
-  for (const core::Direction dir : {core::Direction::kPull, core::Direction::kAuto}) {
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-      const auto run = run_mrbc(g, sources, threads, threads > 1, 1, nullptr,
-                                comm::CodecMode::kRaw, dir);
-      const std::string label = std::string("mrbc dir=") +
-                                (dir == core::Direction::kPull ? "pull" : "auto") +
-                                " threads=" + std::to_string(threads);
-      if (dir == core::Direction::kPull) {
-        EXPECT_GT(run.forward_pull_rounds, 0u) << label;
-      }
+  // Grain 1 stages every multi-entry round, so the rollback also restores
+  // state between staged rounds.
+  for (const std::size_t grain : {std::size_t{4}, std::size_t{1}}) {
+    const auto reference = run_mrbc(g, sources, 1, false, grain, &injector);
+    const auto total_ref = reference.total();
+    const std::string base = "mrbc faulted grain=" + std::to_string(grain);
+    EXPECT_EQ(total_ref.faults.crashes, 1u) << base;
+    EXPECT_GT(total_ref.faults.checkpoint_bytes, 0u) << base;
+    EXPECT_GT(total_ref.faults.drops + total_ref.faults.duplicates +
+                  total_ref.faults.corruptions_detected,
+              0u)
+        << base;
+    for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
+      const auto run = run_mrbc(g, sources, threads, true, grain, &injector);
+      const std::string label = base + " threads=" + std::to_string(threads);
       EXPECT_EQ(run.anomalies, reference.anomalies) << label;
-      EXPECT_EQ(run.num_batches, reference.num_batches) << label;
       expect_bits_equal(run.result.bc, reference.result.bc, label);
       expect_stats_equal(run.forward, reference.forward, label + " forward");
       expect_stats_equal(run.backward, reference.backward, label + " backward");
     }
+    // And the recovered result is still correct, not merely consistent.
+    mrbc::testing::expect_bc_equal(golden.bc, reference.result.bc, base);
   }
-  // Eager (non-delayed) sync broadcasts intermediate labels; the pull drain
-  // must replay that schedule identically too.
-  const auto eager_push = run_mrbc(g, sources, 1, false, 1, nullptr, comm::CodecMode::kRaw,
-                                   core::Direction::kPush, /*delayed_sync=*/false);
-  const auto eager_pull = run_mrbc(g, sources, 8, true, 1, nullptr, comm::CodecMode::kRaw,
-                                   core::Direction::kPull, /*delayed_sync=*/false);
-  expect_bits_equal(eager_pull.result.bc, eager_push.result.bc, "mrbc eager pull vs push");
-  expect_stats_equal(eager_pull.forward, eager_push.forward, "mrbc eager forward");
-  expect_stats_equal(eager_pull.backward, eager_push.backward, "mrbc eager backward");
 }
 
+// ---- SBBC direction optimization (push vs pull vs auto) --------------------
+// The pull drain's contract: it replays exactly the pushes the push drain
+// would have generated, in the exact sequential push order, so EVERYTHING —
+// scores, round counts, per-round message/byte/value logs — is bit-identical
+// across Direction settings and thread counts. Grain 1 stages every
+// multi-entry round, which is what makes the forced-kPull runs actually take
+// the pull path round after round.
+
 TEST_F(DeterminismTest, DirectionModesAreBitIdenticalForSbbc) {
+  using baselines::Direction;
   const Graph g = det_graph();
   const auto sources = det_sources(g, 6);
   const auto reference =
-      run_sbbc(g, sources, 1, false, 1, comm::CodecMode::kRaw, core::Direction::kPush);
+      run_sbbc(g, sources, 1, false, 1, comm::CodecMode::kRaw, Direction::kPush);
   EXPECT_EQ(reference.forward_pull_rounds, 0u);
-  for (const core::Direction dir : {core::Direction::kPull, core::Direction::kAuto}) {
+  for (const Direction dir : {Direction::kPull, Direction::kAuto}) {
     for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
       const auto run = run_sbbc(g, sources, threads, threads > 1, 1, comm::CodecMode::kRaw, dir);
       const std::string label = std::string("sbbc dir=") +
-                                (dir == core::Direction::kPull ? "pull" : "auto") +
+                                (dir == Direction::kPull ? "pull" : "auto") +
                                 " threads=" + std::to_string(threads);
-      if (dir == core::Direction::kPull) {
+      if (dir == Direction::kPull) {
         EXPECT_GT(run.forward_pull_rounds, 0u) << label;
       }
       expect_bits_equal(run.result.bc, reference.result.bc, label);
@@ -286,40 +269,6 @@ TEST_F(DeterminismTest, DirectionModesAreBitIdenticalForSbbc) {
       expect_stats_equal(run.backward, reference.backward, label + " backward");
     }
   }
-}
-
-TEST_F(DeterminismTest, FaultInjectedPullReplaysPushScheduleIdentically) {
-  // Crash + rollback-replay under forced pull: the recovery path snapshots
-  // and restores the direction-optimization planes (frontier/avail bitsets,
-  // per-lid finality counts), so checkpoint byte counts and the replayed
-  // schedule must match push bit-for-bit.
-  const Graph g = det_graph();
-  const auto sources = det_sources(g, 12);
-  sim::FaultPlan plan;
-  plan.seed = 41;
-  plan.drop_rate = 0.05;
-  plan.duplicate_rate = 0.03;
-  plan.corrupt_rate = 0.03;
-  plan.crash_round = 5;
-  plan.crash_host = 2;
-  sim::FaultInjector injector(plan, 4);
-
-  const auto reference = run_mrbc(g, sources, 1, false, 1, &injector, comm::CodecMode::kRaw,
-                                  core::Direction::kPush);
-  EXPECT_EQ(reference.total().faults.crashes, 1u);
-  EXPECT_GT(reference.total().faults.checkpoint_bytes, 0u);
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
-    const auto run = run_mrbc(g, sources, threads, threads > 1, 1, &injector,
-                              comm::CodecMode::kRaw, core::Direction::kPull);
-    const std::string label = "mrbc faulted pull threads=" + std::to_string(threads);
-    EXPECT_GT(run.forward_pull_rounds, 0u) << label;
-    EXPECT_EQ(run.anomalies, reference.anomalies) << label;
-    expect_bits_equal(run.result.bc, reference.result.bc, label);
-    expect_stats_equal(run.forward, reference.forward, label + " forward");
-    expect_stats_equal(run.backward, reference.backward, label + " backward");
-  }
-  const auto golden = baselines::brandes_bc_sources(g, sources);
-  mrbc::testing::expect_bc_equal(golden.bc, reference.result.bc, "faulted pull determinism");
 }
 
 TEST_F(DeterminismTest, CodecModesAreBitIdenticalForMrbc) {
