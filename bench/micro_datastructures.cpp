@@ -62,7 +62,7 @@ BENCHMARK(BM_StdMapChurn)->Arg(16)->Arg(64);
 
 void BM_HostStateUpdateDistance(benchmark::State& state) {
   const auto k = static_cast<std::uint32_t>(state.range(0));
-  core::HostState st(1024, k);
+  core::HostState st(std::vector<bool>(1024, true), k);
   util::Xoshiro256 rng(5);
   for (auto _ : state) {
     const auto lid = static_cast<graph::VertexId>(rng.next_bounded(1024));
@@ -75,7 +75,7 @@ BENCHMARK(BM_HostStateUpdateDistance)->Arg(8)->Arg(32)->Arg(128);
 
 void BM_HostStateNthEntry(benchmark::State& state) {
   const std::uint32_t k = 64;
-  core::HostState st(64, k);
+  core::HostState st(std::vector<bool>(64, true), k);
   util::Xoshiro256 rng(7);
   for (std::uint32_t sidx = 0; sidx < k; ++sidx) {
     st.update_distance(0, sidx, static_cast<std::uint32_t>(rng.next_bounded(20)));

@@ -514,6 +514,10 @@ class SourceRunner final : public sim::Checkpointable {
 
   struct BackwardAccessor {
     using Value = double;
+    /// A broadcast dependency is read only by walking the receiving
+    /// mirror's local in-edges (compute_backward), so the substrate sends
+    /// it only to mirrors that have one.
+    static constexpr bool kReadsBroadcastsThroughInEdges = true;
     SourceRunner& r;
 
     Value get(HostId h, VertexId lid) { return r.delta_[h][lid]; }

@@ -8,7 +8,11 @@
 //              are reset to the reduction identity after sending (Gluon's
 //              reduce-reset semantics, which is what makes partial sigma /
 //              delta sums safe to add).
-//   broadcast: masters send their (flagged) final values to all mirrors.
+//   broadcast: masters send their (flagged) final values to the mirrors
+//              whose operator reads them: every mirror, or only the
+//              mirrors with a local in-edge when the accessor says its
+//              operator reads broadcasts through in-edges (Gluon's
+//              structural-invariant optimization; see Substrate).
 //
 // Update tracking: the application sets per-proxy flags; only flagged
 // entries are serialized. Metadata compression is modelled exactly as in
@@ -261,6 +265,20 @@ struct SyncStats {
 /// apply_* run sequentially, after the phase has consumed every host's
 /// flags, and must not set reduce flags: reduce receivers are masters.
 ///
+/// Broadcast flags: a fixed-Value accessor's reduced value is what its
+/// masters broadcast, so the reduce phase flags every master it reduced
+/// into (or that was itself reduce-flagged) for the next broadcast. A list
+/// accessor flags its own broadcasts (MRBC stages exactly the entries that
+/// fire); the reduce phase never flags one for it.
+///
+/// Broadcast scope: an accessor whose operator reads a broadcast value only
+/// by walking the receiving proxy's local in-edges declares
+///   static constexpr bool kReadsBroadcastsThroughInEdges = true;
+/// and its broadcasts then go only to mirrors with a local in-edge
+/// (Partition::Slot::mirror_has_in_edges); a pair list with no such mirror
+/// flagged sends no message. Messages keep the same presence encoding and
+/// body layout. Other accessors broadcast to every mirror.
+///
 /// A phase walks only the set flags, so its cost follows the updated
 /// proxies; with no flag set it sends, allocates and dispatches nothing.
 class Substrate {
@@ -307,13 +325,14 @@ class Substrate {
   bool any_pending() const;
   void clear_flags();
 
-  /// reduce phase: flagged mirrors -> masters. Masters whose value received
-  /// a contribution (or that were themselves reduce-flagged) become
-  /// broadcast-flagged. Reduce flags are consumed.
+  /// reduce phase: flagged mirrors -> masters. For a fixed-Value accessor,
+  /// masters whose value received a contribution (or that were themselves
+  /// reduce-flagged) become broadcast-flagged. Reduce flags are consumed.
   template <typename Accessor>
   SyncStats reduce(Accessor& acc) { return exchange<true>(acc); }
 
-  /// broadcast phase: flagged masters -> all their mirrors. Broadcast flags
+  /// broadcast phase: flagged masters -> their mirrors (all of them, or
+  /// those with a local in-edge; see the class comment). Broadcast flags
   /// are consumed.
   template <typename Accessor>
   SyncStats broadcast(Accessor& acc) { return exchange<false>(acc); }
@@ -379,24 +398,31 @@ class Substrate {
   template <bool kReduce, typename Accessor>
   SyncStats exchange(Accessor& acc) {
     constexpr bool kFixed = requires { typename Accessor::Value; };
+    constexpr bool kInEdgeScoped =
+        !kReduce && requires { requires Accessor::kReadsBroadcastsThroughInEdges; };
     obs::Span span(obs::Category::kComm, kReduce ? "reduce" : "broadcast");
     std::vector<util::DynamicBitset>& flags = kReduce ? reduce_flags_ : broadcast_flags_;
     if (std::none_of(flags.begin(), flags.end(), [](const auto& f) { return f.any(); })) {
       return {};
     }
     // Phase A1: each host consumes its flags and marks the slots it sends
-    // on. Reduce: a mirror marks its slot, a master is promoted to a
-    // broadcast flag. Broadcast: a master marks all its slots, a mirror
-    // sends nothing. Each list has one sender, so hosts run in parallel.
+    // on. Reduce: a mirror marks its slot; a master sends nothing and, for
+    // a fixed-Value accessor, is promoted to a broadcast flag. Broadcast: a
+    // master marks its slots (only those whose mirror has a local in-edge
+    // when in-edge scoped), a mirror sends nothing. Each list has one
+    // sender, so hosts run in parallel.
     util::ThreadPool::global().parallel_for(0, H_, 1, [&](std::size_t h) {
       const HostId src = static_cast<HostId>(h);
       const std::vector<bool>& is_master = part_->host(src).is_master;
       flags[src].for_each_set_bit([&](std::size_t lid) {
         if (is_master[lid] == kReduce) {
-          if constexpr (kReduce) broadcast_flags_[src].set(lid);
+          if constexpr (kReduce && kFixed) broadcast_flags_[src].set(lid);
           return;
         }
         for (const partition::Slot& slot : part_->slots(src, static_cast<VertexId>(lid))) {
+          if constexpr (kInEdgeScoped) {
+            if (!slot.mirror_has_in_edges) continue;
+          }
           const std::size_t list = kReduce ? pair_index(src, slot.peer)
                                            : pair_index(slot.peer, src);
           presence_[list].set(slot.index);
@@ -481,7 +507,6 @@ class Substrate {
           detail::read_presence(r, recv.size(), [&](std::size_t i) {
             if constexpr (kReduce) {
               acc.apply_reduce(pw.dst, recv[i], r);
-              broadcast_flags_[pw.dst].set(recv[i]);
             } else {
               acc.apply_broadcast(pw.dst, recv[i], r);
             }

@@ -92,7 +92,7 @@ class BatchRunner final : public sim::Checkpointable {
     calendar_.resize(H);
     for (HostId h = 0; h < H; ++h) {
       const auto& hg = part_.host(h);
-      state_.emplace_back(hg.num_proxies(), k);
+      state_.emplace_back(hg.is_master, k);
       flags_[h].assign(static_cast<std::size_t>(hg.num_proxies()) * k, 0);
       pending_[h].resize(hg.num_proxies());
       for (graph::VertexId l = 0; l < hg.num_proxies(); ++l) {
@@ -205,11 +205,6 @@ class BatchRunner final : public sim::Checkpointable {
     for (HostId h = 0; h < H; ++h) {
       const VertexId np = part_.host(h).num_proxies();
       state_[h].restore(buf);
-      if (state_[h].num_sources() != k || state_[h].num_proxies() != np) {
-        throw std::out_of_range("host " + std::to_string(h) + ": labels for " +
-                                std::to_string(state_[h].num_proxies()) + " proxies x " +
-                                std::to_string(state_[h].num_sources()) + " sources");
-      }
       flags_[h] = buf.read_vector<std::uint8_t>();
       sim::expect_size("slot flags", flags_[h].size(), static_cast<std::uint64_t>(np) * k);
       worklist_[h] = buf.read_vector<DrainEntry>();
@@ -652,6 +647,16 @@ class BatchRunner final : public sim::Checkpointable {
   // order is part of the reduce arithmetic and is never re-sorted for the
   // wire: compression must not change floating-point apply order.
 
+  /// A broadcast entry's is_final byte. Under delayed sync every broadcast
+  /// entry is final, so the byte is neither written nor read; the eager
+  /// ablation sends non-final entries too and keeps it.
+  void write_final_mark(comm::CodecWriter& buf, bool is_final) const {
+    if (!opts_.delayed_sync) buf.u8(is_final ? 1 : 0);
+  }
+  bool read_final_mark(comm::CodecReader& buf) const {
+    return opts_.delayed_sync || buf.u8() != 0;
+  }
+
   struct ForwardAccessor {
     BatchRunner& r;
 
@@ -660,13 +665,14 @@ class BatchRunner final : public sim::Checkpointable {
       auto& dirty = st.dirty_sources(lid);
       buf.meta_u32(static_cast<std::uint32_t>(dirty.size()));
       for (std::uint32_t sidx : dirty) {
-        const SourceSlot s = st.slot(lid, sidx);
+        SourceSlot& s = st.slot(lid, sidx);
         buf.value_u32(sidx);
         buf.value_u32(s.dist);
         buf.f64(s.sigma);
         // Gluon reduce-reset: the mirror's partial returns to identity.
-        st.clear_distance(lid, sidx);
-        st.slot(lid, sidx).sigma = 0.0;
+        // A mirror keeps no L_v row, so its distance lives in the slot only.
+        s.dist = kInfDist;
+        s.sigma = 0.0;
       }
       st.clear_dirty(lid);
     }
@@ -690,7 +696,7 @@ class BatchRunner final : public sim::Checkpointable {
         buf.value_u32(sidx);
         buf.value_u32(s.dist);
         buf.f64(s.sigma);
-        buf.u8(is_final ? 1 : 0);
+        r.write_final_mark(buf, is_final);
       }
     }
 
@@ -701,16 +707,21 @@ class BatchRunner final : public sim::Checkpointable {
         const auto sidx = buf.value_u32();
         const auto d = buf.value_u32();
         const auto sigma = buf.f64();
-        const auto is_final = buf.u8();
-        if (!is_final) continue;  // eager-mode traffic only
-        st.update_distance(lid, sidx, d);
-        st.slot(lid, sidx).sigma = sigma;
+        if (!r.read_final_mark(buf)) continue;  // eager-mode traffic only
+        // Broadcast receivers are mirrors: no L_v row to maintain.
+        SourceSlot& s = st.slot(lid, sidx);
+        s.dist = d;
+        s.sigma = sigma;
         r.worklist_[h].push_back({lid, sidx});
       }
     }
   };
 
   struct BackwardAccessor {
+    /// A broadcast dependency is read only by walking the receiving
+    /// mirror's local in-edges (compute_backward), so the substrate sends
+    /// it only to mirrors that have one.
+    static constexpr bool kReadsBroadcastsThroughInEdges = true;
     BatchRunner& r;
 
     void serialize_reduce(HostId h, graph::VertexId lid, comm::CodecWriter& buf) {
@@ -741,7 +752,7 @@ class BatchRunner final : public sim::Checkpointable {
       for (const auto& [sidx, is_final] : staged) {
         buf.value_u32(sidx);
         buf.f64(st.slot(lid, sidx).delta);
-        buf.u8(is_final ? 1 : 0);
+        r.write_final_mark(buf, is_final);
       }
     }
 
@@ -751,8 +762,7 @@ class BatchRunner final : public sim::Checkpointable {
       for (std::uint32_t i = 0; i < n; ++i) {
         const auto sidx = buf.value_u32();
         const auto delta = buf.f64();
-        const auto is_final = buf.u8();
-        if (!is_final) continue;
+        if (!r.read_final_mark(buf)) continue;
         st.slot(lid, sidx).delta = delta;
         r.worklist_[h].push_back({lid, sidx});
       }

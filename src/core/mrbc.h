@@ -6,13 +6,14 @@
 // paper's optimizations:
 //
 //   * Section 4.3 data structures: dense per-source array + the sorted
-//     (dist, source) list L_v per vertex (mrbc_state.h);
+//     (dist, source) list L_v per master (mrbc_state.h);
 //   * delayed synchronization: a vertex's (dist, sigma) is broadcast to
 //     its proxies only in the round r = d_sv + l_v(d_sv, s) when it is
-//     final, and its dependency only in round A_sv = R - tau_sv + 1;
-//     mirrors reduce partial contributions eagerly with Gluon
-//     reduce-reset semantics, which is what keeps partial sigma / delta
-//     sums exact;
+//     final, and its dependency only in round A_sv = R - tau_sv + 1, and
+//     only to the mirrors with a local in-edge, the only ones whose
+//     accumulation operator reads it (comm/substrate.h); mirrors reduce
+//     partial contributions eagerly with Gluon reduce-reset semantics,
+//     which is what keeps partial sigma / delta sums exact;
 //   * source batching (Lemma 8): k sources per execution, at most
 //     2(k + H) + O(1) rounds per batch where H is the largest finite
 //     distance from the batch.

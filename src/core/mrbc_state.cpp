@@ -20,12 +20,14 @@ constexpr std::uint64_t entry_key(std::uint32_t dist, std::uint32_t sidx) {
 
 }  // namespace
 
-HostState::HostState(VertexId num_proxies, std::uint32_t num_sources)
-    : num_proxies_(num_proxies), k_(num_sources) {
+HostState::HostState(std::vector<bool> is_master, std::uint32_t num_sources)
+    : is_master_(std::move(is_master)),
+      num_proxies_(static_cast<VertexId>(is_master_.size())),
+      k_(num_sources) {
   layout();
   first_touch_init();
-  dirty_.resize(num_proxies);
-  to_broadcast.resize(num_proxies);
+  dirty_.resize(num_proxies_);
+  to_broadcast.resize(num_proxies_);
 }
 
 void HostState::layout() {
@@ -62,6 +64,10 @@ void HostState::first_touch_init() {
 
 void HostState::update_distance(VertexId lid, std::uint32_t sidx, std::uint32_t new_dist) {
   SourceSlot& s = slot(lid, sidx);
+  if (!is_master_[lid]) {
+    s.dist = new_dist;
+    return;
+  }
   std::uint64_t* row = keys_.data() + static_cast<std::size_t>(lid) * k_;
   std::uint64_t* end = row + entry_counts_[lid];
   const std::uint64_t key = entry_key(new_dist, sidx);
@@ -87,18 +93,6 @@ void HostState::update_distance(VertexId lid, std::uint32_t sidx, std::uint32_t 
     }
   }
   s.dist = new_dist;
-}
-
-void HostState::clear_distance(VertexId lid, std::uint32_t sidx) {
-  SourceSlot& s = slot(lid, sidx);
-  if (s.dist == graph::kInfDist) return;
-  std::uint64_t* row = keys_.data() + static_cast<std::size_t>(lid) * k_;
-  std::uint64_t* end = row + entry_counts_[lid];
-  std::uint64_t* old = std::lower_bound(row, end, entry_key(s.dist, sidx));
-  assert(old != end && *old == entry_key(s.dist, sidx));
-  std::copy(old + 1, end, old);
-  --entry_counts_[lid];
-  s.dist = graph::kInfDist;
 }
 
 std::size_t HostState::position(VertexId lid, std::uint32_t dist, std::uint32_t sidx) const {
@@ -151,13 +145,12 @@ void HostState::save(util::SendBuffer& buf) const {
 void HostState::restore(util::RecvBuffer& buf) {
   const auto k = buf.read<std::uint32_t>();
   const auto np = buf.read<VertexId>();
-  if (k != k_ || np != num_proxies_ || arena_.capacity() == 0) {
-    // Foreign dimensions (or a moved-from shell): re-carve the arena. The
-    // common in-place restore keeps the existing block and its page homes.
-    k_ = k;
-    num_proxies_ = np;
-    layout();
-    first_touch_init();
+  // Against is_master_, not num_proxies_: a moved-from state has lost its
+  // proxies (and its arena) and restores nothing.
+  if (k != k_ || np != is_master_.size()) {
+    throw std::out_of_range("HostState: labels for " + std::to_string(np) + " proxies x " +
+                            std::to_string(k) + " sources, expected " +
+                            std::to_string(is_master_.size()) + " x " + std::to_string(k_));
   }
   const auto num_slots = buf.read<std::uint64_t>();
   if (num_slots != slots_.size()) {
@@ -195,22 +188,24 @@ void HostState::restore(util::RecvBuffer& buf) {
       to_broadcast[lid].emplace_back(sidx, is_final);
     }
   }
-  // Rebuild the derived structures: the L_v rows and entry counts from A_v,
-  // the dirty word plane from the dirty lists.
+  // Rebuild the derived structures: the masters' L_v rows and every entry
+  // count from A_v, the dirty word plane from the dirty lists.
   std::fill(dirty_words_.begin(), dirty_words_.end(), Word{0});
   for (VertexId lid = 0; lid < num_proxies_; ++lid) {
-    std::uint64_t* row = keys_.data() + static_cast<std::size_t>(lid) * k_;
     std::size_t n = 0;
-    for (std::uint32_t sidx = 0; sidx < k_; ++sidx) {
-      const std::uint32_t d = slot(lid, sidx).dist;
-      if (d != graph::kInfDist) row[n++] = entry_key(d, sidx);
+    if (is_master_[lid]) {
+      std::uint64_t* row = keys_.data() + static_cast<std::size_t>(lid) * k_;
+      for (std::uint32_t sidx = 0; sidx < k_; ++sidx) {
+        const std::uint32_t d = slot(lid, sidx).dist;
+        if (d != graph::kInfDist) row[n++] = entry_key(d, sidx);
+      }
+      std::sort(row, row + n);
     }
-    std::sort(row, row + n);
     entry_counts_[lid] = n;
     if (fwd_sent[lid] > n || acc_sent[lid] > n) {
-      throw std::out_of_range("HostState: lid " + std::to_string(lid) + " has " +
-                              std::to_string(n) + " entries but cursors " +
-                              std::to_string(fwd_sent[lid]) + "/" +
+      throw std::out_of_range("HostState: " + std::string(is_master_[lid] ? "master" : "mirror") +
+                              " lid " + std::to_string(lid) + " has " + std::to_string(n) +
+                              " entries but cursors " + std::to_string(fwd_sent[lid]) + "/" +
                               std::to_string(acc_sent[lid]));
     }
     for (std::uint32_t sidx : dirty_[lid]) {

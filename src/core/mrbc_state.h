@@ -11,7 +11,9 @@
 //         them directly: the idx-th entry is row[idx], and the rank l_v(d, s)
 //         that fixes an entry's pipelined send round is a binary search.
 //         A distance change is a binary search plus one memmove within the
-//         row. The rows are derived from A_v and never serialized.
+//         row. The rows are derived from A_v and never serialized. Only
+//         masters schedule sends, so only masters keep a row: a mirror's
+//         distance lives in its slot alone and its entry_count stays 0.
 //
 // Everything the per-round drains touch per vertex — the slot row, the
 // L_v row, the pipelining cursors, the entry count, and the dirty-flag
@@ -51,7 +53,9 @@ class HostState {
  public:
   using Word = util::bitwords::Word;
 
-  HostState(VertexId num_proxies, std::uint32_t num_sources);
+  /// Labels for one proxy per `is_master` entry (HostGraph::is_master),
+  /// for `num_sources` sources.
+  HostState(std::vector<bool> is_master, std::uint32_t num_sources);
   HostState(HostState&&) noexcept = default;
   HostState& operator=(HostState&&) noexcept = default;
 
@@ -66,15 +70,13 @@ class HostState {
   }
 
   // --- L_v maintenance --------------------------------------------------
-  // update_distance keeps slot.dist and the row consistent: pass the new
-  // distance; the old one is read from the slot.
+  // update_distance keeps slot.dist and a master's row consistent: pass the
+  // new distance; the old one is read from the slot. On a mirror it writes
+  // the slot only.
   void update_distance(VertexId lid, std::uint32_t sidx, std::uint32_t new_dist);
 
-  /// Removes (slot.dist, sidx) from the row and resets the slot's dist to
-  /// infinity (mirror reduce-reset).
-  void clear_distance(VertexId lid, std::uint32_t sidx);
-
-  /// Number of (dist, source) entries of vertex `lid` (|L_v|).
+  /// Number of (dist, source) entries of master `lid` (|L_v|); 0 on a
+  /// mirror.
   std::size_t entry_count(VertexId lid) const { return entry_counts_[lid]; }
 
   /// idx-th (0-based) entry of L_v in lexicographic (dist, source) order.
@@ -109,9 +111,11 @@ class HostState {
   // Serializes / restores the complete label state for crash recovery.
   // The L_v rows and entry counts are derivable from A_v, so only the slots
   // and round-local cursors/queues go on the wire; restore() rebuilds each
-  // row by sorting its lid's finite slots. restore() throws
-  // std::out_of_range when a source index or cursor in the buffer lies
-  // outside the label state it describes.
+  // master's row by sorting its lid's finite slots. restore() throws
+  // std::out_of_range when the buffer's (proxies, sources) shape differs
+  // from this state's, or a source index or cursor in it lies outside the
+  // label state it describes (a mirror has no entries, so any nonzero
+  // cursor on one).
   // The slot plane is a u64 count followed by kPackedSlotBytes per slot
   // (dist u32, sigma f64, delta f64, no padding), so equal label states
   // always serialize to equal bytes: SourceSlot's in-memory padding is
@@ -133,12 +137,13 @@ class HostState {
   /// first-touched by the worker whose ranges live in them.
   void first_touch_init();
 
+  std::vector<bool> is_master_;
   VertexId num_proxies_ = 0;
   std::uint32_t k_ = 0;
   std::uint32_t kw_ = 0;  ///< ceil(k / 64): words per lid in dirty_words_
   util::Arena arena_;
   std::span<SourceSlot> slots_;
-  std::span<std::uint64_t> keys_;  ///< np x k L_v rows, sorted, entry_count live
+  std::span<std::uint64_t> keys_;  ///< np x k L_v rows, sorted, entry_count live (masters)
   std::span<std::size_t> entry_counts_;
   std::span<Word> dirty_words_;  ///< np x kw_ idempotency bits for mark_dirty
   std::vector<std::vector<std::uint32_t>> dirty_;

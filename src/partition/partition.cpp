@@ -100,7 +100,8 @@ void Partition::build(const Graph& g, Policy policy) {
 
   // Pass 4: the slot table, a CSR per host. The counts become row starts;
   // filling in (mirror host, master host) order makes every master's slots
-  // ascend by peer.
+  // ascend by peer. Both ends of a pair record whether the mirror has a
+  // local in-edge.
   slots_.resize(H);
   std::vector<std::vector<std::size_t>> cursor(H);
   for (HostId h = 0; h < H; ++h) {
@@ -114,8 +115,9 @@ void Partition::build(const Graph& g, Policy policy) {
       const std::vector<VertexId>& mirrors = mirror_lids_[mh][oh];
       const std::vector<VertexId>& masters = master_lids_[mh][oh];
       for (std::uint32_t i = 0; i < mirrors.size(); ++i) {
-        slots_[mh][cursor[mh][mirrors[i]]++] = {oh, i};
-        slots_[oh][cursor[oh][masters[i]]++] = {mh, i};
+        const bool in_edges = hosts_[mh].local.in_degree(mirrors[i]) != 0;
+        slots_[mh][cursor[mh][mirrors[i]]++] = {oh, in_edges, i};
+        slots_[oh][cursor[oh][masters[i]]++] = {mh, in_edges, i};
       }
     }
   }

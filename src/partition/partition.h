@@ -42,11 +42,15 @@ struct HostGraph {
 };
 
 /// One exchange-list position of a proxy: the host at the other end of the
-/// list and the proxy's index in it.
+/// list, the proxy's index in it, and whether the list's mirror proxy of
+/// this vertex has a local in-edge (the same bit on both ends). The bit
+/// shares the peer's word, so the slot table stays 8 bytes per slot.
 struct Slot {
-  HostId peer = 0;
+  HostId peer : 31 = 0;
+  bool mirror_has_in_edges : 1 = false;
   std::uint32_t index = 0;
 };
+static_assert(sizeof(Slot) == 8);
 
 /// Full partition of a graph over `num_hosts` hosts, plus the exchange
 /// structure the communication substrate uses to reconcile proxies.
@@ -85,7 +89,8 @@ class Partition {
   /// `lid` on host h. A mirror has one slot, {its master host, its index in
   /// mirror_lids(h, peer)}. A master has one slot per host holding a mirror
   /// of it, in ascending peer order: {that host, its index in
-  /// master_lids(peer, h)}. A 1-host partition has no slots.
+  /// master_lids(peer, h)}. Each slot also says whether that mirror has an
+  /// in-edge on its host. A 1-host partition has no slots.
   std::span<const Slot> slots(HostId h, VertexId lid) const {
     const std::vector<std::size_t>& off = slot_offsets_[h];
     return {slots_[h].data() + off[lid], off[lid + 1] - off[lid]};

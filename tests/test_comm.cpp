@@ -317,14 +317,16 @@ TEST(Substrate, RestoreStateRejectsForeignShapes) {
 
 /// A per-vertex list label, for the exchange's list-accessor path: each
 /// proxy holds (token, weight) entries. Reduce appends a mirror's entries
-/// to its master and clears the mirror; broadcast overwrites every mirror
-/// with its master's list.
+/// to its master, clears the mirror and, given a substrate, flags the
+/// master for broadcast (a list accessor flags its own broadcasts);
+/// broadcast overwrites every mirror with its master's list.
 struct ListAccessor {
   struct Entry {
     std::uint32_t token = 0;
     double weight = 0.0;
   };
   std::vector<std::vector<std::vector<Entry>>>& lists;  // [host][lid]
+  Substrate* substrate = nullptr;  ///< flags reduced masters for broadcast; null: flags none
 
   static void write(const std::vector<Entry>& list, CodecWriter& w) {
     w.meta_u32(static_cast<std::uint32_t>(list.size()));
@@ -345,7 +347,10 @@ struct ListAccessor {
     write(lists[h][lid], w);
     lists[h][lid].clear();
   }
-  void apply_reduce(HostId h, VertexId lid, CodecReader& r) { read(r, lists[h][lid]); }
+  void apply_reduce(HostId h, VertexId lid, CodecReader& r) {
+    read(r, lists[h][lid]);
+    if (substrate != nullptr) substrate->flag_broadcast(h, lid);
+  }
   void serialize_broadcast(HostId h, VertexId lid, CodecWriter& w) { write(lists[h][lid], w); }
   void apply_broadcast(HostId h, VertexId lid, CodecReader& r) {
     lists[h][lid].clear();
@@ -406,7 +411,7 @@ std::pair<SyncStats, std::uint64_t> wire_sync(const WireCase& c) {
     }
   }
   SumAccessor sum_acc{sums};
-  ListAccessor list_acc{lists};
+  ListAccessor list_acc{lists, &sub};
   SyncStats stats = c.list ? sub.sync(list_acc) : sub.sync(sum_acc);
   std::uint64_t hash = 0xcbf29ce484222325ull;
   for (HostId h = 0; h < H; ++h) {
@@ -443,12 +448,12 @@ TEST(Substrate, ExchangeWireBytesArePinned) {
       {false, kMeta, true, 14, 1038, 1510, 92, 4, 9, 2, 0x3937e0953e61de56ull},
       {false, kFull, false, 14, 847, 1342, 92, 0, 0, 0, 0x3937e0953e61de56ull},
       {false, kFull, true, 14, 1015, 1510, 92, 4, 9, 2, 0x3937e0953e61de56ull},
-      {true, kRaw, false, 14, 3082, 3082, 92, 0, 0, 0, 0xfe83c5e3e42355e7ull},
-      {true, kRaw, true, 14, 3250, 3250, 92, 4, 9, 2, 0xfe83c5e3e42355e7ull},
-      {true, kMeta, false, 14, 2588, 3238, 92, 0, 0, 0, 0xfe83c5e3e42355e7ull},
-      {true, kMeta, true, 14, 2756, 3406, 92, 4, 9, 2, 0xfe83c5e3e42355e7ull},
-      {true, kFull, false, 14, 1365, 3238, 92, 0, 0, 0, 0xfe83c5e3e42355e7ull},
-      {true, kFull, true, 14, 1533, 3406, 92, 4, 9, 2, 0xfe83c5e3e42355e7ull},
+      {true, kRaw, false, 14, 2858, 2858, 81, 0, 0, 0, 0xd16b96bfc34bc009ull},
+      {true, kRaw, true, 14, 3026, 3026, 81, 4, 9, 2, 0xd16b96bfc34bc009ull},
+      {true, kMeta, false, 14, 2386, 2970, 81, 0, 0, 0, 0xd16b96bfc34bc009ull},
+      {true, kMeta, true, 14, 2554, 3138, 81, 4, 9, 2, 0xd16b96bfc34bc009ull},
+      {true, kFull, false, 14, 1258, 2970, 81, 0, 0, 0, 0xd16b96bfc34bc009ull},
+      {true, kFull, true, 14, 1426, 3138, 81, 4, 9, 2, 0xd16b96bfc34bc009ull},
   };
   for (const WireCase& c : cases) {
     const auto [stats, labels] = wire_sync(c);
@@ -481,9 +486,11 @@ std::ostream& operator<<(std::ostream& os, const PhaseStep& s) {
 /// A fixed script of syncs on one substrate, moved partway through into a
 /// fresh substrate by save_state/restore_state: dense flags, sparse flags,
 /// one host only, an empty phase, broadcast flags on mirrors (ignored) and
-/// masters, reduce flags on masters only (promoted to broadcasts), and
-/// dense flags again. Each step updates the labels it flags, so presence
-/// state leaking from one phase into a later one changes what is sent.
+/// masters, reduce flags on masters only (promoted to broadcasts for the
+/// fixed-Value accessor, ignored for the list accessor, which flags only
+/// the masters it reduces into), and dense flags again. Each step updates
+/// the labels it flags, so presence state leaking from one phase into a
+/// later one changes what is sent.
 std::vector<PhaseStep> phase_script(bool list, CodecMode mode) {
   Partition part = make_partition();
   const HostId H = part.num_hosts();
@@ -498,7 +505,7 @@ std::vector<PhaseStep> phase_script(bool list, CodecMode mode) {
     lists[h].resize(part.host(h).num_proxies());
   }
   SumAccessor sum_acc{sums};
-  ListAccessor list_acc{lists};
+  ListAccessor list_acc{lists, sub.get()};
   enum Flag { kNone, kReduce, kBroadcast };
   // pick(h, is_master, gv) chooses each proxy's flag for step k.
   const auto flag = [&](std::uint32_t k, auto&& pick) {
@@ -547,6 +554,7 @@ std::vector<PhaseStep> phase_script(bool list, CodecMode mode) {
   sub->save_state(saved);
   sub = std::make_unique<Substrate>(part);
   sub->set_delivery(opts);
+  list_acc.substrate = sub.get();
   util::RecvBuffer in(saved.take());
   sub->restore_state(in);
   finish();
@@ -559,7 +567,8 @@ TEST(Substrate, ExchangeAcrossPhasesIsPinned) {
   // Per-step stats and labels of phase_script for both accessor kinds, in
   // kRaw and kFull. The empty phase (step 3) sends nothing; the
   // mirror-broadcast flags of step 4 send nothing; the master reduce flags
-  // of step 5 go out only as broadcasts.
+  // of step 5 go out only as broadcasts for the fixed-Value accessor and
+  // not at all for the list accessor.
   struct Case {
     bool list;
     CodecMode mode;
@@ -587,27 +596,152 @@ TEST(Substrate, ExchangeAcrossPhasesIsPinned) {
         {16, 651, 1724, 121, 0x57c2b454b72d2949ull}}},
       {true,
        CodecMode::kRaw,
-       {{16, 2984, 2984, 121, 0xf9b69b4e864504ddull},
-        {8, 1108, 1108, 14, 0x11f5adc4cacb46d0ull},
-        {8, 1140, 1140, 22, 0x677e1ad9661308bbull},
-        {0, 0, 0, 0, 0x677e1ad9661308bbull},
-        {7, 823, 823, 12, 0x14a49b7c5ca060e5ull},
-        {8, 1164, 1164, 19, 0x63e901558c0ea0f3ull},
-        {16, 11612, 11612, 121, 0xf901f6e2b9ca3d47ull}}},
+       {{16, 2776, 2776, 108, 0x96dbd2651172b34cull},
+        {8, 1036, 1036, 14, 0x464b199eefb0e729ull},
+        {6, 774, 774, 15, 0x918b80608456f6acull},
+        {0, 0, 0, 0, 0x918b80608456f6acull},
+        {7, 823, 823, 12, 0x9bbf701183517496ull},
+        {0, 0, 0, 0, 0x2299f6b64ae72453ull},
+        {16, 10504, 10504, 108, 0xee553abe7cf5d25aull}}},
       {true,
        CodecMode::kFull,
-       {{16, 1334, 3212, 121, 0xf9b69b4e864504ddull},
-        {8, 519, 1060, 14, 0x11f5adc4cacb46d0ull},
-        {8, 498, 1112, 22, 0x677e1ad9661308bbull},
-        {0, 0, 0, 0, 0x677e1ad9661308bbull},
-        {7, 355, 795, 12, 0x14a49b7c5ca060e5ull},
-        {8, 670, 1136, 19, 0x63e901558c0ea0f3ull},
-        {16, 5300, 11840, 121, 0xf901f6e2b9ca3d47ull}}},
+       {{16, 1221, 2952, 108, 0x96dbd2651172b34cull},
+        {8, 453, 988, 14, 0x464b199eefb0e729ull},
+        {6, 312, 750, 15, 0x918b80608456f6acull},
+        {0, 0, 0, 0, 0x918b80608456f6acull},
+        {7, 355, 795, 12, 0x9bbf701183517496ull},
+        {0, 0, 0, 0, 0x2299f6b64ae72453ull},
+        {16, 4792, 10680, 108, 0xee553abe7cf5d25aull}}},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(::testing::Message() << (c.list ? "list " : "fixed ") << codec_mode_name(c.mode));
     const std::vector<PhaseStep> steps = phase_script(c.list, c.mode);
     EXPECT_EQ(steps, c.steps);
+  }
+}
+
+TEST(Substrate, ListAccessorBroadcastsOnlyWhatItFlags) {
+  // The same reduce flags, reduced with and without the accessor flagging
+  // the masters it reduces into: without, the reduce phase promotes
+  // nothing and the broadcast phase sends nothing. A fixed-Value accessor's
+  // reduced masters are promoted either way.
+  Partition part = make_partition();
+  const HostId H = part.num_hosts();
+  for (const bool flags_own : {true, false}) {
+    Substrate sub(part);
+    std::vector<std::vector<std::vector<ListAccessor::Entry>>> lists(H);
+    for (HostId h = 0; h < H; ++h) {
+      const auto& hg = part.host(h);
+      lists[h].resize(hg.num_proxies());
+      for (VertexId l = 0; l < hg.num_proxies(); ++l) {
+        lists[h][l].push_back({hg.local_to_global[l], 1.0});
+        sub.flag_reduce(h, l);
+      }
+    }
+    ListAccessor acc{lists, flags_own ? &sub : nullptr};
+    const SyncStats reduced = sub.reduce(acc);
+    EXPECT_GT(reduced.messages, 0u);
+    EXPECT_EQ(sub.any_pending(), flags_own);
+    const SyncStats broadcast = sub.broadcast(acc);
+    EXPECT_EQ(broadcast.messages > 0, flags_own);
+    EXPECT_EQ(broadcast.values > 0, flags_own);
+    EXPECT_FALSE(sub.any_pending());
+  }
+  Substrate sub(part);
+  std::vector<std::vector<double>> sums(H);
+  for (HostId h = 0; h < H; ++h) {
+    sums[h].assign(part.host(h).num_proxies(), 1.0);
+    for (VertexId l = 0; l < part.host(h).num_proxies(); ++l) sub.flag_reduce(h, l);
+  }
+  SumAccessor sum_acc{sums};
+  sub.reduce(sum_acc);
+  EXPECT_TRUE(sub.any_pending());
+  EXPECT_GT(sub.broadcast(sum_acc).messages, 0u);
+}
+
+/// The test accessors with an operator that, by declaration, reads
+/// broadcasts only through the receiving proxy's local in-edges.
+struct InEdgeSumAccessor : SumAccessor {
+  static constexpr bool kReadsBroadcastsThroughInEdges = true;
+};
+struct InEdgeListAccessor : ListAccessor {
+  static constexpr bool kReadsBroadcastsThroughInEdges = true;
+};
+
+/// Broadcasts every master of `part` through an `Acc` and checks which
+/// mirrors it reached: with the in-edge scope, exactly the mirrors with a
+/// local in-edge; without it, every mirror. One message goes out per
+/// exchange list holding such a mirror, and none on any other list.
+template <typename Acc, bool kScoped>
+SyncStats expect_broadcast_reach(const Partition& part, const std::string& label) {
+  constexpr bool kFixed = requires { typename Acc::Value; };
+  const HostId H = part.num_hosts();
+  Substrate sub(part);
+  std::vector<std::vector<double>> sums(H);
+  std::vector<std::vector<std::vector<ListAccessor::Entry>>> lists(H);
+  for (HostId h = 0; h < H; ++h) {
+    const auto& hg = part.host(h);
+    sums[h].assign(hg.num_proxies(), -1.0);
+    lists[h].resize(hg.num_proxies());
+    for (VertexId l = 0; l < hg.num_proxies(); ++l) {
+      if (!hg.is_master[l]) continue;
+      sums[h][l] = hg.local_to_global[l] + 1.0;
+      lists[h][l].push_back({hg.local_to_global[l], 1.0});
+      sub.flag_broadcast(h, l);
+    }
+  }
+  SyncStats stats;
+  if constexpr (kFixed) {
+    Acc acc{{sums}};
+    stats = sub.broadcast(acc);
+  } else {
+    Acc acc{{lists}};
+    stats = sub.broadcast(acc);
+  }
+  std::size_t lists_sent = 0;
+  std::size_t values = 0;
+  for (HostId mh = 0; mh < H; ++mh) {
+    for (HostId oh = 0; oh < H; ++oh) {
+      bool sent = false;
+      for (VertexId l : part.mirror_lids(mh, oh)) {
+        const bool reads = !kScoped || part.host(mh).local.in_degree(l) != 0;
+        const VertexId gv = part.host(mh).local_to_global[l];
+        const bool reached = kFixed ? sums[mh][l] == gv + 1.0 : lists[mh][l].size() == 1;
+        EXPECT_EQ(reached, reads) << label << " host " << mh << " lid " << l;
+        sent = sent || reads;
+        values += reads ? 1 : 0;
+      }
+      lists_sent += sent ? 1 : 0;
+    }
+  }
+  EXPECT_EQ(stats.messages, lists_sent) << label;
+  EXPECT_EQ(stats.values, values) << label;
+  return stats;
+}
+
+TEST(Substrate, InEdgeScopedBroadcastReachesExactlyMirrorsWithInEdges) {
+  // Under every policy and with both accessor kinds. An incoming edge-cut
+  // leaves only mirrors without in-edges, so a scoped broadcast sends no
+  // message at all; an outgoing edge-cut leaves only mirrors with one, so
+  // scoping prunes nothing.
+  static const Graph g = graph::rmat({.scale = 6, .edge_factor = 5.0, .seed = 7});
+  for (const Policy policy : {Policy::kCartesianVertexCut, Policy::kEdgeCutSrc,
+                              Policy::kEdgeCutDst, Policy::kGeneralVertexCut,
+                              Policy::kRandomEdge}) {
+    const Partition part(g, 4, policy);
+    const std::string name = partition::to_string(policy);
+    const SyncStats all = expect_broadcast_reach<SumAccessor, false>(part, name + " fixed");
+    const SyncStats scoped =
+        expect_broadcast_reach<InEdgeSumAccessor, true>(part, name + " fixed scoped");
+    expect_broadcast_reach<ListAccessor, false>(part, name + " list");
+    expect_broadcast_reach<InEdgeListAccessor, true>(part, name + " list scoped");
+    EXPECT_GT(all.messages, 0u) << name;
+    if (policy == Policy::kEdgeCutDst) {
+      EXPECT_EQ(scoped.messages, 0u);
+    }
+    if (policy == Policy::kEdgeCutSrc) {
+      EXPECT_EQ(scoped.values, all.values);
+    }
   }
 }
 

@@ -109,12 +109,14 @@ core::MrbcRun run_mrbc(const Graph& g, const std::vector<VertexId>& sources, std
                        bool parallel_hosts, std::size_t drain_grain,
                        sim::FaultInjector* fault = nullptr,
                        comm::CodecMode codec = comm::CodecMode::kRaw,
-                       bool delayed_sync = true) {
+                       bool delayed_sync = true,
+                       partition::Policy policy = partition::Policy::kCartesianVertexCut) {
   core::MrbcOptions opts;
   opts.num_hosts = 4;
   opts.batch_size = 8;
   opts.drain_grain = drain_grain;
   opts.delayed_sync = delayed_sync;
+  opts.policy = policy;
   opts.cluster.threads = threads;
   opts.cluster.parallel_hosts = parallel_hosts;
   opts.cluster.record_round_log = true;
@@ -130,17 +132,28 @@ core::MrbcRun run_mrbc(const Graph& g, const std::vector<VertexId>& sources, std
 baselines::SbbcRun run_sbbc(const Graph& g, const std::vector<VertexId>& sources,
                             std::size_t threads, bool parallel_hosts, std::size_t drain_grain,
                             comm::CodecMode codec = comm::CodecMode::kRaw,
-                            baselines::Direction direction = baselines::Direction::kAuto) {
+                            baselines::Direction direction = baselines::Direction::kAuto,
+                            partition::Policy policy = partition::Policy::kCartesianVertexCut) {
   baselines::SbbcOptions opts;
   opts.num_hosts = 4;
   opts.drain_grain = drain_grain;
   opts.direction = direction;
+  opts.policy = policy;
   opts.cluster.threads = threads;
   opts.cluster.parallel_hosts = parallel_hosts;
   opts.cluster.record_round_log = true;
   opts.cluster.codec = codec;
   return baselines::sbbc_bc(g, sources, opts);
 }
+
+/// Every partition policy, with the FNV-1a hash (testing::score_hash) its
+/// runs' scores must have. An incoming edge-cut leaves only mirrors without
+/// in-edges, so every backward broadcast is pruned; an outgoing edge-cut
+/// leaves only mirrors with one, so none is.
+struct PolicyPin {
+  partition::Policy policy;
+  std::uint64_t scores;
+};
 
 class DeterminismTest : public ::testing::Test {
  protected:
@@ -168,22 +181,33 @@ TEST_F(DeterminismTest, MrbcIsThreadCountInvariant) {
   const auto sources = det_sources(g, 16);
   // Grain 1 stages every multi-entry round through the ordered replay; eager
   // sync also routes intermediate-label staging through its side lists.
-  for (const std::size_t grain : {std::size_t{4}, std::size_t{1}}) {
-    for (const bool delayed_sync : {true, false}) {
-      const auto reference =
-          run_mrbc(g, sources, 1, false, grain, nullptr, comm::CodecMode::kRaw, delayed_sync);
-      EXPECT_EQ(reference.anomalies, 0u);
-      for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-        const auto run = run_mrbc(g, sources, threads, true, grain, nullptr,
-                                  comm::CodecMode::kRaw, delayed_sync);
-        const std::string label = "mrbc grain=" + std::to_string(grain) +
-                                  " delayed_sync=" + std::to_string(delayed_sync) +
-                                  " threads=" + std::to_string(threads);
-        EXPECT_EQ(run.anomalies, reference.anomalies) << label;
-        EXPECT_EQ(run.num_batches, reference.num_batches) << label;
-        expect_bits_equal(run.result.bc, reference.result.bc, label);
-        expect_stats_equal(run.forward, reference.forward, label + " forward");
-        expect_stats_equal(run.backward, reference.backward, label + " backward");
+  const PolicyPin pins[] = {
+      {partition::Policy::kCartesianVertexCut, 0x1d592df6e70ee70cull},
+      {partition::Policy::kEdgeCutSrc, 0xc24c302ec66f457eull},
+      {partition::Policy::kEdgeCutDst, 0x760b2f124460439cull},
+      {partition::Policy::kGeneralVertexCut, 0xe84588a241ee0f9dull},
+      {partition::Policy::kRandomEdge, 0x27e77c68a74f4980ull},
+  };
+  for (const auto& [policy, scores] : pins) {
+    for (const std::size_t grain : {std::size_t{4}, std::size_t{1}}) {
+      for (const bool delayed_sync : {true, false}) {
+        const std::string base = "mrbc " + partition::to_string(policy) +
+                                 " grain=" + std::to_string(grain) +
+                                 " delayed_sync=" + std::to_string(delayed_sync);
+        const auto reference = run_mrbc(g, sources, 1, false, grain, nullptr,
+                                        comm::CodecMode::kRaw, delayed_sync, policy);
+        EXPECT_EQ(reference.anomalies, 0u) << base;
+        EXPECT_EQ(testing::score_hash(reference.result.bc), scores) << base;
+        for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+          const auto run = run_mrbc(g, sources, threads, true, grain, nullptr,
+                                    comm::CodecMode::kRaw, delayed_sync, policy);
+          const std::string label = base + " threads=" + std::to_string(threads);
+          EXPECT_EQ(run.anomalies, reference.anomalies) << label;
+          EXPECT_EQ(run.num_batches, reference.num_batches) << label;
+          expect_bits_equal(run.result.bc, reference.result.bc, label);
+          expect_stats_equal(run.forward, reference.forward, label + " forward");
+          expect_stats_equal(run.backward, reference.backward, label + " backward");
+        }
       }
     }
   }
@@ -192,13 +216,26 @@ TEST_F(DeterminismTest, MrbcIsThreadCountInvariant) {
 TEST_F(DeterminismTest, SbbcIsThreadCountInvariant) {
   const Graph g = det_graph();
   const auto sources = det_sources(g, 6);
-  const auto reference = run_sbbc(g, sources, 1, false, std::size_t{1} << 30);
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
-    const auto run = run_sbbc(g, sources, threads, true, 2);
-    const std::string label = "sbbc threads=" + std::to_string(threads);
-    expect_bits_equal(run.result.bc, reference.result.bc, label);
-    expect_stats_equal(run.forward, reference.forward, label + " forward");
-    expect_stats_equal(run.backward, reference.backward, label + " backward");
+  const PolicyPin pins[] = {
+      {partition::Policy::kCartesianVertexCut, 0x6b2597feeba8ade3ull},
+      {partition::Policy::kEdgeCutSrc, 0x280044923698c546ull},
+      {partition::Policy::kEdgeCutDst, 0xdd7fc31325143d6dull},
+      {partition::Policy::kGeneralVertexCut, 0xe5ab6ed5fcd5ba64ull},
+      {partition::Policy::kRandomEdge, 0xea97840ffd524599ull},
+  };
+  for (const auto& [policy, scores] : pins) {
+    const auto reference = run_sbbc(g, sources, 1, false, std::size_t{1} << 30,
+                                    comm::CodecMode::kRaw, baselines::Direction::kAuto, policy);
+    EXPECT_EQ(testing::score_hash(reference.result.bc), scores) << partition::to_string(policy);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+      const auto run = run_sbbc(g, sources, threads, true, 2, comm::CodecMode::kRaw,
+                                baselines::Direction::kAuto, policy);
+      const std::string label =
+          "sbbc " + partition::to_string(policy) + " threads=" + std::to_string(threads);
+      expect_bits_equal(run.result.bc, reference.result.bc, label);
+      expect_stats_equal(run.forward, reference.forward, label + " forward");
+      expect_stats_equal(run.backward, reference.backward, label + " backward");
+    }
   }
 }
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -87,6 +88,16 @@ inline void expect_tables_equal(const core::BcResult& expected, const core::BcRe
           << label << " delta[" << s << "][" << v << "]";
     }
   }
+}
+
+/// FNV-1a over the score bytes: one constant pins every score bit.
+inline std::uint64_t score_hash(const core::BcScores& bc) {
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  const auto* p = reinterpret_cast<const std::uint8_t*>(bc.data());
+  for (std::size_t i = 0; i < bc.size() * sizeof(double); ++i) {
+    hash = (hash ^ p[i]) * 0x100000001b3ull;
+  }
+  return hash;
 }
 
 }  // namespace mrbc::testing

@@ -31,6 +31,7 @@ using graph::VertexId;
 using partition::Policy;
 using testing::expect_bc_equal;
 using testing::expect_tables_equal;
+using testing::score_hash;
 
 TEST(Mrbc, MatchesBrandesOnCorpusDefaultOptions) {
   for (const auto& [name, g] : testing::structured_corpus()) {
@@ -205,16 +206,6 @@ TEST(Mrbc, RepeatedRunsAreDeterministic) {
 
 // ---- Pinned schedule ----------------------------------------------------------
 
-/// FNV-1a over the score bytes: one constant pins every score bit.
-std::uint64_t score_hash(const core::BcScores& bc) {
-  std::uint64_t hash = 0xcbf29ce484222325ull;
-  const auto* p = reinterpret_cast<const std::uint8_t*>(bc.data());
-  for (std::size_t i = 0; i < bc.size() * sizeof(double); ++i) {
-    hash = (hash ^ p[i]) * 0x100000001b3ull;
-  }
-  return hash;
-}
-
 struct ScheduleCase {
   bool web;  ///< web_crawl_like with tails, else RMAT scale 9
   std::uint32_t batch;
@@ -285,22 +276,22 @@ TEST(MrbcSchedule, RoundsTrafficAndScoresArePinned) {
   const ScheduleCase cases[] = {
       // web, batch, delayed, forward_rounds, backward_rounds, messages,
       // bytes, values, scores
-      {true, 1, true, 1474, 1409, 2687, 230059, 9600, 0xc6cc7be4d12204dull},
-      {true, 17, true, 166, 162, 1600, 222436, 10050, 0x2dac323749124a9cull},
-      {true, 64, true, 108, 106, 1322, 223654, 9899, 0x3e536bbb4beb6237ull},
-      {true, 65, true, 80, 79, 1293, 223513, 9901, 0x1c1211c21359a12bull},
-      {true, 1, false, 1474, 1409, 2687, 258475, 9600, 0xc6cc7be4d12204dull},
-      {true, 17, false, 166, 162, 1602, 263661, 10506, 0x2dac323749124a9cull},
-      {true, 64, false, 108, 106, 1322, 270196, 10117, 0x3e536bbb4beb6237ull},
-      {true, 65, false, 80, 79, 1293, 270518, 10131, 0x1c1211c21359a12bull},
-      {false, 1, true, 374, 309, 4724, 1671432, 81947, 0x8402dab43705395dull},
-      {false, 17, true, 82, 78, 1726, 1890206, 88048, 0x94300651127381d9ull},
-      {false, 64, true, 69, 67, 1539, 2031927, 85807, 0xcf23cd3f2f74413ull},
-      {false, 65, true, 64, 63, 1486, 2041478, 85879, 0x5123034a32a10f2bull},
-      {false, 1, false, 374, 309, 4724, 2168202, 81947, 0x8402dab43705395dull},
-      {false, 17, false, 82, 78, 1726, 2691142, 89000, 0x94300651127381d9ull},
-      {false, 64, false, 69, 67, 1539, 2979412, 86219, 0xcf23cd3f2f74413ull},
-      {false, 65, false, 64, 63, 1486, 2996316, 86289, 0x5123034a32a10f2bull},
+      {true, 1, true, 1474, 1409, 1998, 159366, 6485, 0xc6cc7be4d12204dull},
+      {true, 17, true, 166, 162, 1223, 155983, 6669, 0x2dac323749124a9cull},
+      {true, 64, true, 108, 106, 1055, 159211, 6675, 0x3e536bbb4beb6237ull},
+      {true, 65, true, 80, 79, 1036, 159248, 6680, 0x1c1211c21359a12bull},
+      {true, 1, false, 1474, 1409, 1998, 176979, 6485, 0xc6cc7be4d12204dull},
+      {true, 17, false, 166, 162, 1227, 178919, 7137, 0x2dac323749124a9cull},
+      {true, 64, false, 108, 106, 1056, 182358, 6891, 0x3e536bbb4beb6237ull},
+      {true, 65, false, 80, 79, 1037, 182520, 6908, 0x1c1211c21359a12bull},
+      {false, 1, true, 374, 309, 3886, 1352314, 67273, 0x8402dab43705395dull},
+      {false, 17, true, 82, 78, 1434, 1570754, 70218, 0x94300651127381d9ull},
+      {false, 64, true, 69, 67, 1280, 1721412, 69971, 0xcf23cd3f2f74413ull},
+      {false, 65, true, 64, 63, 1237, 1731117, 70023, 0x5123034a32a10f2bull},
+      {false, 1, false, 374, 309, 3886, 1827664, 67273, 0x8402dab43705395dull},
+      {false, 17, false, 82, 78, 1434, 2288589, 73446, 0x94300651127381d9ull},
+      {false, 64, false, 69, 67, 1280, 2535888, 71232, 0xcf23cd3f2f74413ull},
+      {false, 65, false, 64, 63, 1237, 2550671, 71295, 0x5123034a32a10f2bull},
   };
   const std::filesystem::path dir = std::filesystem::temp_directory_path() / "mrbc_schedule_pin";
   const std::string file = (dir / "mrbc.ckpt").string();

@@ -161,6 +161,7 @@ TEST_P(PolicySweep, SlotsInvertExchangeLists) {
         const auto& mirrors = part.mirror_lids(h, slots[0].peer);
         ASSERT_LT(slots[0].index, mirrors.size());
         EXPECT_EQ(mirrors[slots[0].index], l);
+        EXPECT_EQ(slots[0].mirror_has_in_edges, hg.local.in_degree(l) != 0);
         continue;
       }
       // A master has one slot per host holding a mirror of it, ascending.
@@ -174,6 +175,10 @@ TEST_P(PolicySweep, SlotsInvertExchangeLists) {
         const auto& masters = part.master_lids(slots[k].peer, h);
         ASSERT_LT(slots[k].index, masters.size());
         EXPECT_EQ(masters[slots[k].index], l);
+        // ... and whether the mirror there has a local in-edge.
+        const VertexId mirror = part.local_id(mirror_hosts[k], gv);
+        EXPECT_EQ(slots[k].mirror_has_in_edges,
+                  part.host(mirror_hosts[k]).local.in_degree(mirror) != 0);
       }
     }
   }

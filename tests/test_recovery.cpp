@@ -485,7 +485,7 @@ TEST(DurableRestart, MrbcResumeRejectsHugeWorklist) {
     loop.read<std::uint8_t>();   // any_active
     loop.read<std::uint64_t>();  // snapshot length
     comm::Substrate(part).restore_state(loop);
-    core::HostState(part.host(0).num_proxies(), opts.batch_size).restore(loop);
+    core::HostState(part.host(0).is_master, opts.batch_size).restore(loop);
     loop.read_vector<std::uint8_t>();  // per-slot status flags
     const std::uint64_t huge = std::uint64_t{1} << 40;
     std::memcpy(bytes.data() + (loop.size() - loop.remaining()), &huge, sizeof(huge));
@@ -526,7 +526,7 @@ LoopOffsets loop_offsets(const std::vector<std::uint8_t>& bytes,
   std::memcpy(&num_slots, bytes.data() + at() + 2 * sizeof(std::uint32_t), sizeof(num_slots));
   o.dirty0 = at() + 2 * sizeof(std::uint32_t) + sizeof(std::uint64_t) +
              num_slots * core::HostState::kPackedSlotBytes;
-  core::HostState(part.host(0).num_proxies(), k).restore(loop);
+  core::HostState(part.host(0).is_master, k).restore(loop);
   o.flags = at();
   loop.read_vector<std::uint8_t>();
   o.worklist = at();
