@@ -65,7 +65,7 @@ void run() {
       stream::IncrementalBc inc(input.graph, opts);
 
       util::Xoshiro256 rng(batch_ops * 0x9e37 + 5);
-      const VertexId n = inc.delta().num_vertices();
+      const VertexId n = inc.graph().num_vertices();
       constexpr int kBatches = 8;
       std::size_t inc_sources = 0, full_sources = 0;
       std::size_t inc_rounds = 0, full_rounds = 0;
@@ -74,7 +74,7 @@ void run() {
       for (int b = 0; b < kBatches; ++b) {
         stream::EdgeBatch batch;
         for (std::size_t i = 0; i < batch_ops; ++i) {
-          const Graph& cur = inc.delta().base();
+          const Graph& cur = inc.graph();
           if (cur.num_edges() > 0 && rng.next_bool(0.4)) {
             const auto [u, v] = random_edge(cur, rng);
             batch.erase(u, v);
@@ -92,7 +92,7 @@ void run() {
                          static_cast<double>(inc.sources().size());
 
         // What recomputing every sampled source on the new snapshot costs.
-        const auto scratch = core::mrbc_bc(inc.delta().base(), inc.sources(), opts.mrbc);
+        const auto scratch = core::mrbc_bc(inc.graph(), inc.sources(), opts.mrbc);
         full_sources += inc.sources().size();
         full_rounds += scratch.total().rounds;
         full_bytes += scratch.total().bytes;

@@ -52,7 +52,7 @@ int main() {
   print_top5();
 
   // 2. Stream edge-update batches. Each apply() routes the batch to owning
-  //    hosts, advances the delta store one epoch, and restores exactness by
+  //    hosts, applies it to the CSR as one epoch, and restores exactness by
   //    re-running only the affected sources.
   util::Xoshiro256 rng(99);
   for (int round = 0; round < 5; ++round) {
@@ -60,7 +60,7 @@ int main() {
     for (int i = 0; i < 20; ++i) {
       const auto u = static_cast<graph::VertexId>(rng.next_bounded(n));
       const auto v = static_cast<graph::VertexId>(rng.next_bounded(n));
-      if (rng.next_bool(0.3) && bc.delta().has_edge(u, v)) {
+      if (rng.next_bool(0.3) && bc.graph().has_edge(u, v)) {
         batch.erase(u, v);
       } else {
         batch.insert(u, v);

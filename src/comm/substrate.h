@@ -24,9 +24,10 @@
 //
 // Delivery modes: by default the simulated wire is lossless and messages
 // are applied directly (zero framing overhead — byte counts match Gluon's
-// payload accounting). With DeliveryOptions the substrate frames every
-// host-pair message as [seq:u64][crc32:u32][payload] and can run a
-// reliable-delivery protocol against an injected fault model:
+// payload accounting). When DeliveryOptions sets a fault source or
+// reliable delivery, the substrate frames every host-pair message as
+// [seq:u64][crc32:u32][payload] and can run a reliable-delivery protocol
+// against the injected fault model:
 //   - CRC32 over the payload detects corruption (frames failing the check
 //     are counted and discarded, never applied);
 //   - per-(src,dst) sequence numbers suppress duplicate deliveries;
@@ -183,11 +184,10 @@ class ChannelFaults {
 };
 
 /// Configuration of the delivery layer. Defaults reproduce the historical
-/// lossless direct-apply path bit-for-bit (no framing bytes).
+/// lossless direct-apply path bit-for-bit (no framing bytes); a fault
+/// source or reliable delivery frames every host-pair message as
+/// [seq][crc32][payload] (12 bytes more per message).
 struct DeliveryOptions {
-  /// Frame messages as [seq][crc32][payload] even without faults (adds 12
-  /// bytes per host-pair message). Implied by `reliable` or `faults`.
-  bool framing = false;
   /// Retransmit lost/corrupt frames until delivered (bounded by
   /// max_attempts; the last attempt is escalated and cannot fail).
   bool reliable = false;
@@ -641,7 +641,7 @@ class Substrate {
   std::vector<util::DynamicBitset> reduce_flags_;
   std::vector<util::DynamicBitset> broadcast_flags_;
   DeliveryOptions delivery_;
-  bool framed_ = false;                       ///< effective framing switch
+  bool framed_ = false;                       ///< reliable || faults != nullptr
   std::vector<HostId> placement_;             ///< logical→physical map; empty = identity
   std::vector<std::uint64_t> next_seq_;       ///< per (src,dst) sender counter
   std::vector<std::uint64_t> last_accepted_;  ///< per (src,dst) receiver high-water mark

@@ -246,7 +246,6 @@ struct ClusterOptions {
   comm::DeliveryOptions delivery() const {
     comm::DeliveryOptions d;
     d.faults = fault;
-    d.framing = fault != nullptr;
     d.reliable = fault != nullptr && reliable_delivery;
     d.max_attempts = max_delivery_attempts;
     d.codec = codec;

@@ -5,8 +5,10 @@
 
 namespace mrbc::graph {
 
-namespace {
-Graph csr_from_sorted(VertexId num_vertices, const std::vector<Edge>& edges) {
+Graph build_graph(VertexId num_vertices, std::vector<Edge> edges) {
+  std::erase_if(edges, [](const Edge& e) { return e.src == e.dst; });
+  std::sort(edges.begin(), edges.end());
+  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
   std::vector<EdgeId> offsets(static_cast<std::size_t>(num_vertices) + 1, 0);
   for (const Edge& e : edges) {
     assert(e.src < num_vertices && e.dst < num_vertices);
@@ -16,40 +18,6 @@ Graph csr_from_sorted(VertexId num_vertices, const std::vector<Edge>& edges) {
   std::vector<VertexId> targets(edges.size());
   for (std::size_t i = 0; i < edges.size(); ++i) targets[i] = edges[i].dst;
   return Graph(std::move(offsets), std::move(targets));
-}
-}  // namespace
-
-Graph build_graph(VertexId num_vertices, std::vector<Edge> edges) {
-  EdgeListBuilder builder(num_vertices);
-  builder.adopt_edges(std::move(edges));
-  return std::move(builder).build();
-}
-
-Graph build_graph_unchecked(VertexId num_vertices, std::vector<Edge> sorted_unique_edges) {
-  EdgeListBuilder builder(num_vertices);
-  builder.adopt_edges(std::move(sorted_unique_edges));
-  return std::move(builder).build_sorted_unique();
-}
-
-void EdgeListBuilder::adopt_edges(std::vector<Edge>&& edges) {
-  if (edges_.empty()) {
-    edges_ = std::move(edges);
-  } else {
-    edges_.insert(edges_.end(), edges.begin(), edges.end());
-  }
-}
-
-Graph EdgeListBuilder::build() && {
-  std::erase_if(edges_, [](const Edge& e) { return e.src == e.dst; });
-  std::sort(edges_.begin(), edges_.end());
-  edges_.erase(std::unique(edges_.begin(), edges_.end()), edges_.end());
-  return csr_from_sorted(n_, edges_);
-}
-
-Graph EdgeListBuilder::build_sorted_unique() && {
-  assert(std::is_sorted(edges_.begin(), edges_.end()));
-  assert(std::adjacent_find(edges_.begin(), edges_.end()) == edges_.end());
-  return csr_from_sorted(n_, edges_);
 }
 
 }  // namespace mrbc::graph

@@ -1,9 +1,9 @@
 #pragma once
 // Construction of CSR graphs from edge lists. Self-loops and duplicate
 // edges are removed: the paper's graphs are simple unweighted directed
-// graphs, and duplicate edges would corrupt shortest-path counts.
+// graphs, and duplicate edges would corrupt shortest-path counts. Every
+// row of the result is sorted ascending.
 
-#include <span>
 #include <vector>
 
 #include "graph/graph.h"
@@ -14,47 +14,5 @@ namespace mrbc::graph {
 /// list. Deduplicates edges and drops self-loops. Edges referencing
 /// vertices >= num_vertices are invalid (asserted in debug builds).
 Graph build_graph(VertexId num_vertices, std::vector<Edge> edges);
-
-/// Same but keeps self-loops/duplicates intact for callers that already
-/// guarantee a clean list (generators use this to skip a sort).
-Graph build_graph_unchecked(VertexId num_vertices, std::vector<Edge> sorted_unique_edges);
-
-/// Incremental, allocation-aware edge-list assembly. Producers that know
-/// their edge count up front (epoch compaction in stream::DeltaGraph, bulk
-/// loaders) reserve once, append, and finish in place — the full edge list
-/// is never copied a second time.
-///
-/// Two finishers:
-///   build()               — build_graph semantics (drop self-loops, sort,
-///                           dedup); the general path.
-///   build_sorted_unique() — skips the sort for producers that emit edges
-///                           in ascending (src, dst) order with no
-///                           duplicates or self-loops (asserted in debug
-///                           builds); epoch compaction merges two sorted
-///                           streams and qualifies.
-/// Both consume the builder (rvalue-qualified); reuse after build is a bug.
-class EdgeListBuilder {
- public:
-  explicit EdgeListBuilder(VertexId num_vertices) : n_(num_vertices) {}
-
-  void reserve(std::size_t num_edges) { edges_.reserve(num_edges); }
-
-  void add_edge(VertexId src, VertexId dst) { edges_.push_back({src, dst}); }
-  void add_edges(std::span<const Edge> edges) {
-    edges_.insert(edges_.end(), edges.begin(), edges.end());
-  }
-  /// Adopts an existing list wholesale (no copy); appended edges follow it.
-  void adopt_edges(std::vector<Edge>&& edges);
-
-  VertexId num_vertices() const { return n_; }
-  std::size_t num_edges() const { return edges_.size(); }
-
-  Graph build() &&;
-  Graph build_sorted_unique() &&;
-
- private:
-  VertexId n_;
-  std::vector<Edge> edges_;
-};
 
 }  // namespace mrbc::graph

@@ -24,7 +24,7 @@ constexpr VertexId kInvalidVertex = static_cast<VertexId>(-1);
 constexpr std::uint32_t kInfDist = static_cast<std::uint32_t>(-1);
 
 /// Immutable CSR graph with out- and in-adjacency.
-/// Construct via GraphBuilder (builder.h) or a generator (generators.h).
+/// Construct via build_graph (builder.h) or a generator (generators.h).
 class Graph {
  public:
   Graph() = default;

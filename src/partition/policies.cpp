@@ -124,15 +124,21 @@ std::vector<HostId> assign_edges(const Graph& g, HostId num_hosts, Policy policy
 
 HostId edge_owner(const graph::Edge& e, graph::VertexId num_vertices, HostId num_hosts,
                   Policy policy) {
+  // An endpoint >= num_vertices is in no block: it is owned like the last
+  // vertex, so routing an op that the batch apply will reject still names
+  // a real host.
+  const auto block = [&](VertexId v) {
+    return block_owner(std::min<VertexId>(v, num_vertices - 1), num_vertices, num_hosts);
+  };
   switch (policy) {
     case Policy::kEdgeCutSrc:
-      return block_owner(e.src, num_vertices, num_hosts);
+      return block(e.src);
     case Policy::kEdgeCutDst:
-      return block_owner(e.dst, num_vertices, num_hosts);
+      return block(e.dst);
     case Policy::kCartesianVertexCut: {
       const auto [pr, pc] = cartesian_grid(num_hosts);
-      const HostId row = block_owner(e.src, num_vertices, num_hosts) / pc;
-      const HostId col = block_owner(e.dst, num_vertices, num_hosts) % pc;
+      const HostId row = block(e.src) / pc;
+      const HostId col = block(e.dst) % pc;
       (void)pr;
       return row * pc + col;
     }

@@ -20,7 +20,8 @@ std::vector<HostId> assign_edges(const Graph& g, HostId num_hosts, Policy policy
 /// kGeneralVertexCut and kRandomEdge assign per-run (greedy state / RNG
 /// stream), so single-edge routing falls back to a deterministic hash of
 /// the endpoints — stable across batches, balanced, but not guaranteed to
-/// match a later assign_edges pass.
+/// match a later assign_edges pass. Endpoints >= num_vertices (ingest ops
+/// naming no vertex) are owned like num_vertices - 1.
 HostId edge_owner(const graph::Edge& e, graph::VertexId num_vertices, HostId num_hosts,
                   Policy policy);
 

@@ -20,7 +20,7 @@ namespace mrbc::serve {
 /// One immutable epoch of results. Built off-line by the ingest thread,
 /// then published; readers treat it as const forever after.
 struct EpochSnapshot {
-  std::uint64_t epoch = 0;        ///< DeltaGraph epoch the scores describe
+  std::uint64_t epoch = 0;        ///< IncrementalBc epoch the scores describe
   std::uint64_t publish_seq = 0;  ///< store ordinal (monotonic, starts at 1)
   graph::VertexId num_vertices = 0;
   graph::EdgeId num_edges = 0;

@@ -148,12 +148,12 @@ void Server::publish_epoch(std::size_t coalesced, double recompute_seconds) {
   obs::Span span(obs::Category::kServe, "serve/publish");
   auto snap = std::make_shared<EpochSnapshot>();
   snap->epoch = engine_->epoch();
-  snap->num_vertices = engine_->delta().num_vertices();
-  snap->num_edges = engine_->delta().num_edges();
+  snap->num_vertices = engine_->graph().num_vertices();
+  snap->num_edges = engine_->graph().num_edges();
   snap->bc = engine_->scaled_scores();
   snap->coalesced_batches = coalesced;
   if (opts_.run_analytics && snap->num_vertices > 0) {
-    const graph::Graph& g = engine_->delta().base();
+    const graph::Graph& g = engine_->graph();
     const auto hosts = std::max<partition::HostId>(opts_.bc.mrbc.num_hosts, 1);
     analytics::PagerankOptions pr;
     pr.max_iterations = opts_.pagerank_iterations;

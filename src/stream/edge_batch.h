@@ -27,8 +27,8 @@ struct EdgeOp {
 };
 
 /// An ordered list of edge insertions/deletions applied atomically as one
-/// epoch transition. Order matters within a batch: a delete after an
-/// insert of the same edge removes it, and vice versa.
+/// epoch transition (apply_batch). Order matters within a batch: a delete
+/// after an insert of the same edge removes it, and vice versa.
 struct EdgeBatch {
   std::vector<EdgeOp> ops;
 
@@ -61,5 +61,28 @@ struct EdgeBatch {
   /// Exact serialized size under `mode` (equals wire_bytes() for kRaw).
   std::size_t wire_bytes(comm::CodecMode mode) const;
 };
+
+/// The graph after a batch, and the ops that changed it in batch order.
+struct AppliedBatch {
+  graph::Graph graph;
+  std::vector<EdgeOp> applied;
+};
+
+/// Applies `batch` to `g`, op by op in batch order. `g`'s rows must be
+/// sorted and unique with no self-loops (build_graph's shape, see
+/// normalize_rows); the returned graph's rows are too. An op is reported
+/// iff it changes the graph at its place in the batch:
+///   - an insert of a present edge or a delete of an absent one changes
+///     nothing, and self-loops and endpoints >= n are dropped;
+///   - an insert then a delete of one edge nets out, and both are reported;
+///   - a delete then an insert of an edge of `g` restores it.
+/// The next CSR is one merge pass over `g`'s rows and the batch's sorted
+/// changes; when no op changes the graph, `g` itself is returned.
+AppliedBatch apply_batch(graph::Graph g, const EdgeBatch& batch);
+
+/// `g` with sorted, unique, self-loop-free rows, as apply_batch needs.
+/// Returned as is when it already has them (build_graph and the
+/// generators guarantee it); a raw CSR is rebuilt through build_graph.
+graph::Graph normalize_rows(graph::Graph g);
 
 }  // namespace mrbc::stream

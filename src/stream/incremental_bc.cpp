@@ -21,13 +21,13 @@ constexpr std::uint32_t kSecState = 3;
 }  // namespace
 
 IncrementalBc::IncrementalBc(graph::Graph base, IncrementalBcOptions options)
-    : opts_(std::move(options)), delta_(std::move(base)) {
+    : opts_(std::move(options)), graph_(normalize_rows(std::move(base))) {
   opts_.mrbc.collect_tables = true;
-  const VertexId n = delta_.num_vertices();
+  const VertexId n = graph_.num_vertices();
   bc_.assign(n, 0.0);
   if (n == 0) return;
   const auto k = std::min<std::uint32_t>(std::max<std::uint32_t>(opts_.num_samples, 1), n);
-  sources_ = graph::sample_sources(delta_.base(), k, opts_.seed, /*contiguous=*/false);
+  sources_ = graph::sample_sources(graph_, k, opts_.seed, /*contiguous=*/false);
   dist_.assign(sources_.size(), std::vector<std::uint32_t>(n, kInfDist));
   sigma_.assign(sources_.size(), std::vector<double>(n, 0.0));
   dep_.assign(sources_.size(), std::vector<double>(n, 0.0));
@@ -38,22 +38,18 @@ IncrementalBc::IncrementalBc(graph::Graph base, IncrementalBcOptions options)
 }
 
 IncrementalBc::IncrementalBc(graph::Graph base, IncrementalBcOptions options, RestoreTag)
-    : opts_(std::move(options)), delta_(std::move(base)) {
+    : opts_(std::move(options)), graph_(normalize_rows(std::move(base))) {
   opts_.mrbc.collect_tables = true;
 }
 
 void IncrementalBc::save(const std::string& path) const {
-  if (delta_.overlay_edges() != 0 || delta_.tombstones() != 0) {
-    throw sim::SnapshotError(
-        "IncrementalBc::save requires a compacted delta store (batch boundary)");
-  }
   sim::SnapshotWriter w;
   util::SendBuffer& meta = w.section(kSecMeta);
-  meta.write<std::uint64_t>(delta_.epoch());
-  meta.write<std::uint64_t>(delta_.compactions());
+  meta.write<std::uint64_t>(epoch_);
+  meta.write<std::uint64_t>(graph_changes_);
   util::SendBuffer& g = w.section(kSecGraph);
-  g.write_vector(delta_.base().out_offsets());
-  g.write_vector(delta_.base().out_targets());
+  g.write_vector(graph_.out_offsets());
+  g.write_vector(graph_.out_targets());
   util::SendBuffer& st = w.section(kSecState);
   st.write_vector(sources_);
   st.write_vector(bc_);
@@ -82,11 +78,10 @@ IncrementalBc IncrementalBc::load(const std::string& path, IncrementalBcOptions 
   IncrementalBc inc(graph::Graph(std::move(offsets), std::move(targets)), std::move(options),
                     RestoreTag{});
   reader.read(kSecMeta, "meta", [&](util::RecvBuffer& meta) {
-    const auto epoch = meta.read<std::uint64_t>();
-    const auto compactions = meta.read<std::uint64_t>();
-    inc.delta_.restore_epoch(epoch, compactions);
+    inc.epoch_ = meta.read<std::uint64_t>();
+    inc.graph_changes_ = meta.read<std::uint64_t>();
   });
-  const VertexId n = inc.delta_.num_vertices();
+  const VertexId n = inc.graph_.num_vertices();
   reader.read(kSecState, "state", [&](util::RecvBuffer& st) {
     inc.sources_ = st.read_vector<VertexId>();
     if (std::any_of(inc.sources_.begin(), inc.sources_.end(),
@@ -106,29 +101,22 @@ IncrementalBc IncrementalBc::load(const std::string& path, IncrementalBcOptions 
 
 void IncrementalBc::rebuild_partition() {
   partition_ = std::make_unique<partition::Partition>(
-      delta_.base(), std::max<partition::HostId>(opts_.mrbc.num_hosts, 1), opts_.mrbc.policy);
+      graph_, std::max<partition::HostId>(opts_.mrbc.num_hosts, 1), opts_.mrbc.policy);
 }
 
 core::BcScores IncrementalBc::scaled_scores() const {
   core::BcScores scaled = bc_;
   if (!sources_.empty()) {
     const double scale =
-        static_cast<double>(delta_.num_vertices()) / static_cast<double>(sources_.size());
+        static_cast<double>(graph_.num_vertices()) / static_cast<double>(sources_.size());
     for (double& b : scaled) b *= scale;
   }
   return scaled;
 }
 
-void IncrementalBc::grow_tables(VertexId n) {
-  bc_.resize(n, 0.0);
-  for (auto& row : dist_) row.resize(n, kInfDist);
-  for (auto& row : sigma_) row.resize(n, 0.0);
-  for (auto& row : dep_) row.resize(n, 0.0);
-}
-
 sim::RunStats IncrementalBc::reexecute(const std::vector<std::uint32_t>& source_idxs) {
   if (source_idxs.empty()) return {};
-  const VertexId n = delta_.num_vertices();
+  const VertexId n = graph_.num_vertices();
   // Subtract the stale contributions of every source being re-run (same
   // rule as BatchRunner::harvest: a vertex collects delta for v != s when
   // v was reachable).
@@ -170,7 +158,7 @@ BatchReport IncrementalBc::apply(const EdgeBatch& batch) {
   //    current partition. The scores are host-agnostic, so only the
   //    traffic/cost accounting of the routed batch is consumed here; a
   //    real deployment would hand routed.per_host[h] to host h's store.
-  if (opts_.distribute_ingest && partition_ != nullptr && partition_->num_hosts() > 1) {
+  if (partition_ != nullptr && partition_->num_hosts() > 1) {
     comm::Substrate substrate(*partition_);
     substrate.set_delivery(opts_.mrbc.cluster.delivery());
     const RoutedBatch routed =
@@ -180,26 +168,25 @@ BatchReport IncrementalBc::apply(const EdgeBatch& batch) {
     report.ingest_seconds = routed.modeled_seconds;
   }
 
-  // 2. Epoch transition in the delta store.
-  const ApplyResult applied = delta_.apply(batch);
-  report.epoch = delta_.epoch();
-  report.applied_ops = applied.applied.size();
+  // 2. Epoch transition: the batch, in order, on the current CSR.
+  AppliedBatch next = apply_batch(std::move(graph_), batch);
+  graph_ = std::move(next.graph);
+  const std::vector<EdgeOp>& applied = next.applied;
+  report.epoch = ++epoch_;
+  report.applied_ops = applied.size();
   registry_.add_counter("stream/batches", 1);
-  registry_.add_counter("stream/ops_applied", applied.applied.size());
-  registry_.add_counter("stream/ops_rejected", batch.size() - applied.applied.size());
-  if (delta_.num_vertices() > bc_.size()) grow_tables(delta_.num_vertices());
-
-  if (sources_.empty() || applied.applied.empty()) {
-    if (!applied.applied.empty()) delta_.snapshot();
-    return report;
-  }
+  registry_.add_counter("stream/ops_applied", applied.size());
+  registry_.add_counter("stream/ops_rejected", batch.size() - applied.size());
+  if (applied.empty()) return report;
+  ++graph_changes_;
+  if (sources_.empty()) return report;
 
   // 3. Affected-source detection against the retained (pre-batch) tables.
   obs::Span probe_span(obs::Category::kStream, "probe");
   std::vector<std::uint32_t> affected;
   for (std::uint32_t sidx = 0; sidx < sources_.size(); ++sidx) {
     const auto& d = dist_[sidx];
-    for (const EdgeOp& op : applied.applied) {
+    for (const EdgeOp& op : applied) {
       const auto [u, v] = op.edge;
       bool hit;
       if (op.kind == EdgeOpKind::kInsert) {
@@ -225,8 +212,9 @@ BatchReport IncrementalBc::apply(const EdgeBatch& batch) {
   }
   report.affected_sources = affected.size();
 
-  // 4. Compact, re-partition, and re-run only what changed.
-  delta_.snapshot();
+  // 4. Re-partition the next CSR and re-run only what changed. The
+  //    counter keeps its historical name: it counts the applies that
+  //    changed the graph (of a non-empty graph).
   registry_.add_counter("stream/compactions", 1);
   if (!affected.empty()) {
     obs::Span rerun_span(obs::Category::kStream, "rerun");

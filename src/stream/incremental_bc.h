@@ -6,9 +6,11 @@
 // the sources whose SSSP DAG the batch actually touched.
 //
 // Per batch:
-//   1. the EdgeBatch is routed to owning hosts through the comm substrate
-//      (stream/ingest.h) — modeled distributed ingest traffic;
-//   2. the DeltaGraph overlay absorbs the ops (epoch transition);
+//   1. on a partition of more than one host, the EdgeBatch is routed to
+//      owning hosts through the comm substrate (stream/ingest.h) —
+//      modeled distributed ingest traffic;
+//   2. apply_batch applies the ops in order to the current CSR and yields
+//      the next CSR and the ops that changed it (epoch transition);
 //   3. affected-source detection probes each applied op's endpoints
 //      against the retained per-source distance tables:
 //        insert (u,v): s affected iff d_s(u) finite and (v unreachable or
@@ -20,10 +22,10 @@
 //      The OR over a batch's ops is exact (no false negatives): any
 //      cascade of changes starts at an op whose old-distance test fires.
 //   4. each affected source's stale dependency contributions are
-//      subtracted from the maintained scores, the delta store is
-//      compacted (snapshot) and re-partitioned, and only the affected
-//      sources are re-run through the batched MRBC forward/accumulation
-//      phases; their new contributions are added back.
+//      subtracted from the maintained scores, the next CSR is
+//      re-partitioned, and only the affected sources are re-run through
+//      the batched MRBC forward/accumulation phases; their new
+//      contributions are added back.
 // When the affected fraction exceeds recompute_threshold, the incremental
 // machinery would redo nearly everything anyway, so all sources are
 // re-executed in one pass (the "fall back to full recompute" rule).
@@ -39,7 +41,7 @@
 #include <vector>
 
 #include "core/mrbc.h"
-#include "stream/delta_graph.h"
+#include "stream/edge_batch.h"
 #include "stream/ingest.h"
 #include "util/stats_registry.h"
 
@@ -52,8 +54,6 @@ struct IncrementalBcOptions {
   /// Affected fraction above which a full recompute replaces per-source
   /// surgery.
   double recompute_threshold = 0.75;
-  /// Model the distributed EdgeBatch routing (off: single-site ingest).
-  bool distribute_ingest = true;
   /// Distributed execution configuration for re-runs (collect_tables is
   /// forced on internally — the tables are the incremental state).
   core::MrbcOptions mrbc;
@@ -75,6 +75,7 @@ struct BatchReport {
 
 class IncrementalBc {
  public:
+  /// `base` is normalized first (normalize_rows).
   explicit IncrementalBc(graph::Graph base, IncrementalBcOptions options = {});
 
   /// Unscaled maintained scores: sum of dependencies over sources().
@@ -83,8 +84,10 @@ class IncrementalBc {
   core::BcScores scaled_scores() const;
 
   const std::vector<graph::VertexId>& sources() const { return sources_; }
-  const DeltaGraph& delta() const { return delta_; }
-  std::uint64_t epoch() const { return delta_.epoch(); }
+  /// The graph after the last apply(); rows sorted, unique, no self-loops.
+  const graph::Graph& graph() const { return graph_; }
+  /// Advances once per apply(), whether or not the batch changed the graph.
+  std::uint64_t epoch() const { return epoch_; }
 
   /// Cumulative stream/* counters (ingest + re-execution).
   const util::StatsRegistry& stats() const { return registry_; }
@@ -93,12 +96,10 @@ class IncrementalBc {
   /// Ingests one batch and restores score exactness. Returns what it cost.
   BatchReport apply(const EdgeBatch& batch);
 
-  /// Durable snapshot of the maintained state (base CSR + epoch counters +
+  /// Durable snapshot of the maintained state (CSR + epoch counters +
   /// sources + scores + retained per-source tables) as a versioned
-  /// crc32-framed file (engine/snapshot.h). Only valid at batch boundaries
-  /// — throws sim::SnapshotError while uncompacted churn is pending.
-  /// Cumulative stats() counters are diagnostics and are not part of the
-  /// snapshot.
+  /// crc32-framed file (engine/snapshot.h). Cumulative stats() counters
+  /// are diagnostics and are not part of the snapshot.
   void save(const std::string& path) const;
 
   /// Rebuilds an IncrementalBc from a save() snapshot; subsequent apply()
@@ -112,14 +113,17 @@ class IncrementalBc {
   IncrementalBc(graph::Graph base, IncrementalBcOptions options, RestoreTag);
 
   void rebuild_partition();
-  /// Re-runs `source_idxs` through MRBC on the current snapshot, swapping
-  /// their stale contributions for fresh ones.
+  /// Re-runs `source_idxs` through MRBC on partition_, swapping their
+  /// stale contributions for fresh ones.
   sim::RunStats reexecute(const std::vector<std::uint32_t>& source_idxs);
-  void grow_tables(graph::VertexId n);
 
   IncrementalBcOptions opts_;
-  DeltaGraph delta_;
-  std::unique_ptr<partition::Partition> partition_;  ///< of the current snapshot
+  graph::Graph graph_;
+  std::uint64_t epoch_ = 0;
+  std::uint64_t graph_changes_ = 0;  ///< applies that changed graph_
+  /// Rebuilt from graph_ before each re-execution (a batch that affects
+  /// no source leaves the previous one in place).
+  std::unique_ptr<partition::Partition> partition_;
   std::vector<graph::VertexId> sources_;
   core::BcScores bc_;
   /// Retained per-source tables, indexed [source_idx][vertex]: the state

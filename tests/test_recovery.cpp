@@ -899,7 +899,7 @@ TEST(DurableRestart, IncrementalBcSaveLoadContinuesExactly) {
   interrupted.save(path);
   stream::IncrementalBc restored = stream::IncrementalBc::load(path, opts);
   EXPECT_EQ(restored.epoch(), control.epoch());
-  EXPECT_EQ(restored.delta().base().num_edges(), control.delta().base().num_edges());
+  EXPECT_EQ(restored.graph().out_targets(), control.graph().out_targets());
   EXPECT_EQ(restored.sources(), control.sources());
   expect_bits_equal(control.scores(), restored.scores(), "restored scores");
 
@@ -944,6 +944,60 @@ TEST(DurableRestart, IncrementalBcLoadRejectsInconsistentState) {
                 sizeof(out_of_range));
   });
   EXPECT_THROW(stream::IncrementalBc::load(path, opts), sim::SnapshotError);
+}
+
+TEST(DurableRestart, IncrementalBcSnapshotBytesArePinned) {
+  // serve.ckpt is read back by later builds: a fixed graph and a fixed
+  // churn must write the same bytes, down to the file's hash. The churn
+  // deletes and re-inserts base edges, nets out an insert-then-delete, and
+  // ends on a batch that changes nothing, so the two epoch counters differ.
+  const std::string path = scratch_dir("inc_pinned") + "/serve.ckpt";
+  const Graph g = graph::erdos_renyi(40, 0.08, 29);
+  stream::IncrementalBcOptions opts;
+  opts.num_samples = 12;
+  opts.seed = 5;
+  opts.mrbc.num_hosts = 3;
+  stream::IncrementalBc inc(g, opts);
+
+  std::vector<graph::Edge> base_edges;
+  for (VertexId u = 0; u < g.num_vertices(); ++u) {
+    for (VertexId v : g.out_neighbors(u)) base_edges.push_back({u, v});
+  }
+  ASSERT_GE(base_edges.size(), 8u);
+  util::Xoshiro256 rng(321);
+  const auto random_vertex = [&] { return static_cast<VertexId>(rng.next_bounded(40)); };
+
+  stream::EdgeBatch first;
+  for (int i = 0; i < 4; ++i) first.erase(base_edges[i * 2].src, base_edges[i * 2].dst);
+  for (int i = 0; i < 6; ++i) first.insert(random_vertex(), random_vertex());
+  first.insert(7, 7);
+  first.insert(3, 40);
+  inc.apply(first);
+
+  stream::EdgeBatch second;
+  second.insert(base_edges[0].src, base_edges[0].dst);
+  second.insert(base_edges[2].src, base_edges[2].dst);
+  second.insert(39, 0);
+  second.erase(39, 0);
+  for (int i = 0; i < 4; ++i) second.insert(random_vertex(), random_vertex());
+  inc.apply(second);
+
+  stream::EdgeBatch unchanged;
+  unchanged.insert(base_edges[1].src, base_edges[1].dst);
+  unchanged.erase(base_edges[4].src, base_edges[4].dst);
+  inc.apply(unchanged);
+  EXPECT_EQ(inc.epoch(), 3u);
+
+  inc.save(path);
+  sim::SnapshotReader::from_file(path).read(1, "meta", [](util::RecvBuffer& meta) {
+    EXPECT_EQ(meta.read<std::uint64_t>(), 3u);  // applies
+    EXPECT_EQ(meta.read<std::uint64_t>(), 2u);  // applies that changed the graph
+  });
+  const std::vector<std::uint8_t> bytes = read_file_bytes(path);
+  std::uint64_t hash = 0xcbf29ce484222325ull;  // FNV-1a
+  for (const std::uint8_t b : bytes) hash = (hash ^ b) * 0x100000001b3ull;
+  EXPECT_EQ(bytes.size(), 11276u);
+  EXPECT_EQ(hash, 0x5cda10efd1b906fcull);
 }
 
 // ---- Snapshot corruption hardening ------------------------------------------

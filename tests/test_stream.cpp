@@ -1,19 +1,17 @@
-// Streaming subsystem: DeltaGraph overlay semantics (STINGER-style blocks,
-// tombstones, epoch compaction), EdgeBatch wire format, distributed ingest
-// routing, and IncrementalBc score maintenance against from-scratch
-// Brandes.
+// Streaming subsystem: in-order batch application (apply_batch), EdgeBatch
+// wire format, distributed ingest routing, and IncrementalBc score
+// maintenance against from-scratch Brandes.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <set>
+#include <string>
 #include <vector>
 
 #include "baselines/brandes_seq.h"
 #include "graph/builder.h"
 #include "graph/generators.h"
 #include "partition/policies.h"
-#include "stream/delta_graph.h"
 #include "stream/edge_batch.h"
 #include "stream/incremental_bc.h"
 #include "stream/ingest.h"
@@ -23,190 +21,73 @@
 namespace mrbc {
 namespace {
 
+using graph::Edge;
 using graph::Graph;
 using graph::VertexId;
-using stream::DeltaGraph;
 using stream::EdgeBatch;
+using stream::EdgeOp;
 using stream::EdgeOpKind;
 using stream::IncrementalBc;
 
-std::vector<VertexId> sorted_out(const DeltaGraph& dg, VertexId v) {
-  std::vector<VertexId> out;
-  dg.for_each_out(v, [&](VertexId t) { out.push_back(t); });
-  std::sort(out.begin(), out.end());
-  return out;
-}
+EdgeOp ins(VertexId u, VertexId v) { return {{u, v}, EdgeOpKind::kInsert}; }
+EdgeOp del(VertexId u, VertexId v) { return {{u, v}, EdgeOpKind::kDelete}; }
 
-std::vector<VertexId> sorted_in(const DeltaGraph& dg, VertexId v) {
-  std::vector<VertexId> in;
-  dg.for_each_in(v, [&](VertexId s) { in.push_back(s); });
-  std::sort(in.begin(), in.end());
-  return in;
-}
+struct ApplyCase {
+  std::string name;
+  Graph base;                   ///< normalized (normalize_rows) before the batch
+  std::vector<EdgeOp> ops;      ///< the batch
+  std::vector<EdgeOp> applied;  ///< ops reported as changing the graph
+  std::vector<Edge> edges;      ///< the graph after the batch
+};
 
-TEST(DeltaGraph, InsertDeleteAndQueries) {
-  DeltaGraph dg(graph::path(4));  // 0->1->2->3
-  EXPECT_EQ(dg.num_edges(), 3u);
-
-  EdgeBatch batch;
-  batch.insert(0, 2);
-  batch.insert(3, 0);
-  batch.erase(1, 2);
-  const auto result = dg.apply(batch);
-  EXPECT_EQ(result.inserted, 2u);
-  EXPECT_EQ(result.deleted, 1u);
-  EXPECT_EQ(result.applied.size(), 3u);
-  EXPECT_EQ(dg.num_edges(), 4u);
-  EXPECT_EQ(dg.epoch(), 1u);
-
-  EXPECT_TRUE(dg.has_edge(0, 1));
-  EXPECT_TRUE(dg.has_edge(0, 2));
-  EXPECT_TRUE(dg.has_edge(3, 0));
-  EXPECT_FALSE(dg.has_edge(1, 2));
-  EXPECT_EQ(sorted_out(dg, 0), (std::vector<VertexId>{1, 2}));
-  EXPECT_EQ(sorted_in(dg, 2), (std::vector<VertexId>{0}));
-  EXPECT_EQ(sorted_in(dg, 0), (std::vector<VertexId>{3}));
-  EXPECT_EQ(dg.out_degree(0), 2u);
-  EXPECT_EQ(dg.out_degree(1), 0u);
-  EXPECT_EQ(dg.in_degree(2), 1u);
-}
-
-TEST(DeltaGraph, BuilderRulesSelfLoopsDuplicatesMissing) {
-  DeltaGraph dg(graph::path(3));
-  EdgeBatch batch;
-  batch.insert(1, 1);   // self-loop
-  batch.insert(0, 1);   // duplicate of base edge
-  batch.erase(2, 0);    // missing
-  batch.insert(0, 2);
-  batch.insert(0, 2);   // duplicate of overlay edge
-  const auto result = dg.apply(batch);
-  EXPECT_EQ(result.rejected_self_loops, 1u);
-  EXPECT_EQ(result.rejected_duplicates, 2u);
-  EXPECT_EQ(result.rejected_missing, 1u);
-  EXPECT_EQ(result.inserted, 1u);
-  EXPECT_EQ(result.applied.size(), 1u);
-  EXPECT_EQ(dg.num_edges(), 3u);
-
-  // Out-of-range endpoints are rejected, not UB.
-  EdgeBatch bad;
-  bad.insert(0, 99);
-  EXPECT_EQ(dg.apply(bad).rejected_out_of_range, 1u);
-}
-
-TEST(DeltaGraph, TombstoneResurrection) {
-  DeltaGraph dg(graph::path(3));
-  EdgeBatch del;
-  del.erase(0, 1);
-  dg.apply(del);
-  EXPECT_FALSE(dg.has_edge(0, 1));
-  EXPECT_EQ(dg.tombstones(), 1u);
-
-  EdgeBatch ins;
-  ins.insert(0, 1);
-  const auto result = dg.apply(ins);
-  EXPECT_EQ(result.inserted, 1u);
-  EXPECT_TRUE(dg.has_edge(0, 1));
-  // Resurrection clears the tombstone instead of growing the overlay.
-  EXPECT_EQ(dg.tombstones(), 0u);
-  EXPECT_EQ(dg.overlay_edges(), 0u);
-}
-
-TEST(DeltaGraph, InsertThenDeleteWithinBatchIsNetZero) {
-  DeltaGraph dg(graph::path(3));
-  EdgeBatch batch;
-  batch.insert(2, 0);
-  batch.erase(2, 0);
-  const auto result = dg.apply(batch);
-  EXPECT_EQ(result.inserted, 1u);
-  EXPECT_EQ(result.deleted, 1u);
-  EXPECT_FALSE(dg.has_edge(2, 0));
-  EXPECT_EQ(dg.num_edges(), 2u);
-  EXPECT_EQ(dg.overlay_edges(), 0u);
-}
-
-TEST(DeltaGraph, BlockChainsPastOneBlock) {
-  // > kBlockEdges inserted out-edges on one vertex exercises chained
-  // blocks plus removal backfill across blocks.
-  DeltaGraph dg(graph::build_graph(64, {}));
-  EdgeBatch batch;
-  for (VertexId v = 1; v < 40; ++v) batch.insert(0, v);
-  dg.apply(batch);
-  EXPECT_EQ(dg.out_degree(0), 39u);
-  EdgeBatch del;
-  for (VertexId v = 1; v < 40; v += 2) del.erase(0, v);
-  dg.apply(del);
-  EXPECT_EQ(dg.out_degree(0), 19u);
-  for (VertexId v = 1; v < 40; ++v) {
-    EXPECT_EQ(dg.has_edge(0, v), v % 2 == 0) << v;
-    EXPECT_EQ(dg.in_degree(v), v % 2 == 0 ? 1u : 0u) << v;
-  }
-}
-
-TEST(DeltaGraph, SnapshotCompactsToEquivalentCsr) {
-  util::Xoshiro256 rng(99);
-  Graph base = graph::erdos_renyi(40, 0.1, 5);
-  DeltaGraph dg(base);
-  // Random churn, tracked in a reference edge set.
-  std::set<std::pair<VertexId, VertexId>> reference;
-  for (VertexId u = 0; u < base.num_vertices(); ++u) {
-    for (VertexId v : base.out_neighbors(u)) reference.insert({u, v});
-  }
-  for (int round = 0; round < 5; ++round) {
+TEST(ApplyBatch, InOrderSemantics) {
+  const VertexId big = graph::kInvalidVertex;
+  // 0 -> {1, 0, 0}: unsorted, a self-loop and a duplicate.
+  const Graph raw(std::vector<graph::EdgeId>{0, 3, 3}, std::vector<VertexId>{1, 0, 0});
+  const std::vector<ApplyCase> cases = {
+      {"in order", graph::path(4),
+       {ins(0, 2), ins(3, 0), del(1, 2)},
+       {ins(0, 2), ins(3, 0), del(1, 2)},
+       {{0, 1}, {0, 2}, {2, 3}, {3, 0}}},
+      {"self-loop", graph::path(3), {ins(1, 1), del(2, 2)}, {}, {{0, 1}, {1, 2}}},
+      {"duplicate of a base edge and of an inserted edge", graph::path(3),
+       {ins(0, 1), ins(0, 2), ins(0, 2)},
+       {ins(0, 2)},
+       {{0, 1}, {0, 2}, {1, 2}}},
+      {"missing", graph::path(3), {del(2, 0), del(1, 0)}, {}, {{0, 1}, {1, 2}}},
+      {"out of range", graph::path(3),
+       {ins(0, 3), ins(3, 0), del(99, 0), ins(0, big), del(big, big)},
+       {},
+       {{0, 1}, {1, 2}}},
+      {"insert then delete nets out", graph::path(3),
+       {ins(2, 0), del(2, 0)},
+       {ins(2, 0), del(2, 0)},
+       {{0, 1}, {1, 2}}},
+      {"delete then re-insert restores a base edge", graph::path(3),
+       {del(0, 1), ins(0, 1), ins(0, 1), del(1, 2)},
+       {del(0, 1), ins(0, 1), del(1, 2)},
+       {{0, 1}}},
+      {"merge at row edges", graph::build_graph(5, {{1, 3}, {3, 4}}),
+       {ins(1, 4), ins(1, 0), ins(4, 0), ins(0, 4), del(3, 4)},
+       {ins(1, 4), ins(1, 0), ins(4, 0), ins(0, 4), del(3, 4)},
+       {{0, 4}, {1, 0}, {1, 3}, {1, 4}, {4, 0}}},
+      {"empty batch", graph::path(3), {}, {}, {{0, 1}, {1, 2}}},
+      {"normalized raw base", raw, {ins(0, 1), ins(1, 0)}, {ins(1, 0)}, {{0, 1}, {1, 0}}},
+  };
+  for (const ApplyCase& c : cases) {
     EdgeBatch batch;
-    for (int i = 0; i < 30; ++i) {
-      const auto u = static_cast<VertexId>(rng.next_bounded(40));
-      const auto v = static_cast<VertexId>(rng.next_bounded(40));
-      if (rng.next_bool(0.6)) {
-        batch.insert(u, v);
-        if (u != v) reference.insert({u, v});
-      } else {
-        batch.erase(u, v);
-        reference.erase({u, v});
-      }
+    batch.ops = c.ops;
+    const stream::AppliedBatch out =
+        stream::apply_batch(stream::normalize_rows(c.base), batch);
+    EXPECT_EQ(out.applied, c.applied) << c.name;
+    const Graph expected = graph::build_graph(c.base.num_vertices(), c.edges);
+    EXPECT_EQ(out.graph.out_offsets(), expected.out_offsets()) << c.name;
+    EXPECT_EQ(out.graph.out_targets(), expected.out_targets()) << c.name;
+    for (VertexId v = 0; v < expected.num_vertices(); ++v) {
+      EXPECT_TRUE(std::ranges::equal(out.graph.in_neighbors(v), expected.in_neighbors(v)))
+          << c.name << " in-neighbors of " << v;
     }
-    dg.apply(batch);
-    EXPECT_EQ(dg.num_edges(), reference.size());
   }
-
-  const Graph compacted = dg.snapshot();
-  EXPECT_EQ(dg.compactions(), 1u);
-  EXPECT_EQ(dg.overlay_edges(), 0u);
-  EXPECT_EQ(dg.tombstones(), 0u);
-  EXPECT_EQ(compacted.num_edges(), reference.size());
-  for (const auto& [u, v] : reference) {
-    EXPECT_TRUE(compacted.has_edge(u, v)) << u << "->" << v;
-  }
-  // Queries are identical before and after compaction.
-  for (VertexId u = 0; u < compacted.num_vertices(); ++u) {
-    std::vector<VertexId> csr(compacted.out_neighbors(u).begin(),
-                              compacted.out_neighbors(u).end());
-    EXPECT_EQ(sorted_out(dg, u), csr) << u;
-  }
-}
-
-TEST(DeltaGraph, AddVerticesGrowsIsolated) {
-  DeltaGraph dg(graph::path(3));
-  dg.add_vertices(2);
-  EXPECT_EQ(dg.num_vertices(), 5u);
-  EXPECT_EQ(dg.out_degree(4), 0u);
-  EdgeBatch batch;
-  batch.insert(2, 4);
-  batch.insert(4, 0);
-  dg.apply(batch);
-  EXPECT_TRUE(dg.has_edge(2, 4));
-  const Graph g = dg.snapshot();
-  EXPECT_EQ(g.num_vertices(), 5u);
-  EXPECT_TRUE(g.has_edge(4, 0));
-}
-
-TEST(DeltaGraph, NormalizesUnsortedBase) {
-  // Raw CSR with unsorted adjacency and a self-loop: DeltaGraph must
-  // normalize so compaction's sorted-merge invariant holds.
-  Graph raw(std::vector<graph::EdgeId>{0, 3, 3}, std::vector<VertexId>{1, 0, 0});
-  DeltaGraph dg(raw);
-  EXPECT_EQ(dg.num_edges(), 1u);  // self-loop 0->0 dropped, duplicate folded
-  EXPECT_TRUE(dg.has_edge(0, 1));
-  EXPECT_EQ(dg.snapshot().num_edges(), 1u);
 }
 
 TEST(EdgeBatch, SerializeRoundTrip) {
@@ -277,6 +158,38 @@ TEST(Ingest, RoutesEveryOpExactlyOnceInOrder) {
   }
 }
 
+TEST(Ingest, OutOfRangeEndpointsRouteToARealHost) {
+  // Ids come from POST /ingest: an endpoint >= n must route in range (the
+  // apply then rejects the op), under every policy.
+  const Graph g = graph::erdos_renyi(60, 0.08, 3);
+  const VertexId huge = graph::kInvalidVertex - 1;
+  EdgeBatch batch;
+  batch.erase(huge, 1);
+  batch.insert(3, huge);
+  batch.insert(60, 60);
+  batch.insert(huge, huge);
+  for (const auto policy :
+       {partition::Policy::kEdgeCutSrc, partition::Policy::kEdgeCutDst,
+        partition::Policy::kCartesianVertexCut, partition::Policy::kGeneralVertexCut,
+        partition::Policy::kRandomEdge}) {
+    for (const partition::HostId hosts : {1u, 4u, 6u}) {
+      for (const EdgeOp& op : batch.ops) {
+        EXPECT_LT(partition::edge_owner(op.edge, 60, hosts, policy), hosts)
+            << partition::to_string(policy) << " " << op.edge.src << "->" << op.edge.dst;
+      }
+    }
+    stream::IncrementalBcOptions opts;
+    opts.num_samples = 4;
+    opts.mrbc.num_hosts = 4;
+    opts.mrbc.policy = policy;
+    IncrementalBc inc(g, opts);
+    const auto report = inc.apply(batch);
+    EXPECT_EQ(report.applied_ops, 0u);
+    EXPECT_EQ(inc.stats().counter("stream/ingest_ops"), batch.size());
+    EXPECT_EQ(inc.graph().out_targets(), g.out_targets());
+  }
+}
+
 TEST(Ingest, EdgeOwnerMatchesAssignEdges) {
   const Graph g = graph::rmat({.scale = 6, .edge_factor = 4.0, .seed = 11});
   for (const auto policy : {partition::Policy::kEdgeCutSrc, partition::Policy::kEdgeCutDst,
@@ -291,26 +204,6 @@ TEST(Ingest, EdgeOwnerMatchesAssignEdges) {
       }
     }
   }
-}
-
-TEST(EdgeListBuilder, MatchesBuildGraph) {
-  const std::vector<graph::Edge> edges = {{0, 1}, {1, 1}, {0, 1}, {2, 0}, {1, 2}};
-  const Graph direct = graph::build_graph(3, edges);
-  graph::EdgeListBuilder builder(3);
-  builder.reserve(edges.size());
-  for (const auto& e : edges) builder.add_edge(e.src, e.dst);
-  const Graph built = std::move(builder).build();
-  EXPECT_EQ(built.num_edges(), direct.num_edges());
-  EXPECT_EQ(built.out_offsets(), direct.out_offsets());
-  EXPECT_EQ(built.out_targets(), direct.out_targets());
-}
-
-TEST(EdgeListBuilder, SortedUniqueFastPath) {
-  graph::EdgeListBuilder builder(4);
-  builder.adopt_edges({{0, 1}, {0, 2}, {1, 3}, {2, 3}});
-  const Graph g = std::move(builder).build_sorted_unique();
-  EXPECT_EQ(g.num_edges(), 4u);
-  EXPECT_TRUE(g.has_edge(1, 3));
 }
 
 TEST(IncrementalBc, ExactMaintenanceOnStructuredGraph) {
@@ -332,6 +225,17 @@ TEST(IncrementalBc, ExactMaintenanceOnStructuredGraph) {
     testing::expect_bc_equal(baselines::brandes_bc(now), inc.scores(), "after insert");
   }
 
+  // A batch that changes nothing still advances the epoch.
+  EdgeBatch noop;
+  noop.insert(3, 4);
+  noop.erase(4, 3);
+  const auto r0 = inc.apply(noop);
+  EXPECT_EQ(r0.epoch, 2u);
+  EXPECT_EQ(inc.epoch(), 2u);
+  EXPECT_EQ(r0.applied_ops, 0u);
+  EXPECT_EQ(r0.affected_sources, 0u);
+  EXPECT_EQ(inc.graph().num_edges(), 5u);
+
   EdgeBatch b2;  // disconnect 3 (and 4) from the sources' reach
   b2.erase(1, 3);
   b2.erase(2, 3);
@@ -345,16 +249,13 @@ TEST(IncrementalBc, ExactMaintenanceOnStructuredGraph) {
 TEST(IncrementalBc, UnaffectedSourcesAreNotReexecuted) {
   // Two disjoint bidirectional paths; churn confined to the second
   // component must never re-execute sources sampled in the first.
-  graph::EdgeListBuilder builder(12);
-  for (VertexId v = 0; v + 1 < 6; ++v) {
-    builder.add_edge(v, v + 1);
-    builder.add_edge(v + 1, v);
+  std::vector<Edge> edges;
+  for (VertexId v = 0; v + 1 < 12; ++v) {
+    if (v == 5) continue;
+    edges.push_back({v, v + 1});
+    edges.push_back({v + 1, v});
   }
-  for (VertexId v = 6; v + 1 < 12; ++v) {
-    builder.add_edge(v, v + 1);
-    builder.add_edge(v + 1, v);
-  }
-  const Graph base = std::move(builder).build();
+  const Graph base = graph::build_graph(12, std::move(edges));
   stream::IncrementalBcOptions opts;
   opts.num_samples = 12;
   opts.recompute_threshold = 1.0;  // never fall back, count true affected
@@ -367,7 +268,7 @@ TEST(IncrementalBc, UnaffectedSourcesAreNotReexecuted) {
   // = d(8), and no source in the first component can even reach vertex 6.
   EXPECT_EQ(report.affected_sources, 1u);
   EXPECT_FALSE(report.full_recompute);
-  const Graph now = inc.delta().base();
+  const Graph& now = inc.graph();
   testing::expect_bc_equal(baselines::brandes_bc(now), inc.scores(), "component-local churn");
 }
 
@@ -383,7 +284,7 @@ TEST(IncrementalBc, FullRecomputeFallback) {
   EXPECT_TRUE(report.full_recompute);
   EXPECT_EQ(report.affected_sources, 8u);
   EXPECT_EQ(inc.stats().counter("stream/full_recomputes"), 1u);
-  testing::expect_bc_equal(baselines::brandes_bc(inc.delta().base()), inc.scores(), "fallback");
+  testing::expect_bc_equal(baselines::brandes_bc(inc.graph()), inc.scores(), "fallback");
 }
 
 TEST(IncrementalBc, SampledSubsetMatchesBrandesOnSameSources) {
@@ -399,14 +300,14 @@ TEST(IncrementalBc, SampledSubsetMatchesBrandesOnSameSources) {
     for (int i = 0; i < 10; ++i) {
       const auto u = static_cast<VertexId>(rng.next_bounded(50));
       const auto v = static_cast<VertexId>(rng.next_bounded(50));
-      if (rng.next_bool(0.5) && inc.delta().has_edge(u, v)) {
+      if (rng.next_bool(0.5) && inc.graph().has_edge(u, v)) {
         batch.erase(u, v);
       } else {
         batch.insert(u, v);
       }
     }
     inc.apply(batch);
-    const auto golden = baselines::brandes_bc_sources(inc.delta().base(), inc.sources());
+    const auto golden = baselines::brandes_bc_sources(inc.graph(), inc.sources());
     testing::expect_bc_equal(golden.bc, inc.scores(),
                              "sampled churn round " + std::to_string(round));
   }
