@@ -32,7 +32,7 @@
 //     are counted and discarded, never applied);
 //   - per-(src,dst) sequence numbers suppress duplicate deliveries;
 //   - in reliable mode, lost/corrupt frames are retransmitted with
-//     exponential backoff, bounded by max_attempts; the final attempt
+//     exponential backoff, bounded by kMaxDeliveryAttempts; the final attempt
 //     models an escalated verified path so delivery is guaranteed, which
 //     is what keeps the MRBC delayed-synchronization schedule (every label
 //     arrives in its prescribed round, Lemmas 7-8) intact under faults.
@@ -189,12 +189,11 @@ class ChannelFaults {
 /// [seq][crc32][payload] (12 bytes more per message).
 struct DeliveryOptions {
   /// Retransmit lost/corrupt frames until delivered (bounded by
-  /// max_attempts; the last attempt is escalated and cannot fail).
+  /// Substrate::kMaxDeliveryAttempts; the last attempt is escalated and
+  /// cannot fail).
   bool reliable = false;
   /// Fault source, or nullptr for a clean wire. Non-owning.
   ChannelFaults* faults = nullptr;
-  /// Total transmission attempts per frame in reliable mode (>= 1).
-  std::size_t max_attempts = 8;
   /// Wire codec for message metadata and payload planes (see comm/codec.h).
   /// kRaw reproduces the historical fixed-width bytes exactly; the other
   /// modes shrink the wire without changing any decoded value. Ablatable
@@ -375,6 +374,8 @@ class Substrate {
  private:
   /// [seq:u64][crc:u32] prepended to every payload in framed mode.
   static constexpr std::size_t kFrameHeaderBytes = sizeof(std::uint64_t) + sizeof(std::uint32_t);
+  /// Total transmission attempts per frame in reliable mode.
+  static constexpr std::size_t kMaxDeliveryAttempts = 8;
   /// reserve() headroom for the presence encoding's tags/length prefixes.
   static constexpr std::size_t kPresenceSlack = 32;
 
@@ -569,7 +570,6 @@ class Substrate {
     const std::size_t pair = pair_index(src, dst);
     const std::uint64_t seq = ++next_seq_[pair];
     const std::size_t frame_bytes = kFrameHeaderBytes + payload.size();
-    const std::size_t max_attempts = std::max<std::size_t>(delivery_.max_attempts, 1);
     ChannelFaults* faults = delivery_.faults;
     for (std::size_t attempt = 1;; ++attempt) {
       if (attempt == 1) {
@@ -584,7 +584,7 @@ class Substrate {
       // The final reliable attempt is escalated (verified out-of-band) and
       // bypasses injection: bounded retransmission must terminate with a
       // delivery or the recovery guarantee would be probabilistic.
-      const bool forced = delivery_.reliable && attempt >= max_attempts;
+      const bool forced = delivery_.reliable && attempt >= kMaxDeliveryAttempts;
       if (faults && !forced && faults->drop(src, dst, seq)) {
         stats.drops += 1;
         if (!delivery_.reliable) {

@@ -216,8 +216,6 @@ struct ClusterOptions {
   bool reliable_delivery = true;
   /// Rounds between coordinated checkpoints (crash recovery granularity).
   std::size_t checkpoint_interval = 8;
-  /// Transmission attempts per frame before escalation (reliable mode).
-  std::size_t max_delivery_attempts = 8;
   /// Wire codec for sync/scatter messages (comm/codec.h). kRaw keeps the
   /// historical fixed-width wire; kMetadataOnly/kFull shrink the simulated
   /// byte counts (and hence modeled network_seconds) without changing any
@@ -231,8 +229,6 @@ struct ClusterOptions {
   /// Non-owning and stateful: deaths declared during the run mutate it, so
   /// pass a fresh (or reset()) map per independent run.
   Membership* membership = nullptr;
-  /// Failure-detector thresholds (consulted when membership is set).
-  DetectorOptions detector;
   /// Durable-checkpoint hook: called after every coordinated checkpoint
   /// with the fresh snapshot and the stats accumulated so far. Setting it
   /// enables checkpointing even without a fault injector (restart-from-disk
@@ -247,7 +243,6 @@ struct ClusterOptions {
     comm::DeliveryOptions d;
     d.faults = fault;
     d.reliable = fault != nullptr && reliable_delivery;
-    d.max_attempts = max_delivery_attempts;
     d.codec = codec;
     return d;
   }
@@ -283,7 +278,7 @@ class BspLoop {
         (fault != nullptr || options_.on_checkpoint != nullptr || resume != nullptr);
     const std::size_t interval = std::max<std::size_t>(options_.checkpoint_interval, 1);
     LoopCheckpoint ckpt;  // latest coordinated checkpoint: the rollback point
-    FailureDetector detector(options_.detector, num_hosts_, options_.network);
+    FailureDetector detector(num_hosts_, options_.network);
     auto take_checkpoint = [&](std::size_t ckpt_round, bool ckpt_any_active) {
       {
         // Measured serialization time, beside the modeled write below.
@@ -500,7 +495,7 @@ class BspLoop {
         }
         if (!dying.empty()) {
           // Detection: the loop stalls until every dying host has missed
-          // dead_after consecutive heartbeat deadlines. Survivors wait out
+          // kDeadAfter consecutive heartbeat deadlines. Survivors wait out
           // one detector deadline per stalled round.
           std::size_t stall_rounds = 0;
           bool all_declared = false;

@@ -9,9 +9,8 @@ namespace mrbc::sim {
 
 // ---- FailureDetector --------------------------------------------------------
 
-FailureDetector::FailureDetector(const DetectorOptions& options, HostId num_hosts,
-                                 const NetworkModel& network)
-    : options_(options), network_(network) {
+FailureDetector::FailureDetector(HostId num_hosts, const NetworkModel& network)
+    : network_(network) {
   late_.assign(num_hosts, 0);
   misses_.assign(num_hosts, 0);
   dead_.assign(num_hosts, 0);
@@ -20,16 +19,14 @@ FailureDetector::FailureDetector(const DetectorOptions& options, HostId num_host
 double FailureDetector::deadline_seconds() const {
   const double baseline =
       std::max(ewma_primed_ ? ewma_seconds_ : network_.kappa_barrier, network_.kappa_barrier);
-  return std::max(options_.min_deadline_seconds,
-                  std::max(1.0, options_.deadline_multiplier) * baseline);
+  return std::max(kMinDeadlineSeconds, kDeadlineMultiplier * baseline);
 }
 
 double FailureDetector::deadline_seconds(HostId h) const {
   // Suspects get exponentially more grace per consecutive late heartbeat
   // (capped so the wait stays bounded) — the straggler backoff.
-  const double growth = std::max(1.0, options_.backoff_growth);
   const double steps = static_cast<double>(std::min<std::size_t>(late_[h], 16));
-  return deadline_seconds() * std::pow(growth, steps);
+  return deadline_seconds() * std::pow(kBackoffGrowth, steps);
 }
 
 void FailureDetector::observe(HostId h, double seconds) {
@@ -50,14 +47,13 @@ void FailureDetector::observe(HostId h, double seconds) {
 void FailureDetector::observe_missing(HostId h) {
   if (dead_[h]) return;
   ++misses_[h];
-  if (misses_[h] >= std::max<std::size_t>(options_.dead_after, 1)) dead_[h] = 1;
+  if (misses_[h] >= kDeadAfter) dead_[h] = 1;
 }
 
 void FailureDetector::finish_round() {
   if (round_has_observation_) {
-    const double alpha = std::min(std::max(options_.ewma_alpha, 0.01), 1.0);
     ewma_seconds_ = ewma_primed_
-                        ? alpha * round_max_seconds_ + (1.0 - alpha) * ewma_seconds_
+                        ? kEwmaAlpha * round_max_seconds_ + (1.0 - kEwmaAlpha) * ewma_seconds_
                         : round_max_seconds_;
     ewma_primed_ = true;
   }
@@ -67,8 +63,7 @@ void FailureDetector::finish_round() {
 
 HostStatus FailureDetector::status(HostId h) const {
   if (dead_[h]) return HostStatus::kDead;
-  const std::size_t suspect_after = std::max<std::size_t>(options_.suspect_after, 1);
-  if (late_[h] >= suspect_after || misses_[h] > 0) return HostStatus::kSuspect;
+  if (late_[h] >= kSuspectAfter || misses_[h] > 0) return HostStatus::kSuspect;
   return HostStatus::kAlive;
 }
 

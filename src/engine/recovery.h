@@ -24,7 +24,7 @@
 // whose heartbeat is *late* is a straggler: it is marked suspect and
 // waited for with exponentially backed-off deadlines, but never declared
 // dead (the heartbeat exists). A host whose heartbeat is *missing* for
-// dead_after consecutive rounds is declared permanently dead, at which
+// kDeadAfter consecutive rounds is declared permanently dead, at which
 // point BspLoop performs the handoff and rolls back to the last
 // coordinated checkpoint.
 
@@ -40,39 +40,37 @@ namespace mrbc::sim {
 
 using partition::HostId;
 
-/// Thresholds for the BSP-loop failure detector.
-struct DetectorOptions {
-  /// Round deadline = multiplier * max(EWMA round time, kappa_barrier):
-  /// headroom over the typical round so ordinary jitter never trips it.
-  double deadline_multiplier = 8.0;
-  /// Floor for the deadline in seconds (tiny simulated rounds would
-  /// otherwise produce sub-microsecond deadlines).
-  double min_deadline_seconds = 1e-4;
-  /// EWMA smoothing factor for the round-time baseline.
-  double ewma_alpha = 0.2;
-  /// Consecutive late heartbeats before a host is marked suspect.
-  std::size_t suspect_after = 1;
-  /// Per-step growth of a suspect host's deadline (the "wait with backoff"
-  /// grace that keeps stragglers from being declared dead).
-  double backoff_growth = 1.5;
-  /// Consecutive *missing* heartbeats before a host is declared dead.
-  std::size_t dead_after = 3;
-};
-
 enum class HostStatus : std::uint8_t { kAlive, kSuspect, kDead };
 
 /// Missed-heartbeat failure detector over physical hosts. Fed once per BSP
 /// round; deterministic given the same observation sequence.
 class FailureDetector {
  public:
-  FailureDetector(const DetectorOptions& options, HostId num_hosts, const NetworkModel& network);
+  /// Round deadline = kDeadlineMultiplier * max(EWMA round time,
+  /// kappa_barrier): headroom over the typical round so ordinary jitter
+  /// never trips it.
+  static constexpr double kDeadlineMultiplier = 8.0;
+  /// Floor for the deadline in seconds (tiny simulated rounds would
+  /// otherwise produce sub-microsecond deadlines).
+  static constexpr double kMinDeadlineSeconds = 1e-4;
+  /// EWMA smoothing factor for the round-time baseline.
+  static constexpr double kEwmaAlpha = 0.2;
+  /// Consecutive late heartbeats before a host is marked suspect.
+  static constexpr std::size_t kSuspectAfter = 1;
+  /// Per-step growth of a suspect host's deadline (the "wait with backoff"
+  /// grace that keeps stragglers from being declared dead).
+  static constexpr double kBackoffGrowth = 1.5;
+  /// Consecutive *missing* heartbeats before a host is declared dead.
+  static constexpr std::size_t kDeadAfter = 3;
+
+  FailureDetector(HostId num_hosts, const NetworkModel& network);
 
   /// Heartbeat from host `h` carrying its round time. On-time heartbeats
   /// decay suspicion; late ones (past the host's backed-off deadline) mark
   /// the host suspect and are counted in suspect_observations().
   void observe(HostId h, double seconds);
 
-  /// No heartbeat from `h` this round; dead_after consecutive misses
+  /// No heartbeat from `h` this round; kDeadAfter consecutive misses
   /// transition the host to kDead.
   void observe_missing(HostId h);
 
@@ -85,7 +83,7 @@ class FailureDetector {
 
   /// Current base deadline (before per-host backoff).
   double deadline_seconds() const;
-  /// Effective deadline for `h`: the base deadline grown by backoff_growth
+  /// Effective deadline for `h`: the base deadline grown by kBackoffGrowth
   /// per consecutive late heartbeat (capped), so suspects get extra grace.
   double deadline_seconds(HostId h) const;
 
@@ -94,7 +92,6 @@ class FailureDetector {
   std::size_t suspect_observations() const { return suspect_observations_; }
 
  private:
-  DetectorOptions options_;
   NetworkModel network_;
   double ewma_seconds_ = 0.0;
   bool ewma_primed_ = false;

@@ -56,8 +56,7 @@ class HostComputeTimer {
 }  // namespace
 
 DistBcEngine::DistBcEngine(const Graph& g, const DistBcOptions& opts)
-    : g_(&g),
-      opts_(opts),
+    : opts_(opts),
       grid_(ProcessGrid::make(std::max<HostId>(opts.num_hosts, 1), opts.replication)),
       mat_(g, grid_),
       net_(grid_.hosts),
@@ -79,6 +78,7 @@ void DistBcEngine::begin_batch(const std::vector<VertexId>& batch) {
   table_.assign(static_cast<std::size_t>(n_) * k_, DistSigma{});
   delta_.assign(static_cast<std::size_t>(n_) * k_, 0.0);
   max_level_ = 0;
+  level_start_.clear();
   frontier_.clear();
   for (std::size_t sidx = 0; sidx < k_; ++sidx) {
     table_[static_cast<std::size_t>(batch[sidx]) * k_ + sidx] = {0, 1.0};
@@ -332,6 +332,22 @@ DistBcStep DistBcEngine::forward_step() {
   return step;
 }
 
+void DistBcEngine::build_level_index() {
+  level_start_.assign(static_cast<std::size_t>(max_level_) + 2, 0);
+  for (const DistSigma& t : table_) {
+    if (t.dist >= 1 && t.dist <= max_level_) ++level_start_[t.dist + 1];
+  }
+  for (std::size_t d = 1; d < level_start_.size(); ++d) level_start_[d] += level_start_[d - 1];
+  level_cells_.resize(level_start_.back());
+  std::vector<std::size_t> next(level_start_.begin(), level_start_.end() - 1);
+  for (VertexId v = 0; v < n_; ++v) {
+    for (std::uint32_t sidx = 0; sidx < k_; ++sidx) {
+      const std::uint32_t d = table_[static_cast<std::size_t>(v) * k_ + sidx].dist;
+      if (d >= 1 && d <= max_level_) level_cells_[next[d]++] = {v, sidx};
+    }
+  }
+}
+
 DistBcStep DistBcEngine::backward_level(std::uint32_t level) {
   const HostId H = grid_.hosts;
   const HostId pr = grid_.rows;
@@ -343,16 +359,14 @@ DistBcStep DistBcEngine::backward_level(std::uint32_t level) {
   step.comm.bytes_per_host.assign(H, 0);
   step.comm.msgs_per_host.assign(H, 0);
 
-  // ---- level frontier from the group tables (v-major, sidx-minor) -------
+  // ---- level frontier from the level index (v-major, sidx-minor) --------
+  if (level_start_.empty()) build_level_index();
   bwd_frontier_.clear();
-  for (VertexId v = 0; v < n_; ++v) {
-    for (std::size_t sidx = 0; sidx < k_; ++sidx) {
-      const DistSigma& t = table_[static_cast<std::size_t>(v) * k_ + sidx];
-      if (t.dist == level) {
-        bwd_frontier_.push_back(
-            {v, static_cast<std::uint32_t>(sidx),
-             {level, (1.0 + delta_[static_cast<std::size_t>(v) * k_ + sidx]) / t.sigma}});
-      }
+  if (level <= max_level_) {
+    for (std::size_t i = level_start_[level]; i < level_start_[level + 1]; ++i) {
+      const auto [v, sidx] = level_cells_[i];
+      const std::size_t ci = static_cast<std::size_t>(v) * k_ + sidx;
+      bwd_frontier_.push_back({v, sidx, {level, (1.0 + delta_[ci]) / table_[ci].sigma}});
     }
   }
   step.frontier_entries = bwd_frontier_.size();
@@ -395,9 +409,6 @@ DistBcStep DistBcEngine::backward_level(std::uint32_t level) {
   // ---- 2. per-host dependency sweeps into per-panel partials ------------
   const std::vector<std::size_t> slice = layer_slices(used_frontier_.data(), used_frontier_.size());
   const std::uint32_t ppl = grid_.panels_per_layer();
-  // Warm the lazy backward tiles outside the timed parallel sweep so the
-  // one-time build is not charged to whichever host's sweep triggers it.
-  mat_.backward_tile(0);
   util::for_each_index(H, opts_.parallel_hosts, [&](std::size_t h) {
     const HostComputeTimer timer(round);
     const HostId r = grid_.row_of(static_cast<HostId>(h));

@@ -45,16 +45,25 @@
 // only the tree's upper levels — identical bits for every legal c.
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "comm/substrate.h"
 #include "graph/graph.h"
 #include "matrix/dist_matrix.h"
 #include "matrix/grid.h"
-#include "matrix/semiring.h"
 #include "util/serialize.h"
 
 namespace mrbc::matrix {
+
+/// One (vertex, source) table cell: the tentative distance and the number
+/// of shortest paths at that distance.
+struct DistSigma {
+  std::uint32_t dist = graph::kInfDist;
+  double sigma = 0.0;
+
+  friend bool operator==(const DistSigma&, const DistSigma&) = default;
+};
 
 struct DistBcOptions {
   HostId num_hosts = 4;
@@ -90,6 +99,8 @@ class DistBcEngine {
   DistBcStep forward_step();
   /// Largest finalized distance seen so far (final after forward_done()).
   std::uint32_t max_level() const { return max_level_; }
+  /// Fires the cells at distance `level` (1 <= level <= max_level(), run
+  /// from max_level() down once the forward phase is done).
   DistBcStep backward_level(std::uint32_t level);
 
   const DistSigma& table_at(VertexId v, std::size_t sidx) const {
@@ -101,8 +112,9 @@ class DistBcEngine {
 
   /// Checkpoint support: batch tables, the live frontier, and the delivery
   /// protocol's sequence numbers roll back as one unit (mirrors the MRBC
-  /// engine's crash/rollback contract). Restore assumes an engine built
-  /// with the same graph and options.
+  /// engine's crash/rollback contract). The backward level index is
+  /// derived from the tables and rebuilt after a restore, never saved.
+  /// Restore assumes an engine built with the same graph and options.
   void save_state(util::SendBuffer& buf) const;
   void restore_state(util::RecvBuffer& buf);
 
@@ -147,8 +159,10 @@ class DistBcEngine {
   /// (no wire crossed).
   void append_slice(std::vector<Entry>& out, HostId r, HostId l, const Entry* local_base,
                     const std::vector<std::size_t>& local_slices) const;
+  /// Counting-sorts the finite cells with 1 <= dist <= max_level_ by
+  /// distance into level_cells_, each level in (v, sidx) order.
+  void build_level_index();
 
-  const Graph* g_;
   DistBcOptions opts_;
   ProcessGrid grid_;
   DistMatrix mat_;
@@ -160,6 +174,11 @@ class DistBcEngine {
   std::vector<double> delta_;     ///< n x k group dependency tables
   std::vector<Entry> frontier_;   ///< (v, sidx)-sorted live frontier
   std::uint32_t max_level_ = 0;
+  /// Backward level index, built by the first backward_level of a batch:
+  /// level d's cells are level_cells_[level_start_[d], level_start_[d + 1]).
+  /// Empty until built; begin_batch (and so restore_state) clears it.
+  std::vector<std::size_t> level_start_;
+  std::vector<std::pair<VertexId, std::uint32_t>> level_cells_;
 
   // Persistent scratch (allocation reused across rounds and batches).
   std::vector<HostScratch> scratch_;                  // per host

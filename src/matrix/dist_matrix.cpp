@@ -4,37 +4,23 @@
 
 namespace mrbc::matrix {
 
-DistMatrix::DistMatrix(const Graph& g, const ProcessGrid& grid)
-    : g_(&g), grid_(grid), n_(g.num_vertices()) {
-  std::vector<std::vector<graph::Edge>> per_host(grid_.hosts);
-  for (VertexId u = 0; u < n_; ++u) {
-    const HostId l = grid_.vertex_layer(u, n_);
+DistMatrix::DistMatrix(const Graph& g, const ProcessGrid& grid) {
+  const VertexId n = g.num_vertices();
+  std::vector<std::vector<graph::Edge>> fwd(grid.hosts);
+  std::vector<std::vector<graph::Edge>> bwd(grid.hosts);
+  for (VertexId u = 0; u < n; ++u) {
+    const HostId r = grid.vertex_row(u, n);
+    const HostId l = grid.vertex_layer(u, n);
     for (VertexId w : g.out_neighbors(u)) {
-      per_host[grid_.host_at(grid_.vertex_row(w, n_), l)].push_back({u, w});
+      fwd[grid.host_at(grid.vertex_row(w, n), l)].push_back({u, w});
+      bwd[grid.host_at(r, grid.vertex_layer(w, n))].push_back({w, u});
     }
   }
-  forward_.reserve(grid_.hosts);
-  for (HostId h = 0; h < grid_.hosts; ++h) {
-    forward_.push_back(graph::build_graph(n_, std::move(per_host[h])));
-  }
-}
-
-const Graph& DistMatrix::backward_tile(HostId h) {
-  std::call_once(backward_once_, [this] { build_backward(); });
-  return backward_[h];
-}
-
-void DistMatrix::build_backward() {
-  std::vector<std::vector<graph::Edge>> per_host(grid_.hosts);
-  for (VertexId u = 0; u < n_; ++u) {
-    const HostId r = grid_.vertex_row(u, n_);
-    for (VertexId w : g_->out_neighbors(u)) {
-      per_host[grid_.host_at(r, grid_.vertex_layer(w, n_))].push_back({w, u});
-    }
-  }
-  backward_.reserve(grid_.hosts);
-  for (HostId i = 0; i < grid_.hosts; ++i) {
-    backward_.push_back(graph::build_graph(n_, std::move(per_host[i])));
+  forward_.reserve(grid.hosts);
+  backward_.reserve(grid.hosts);
+  for (HostId h = 0; h < grid.hosts; ++h) {
+    forward_.push_back(graph::build_graph(n, std::move(fwd[h])));
+    backward_.push_back(graph::build_graph(n, std::move(bwd[h])));
   }
 }
 

@@ -8,21 +8,13 @@
 //
 // The tiles are materialized as per-host sub-Graphs (CSR views), exactly
 // like the historical 1D MFBC partition — at c = 1 the forward tiles *are*
-// the historical per-destination-owner sub-graphs.
-//
-// dist_spmspv / dist_spmm below run one grid-structured product in-process
-// (partial per-tile products, then a combine across layers) for any exact
-// monoid; they are the reference primitives the tests pin against the
-// scalar spmspv_out / spmv_dense_out kernels. The full replicated BC
-// iteration — with staged communication, modeled costs, and the
-// floating-point reduction tree — lives in dist_engine.h.
+// the historical per-destination-owner sub-graphs. The replicated BC
+// iteration that sweeps them — with staged communication, modeled costs,
+// and the floating-point reduction tree — lives in dist_engine.h.
 
-#include <cstdint>
-#include <mutex>
 #include <vector>
 
 #include "graph/graph.h"
-#include "matrix/csr_matrix.h"
 #include "matrix/grid.h"
 
 namespace mrbc::matrix {
@@ -32,15 +24,8 @@ using graph::Graph;
 /// Per-host CSR tiles of a graph's adjacency pattern on a ProcessGrid.
 class DistMatrix {
  public:
-  /// Builds forward tiles; backward (reversed-edge) tiles are built on
-  /// first use (the forward-only tests and forward phase never pay for
-  /// them). The lazy build is call_once-guarded, so concurrent first
-  /// backward_tile calls are safe — but callers that time per-host work
-  /// should still warm it serially so one host doesn't absorb the build.
+  /// Builds the forward and backward (reversed-edge) tiles of every host.
   DistMatrix(const Graph& g, const ProcessGrid& grid);
-
-  const ProcessGrid& grid() const { return grid_; }
-  VertexId num_vertices() const { return n_; }
 
   /// Tile of host h: edges (u, w) with vertex_row(w) == row_of(h) and
   /// vertex_layer(u) == layer_of(h), as a sub-Graph over global ids.
@@ -49,85 +34,11 @@ class DistMatrix {
   /// Reversed tile of host h: edge (w, u) present when (u, w) in E,
   /// vertex_row(u) == row_of(h) and vertex_layer(w) == layer_of(h) — the
   /// backward dependency product's operand.
-  const Graph& backward_tile(HostId h);
+  const Graph& backward_tile(HostId h) const { return backward_[h]; }
 
  private:
-  void build_backward();
-
-  const Graph* g_;
-  ProcessGrid grid_;
-  VertexId n_;
   std::vector<Graph> forward_;
-  std::vector<Graph> backward_;  // lazy, built under backward_once_
-  std::once_flag backward_once_;
+  std::vector<Graph> backward_;
 };
-
-/// Grid-structured y = A^T x over an exact monoid: each host combines
-/// extend(x[v]) into its row-block partials for its column layer, then
-/// partials merge across layers (replica-group all-reduce, done in-process
-/// here). Only valid for monoids whose combine is exactly associative —
-/// MinPlusSigma qualifies (integer min; integral sigma sums), PlusDouble
-/// does not (see the panel tree in dist_engine.h for how MFBC's backward
-/// phase keeps FP determinism).
-template <typename MonoidT, typename ExtendFn>
-SparseVector<typename MonoidT::Value> dist_spmspv(
-    DistMatrix& A, const SparseVector<typename MonoidT::Value>& x, ExtendFn&& extend) {
-  using Value = typename MonoidT::Value;
-  const ProcessGrid& grid = A.grid();
-  const VertexId n = A.num_vertices();
-  std::vector<Value> acc(n, MonoidT::identity());
-  std::vector<std::uint8_t> touched_mark(n, 0);
-  std::vector<VertexId> touched;
-  // Merge per-tile partials in (row, layer) host order; exact combine makes
-  // the grouping unobservable in the result.
-  for (HostId r = 0; r < grid.rows; ++r) {
-    for (HostId l = 0; l < grid.layers; ++l) {
-      const Graph& tile = A.forward_tile(grid.host_at(r, l));
-      for (const auto& [v, value] : x) {
-        if (grid.vertex_layer(v, n) != l) continue;
-        const Value ext = extend(value);
-        for (VertexId w : tile.out_neighbors(v)) {
-          acc[w] = MonoidT::combine(acc[w], ext);
-          if (!touched_mark[w]) {
-            touched_mark[w] = 1;
-            touched.push_back(w);
-          }
-        }
-      }
-    }
-  }
-  SparseVector<Value> y;
-  y.reserve(touched.size());
-  for (VertexId w : touched) y.emplace_back(w, acc[w]);
-  return y;
-}
-
-/// Grid-structured dense SpMM over an exact monoid: X is n x k row-major,
-/// Y[w][j] = combine over edges (v, w) of extend(X[v][j]). The batched
-/// (multi-source) flavor of dist_spmspv; same exactness requirement.
-template <typename MonoidT, typename ExtendFn>
-std::vector<typename MonoidT::Value> dist_spmm(DistMatrix& A,
-                                               const std::vector<typename MonoidT::Value>& x,
-                                               std::size_t k, ExtendFn&& extend) {
-  using Value = typename MonoidT::Value;
-  const ProcessGrid& grid = A.grid();
-  const VertexId n = A.num_vertices();
-  std::vector<Value> y(static_cast<std::size_t>(n) * k, MonoidT::identity());
-  for (HostId r = 0; r < grid.rows; ++r) {
-    for (HostId l = 0; l < grid.layers; ++l) {
-      const Graph& tile = A.forward_tile(grid.host_at(r, l));
-      for (VertexId v = 0; v < n; ++v) {
-        if (grid.vertex_layer(v, n) != l) continue;
-        for (VertexId w : tile.out_neighbors(v)) {
-          for (std::size_t j = 0; j < k; ++j) {
-            Value& cell = y[static_cast<std::size_t>(w) * k + j];
-            cell = MonoidT::combine(cell, extend(x[static_cast<std::size_t>(v) * k + j]));
-          }
-        }
-      }
-    }
-  }
-  return y;
-}
 
 }  // namespace mrbc::matrix

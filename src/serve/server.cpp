@@ -153,19 +153,19 @@ void Server::publish_epoch(std::size_t coalesced, double recompute_seconds) {
   snap->bc = engine_->scaled_scores();
   snap->coalesced_batches = coalesced;
   if (opts_.run_analytics && snap->num_vertices > 0) {
-    const graph::Graph& g = engine_->graph();
-    const auto hosts = std::max<partition::HostId>(opts_.bc.mrbc.num_hosts, 1);
+    // The engine's partition of the serving graph, shared by all three.
+    const partition::Partition& part = engine_->partition();
     analytics::PagerankOptions pr;
     pr.max_iterations = opts_.pagerank_iterations;
-    snap->pagerank = analytics::pagerank(g, hosts, pr).rank;
-    snap->component = analytics::connected_components(g, hosts).component;
+    snap->pagerank = analytics::pagerank(part, pr).rank;
+    snap->component = analytics::connected_components(part).component;
     // Min-label CC: a component's label is its smallest member, so the
     // component count is the number of self-labeled vertices.
     for (graph::VertexId v = 0; v < snap->num_vertices; ++v) {
       if (snap->component[v] == v) ++snap->num_components;
     }
     snap->kcore_k = opts_.kcore_k;
-    const auto kc = analytics::kcore(g, opts_.kcore_k, hosts);
+    const auto kc = analytics::kcore(part, opts_.kcore_k);
     snap->in_kcore.resize(snap->num_vertices);
     for (graph::VertexId v = 0; v < snap->num_vertices; ++v) {
       snap->in_kcore[v] = kc.in_core[v] ? 1 : 0;

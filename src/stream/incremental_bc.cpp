@@ -31,7 +31,6 @@ IncrementalBc::IncrementalBc(graph::Graph base, IncrementalBcOptions options)
   dist_.assign(sources_.size(), std::vector<std::uint32_t>(n, kInfDist));
   sigma_.assign(sources_.size(), std::vector<double>(n, 0.0));
   dep_.assign(sources_.size(), std::vector<double>(n, 0.0));
-  rebuild_partition();
   std::vector<std::uint32_t> all(sources_.size());
   for (std::uint32_t i = 0; i < all.size(); ++i) all[i] = i;
   reexecute(all);
@@ -95,13 +94,15 @@ IncrementalBc IncrementalBc::load(const std::string& path, IncrementalBcOptions 
     sim::load_tables(st, inc.sigma_, k, n);
     sim::load_tables(st, inc.dep_, k, n);
   });
-  inc.rebuild_partition();
   return inc;
 }
 
-void IncrementalBc::rebuild_partition() {
-  partition_ = std::make_unique<partition::Partition>(
-      graph_, std::max<partition::HostId>(opts_.mrbc.num_hosts, 1), opts_.mrbc.policy);
+const partition::Partition& IncrementalBc::partition() {
+  if (partition_ == nullptr) {
+    partition_ = std::make_unique<partition::Partition>(
+        graph_, std::max<partition::HostId>(opts_.mrbc.num_hosts, 1), opts_.mrbc.policy);
+  }
+  return *partition_;
 }
 
 core::BcScores IncrementalBc::scaled_scores() const {
@@ -129,7 +130,7 @@ sim::RunStats IncrementalBc::reexecute(const std::vector<std::uint32_t>& source_
     }
     batch.push_back(s);
   }
-  core::MrbcRun run = core::mrbc_bc(*partition_, batch, opts_.mrbc);
+  core::MrbcRun run = core::mrbc_bc(partition(), batch, opts_.mrbc);
   assert(run.anomalies == 0);
   for (std::size_t i = 0; i < source_idxs.size(); ++i) {
     const std::uint32_t sidx = source_idxs[i];
@@ -158,8 +159,8 @@ BatchReport IncrementalBc::apply(const EdgeBatch& batch) {
   //    current partition. The scores are host-agnostic, so only the
   //    traffic/cost accounting of the routed batch is consumed here; a
   //    real deployment would hand routed.per_host[h] to host h's store.
-  if (partition_ != nullptr && partition_->num_hosts() > 1) {
-    comm::Substrate substrate(*partition_);
+  if (opts_.mrbc.num_hosts > 1) {
+    comm::Substrate substrate(partition());
     substrate.set_delivery(opts_.mrbc.cluster.delivery());
     const RoutedBatch routed =
         route_batch(batch, substrate, opts_.mrbc.policy, opts_.mrbc.cluster.network, &registry_);
@@ -179,6 +180,7 @@ BatchReport IncrementalBc::apply(const EdgeBatch& batch) {
   registry_.add_counter("stream/ops_rejected", batch.size() - applied.size());
   if (applied.empty()) return report;
   ++graph_changes_;
+  partition_.reset();
   if (sources_.empty()) return report;
 
   // 3. Affected-source detection against the retained (pre-batch) tables.
@@ -212,13 +214,12 @@ BatchReport IncrementalBc::apply(const EdgeBatch& batch) {
   }
   report.affected_sources = affected.size();
 
-  // 4. Re-partition the next CSR and re-run only what changed. The
+  // 4. Re-run only what changed, on a partition of the next CSR. The
   //    counter keeps its historical name: it counts the applies that
   //    changed the graph (of a non-empty graph).
   registry_.add_counter("stream/compactions", 1);
   if (!affected.empty()) {
     obs::Span rerun_span(obs::Category::kStream, "rerun");
-    rebuild_partition();
     report.reexec = reexecute(affected);
   }
   return report;

@@ -22,10 +22,10 @@
 //      The OR over a batch's ops is exact (no false negatives): any
 //      cascade of changes starts at an op whose old-distance test fires.
 //   4. each affected source's stale dependency contributions are
-//      subtracted from the maintained scores, the next CSR is
-//      re-partitioned, and only the affected sources are re-run through
-//      the batched MRBC forward/accumulation phases; their new
-//      contributions are added back.
+//      subtracted from the maintained scores, and only the affected
+//      sources are re-run through the batched MRBC forward/accumulation
+//      phases on partition() of the next CSR; their new contributions are
+//      added back.
 // When the affected fraction exceeds recompute_threshold, the incremental
 // machinery would redo nearly everything anyway, so all sources are
 // re-executed in one pass (the "fall back to full recompute" rule).
@@ -88,6 +88,10 @@ class IncrementalBc {
   const graph::Graph& graph() const { return graph_; }
   /// Advances once per apply(), whether or not the batch changed the graph.
   std::uint64_t epoch() const { return epoch_; }
+  /// graph() partitioned over mrbc.{num_hosts, policy}, which ingest
+  /// routing and re-execution use too. Built on first use after each
+  /// change to the graph, so at most once per graph change.
+  const partition::Partition& partition();
 
   /// Cumulative stream/* counters (ingest + re-execution).
   const util::StatsRegistry& stats() const { return registry_; }
@@ -112,8 +116,7 @@ class IncrementalBc {
   struct RestoreTag {};
   IncrementalBc(graph::Graph base, IncrementalBcOptions options, RestoreTag);
 
-  void rebuild_partition();
-  /// Re-runs `source_idxs` through MRBC on partition_, swapping their
+  /// Re-runs `source_idxs` through MRBC on partition(), swapping their
   /// stale contributions for fresh ones.
   sim::RunStats reexecute(const std::vector<std::uint32_t>& source_idxs);
 
@@ -121,8 +124,8 @@ class IncrementalBc {
   graph::Graph graph_;
   std::uint64_t epoch_ = 0;
   std::uint64_t graph_changes_ = 0;  ///< applies that changed graph_
-  /// Rebuilt from graph_ before each re-execution (a batch that affects
-  /// no source leaves the previous one in place).
+  /// partition()'s cache of graph_; null until used, reset by every apply
+  /// that changes graph_.
   std::unique_ptr<partition::Partition> partition_;
   std::vector<graph::VertexId> sources_;
   core::BcScores bc_;

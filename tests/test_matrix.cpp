@@ -1,11 +1,11 @@
-// Tests for the semiring sparse-matrix layer used by MFBC: monoid laws,
-// SpMSpV against dense reference products, the (min,+,sigma) semantics, the
-// 2.5D process grid, and the replicated distributed backend (grid-structured
-// products vs scalar references; bit-identity of BC scores across
-// replication factors, thread counts, fault injection, and crash/rollback).
+// Tests for MFBC's matrix layer: the 2.5D process grid, the per-host
+// tiles of the distributed adjacency matrix, and the replicated backend
+// (bit-identity of BC scores across replication factors, thread counts,
+// fault injection, and crash/rollback).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -14,13 +14,10 @@
 #include "baselines/mfbc.h"
 #include "engine/fault.h"
 #include "graph/algorithms.h"
-#include "graph/builder.h"
 #include "graph/generators.h"
-#include "matrix/csr_matrix.h"
 #include "matrix/dist_engine.h"
 #include "matrix/dist_matrix.h"
 #include "matrix/grid.h"
-#include "matrix/semiring.h"
 #include "test_helpers.h"
 #include "util/serialize.h"
 
@@ -28,106 +25,7 @@ namespace mrbc::matrix {
 namespace {
 
 using graph::Graph;
-using graph::kInfDist;
 using graph::VertexId;
-
-TEST(Semiring, MinPlusSigmaCombine) {
-  const DistSigma a{2, 3.0}, b{4, 1.0}, c{2, 5.0};
-  EXPECT_EQ(MinPlusSigma::combine(a, b), a);
-  EXPECT_EQ(MinPlusSigma::combine(b, a), a);
-  EXPECT_EQ(MinPlusSigma::combine(a, c), (DistSigma{2, 8.0}));
-  const DistSigma id = MinPlusSigma::identity();
-  EXPECT_EQ(MinPlusSigma::combine(a, id), a);
-  EXPECT_EQ(MinPlusSigma::combine(id, id), id);
-}
-
-TEST(Semiring, CombineIsAssociativeOnSamples) {
-  const DistSigma xs[] = {{1, 1.0}, {1, 2.0}, {3, 4.0}, MinPlusSigma::identity()};
-  for (const auto& a : xs) {
-    for (const auto& b : xs) {
-      for (const auto& c : xs) {
-        EXPECT_EQ(MinPlusSigma::combine(MinPlusSigma::combine(a, b), c),
-                  MinPlusSigma::combine(a, MinPlusSigma::combine(b, c)));
-      }
-    }
-  }
-}
-
-TEST(Semiring, ExtendAddsOneHop) {
-  EXPECT_EQ(MinPlusSigma::extend({3, 2.0}), (DistSigma{4, 2.0}));
-  EXPECT_EQ(MinPlusSigma::extend(MinPlusSigma::identity()), MinPlusSigma::identity());
-}
-
-TEST(SpMSpV, MatchesDenseProduct) {
-  Graph g = graph::erdos_renyi(40, 0.1, 5);
-  // Dense operand with a few nonzeros.
-  std::vector<DistSigma> x(g.num_vertices(), MinPlusSigma::identity());
-  SparseVector<DistSigma> xs;
-  for (VertexId v : {3u, 17u, 29u}) {
-    x[v] = {v % 4, 1.0 + v};
-    xs.emplace_back(v, x[v]);
-  }
-  auto dense = spmv_dense_out<MinPlusSigma>(g, x, MinPlusSigma::extend);
-  std::vector<DistSigma> scratch;
-  std::vector<std::uint8_t> touched;
-  auto sparse = spmspv_out<MinPlusSigma>(g, xs, MinPlusSigma::extend, scratch, touched);
-  std::vector<DistSigma> densified(g.num_vertices(), MinPlusSigma::identity());
-  for (const auto& [v, val] : sparse) densified[v] = val;
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    EXPECT_EQ(densified[v], dense[v]) << v;
-  }
-}
-
-TEST(SpMSpV, InProductFollowsReverseEdges) {
-  Graph g = graph::path(4);  // 0->1->2->3
-  SparseVector<double> x{{2, 5.0}};
-  std::vector<double> scratch;
-  std::vector<std::uint8_t> touched;
-  auto y = spmspv_in<PlusDouble>(g, x, [](double v) { return v; }, scratch, touched);
-  ASSERT_EQ(y.size(), 1u);
-  EXPECT_EQ(y[0].first, 1u);  // in-neighbor of 2
-  EXPECT_DOUBLE_EQ(y[0].second, 5.0);
-}
-
-TEST(SpMSpV, EmptyOperandYieldsEmptyResult) {
-  Graph g = graph::complete(5);
-  std::vector<DistSigma> scratch;
-  std::vector<std::uint8_t> touched;
-  auto y = spmspv_out<MinPlusSigma>(g, {}, MinPlusSigma::extend, scratch, touched);
-  EXPECT_TRUE(y.empty());
-}
-
-TEST(SpMSpV, IteratedProductComputesBfs) {
-  // Repeated x <- min(x, A^T x) from a unit seed is BFS with path counts.
-  Graph g = graph::erdos_renyi(50, 0.08, 11);
-  const VertexId s = 7;
-  std::vector<DistSigma> state(g.num_vertices(), MinPlusSigma::identity());
-  state[s] = {0, 1.0};
-  SparseVector<DistSigma> frontier{{s, state[s]}};
-  std::vector<DistSigma> scratch;
-  std::vector<std::uint8_t> touched;
-  while (!frontier.empty()) {
-    auto products = spmspv_out<MinPlusSigma>(g, frontier, MinPlusSigma::extend, scratch, touched);
-    SparseVector<DistSigma> next;
-    for (const auto& [v, cand] : products) {
-      // Unweighted BFS is level-synchronous: all of a vertex's equal-dist
-      // contributions are combined within one product, so only strict
-      // improvements appear across iterations.
-      if (cand.dist < state[v].dist) {
-        state[v] = cand;
-        next.emplace_back(v, cand);
-      }
-    }
-    frontier = std::move(next);
-  }
-  auto golden = graph::bfs(g, s);
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    EXPECT_EQ(state[v].dist, golden.dist[v]) << v;
-    if (golden.dist[v] != kInfDist) {
-      EXPECT_DOUBLE_EQ(state[v].sigma, golden.sigma[v]) << v;
-    }
-  }
-}
 
 // ---------------------------------------------------------------------------
 // ProcessGrid layout and legality.
@@ -204,45 +102,35 @@ TEST(ProcessGrid, RejectsIllegalReplicationWithClearErrors) {
 }
 
 // ---------------------------------------------------------------------------
-// Grid-structured products vs the scalar reference kernels.
+// Tile layout of the distributed adjacency matrix.
 
-TEST(DistMatrix, SpmspvMatchesScalarReferenceAcrossGrids) {
-  const Graph g = graph::erdos_renyi(60, 0.08, 17);
-  SparseVector<DistSigma> x;
-  for (VertexId v : {1u, 9u, 23u, 41u, 58u}) x.emplace_back(v, DistSigma{v % 5, 1.0 + v});
-  std::vector<DistSigma> scratch;
-  std::vector<std::uint8_t> touched;
-  auto ref = spmspv_out<MinPlusSigma>(g, x, MinPlusSigma::extend, scratch, touched);
-  std::vector<DistSigma> ref_dense(g.num_vertices(), MinPlusSigma::identity());
-  for (const auto& [v, val] : ref) ref_dense[v] = val;
-
-  for (const auto& [hosts, c] : std::vector<std::pair<HostId, HostId>>{
-           {1, 1}, {6, 2}, {8, 4}, {8, 8}}) {
-    DistMatrix A(g, ProcessGrid::make(hosts, c));
-    auto y = dist_spmspv<MinPlusSigma>(A, x, MinPlusSigma::extend);
-    EXPECT_EQ(y.size(), ref.size()) << hosts << "x" << c;
-    for (const auto& [v, val] : y) {
-      EXPECT_EQ(val, ref_dense[v]) << "v=" << v << " grid " << hosts << "/" << c;
-    }
-  }
-}
-
-TEST(DistMatrix, SpmmMatchesPerColumnDenseProducts) {
-  const Graph g = graph::rmat({.scale = 6, .edge_factor = 4.0, .seed = 7});
+TEST(DistMatrix, TilesPartitionEdgesAcrossGrids) {
+  const Graph g = graph::rmat({.scale = 7, .edge_factor = 5.0, .seed = 17});
   const VertexId n = g.num_vertices();
-  const std::size_t k = 3;
-  std::vector<DistSigma> x(static_cast<std::size_t>(n) * k, MinPlusSigma::identity());
-  for (VertexId v = 0; v < n; v += 5) {
-    x[static_cast<std::size_t>(v) * k + (v / 5) % k] = {v % 3, 2.0 + v};
-  }
-  DistMatrix A(g, ProcessGrid::make(6, 2));
-  auto y = dist_spmm<MinPlusSigma>(A, x, k, MinPlusSigma::extend);
-  for (std::size_t j = 0; j < k; ++j) {
-    std::vector<DistSigma> col(n, MinPlusSigma::identity());
-    for (VertexId v = 0; v < n; ++v) col[v] = x[static_cast<std::size_t>(v) * k + j];
-    auto ref = spmv_dense_out<MinPlusSigma>(g, col, MinPlusSigma::extend);
-    for (VertexId w = 0; w < n; ++w) {
-      EXPECT_EQ(y[static_cast<std::size_t>(w) * k + j], ref[w]) << "w=" << w << " j=" << j;
+  const auto count = [](const Graph& tile, VertexId from, VertexId to) {
+    const auto nbrs = tile.out_neighbors(from);
+    return std::count(nbrs.begin(), nbrs.end(), to);
+  };
+  for (HostId c : {1u, 2u, 4u}) {
+    const ProcessGrid grid = ProcessGrid::make(8, c);
+    const DistMatrix A(g, grid);
+    // Tiles hold unique edges, so with the per-edge checks below these
+    // totals leave no room for an edge outside its designated tile.
+    std::size_t forward_edges = 0;
+    std::size_t backward_edges = 0;
+    for (HostId h = 0; h < grid.hosts; ++h) {
+      forward_edges += A.forward_tile(h).num_edges();
+      backward_edges += A.backward_tile(h).num_edges();
+    }
+    EXPECT_EQ(forward_edges, g.num_edges()) << "c=" << c;
+    EXPECT_EQ(backward_edges, g.num_edges()) << "c=" << c;
+    for (VertexId u = 0; u < n; ++u) {
+      for (VertexId w : g.out_neighbors(u)) {
+        const HostId fh = grid.host_at(grid.vertex_row(w, n), grid.vertex_layer(u, n));
+        const HostId bh = grid.host_at(grid.vertex_row(u, n), grid.vertex_layer(w, n));
+        EXPECT_EQ(count(A.forward_tile(fh), u, w), 1) << "c=" << c << " edge " << u << "->" << w;
+        EXPECT_EQ(count(A.backward_tile(bh), w, u), 1) << "c=" << c << " edge " << u << "->" << w;
+      }
     }
   }
 }
@@ -318,34 +206,61 @@ TEST(DistEngine, CrashRollbackRestoresMidBatchBitExactly) {
   opts.num_hosts = 8;
   opts.replication = 2;
 
-  // Reference run: checkpoint after two forward rounds, then finish.
+  // Reference run: checkpoint after two forward rounds and again after the
+  // top backward level, then finish.
   DistBcEngine ref(g, opts);
   ref.begin_batch(batch);
   ref.forward_step();
   ref.forward_step();
-  util::SendBuffer checkpoint;
-  ref.save_state(checkpoint);
+  util::SendBuffer forward_checkpoint;
+  ref.save_state(forward_checkpoint);
   while (!ref.forward_done()) ref.forward_step();
-  for (std::uint32_t level = ref.max_level(); level >= 1; --level) ref.backward_level(level);
+  const std::uint32_t top = ref.max_level();
+  ASSERT_GE(top, 2u);
+  ref.backward_level(top);
+  util::SendBuffer backward_checkpoint;
+  ref.save_state(backward_checkpoint);
+  std::vector<std::size_t> fired(top + 1, 0);
+  for (std::uint32_t level = top - 1; level >= 1; --level) {
+    fired[level] = ref.backward_level(level).frontier_entries;
+  }
 
-  // Crashed replica: fresh engine, roll back to the checkpoint, replay.
+  const auto expect_bit_equal = [&](const DistBcEngine& replay, const char* what) {
+    for (VertexId v = 0; v < n; ++v) {
+      for (std::size_t sidx = 0; sidx < batch.size(); ++sidx) {
+        EXPECT_EQ(ref.table_at(v, sidx), replay.table_at(v, sidx)) << what << " v=" << v;
+        const double a = ref.delta_at(v, sidx);
+        const double b = replay.delta_at(v, sidx);
+        EXPECT_EQ(std::memcmp(&a, &b, sizeof(double)), 0)
+            << what << " v=" << v << " sidx=" << sidx;
+      }
+    }
+  };
+
+  // Crashed replica: fresh engine, roll back to the forward checkpoint,
+  // replay.
   DistBcEngine replay(g, opts);
-  util::RecvBuffer rollback(checkpoint);
+  util::RecvBuffer rollback(forward_checkpoint);
   replay.restore_state(rollback);
   while (!replay.forward_done()) replay.forward_step();
-  EXPECT_EQ(ref.max_level(), replay.max_level());
+  EXPECT_EQ(replay.max_level(), top);
   for (std::uint32_t level = replay.max_level(); level >= 1; --level) {
     replay.backward_level(level);
   }
+  expect_bit_equal(replay, "forward checkpoint");
 
-  for (VertexId v = 0; v < n; ++v) {
-    for (std::size_t sidx = 0; sidx < batch.size(); ++sidx) {
-      EXPECT_EQ(ref.table_at(v, sidx), replay.table_at(v, sidx)) << v;
-      const double a = ref.delta_at(v, sidx);
-      const double b = replay.delta_at(v, sidx);
-      EXPECT_EQ(std::memcmp(&a, &b, sizeof(double)), 0) << "v=" << v << " sidx=" << sidx;
-    }
+  // Crash mid-backward: the restored engine rebuilds its level index from
+  // the restored tables and must fire the same cells with the same bits.
+  DistBcEngine bwd_replay(g, opts);
+  util::RecvBuffer bwd_rollback(backward_checkpoint);
+  bwd_replay.restore_state(bwd_rollback);
+  EXPECT_TRUE(bwd_replay.forward_done());
+  EXPECT_EQ(bwd_replay.max_level(), top);
+  for (std::uint32_t level = top - 1; level >= 1; --level) {
+    EXPECT_EQ(bwd_replay.backward_level(level).frontier_entries, fired[level])
+        << "level " << level;
   }
+  expect_bit_equal(bwd_replay, "backward checkpoint");
 }
 
 TEST(DistEngine, MfbcRejectsIllegalReplication) {

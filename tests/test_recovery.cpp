@@ -88,9 +88,8 @@ void write_file_bytes(const std::string& path, const std::vector<std::uint8_t>& 
 // ---- Failure detector -------------------------------------------------------
 
 TEST(FailureDetector, StragglerStaysSuspectAndRecovers) {
-  sim::DetectorOptions opts;  // defaults: suspect_after=1, dead_after=3
   sim::NetworkModel net;
-  sim::FailureDetector det(opts, 4, net);
+  sim::FailureDetector det(4, net);  // kSuspectAfter = 1, kDeadAfter = 3
 
   // Prime the EWMA baseline with on-time rounds.
   for (int r = 0; r < 5; ++r) {
@@ -129,9 +128,8 @@ TEST(FailureDetector, StragglerStaysSuspectAndRecovers) {
 }
 
 TEST(FailureDetector, MissingHeartbeatsBecomeDeath) {
-  sim::DetectorOptions opts;
-  opts.dead_after = 3;
-  sim::FailureDetector det(opts, 3, sim::NetworkModel{});
+  ASSERT_EQ(sim::FailureDetector::kDeadAfter, 3u);
+  sim::FailureDetector det(3, sim::NetworkModel{});
 
   // Two misses: suspect, not dead; a heartbeat resets the count.
   det.observe_missing(1);
@@ -146,7 +144,7 @@ TEST(FailureDetector, MissingHeartbeatsBecomeDeath) {
   EXPECT_EQ(det.consecutive_misses(1), 0u);
   EXPECT_FALSE(det.dead(1));
 
-  // dead_after consecutive misses: permanently dead.
+  // kDeadAfter consecutive misses: permanently dead.
   for (int r = 0; r < 3; ++r) {
     det.observe_missing(1);
     det.finish_round();

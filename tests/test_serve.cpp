@@ -16,6 +16,9 @@
 #include <tuple>
 #include <vector>
 
+#include "analytics/connected_components.h"
+#include "analytics/kcore.h"
+#include "analytics/pagerank.h"
 #include "graph/generators.h"
 #include "obs/prometheus.h"
 #include "serve/epoch_store.h"
@@ -376,6 +379,50 @@ TEST(ServeDaemon, ServesQueriesAndIngestsOverSocket) {
   server.stop();
   // Drain applied the queued batch before exiting.
   EXPECT_GE(server.engine_epoch(), epoch + 1);
+}
+
+TEST(ServeDaemon, AnalyticsOnEnginePartitionMatchGraphOverloads) {
+  // Each epoch's analytics run on the engine's partition of the serving
+  // graph; under the default policy that is the partition the graph
+  // overloads build for themselves, so the published values are the same.
+  const ServerOptions opts = small_options();
+  graph::Graph g =
+      stream::normalize_rows(graph::rmat({.scale = 6, .edge_factor = 4.0, .seed = 5}));
+  Server server(g, opts);
+  const auto expect_graph_overloads = [&](const graph::Graph& now, const std::string& when) {
+    const EpochStore::Ptr snap = server.store().current();
+    const partition::HostId hosts = opts.bc.mrbc.num_hosts;
+    analytics::PagerankOptions pr;
+    pr.max_iterations = opts.pagerank_iterations;
+    EXPECT_EQ(snap->pagerank, analytics::pagerank(now, hosts, pr).rank) << when;
+    EXPECT_EQ(snap->component, analytics::connected_components(now, hosts).component) << when;
+    const std::vector<bool> in_core = analytics::kcore(now, opts.kcore_k, hosts).in_core;
+    ASSERT_EQ(snap->in_kcore.size(), in_core.size()) << when;
+    for (std::size_t v = 0; v < in_core.size(); ++v) {
+      EXPECT_EQ(snap->in_kcore[v] != 0, in_core[v]) << when << " v=" << v;
+    }
+  };
+  expect_graph_overloads(g, "after construction");
+
+  // One ingest that both inserts and deletes edges.
+  graph::VertexId u = 0;
+  while (g.out_degree(u) == 0) ++u;
+  const graph::VertexId w = g.out_neighbors(u)[0];
+  stream::EdgeBatch batch;
+  batch.insert(1, 40);
+  batch.insert(40, 7);
+  batch.erase(u, w);
+  server.start();
+  HttpClient client(server.port());
+  ASSERT_EQ(client
+                .post("/ingest?wait=1",
+                      ingest_body({{'+', 1, 40}, {'+', 40, 7}, {'-', static_cast<int>(u),
+                                                               static_cast<int>(w)}}))
+                .status,
+            200);
+  g = stream::apply_batch(std::move(g), batch).graph;
+  expect_graph_overloads(g, "after one ingest");
+  server.stop();
 }
 
 TEST(ServeDaemon, EpochResponsesAreConsistentUnderChurn) {

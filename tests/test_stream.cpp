@@ -318,6 +318,28 @@ TEST(IncrementalBc, SampledSubsetMatchesBrandesOnSameSources) {
   }
 }
 
+TEST(IncrementalBc, PartitionFollowsTheGraphWithoutAReexecution) {
+  // Deleting (a, b) from a complete graph, with a not a source, leaves
+  // every sampled DAG intact: d_s(b) != d_s(a) + 1 for every source s.
+  stream::IncrementalBcOptions opts;
+  opts.num_samples = 4;
+  opts.mrbc.num_hosts = 4;
+  IncrementalBc inc(graph::complete(8), opts);
+  EXPECT_EQ(inc.partition().num_global_edges(), inc.graph().num_edges());
+  VertexId a = 0;
+  while (std::count(inc.sources().begin(), inc.sources().end(), a) != 0) ++a;
+  const VertexId b = a == 0 ? 1 : 0;
+
+  EdgeBatch batch;
+  batch.erase(a, b);
+  const auto report = inc.apply(batch);
+  ASSERT_EQ(report.applied_ops, 1u);
+  EXPECT_EQ(report.affected_sources, 0u);
+  EXPECT_EQ(inc.stats().counter("stream/sources_reexecuted"), opts.num_samples);
+  EXPECT_EQ(inc.graph().num_edges(), 8u * 7u - 1u);
+  EXPECT_EQ(inc.partition().num_global_edges(), inc.graph().num_edges());
+}
+
 TEST(IncrementalBc, IngestCountersAccumulate) {
   const Graph base = graph::erdos_renyi(40, 0.1, 9);
   stream::IncrementalBcOptions opts;
