@@ -6,11 +6,15 @@
 //      budget (the serve layer's --no-telemetry guarantee: recording sites
 //      stay compiled in, disabled cost is one relaxed load + branch);
 //   3. enabling tracing + metrics costs < 5% wall time on a reference MRBC
-//      run (min-of-3 on both sides to shed scheduler noise).
+//      run: the median of kPairs per-pair on/off ratios, alternating which
+//      side runs first so drift in the machine's speed hits both alike (a
+//      min-of-3 on each side flipped between pass and fail on back-to-back
+//      runs).
 // Exits nonzero if any budget is blown, and writes micro_obs.csv.
 
 #include <cstdio>
 #include <cstdlib>
+#include <vector>
 
 #include "core/mrbc.h"
 #include "graph/algorithms.h"
@@ -19,10 +23,13 @@
 #include "obs/trace.h"
 #include "obs/windowed.h"
 #include "util/csv.h"
+#include "util/stats.h"
 #include "util/timer.h"
 
 namespace mrbc::bench {
 namespace {
+
+constexpr int kPairs = 15;
 
 /// ns per disabled span site, averaged over `iters` constructions.
 double disabled_span_ns(std::size_t iters) {
@@ -80,10 +87,16 @@ double reference_mrbc_seconds() {
   return seconds;
 }
 
-double min_of(int reps, double (*fn)()) {
-  double best = fn();
-  for (int i = 1; i < reps; ++i) best = std::min(best, fn());
-  return best;
+/// The reference run with tracing + metrics on or off.
+double reference_seconds(bool traced) {
+  if (traced) {
+    obs::Tracer::global().enable(std::size_t{1} << 18);
+    obs::Metrics::global().enable();
+  }
+  const double seconds = reference_mrbc_seconds();
+  obs::Tracer::global().disable();
+  obs::Metrics::global().disable();
+  return seconds;
 }
 
 int run() {
@@ -108,17 +121,25 @@ int run() {
   const double win_on_ns = enabled_windowed_ns(20'000'000);
   std::printf("enabled windowed:   %.1f ns\n", win_on_ns);
 
-  // Warm caches once, then min-of-3 both ways round.
+  // Warm caches once, then kPairs off/on pairs.
   reference_mrbc_seconds();
-  const double base_s = min_of(3, [] { return reference_mrbc_seconds(); });
-  obs::Tracer::global().enable(std::size_t{1} << 18);
-  obs::Metrics::global().enable();
-  const double traced_s = min_of(3, [] { return reference_mrbc_seconds(); });
-  obs::Tracer::global().disable();
-  obs::Metrics::global().disable();
-  const double overhead_pct = (traced_s / base_s - 1.0) * 100.0;
-  std::printf("reference mrbc:     %.4fs off, %.4fs on (%+.2f%%, budget +5%%)\n", base_s,
-              traced_s, overhead_pct);
+  std::vector<double> off_s, on_s, ratios;
+  for (int i = 0; i < kPairs; ++i) {
+    const bool on_first = i % 2 == 1;
+    const double first = reference_seconds(on_first);
+    const double second = reference_seconds(!on_first);
+    off_s.push_back(on_first ? second : first);
+    on_s.push_back(on_first ? first : second);
+    ratios.push_back(on_s.back() / off_s.back());
+  }
+  const double base_s = util::quantile(off_s, 0.5);
+  const double traced_s = util::quantile(on_s, 0.5);
+  const double overhead_pct = (util::quantile(ratios, 0.5) - 1.0) * 100.0;
+  std::printf("reference mrbc:     %.4fs off, %.4fs on (medians of %d pairs; median ratio "
+              "%+.2f%% [%+.2f%%, %+.2f%%], budget +5%%)\n",
+              base_s, traced_s, kPairs, overhead_pct,
+              (util::quantile(ratios, 0.25) - 1.0) * 100.0,
+              (util::quantile(ratios, 0.75) - 1.0) * 100.0);
   if (overhead_pct >= 5.0) {
     std::printf("FAIL: enabled tracing overhead exceeds 5%%\n");
     ++failures;

@@ -9,7 +9,8 @@
 // replication knob trades memory for a c-fold cut in the frontier traffic
 // that makes MFBC communication-heavy relative to MRBC/SBBC (Table 2). At
 // the default replication = 1 the backend degenerates to the historical 1D
-// row-partitioned product with its per-iteration frontier allgather.
+// row-partitioned product with its per-iteration frontier allgather. Its
+// rounds run on sim::BspLoop, like MRBC's and SBBC's.
 
 #include <vector>
 
@@ -48,13 +49,13 @@ struct MfbcOptions {
   /// MFBC bytes flow through serialized comm::Substrate scatter messages;
   /// decoded values are bit-identical across modes, only the wire shrinks.
   comm::CodecMode codec = comm::CodecMode::kRaw;
-  /// Delivery layer for the backend's traffic (framing, fault injection,
-  /// reliable retransmission — comm/substrate.h). The `codec` field above
-  /// overrides DeliveryOptions::codec.
-  comm::DeliveryOptions delivery;
+  /// Fault source, as sim::ClusterOptions::fault (nullptr = fault-free);
+  /// non-owning, and its crash fires once across all batches.
+  sim::FaultInjector* fault = nullptr;
 };
 
-/// forward/backward hold the per-iteration allgather accounting.
+/// forward/backward hold the BspLoop accounting of the forward iterations
+/// and the backward levels, summed over batches.
 using MfbcRun = core::BcRun;
 
 MfbcRun mfbc_bc(const Graph& g, const std::vector<VertexId>& sources,

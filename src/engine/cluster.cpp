@@ -57,6 +57,25 @@ RunStats& RunStats::operator+=(const RunStats& other) {
   return *this;
 }
 
+void RunStats::add_comm(const SyncStats& comm, double sync_seconds, double retransmit_seconds) {
+  network_seconds += sync_seconds;
+  network_seconds += retransmit_seconds;
+  phases.comm_seconds += sync_seconds;
+  phases.recovery_seconds += retransmit_seconds;
+  messages += comm.messages;
+  bytes += comm.bytes;
+  raw_bytes += comm.raw_bytes;
+  values += comm.values;
+  faults.drops += comm.drops;
+  faults.duplicates += comm.duplicates;
+  faults.duplicates_suppressed += comm.duplicates_suppressed;
+  faults.corruptions_detected += comm.corruptions_detected;
+  faults.retransmits += comm.retransmits;
+  faults.retransmit_bytes += comm.retransmit_bytes;
+  faults.forced_deliveries += comm.forced_deliveries;
+  faults.retransmit_seconds += retransmit_seconds;
+}
+
 RunStats merge_resumed(const RunStats& saved, const RunStats& resumed) {
   // A resumed run re-enters the loop at the checkpointed round, so logical
   // round numbers continue rather than restart: the final round count is

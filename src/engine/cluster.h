@@ -161,6 +161,11 @@ struct RunStats {
   /// role directly since compute_seconds already takes the per-round max.
   RunStats& operator+=(const RunStats& other);
 
+  /// Folds one communication phase in: its traffic and fault counters,
+  /// `sync_seconds` of modeled sync time (phases.comm_seconds) and
+  /// `retransmit_seconds` of modeled repair time (phases.recovery_seconds).
+  void add_comm(const SyncStats& comm, double sync_seconds, double retransmit_seconds);
+
   /// Fraction of executed rounds that made forward progress: detection
   /// stalls and post-rollback replays are availability loss. 1.0 on a
   /// fault-free run.
@@ -351,22 +356,7 @@ class BspLoop {
       const double retransmit_seconds =
           options_.network.retransmit_seconds(comm_stats.backoff_steps, comm_stats.retransmit_bytes);
       const double net_seconds = sync_seconds + retransmit_seconds;
-      stats.network_seconds += sync_seconds;
-      stats.network_seconds += retransmit_seconds;
-      stats.phases.comm_seconds += sync_seconds;
-      stats.phases.recovery_seconds += retransmit_seconds;
-      stats.messages += comm_stats.messages;
-      stats.bytes += comm_stats.bytes;
-      stats.raw_bytes += comm_stats.raw_bytes;
-      stats.values += comm_stats.values;
-      stats.faults.drops += comm_stats.drops;
-      stats.faults.duplicates += comm_stats.duplicates;
-      stats.faults.duplicates_suppressed += comm_stats.duplicates_suppressed;
-      stats.faults.corruptions_detected += comm_stats.corruptions_detected;
-      stats.faults.retransmits += comm_stats.retransmits;
-      stats.faults.retransmit_bytes += comm_stats.retransmit_bytes;
-      stats.faults.forced_deliveries += comm_stats.forced_deliveries;
-      stats.faults.retransmit_seconds += retransmit_seconds;
+      stats.add_comm(comm_stats, sync_seconds, retransmit_seconds);
       const bool tracing = obs::tracing_enabled();
       if (tracing) {
         // The comm span carries the *modeled* sync + recovery time: the

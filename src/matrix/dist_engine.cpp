@@ -6,7 +6,6 @@
 
 #include "obs/trace.h"
 #include "util/threading.h"
-#include "util/timer.h"
 
 namespace mrbc::matrix {
 
@@ -26,33 +25,6 @@ std::uint64_t cell_key(VertexId v, std::uint32_t sidx) {
   return (static_cast<std::uint64_t>(v) << 32) | sidx;
 }
 
-/// Times one host's sweep or merge into DistBcStep::host_seconds and, when
-/// tracing, emits its host-compute span the way sim::BspLoop does, so the
-/// spans sum to RunStats::per_host_compute_seconds. `round` is the caller's
-/// obs context round, read before the work fans out to pool threads.
-class HostComputeTimer {
- public:
-  explicit HostComputeTimer(std::uint32_t round)
-      : round_(round),
-        tracing_(obs::tracing_enabled()),
-        start_us_(tracing_ ? obs::Tracer::global().now_us() : 0.0) {}
-
-  void stop(double& host_seconds, HostId host) const {
-    const double seconds = timer_.seconds();
-    host_seconds += seconds;
-    if (tracing_) {
-      obs::Tracer::global().emit(obs::Category::kCompute, "host-compute", host, round_, start_us_,
-                                 seconds * 1e6);
-    }
-  }
-
- private:
-  std::uint32_t round_;
-  bool tracing_;
-  double start_us_;
-  util::Timer timer_;
-};
-
 }  // namespace
 
 DistBcEngine::DistBcEngine(const Graph& g, const DistBcOptions& opts)
@@ -61,7 +33,7 @@ DistBcEngine::DistBcEngine(const Graph& g, const DistBcOptions& opts)
       mat_(g, grid_),
       net_(grid_.hosts),
       n_(g.num_vertices()) {
-  net_.set_delivery(opts_.delivery);
+  net_.set_delivery(opts_.cluster.delivery());
   const HostId H = grid_.hosts;
   scratch_.resize(H);
   partials_.resize(H);
@@ -78,8 +50,11 @@ void DistBcEngine::begin_batch(const std::vector<VertexId>& batch) {
   table_.assign(static_cast<std::size_t>(n_) * k_, DistSigma{});
   delta_.assign(static_cast<std::size_t>(n_) * k_, 0.0);
   max_level_ = 0;
+  level_ = 0;
   level_start_.clear();
   frontier_.clear();
+  for (auto& p : partials_) p.clear();
+  for (auto& dp : delta_partials_) dp.clear();
   for (std::size_t sidx = 0; sidx < k_; ++sidx) {
     table_[static_cast<std::size_t>(batch[sidx]) * k_ + sidx] = {0, 1.0};
     frontier_.push_back({batch[sidx], static_cast<std::uint32_t>(sidx), {0, 1.0}});
@@ -104,7 +79,7 @@ std::vector<std::vector<util::SendBuffer>> DistBcEngine::make_buffers() const {
 
 void DistBcEngine::write_entries(util::SendBuffer& buf, const Entry* entries,
                                  std::size_t count) const {
-  comm::CodecWriter w(buf, opts_.delivery.codec);
+  comm::CodecWriter w(buf, opts_.cluster.codec);
   for (std::size_t i = 0; i < count; ++i) {
     w.value_u32(entries[i].v);
     w.value_u32(entries[i].sidx);
@@ -114,7 +89,7 @@ void DistBcEngine::write_entries(util::SendBuffer& buf, const Entry* entries,
 }
 
 void DistBcEngine::read_entries(util::RecvBuffer& buf, std::vector<Entry>& out) const {
-  comm::CodecReader r(buf, opts_.delivery.codec);
+  comm::CodecReader r(buf, opts_.cluster.codec);
   while (buf.remaining() > 0) {
     Entry e;
     e.v = r.value_u32();
@@ -180,156 +155,163 @@ void DistBcEngine::append_slice(std::vector<Entry>& out, HostId r, HostId l,
   }
 }
 
-DistBcStep DistBcEngine::forward_step() {
+comm::SyncStats DistBcEngine::with_control_plane(comm::SyncStats stats) const {
+  const std::size_t floor = static_cast<std::size_t>(grid_.layers - 1) + (grid_.rows - 1);
+  stats.msgs_per_host.resize(grid_.hosts, 0);
+  for (std::size_t& m : stats.msgs_per_host) m = std::max(m, floor);
+  return stats;
+}
+
+comm::SyncStats DistBcEngine::forward_exchange() {
   const HostId H = grid_.hosts;
   const HostId pr = grid_.rows;
   const HostId c = grid_.layers;
-  const std::uint32_t round = obs::current_context().round;
-  DistBcStep step;
-  step.host_seconds.assign(H, 0.0);
-  step.host_work.assign(H, 0.0);
-  step.comm.bytes_per_host.assign(H, 0);
-  step.comm.msgs_per_host.assign(H, 0);
-
-  const std::vector<std::size_t> slice = layer_slices(frontier_.data(), frontier_.size());
-
-  // ---- 1. per-host SpMSpV sweeps over (row, layer) tiles ----------------
-  util::for_each_index(H, opts_.parallel_hosts, [&](std::size_t h) {
-    const HostComputeTimer timer(round);
-    const HostId r = grid_.row_of(static_cast<HostId>(h));
-    const HostId l = grid_.layer_of(static_cast<HostId>(h));
-    const Graph& tile = mat_.forward_tile(static_cast<HostId>(h));
-    const VertexId rs = grid_.row_start(r, n_);
-    HostScratch& s = scratch_[h];
-    s.touched.clear();
-    for (std::size_t i = slice[l]; i < slice[l + 1]; ++i) {
-      const Entry& e = frontier_[i];
-      const DistSigma cand{e.val.dist + 1, e.val.sigma};
-      for (VertexId w : tile.out_neighbors(e.v)) {
-        const std::size_t ci = static_cast<std::size_t>(w - rs) * k_ + e.sidx;
-        step.host_work[h] += 1.0;
-        if (!s.mark[ci]) {
-          s.mark[ci] = 1;
-          s.cells[ci] = cand;
-          s.touched.emplace_back(w, e.sidx);
-        } else {
-          DistSigma& cur = s.cells[ci];
-          if (cand.dist < cur.dist) {
-            cur = cand;
-          } else if (cand.dist == cur.dist) {
-            cur.sigma += cand.sigma;
-          }
+  comm::SyncStats stats;
+  // A batch's first round has no partials in flight: its frontier is the
+  // seeded sources. Later rounds always have some, since the loop ends at
+  // the first sweep that leaves none.
+  const bool in_flight =
+      std::any_of(partials_.begin(), partials_.end(), [](const auto& p) { return !p.empty(); });
+  if (in_flight) {
+    // ---- replica-group all-reduce of partial products -------------------
+    if (c > 1) {
+      auto buffers = make_buffers();
+      for (HostId h = 0; h < H; ++h) {
+        if (partials_[h].empty()) continue;
+        const HostId r = grid_.row_of(h);
+        for (HostId l = 0; l < c; ++l) {
+          const HostId peer = grid_.host_at(r, l);
+          if (peer == h) continue;
+          write_entries(buffers[h][peer], partials_[h].data(), partials_[h].size());
         }
       }
+      for (auto& se : staged_entries_) se.clear();
+      stats += net_.scatter(std::move(buffers),
+                            [&](HostId src, HostId dst, util::RecvBuffer& rbuf) {
+                              // Every group member merges an identical copy; the
+                              // simulator decodes the one addressed to the leader
+                              // and stages it for the shared merge below.
+                              if (dst != grid_.group_leader(grid_.row_of(src))) return;
+                              read_entries(rbuf, staged_entries_[src]);
+                            });
     }
-    std::sort(s.touched.begin(), s.touched.end());
-    // Filter against the replica's table copy: a partial that cannot
-    // improve the merged cell never reaches a wire (legal in the real
-    // system — every group member holds the full row block).
-    std::vector<Entry>& part = partials_[h];
-    part.clear();
-    for (const auto& [w, sidx] : s.touched) {
-      const std::size_t ci = static_cast<std::size_t>(w - rs) * k_ + sidx;
-      s.mark[ci] = 0;
-      const DistSigma& p = s.cells[ci];
-      if (p.dist <= table_[static_cast<std::size_t>(w) * k_ + sidx].dist) {
-        part.push_back({w, sidx, p});
-      }
-    }
-    timer.stop(step.host_seconds[h], static_cast<HostId>(h));
-  });
 
-  // ---- 2. replica-group all-reduce of partial products ------------------
-  if (c > 1) {
+    // ---- merge partials into group tables, collect changed cells --------
+    std::vector<std::uint32_t> group_max(pr, 0);
+    {
+      const obs::Span span(obs::Category::kComm, "reduce");
+      util::for_each_index(pr, opts_.cluster.parallel_hosts, [&](std::size_t r) {
+        const VertexId rs = grid_.row_start(static_cast<HostId>(r), n_);
+        HostScratch& s = scratch_[grid_.group_leader(static_cast<HostId>(r))];
+        std::vector<Entry>& changed = group_changed_[r];
+        changed.clear();
+        for (HostId l = 0; l < c; ++l) {
+          const HostId member = grid_.host_at(static_cast<HostId>(r), l);
+          const std::vector<Entry>& part =
+              (l == 0 || c == 1) ? partials_[member] : staged_entries_[member];
+          for (const Entry& e : part) {
+            DistSigma& cur = table_[static_cast<std::size_t>(e.v) * k_ + e.sidx];
+            bool improved = false;
+            if (e.val.dist < cur.dist) {
+              cur = e.val;
+              improved = true;
+            } else if (e.val.dist == cur.dist) {
+              cur.sigma += e.val.sigma;
+              improved = true;
+            }
+            if (improved) {
+              const std::size_t ci = static_cast<std::size_t>(e.v - rs) * k_ + e.sidx;
+              if (!s.mark[ci]) {
+                s.mark[ci] = 1;
+                changed.push_back({e.v, e.sidx, {}});
+              }
+            }
+          }
+        }
+        std::sort(changed.begin(), changed.end(), [](const Entry& a, const Entry& b) {
+          return cell_key(a.v, a.sidx) < cell_key(b.v, b.sidx);
+        });
+        for (Entry& e : changed) {
+          s.mark[static_cast<std::size_t>(e.v - rs) * k_ + e.sidx] = 0;
+          e.val = table_[static_cast<std::size_t>(e.v) * k_ + e.sidx];
+          group_max[r] = std::max(group_max[r], e.val.dist);
+        }
+      });
+      for (HostId r = 0; r < pr; ++r) max_level_ = std::max(max_level_, group_max[r]);
+      for (auto& p : partials_) p.clear();
+    }
+
+    // ---- broadcast changed cells along the layer dimension --------------
+    std::vector<std::vector<std::size_t>> gslice(pr);
     auto buffers = make_buffers();
-    for (HostId h = 0; h < H; ++h) {
-      if (partials_[h].empty()) continue;
-      const HostId r = grid_.row_of(h);
-      for (HostId l = 0; l < c; ++l) {
-        const HostId peer = grid_.host_at(r, l);
-        if (peer == h) continue;
-        write_entries(buffers[h][peer], partials_[h].data(), partials_[h].size());
+    {
+      const obs::Span span(obs::Category::kComm, "broadcast");
+      for (HostId r = 0; r < pr; ++r) {
+        gslice[r] = layer_slices(group_changed_[r].data(), group_changed_[r].size());
+        queue_column_broadcast(buffers, r, group_changed_[r].data(), gslice[r]);
       }
+      for (auto& ss : staged_slices_) ss.clear();
     }
-    for (auto& se : staged_entries_) se.clear();
-    step.comm += net_.scatter(std::move(buffers),
-                              [&](HostId src, HostId dst, util::RecvBuffer& rbuf) {
-                                // Every group member merges an identical copy; the
-                                // simulator decodes the one addressed to the leader
-                                // and stages it for the shared merge below.
-                                if (dst != grid_.group_leader(grid_.row_of(src))) return;
-                                read_entries(rbuf, staged_entries_[src]);
-                              });
-  }
-
-  // ---- 3. merge partials into group tables, collect changed cells -------
-  std::vector<std::uint32_t> group_max(pr, 0);
-  util::for_each_index(pr, opts_.parallel_hosts, [&](std::size_t r) {
-    const HostComputeTimer timer(round);
-    const VertexId rs = grid_.row_start(static_cast<HostId>(r), n_);
-    HostScratch& s = scratch_[grid_.group_leader(static_cast<HostId>(r))];
-    std::vector<Entry>& changed = group_changed_[r];
-    changed.clear();
-    for (HostId l = 0; l < c; ++l) {
-      const HostId member = grid_.host_at(static_cast<HostId>(r), l);
-      const std::vector<Entry>& part =
-          (l == 0 || c == 1) ? partials_[member] : staged_entries_[member];
-      for (const Entry& e : part) {
-        DistSigma& cur = table_[static_cast<std::size_t>(e.v) * k_ + e.sidx];
-        bool improved = false;
-        if (e.val.dist < cur.dist) {
-          cur = e.val;
-          improved = true;
-        } else if (e.val.dist == cur.dist) {
-          cur.sigma += e.val.sigma;
-          improved = true;
-        }
-        if (improved) {
-          const std::size_t ci = static_cast<std::size_t>(e.v - rs) * k_ + e.sidx;
-          if (!s.mark[ci]) {
-            s.mark[ci] = 1;
-            changed.push_back({e.v, e.sidx, {}});
-          }
-        }
-      }
-    }
-    std::sort(changed.begin(), changed.end(), [](const Entry& a, const Entry& b) {
-      return cell_key(a.v, a.sidx) < cell_key(b.v, b.sidx);
+    stats += net_.scatter(std::move(buffers), [&](HostId src, HostId dst, util::RecvBuffer& rbuf) {
+      stage_broadcast_chunk(src, dst, rbuf);
     });
-    for (Entry& e : changed) {
-      s.mark[static_cast<std::size_t>(e.v - rs) * k_ + e.sidx] = 0;
-      e.val = table_[static_cast<std::size_t>(e.v) * k_ + e.sidx];
-      group_max[r] = std::max(group_max[r], e.val.dist);
-    }
-    const HostId leader = grid_.group_leader(static_cast<HostId>(r));
-    timer.stop(step.host_seconds[leader], leader);
-  });
-  for (HostId r = 0; r < pr; ++r) max_level_ = std::max(max_level_, group_max[r]);
 
-  // ---- 4. broadcast changed cells along the layer dimension -------------
-  std::vector<std::vector<std::size_t>> gslice(pr);
-  {
-    auto buffers = make_buffers();
+    // ---- assemble the next frontier (row-major, layer-minor = sorted) ---
+    const obs::Span span(obs::Category::kComm, "broadcast");
+    frontier_.clear();
     for (HostId r = 0; r < pr; ++r) {
-      gslice[r] = layer_slices(group_changed_[r].data(), group_changed_[r].size());
-      queue_column_broadcast(buffers, r, group_changed_[r].data(), gslice[r]);
+      for (HostId l = 0; l < c; ++l) {
+        append_slice(frontier_, r, l, group_changed_[r].data(), gslice[r]);
+      }
     }
-    for (auto& ss : staged_slices_) ss.clear();
-    step.comm += net_.scatter(std::move(buffers),
-                              [&](HostId src, HostId dst, util::RecvBuffer& rbuf) {
-                                stage_broadcast_chunk(src, dst, rbuf);
-                              });
   }
+  sweep_slices_ = layer_slices(frontier_.data(), frontier_.size());
+  return with_control_plane(std::move(stats));
+}
 
-  // ---- assemble the next frontier (row-major, layer-minor = sorted) -----
-  frontier_.clear();
-  for (HostId r = 0; r < pr; ++r) {
-    for (HostId l = 0; l < c; ++l) {
-      append_slice(frontier_, r, l, group_changed_[r].data(), gslice[r]);
+sim::HostWork DistBcEngine::forward_sweep(HostId h) {
+  const HostId r = grid_.row_of(h);
+  const HostId l = grid_.layer_of(h);
+  const Graph& tile = mat_.forward_tile(h);
+  const VertexId rs = grid_.row_start(r, n_);
+  HostScratch& s = scratch_[h];
+  sim::HostWork work;
+  s.touched.clear();
+  for (std::size_t i = sweep_slices_[l]; i < sweep_slices_[l + 1]; ++i) {
+    const Entry& e = frontier_[i];
+    const DistSigma cand{e.val.dist + 1, e.val.sigma};
+    for (VertexId w : tile.out_neighbors(e.v)) {
+      const std::size_t ci = static_cast<std::size_t>(w - rs) * k_ + e.sidx;
+      ++work.work_items;
+      if (!s.mark[ci]) {
+        s.mark[ci] = 1;
+        s.cells[ci] = cand;
+        s.touched.emplace_back(w, e.sidx);
+      } else {
+        DistSigma& cur = s.cells[ci];
+        if (cand.dist < cur.dist) {
+          cur = cand;
+        } else if (cand.dist == cur.dist) {
+          cur.sigma += cand.sigma;
+        }
+      }
     }
   }
-  step.frontier_entries = frontier_.size();
-  return step;
+  std::sort(s.touched.begin(), s.touched.end());
+  // Filter against the replica's table copy: a partial that cannot improve
+  // the merged cell never reaches a wire (legal in the real system — every
+  // group member holds the full row block).
+  std::vector<Entry>& part = partials_[h];
+  for (const auto& [w, sidx] : s.touched) {
+    const std::size_t ci = static_cast<std::size_t>(w - rs) * k_ + sidx;
+    s.mark[ci] = 0;
+    const DistSigma& p = s.cells[ci];
+    if (p.dist <= table_[static_cast<std::size_t>(w) * k_ + sidx].dist) {
+      part.push_back({w, sidx, p});
+    }
+  }
+  work.active = !part.empty();
+  return work;
 }
 
 void DistBcEngine::build_level_index() {
@@ -348,107 +330,109 @@ void DistBcEngine::build_level_index() {
   }
 }
 
-DistBcStep DistBcEngine::backward_level(std::uint32_t level) {
-  const HostId H = grid_.hosts;
+void DistBcEngine::begin_backward() {
+  level_ = max_level_;
+  frontier_.clear();
+}
+
+comm::SyncStats DistBcEngine::backward_exchange() {
   const HostId pr = grid_.rows;
   const HostId c = grid_.layers;
-  const std::uint32_t round = obs::current_context().round;
-  DistBcStep step;
-  step.host_seconds.assign(H, 0.0);
-  step.host_work.assign(H, 0.0);
-  step.comm.bytes_per_host.assign(H, 0);
-  step.comm.msgs_per_host.assign(H, 0);
+  comm::SyncStats stats = reduce_delta_partials();
 
   // ---- level frontier from the level index (v-major, sidx-minor) --------
-  if (level_start_.empty()) build_level_index();
-  bwd_frontier_.clear();
-  if (level <= max_level_) {
-    for (std::size_t i = level_start_[level]; i < level_start_[level + 1]; ++i) {
-      const auto [v, sidx] = level_cells_[i];
-      const std::size_t ci = static_cast<std::size_t>(v) * k_ + sidx;
-      bwd_frontier_.push_back({v, sidx, {level, (1.0 + delta_[ci]) / table_[ci].sigma}});
-    }
-  }
-  step.frontier_entries = bwd_frontier_.size();
-
-  // ---- 1. broadcast firing entries along the layer dimension ------------
   // The sorted frontier decomposes into contiguous per-row ranges
   // (vertex_row is monotone in v); each range column-broadcasts exactly
   // like the forward changed lists, with the send load split across the
   // owning group's c members.
-  std::vector<std::size_t> row_range(pr + 1, bwd_frontier_.size());
-  {
-    std::size_t i = 0;
-    row_range[0] = 0;
-    for (HostId r = 0; r < pr; ++r) {
-      while (i < bwd_frontier_.size() && grid_.vertex_row(bwd_frontier_[i].v, n_) == r) ++i;
-      row_range[r + 1] = i;
-    }
-  }
+  std::vector<std::size_t> row_range(pr + 1);
   std::vector<std::vector<std::size_t>> rslice(pr);
+  auto buffers = make_buffers();
   {
-    auto buffers = make_buffers();
+    const obs::Span span(obs::Category::kComm, "broadcast");
+    if (level_start_.empty()) build_level_index();
+    bwd_frontier_.clear();
+    for (std::size_t i = level_start_[level_]; i < level_start_[level_ + 1]; ++i) {
+      const auto [v, sidx] = level_cells_[i];
+      const std::size_t ci = static_cast<std::size_t>(v) * k_ + sidx;
+      bwd_frontier_.push_back({v, sidx, {level_, (1.0 + delta_[ci]) / table_[ci].sigma}});
+    }
+    std::size_t i = 0;
+    for (HostId r = 0; r < pr; ++r) {
+      row_range[r] = i;
+      while (i < bwd_frontier_.size() && grid_.vertex_row(bwd_frontier_[i].v, n_) == r) ++i;
+    }
+    row_range[pr] = i;
     for (HostId r = 0; r < pr; ++r) {
       const Entry* base = bwd_frontier_.data() + row_range[r];
       rslice[r] = layer_slices(base, row_range[r + 1] - row_range[r]);
       queue_column_broadcast(buffers, r, base, rslice[r]);
     }
     for (auto& ss : staged_slices_) ss.clear();
-    step.comm += net_.scatter(std::move(buffers),
-                              [&](HostId src, HostId dst, util::RecvBuffer& rbuf) {
-                                stage_broadcast_chunk(src, dst, rbuf);
-                              });
   }
+  stats += net_.scatter(std::move(buffers), [&](HostId src, HostId dst, util::RecvBuffer& rbuf) {
+    stage_broadcast_chunk(src, dst, rbuf);
+  });
+
+  const obs::Span span(obs::Category::kComm, "broadcast");
   used_frontier_.clear();
   for (HostId r = 0; r < pr; ++r) {
     for (HostId l = 0; l < c; ++l) {
       append_slice(used_frontier_, r, l, bwd_frontier_.data() + row_range[r], rslice[r]);
     }
   }
+  sweep_slices_ = layer_slices(used_frontier_.data(), used_frontier_.size());
+  --level_;
+  return with_control_plane(std::move(stats));
+}
 
-  // ---- 2. per-host dependency sweeps into per-panel partials ------------
-  const std::vector<std::size_t> slice = layer_slices(used_frontier_.data(), used_frontier_.size());
+sim::HostWork DistBcEngine::backward_sweep(HostId h) {
   const std::uint32_t ppl = grid_.panels_per_layer();
-  util::for_each_index(H, opts_.parallel_hosts, [&](std::size_t h) {
-    const HostComputeTimer timer(round);
-    const HostId r = grid_.row_of(static_cast<HostId>(h));
-    const HostId l = grid_.layer_of(static_cast<HostId>(h));
-    const Graph& tile = mat_.backward_tile(static_cast<HostId>(h));
-    const VertexId rs = grid_.row_start(r, n_);
-    const std::uint32_t first_panel = static_cast<std::uint32_t>(l) * ppl;
-    HostScratch& s = scratch_[h];
-    s.touched.clear();
-    for (std::size_t i = slice[l]; i < slice[l + 1]; ++i) {
-      const Entry& e = used_frontier_[i];
-      const std::uint32_t pslot = ProcessGrid::panel_of(e.v, n_) - first_panel;
-      for (VertexId u : tile.out_neighbors(e.v)) {
-        step.host_work[h] += 1.0;
-        const DistSigma& tu = table_[static_cast<std::size_t>(u) * k_ + e.sidx];
-        if (tu.dist != kInfDist && tu.dist + 1 == e.val.dist) {
-          const std::size_t ci = static_cast<std::size_t>(u - rs) * k_ + e.sidx;
-          if (!s.mark[ci]) {
-            s.mark[ci] = 1;
-            s.touched.emplace_back(u, e.sidx);
-            for (std::uint32_t p = 0; p < ppl; ++p) s.panels[ci * ppl + p] = 0.0;
-          }
-          s.panels[ci * ppl + pslot] += tu.sigma * e.val.sigma;
+  const HostId r = grid_.row_of(h);
+  const HostId l = grid_.layer_of(h);
+  const Graph& tile = mat_.backward_tile(h);
+  const VertexId rs = grid_.row_start(r, n_);
+  const std::uint32_t first_panel = static_cast<std::uint32_t>(l) * ppl;
+  HostScratch& s = scratch_[h];
+  sim::HostWork work;
+  s.touched.clear();
+  for (std::size_t i = sweep_slices_[l]; i < sweep_slices_[l + 1]; ++i) {
+    const Entry& e = used_frontier_[i];
+    const std::uint32_t pslot = ProcessGrid::panel_of(e.v, n_) - first_panel;
+    for (VertexId u : tile.out_neighbors(e.v)) {
+      ++work.work_items;
+      const DistSigma& tu = table_[static_cast<std::size_t>(u) * k_ + e.sidx];
+      if (tu.dist != kInfDist && tu.dist + 1 == e.val.dist) {
+        const std::size_t ci = static_cast<std::size_t>(u - rs) * k_ + e.sidx;
+        if (!s.mark[ci]) {
+          s.mark[ci] = 1;
+          s.touched.emplace_back(u, e.sidx);
+          for (std::uint32_t p = 0; p < ppl; ++p) s.panels[ci * ppl + p] = 0.0;
         }
+        s.panels[ci * ppl + pslot] += tu.sigma * e.val.sigma;
       }
     }
-    std::sort(s.touched.begin(), s.touched.end());
-    std::vector<DeltaPartial>& dp = delta_partials_[h];
-    dp.clear();
-    for (const auto& [u, sidx] : s.touched) {
-      const std::size_t ci = static_cast<std::size_t>(u - rs) * k_ + sidx;
-      s.mark[ci] = 0;
-      // The host's aligned panel subtree, reduced bottom-up; contributions
-      // are strictly positive, so the partial is too.
-      dp.push_back({u, sidx, pairwise_tree(&s.panels[ci * ppl], ppl)});
-    }
-    timer.stop(step.host_seconds[h], static_cast<HostId>(h));
-  });
+  }
+  std::sort(s.touched.begin(), s.touched.end());
+  std::vector<DeltaPartial>& dp = delta_partials_[h];
+  for (const auto& [u, sidx] : s.touched) {
+    const std::size_t ci = static_cast<std::size_t>(u - rs) * k_ + sidx;
+    s.mark[ci] = 0;
+    // The host's aligned panel subtree, reduced bottom-up; contributions
+    // are strictly positive, so the partial is too.
+    dp.push_back({u, sidx, pairwise_tree(&s.panels[ci * ppl], ppl)});
+  }
+  work.active = level_ >= 1;
+  return work;
+}
 
-  // ---- 3. replica-group all-reduce of delta partials --------------------
+comm::SyncStats DistBcEngine::reduce_delta_partials() {
+  const HostId H = grid_.hosts;
+  const HostId pr = grid_.rows;
+  const HostId c = grid_.layers;
+  comm::SyncStats stats;
+
+  // ---- replica-group all-reduce of delta partials -----------------------
   if (c > 1) {
     auto buffers = make_buffers();
     for (HostId h = 0; h < H; ++h) {
@@ -457,7 +441,7 @@ DistBcStep DistBcEngine::backward_level(std::uint32_t level) {
       for (HostId l = 0; l < c; ++l) {
         const HostId peer = grid_.host_at(r, l);
         if (peer == h) continue;
-        comm::CodecWriter w(buffers[h][peer], opts_.delivery.codec);
+        comm::CodecWriter w(buffers[h][peer], opts_.cluster.codec);
         for (const DeltaPartial& d : delta_partials_[h]) {
           w.value_u32(d.v);
           w.value_u32(d.sidx);
@@ -466,23 +450,22 @@ DistBcStep DistBcEngine::backward_level(std::uint32_t level) {
       }
     }
     for (auto& sd : staged_delta_) sd.clear();
-    step.comm += net_.scatter(std::move(buffers),
-                              [&](HostId src, HostId dst, util::RecvBuffer& rbuf) {
-                                if (dst != grid_.group_leader(grid_.row_of(src))) return;
-                                comm::CodecReader r(rbuf, opts_.delivery.codec);
-                                while (rbuf.remaining() > 0) {
-                                  DeltaPartial d;
-                                  d.v = r.value_u32();
-                                  d.sidx = r.value_u32();
-                                  d.value = r.f64();
-                                  staged_delta_[src].push_back(d);
-                                }
-                              });
+    stats += net_.scatter(std::move(buffers), [&](HostId src, HostId dst, util::RecvBuffer& rbuf) {
+      if (dst != grid_.group_leader(grid_.row_of(src))) return;
+      comm::CodecReader r(rbuf, opts_.cluster.codec);
+      while (rbuf.remaining() > 0) {
+        DeltaPartial d;
+        d.v = r.value_u32();
+        d.sidx = r.value_u32();
+        d.value = r.f64();
+        staged_delta_[src].push_back(d);
+      }
+    });
   }
 
-  // ---- 4. merge: balanced cross-layer tree per cell ---------------------
-  util::for_each_index(pr, opts_.parallel_hosts, [&](std::size_t r) {
-    const HostComputeTimer timer(round);
+  // ---- merge: balanced cross-layer tree per cell ------------------------
+  const obs::Span span(obs::Category::kComm, "reduce");
+  util::for_each_index(pr, opts_.cluster.parallel_hosts, [&](std::size_t r) {
     const std::vector<DeltaPartial>* lists[ProcessGrid::kColumnPanels];
     std::size_t idx[ProcessGrid::kColumnPanels] = {};
     for (HostId l = 0; l < c; ++l) {
@@ -515,16 +498,16 @@ DistBcStep DistBcEngine::backward_level(std::uint32_t level) {
       const std::uint32_t sidx = static_cast<std::uint32_t>(best);
       delta_[static_cast<std::size_t>(v) * k_ + sidx] += pairwise_tree(q, c);
     }
-    const HostId leader = grid_.group_leader(static_cast<HostId>(r));
-    timer.stop(step.host_seconds[leader], leader);
   });
-  return step;
+  for (auto& dp : delta_partials_) dp.clear();
+  return stats;
 }
 
 // DistSigma and Entry carry alignment padding between dist and sigma, so
 // they are checkpointed field-by-field — a struct memcpy would leak
 // indeterminate padding bytes into the stream and break checkpoint byte
-// determinism (digests, dedup, MSan).
+// determinism (digests, dedup, MSan). DeltaPartial has no padding and
+// checkpoints as a packed array.
 namespace {
 
 constexpr std::size_t kDistSigmaWire = sizeof(std::uint32_t) + sizeof(double);
@@ -544,7 +527,16 @@ DistSigma read_dist_sigma(util::RecvBuffer& buf) {
 
 }  // namespace
 
-void DistBcEngine::save_state(util::SendBuffer& buf) const {
+void DistBcEngine::save_checkpoint(util::SendBuffer& buf) const {
+  static_assert(sizeof(DeltaPartial) == 2 * sizeof(std::uint32_t) + sizeof(double));
+  const auto write_list = [&](const std::vector<Entry>& list) {
+    buf.write<std::uint64_t>(list.size());
+    for (const Entry& e : list) {
+      buf.write<std::uint32_t>(e.v);
+      buf.write<std::uint32_t>(e.sidx);
+      write_dist_sigma(buf, e.val);
+    }
+  };
   buf.write<std::uint64_t>(k_);
   buf.write_vector(batch_);
   buf.reserve(buf.size() + table_.size() * kDistSigmaWire + delta_.size() * sizeof(double) +
@@ -553,16 +545,14 @@ void DistBcEngine::save_state(util::SendBuffer& buf) const {
   for (const DistSigma& t : table_) write_dist_sigma(buf, t);
   buf.write_vector(delta_);
   buf.write<std::uint32_t>(max_level_);
-  buf.write<std::uint64_t>(frontier_.size());
-  for (const Entry& e : frontier_) {
-    buf.write<std::uint32_t>(e.v);
-    buf.write<std::uint32_t>(e.sidx);
-    write_dist_sigma(buf, e.val);
-  }
+  buf.write<std::uint32_t>(level_);
+  write_list(frontier_);
+  for (const std::vector<Entry>& p : partials_) write_list(p);
+  for (const std::vector<DeltaPartial>& dp : delta_partials_) buf.write_vector(dp);
   net_.save_state(buf);
 }
 
-void DistBcEngine::restore_state(util::RecvBuffer& buf) {
+void DistBcEngine::restore_checkpoint(util::RecvBuffer& buf) {
   const std::uint64_t k = buf.read<std::uint64_t>();
   std::vector<VertexId> batch = buf.read_vector<VertexId>();
   if (k != batch.size()) {
@@ -584,20 +574,30 @@ void DistBcEngine::restore_state(util::RecvBuffer& buf) {
                             " cells, expected " + std::to_string(cells));
   }
   max_level_ = buf.read<std::uint32_t>();
-  const std::uint64_t fn = buf.read<std::uint64_t>();
-  if (fn > buf.remaining() / kEntryWire) {
-    throw std::out_of_range("DistBcEngine: checkpoint frontier length " + std::to_string(fn) +
-                            " exceeds " + std::to_string(buf.remaining()) + " remaining bytes");
+  level_ = buf.read<std::uint32_t>();
+  if (level_ > max_level_) {
+    throw std::out_of_range("DistBcEngine: checkpoint level cursor " + std::to_string(level_) +
+                            " exceeds max level " + std::to_string(max_level_));
   }
-  frontier_.clear();
-  frontier_.reserve(fn);
-  for (std::uint64_t i = 0; i < fn; ++i) {
-    Entry e;
-    e.v = buf.read<std::uint32_t>();
-    e.sidx = buf.read<std::uint32_t>();
-    e.val = read_dist_sigma(buf);
-    frontier_.push_back(e);
-  }
+  const auto read_list = [&](std::vector<Entry>& list) {
+    const std::uint64_t count = buf.read<std::uint64_t>();
+    if (count > buf.remaining() / kEntryWire) {
+      throw std::out_of_range("DistBcEngine: checkpoint list length " + std::to_string(count) +
+                              " exceeds " + std::to_string(buf.remaining()) + " remaining bytes");
+    }
+    list.clear();
+    list.reserve(count);
+    for (std::uint64_t i = 0; i < count; ++i) {
+      Entry e;
+      e.v = buf.read<std::uint32_t>();
+      e.sidx = buf.read<std::uint32_t>();
+      e.val = read_dist_sigma(buf);
+      list.push_back(e);
+    }
+  };
+  read_list(frontier_);
+  for (std::vector<Entry>& p : partials_) read_list(p);
+  for (std::vector<DeltaPartial>& dp : delta_partials_) dp = buf.read_vector<DeltaPartial>();
   net_.restore_state(buf);
 }
 

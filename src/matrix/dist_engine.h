@@ -25,6 +25,10 @@
 //                 what the BSP network model charges) by c, not just the
 //                 aggregate. At c = 1 this is the historical (H-1)-way
 //                 frontier allgather, entry for entry and byte for byte.
+// Each iteration and each backward level is one sim::BspLoop round: the
+// sweep is its compute phase, and steps 2-3 on the previous sweep's output
+// are its comm phase (the exchange), so a batch's first round exchanges
+// nothing and sweeps the seeded sources.
 //
 // Replica state is stored once per group (the replicas are bit-identical by
 // construction); the c-fold memory cost of real replication is analytical
@@ -49,6 +53,7 @@
 #include <vector>
 
 #include "comm/substrate.h"
+#include "engine/cluster.h"
 #include "graph/graph.h"
 #include "matrix/dist_matrix.h"
 #include "matrix/grid.h"
@@ -69,24 +74,13 @@ struct DistBcOptions {
   HostId num_hosts = 4;
   /// Replica-group width c; see ProcessGrid::make for the legality rules.
   HostId replication = 1;
-  /// Run per-host sweeps and per-group merges on the shared thread pool
-  /// (bit-identical to sequential: sweeps are host-disjoint, merges
-  /// group-disjoint, and all cross-host data movement is sequential).
-  bool parallel_hosts = false;
-  /// Delivery layer for all scatter traffic (framing, faults, codec).
-  comm::DeliveryOptions delivery;
+  /// Shared with the BspLoop that drives the engine: parallel_hosts also
+  /// runs the (group-disjoint) merges on the pool, and delivery() — fault
+  /// injector and codec — configures all scatter traffic.
+  sim::ClusterOptions cluster;
 };
 
-/// Accounting for one engine step. The driver (baselines/mfbc.cpp) owns
-/// NetworkModel charging and RunStats aggregation.
-struct DistBcStep {
-  comm::SyncStats comm;              ///< measured wire traffic of the step
-  std::vector<double> host_seconds;  ///< per-host sweep + merge seconds
-  std::vector<double> host_work;     ///< per-host edge relaxations
-  std::size_t frontier_entries = 0;  ///< entries produced (fwd) / fired (bwd)
-};
-
-class DistBcEngine {
+class DistBcEngine final : public sim::Checkpointable {
  public:
   DistBcEngine(const Graph& g, const DistBcOptions& opts);
 
@@ -95,13 +89,23 @@ class DistBcEngine {
   /// Resets per-batch state and seeds the frontier with the batch sources.
   void begin_batch(const std::vector<VertexId>& batch);
 
-  bool forward_done() const { return frontier_.empty(); }
-  DistBcStep forward_step();
-  /// Largest finalized distance seen so far (final after forward_done()).
+  /// A forward round: the exchange of the partials in flight into the next
+  /// frontier, then host h's sweep, active while it leaves partials.
+  comm::SyncStats forward_exchange();
+  sim::HostWork forward_sweep(HostId h);
+  /// Largest finalized distance seen so far (final after the forward phase).
   std::uint32_t max_level() const { return max_level_; }
-  /// Fires the cells at distance `level` (1 <= level <= max_level(), run
-  /// from max_level() down once the forward phase is done).
-  DistBcStep backward_level(std::uint32_t level);
+
+  /// Starts the backward phase at level max_level() (>= 1).
+  void begin_backward();
+  /// A backward round: reduce_delta_partials and the broadcast of the next
+  /// level down, then host h's sweep, active while a lower level remains.
+  comm::SyncStats backward_exchange();
+  sim::HostWork backward_sweep(HostId h);
+  /// All-reduces the delta partials in flight and merges them by a balanced
+  /// cross-layer tree per cell. The last level's (the sources' delta) has
+  /// no later round to ride in: the driver runs it after the loop.
+  comm::SyncStats reduce_delta_partials();
 
   const DistSigma& table_at(VertexId v, std::size_t sidx) const {
     return table_[static_cast<std::size_t>(v) * k_ + sidx];
@@ -110,13 +114,14 @@ class DistBcEngine {
     return delta_[static_cast<std::size_t>(v) * k_ + sidx];
   }
 
-  /// Checkpoint support: batch tables, the live frontier, and the delivery
-  /// protocol's sequence numbers roll back as one unit (mirrors the MRBC
-  /// engine's crash/rollback contract). The backward level index is
-  /// derived from the tables and rebuilt after a restore, never saved.
-  /// Restore assumes an engine built with the same graph and options.
-  void save_state(util::SendBuffer& buf) const;
-  void restore_state(util::RecvBuffer& buf);
+  /// A round-end snapshot holds what the next round reads: the tables, the
+  /// frontier and the partials in flight, the backward level cursor, and
+  /// the delivery protocol's sequence numbers, rolled back as one unit. The
+  /// backward level index is derived from the tables and rebuilt after a
+  /// restore, never saved. Restore assumes an engine built with the same
+  /// graph and options.
+  void save_checkpoint(util::SendBuffer& buf) const override;
+  void restore_checkpoint(util::RecvBuffer& buf) override;
 
  private:
   /// One frontier / partial-product entry; `val` carries (dist, sigma) in
@@ -162,6 +167,9 @@ class DistBcEngine {
   /// Counting-sorts the finite cells with 1 <= dist <= max_level_ by
   /// distance into level_cells_, each level in (v, sidx) order.
   void build_level_index();
+  /// Floors each host's messages at the control-plane ping to its (c-1)
+  /// group and (pr-1) layer peers that every round pays, payload or none.
+  comm::SyncStats with_control_plane(comm::SyncStats stats) const;
 
   DistBcOptions opts_;
   ProcessGrid grid_;
@@ -172,21 +180,24 @@ class DistBcEngine {
   std::vector<VertexId> batch_;
   std::vector<DistSigma> table_;  ///< n x k group tables (replicas coincide)
   std::vector<double> delta_;     ///< n x k group dependency tables
-  std::vector<Entry> frontier_;   ///< (v, sidx)-sorted live frontier
+  std::vector<Entry> frontier_;   ///< (v, sidx)-sorted forward frontier
+  std::vector<std::vector<Entry>> partials_;               // per host: forward partials in flight
+  std::vector<std::vector<DeltaPartial>> delta_partials_;  // per host: delta partials in flight
   std::uint32_t max_level_ = 0;
-  /// Backward level index, built by the first backward_level of a batch:
+  std::uint32_t level_ = 0;  ///< next backward level to fire; 0 once all fired
+  /// Backward level index, built by the first backward exchange of a batch:
   /// level d's cells are level_cells_[level_start_[d], level_start_[d + 1]).
-  /// Empty until built; begin_batch (and so restore_state) clears it.
+  /// Empty until built; begin_batch (and so restore) clears it.
   std::vector<std::size_t> level_start_;
   std::vector<std::pair<VertexId, std::uint32_t>> level_cells_;
+  /// Layer slices of what the next sweep reads, set by every exchange.
+  std::vector<std::size_t> sweep_slices_;
 
   // Persistent scratch (allocation reused across rounds and batches).
   std::vector<HostScratch> scratch_;                  // per host
-  std::vector<std::vector<Entry>> partials_;          // per host: local partial products
   std::vector<std::vector<Entry>> staged_entries_;    // per src host: decoded at group leader
   std::vector<std::vector<Entry>> group_changed_;     // per group: merged changed cells
   std::vector<std::vector<Entry>> staged_slices_;     // [src * layers + target layer]: chunk
-  std::vector<std::vector<DeltaPartial>> delta_partials_;  // per host
   std::vector<std::vector<DeltaPartial>> staged_delta_;    // per src host
   std::vector<Entry> bwd_frontier_;
   std::vector<Entry> used_frontier_;

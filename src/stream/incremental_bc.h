@@ -80,7 +80,8 @@ class IncrementalBc {
 
   /// Unscaled maintained scores: sum of dependencies over sources().
   const core::BcScores& scores() const { return bc_; }
-  /// n/k-scaled estimate (== core::sampled_bc semantics).
+  /// n/k-scaled estimate of every vertex's BC from the k sampled sources
+  /// (the uniform-sampling estimator of Bader et al.).
   core::BcScores scaled_scores() const;
 
   const std::vector<graph::VertexId>& sources() const { return sources_; }

@@ -11,6 +11,7 @@
 #include "core/mrbc.h"
 #include "baselines/mfbc.h"
 #include "baselines/sbbc.h"
+#include "engine/fault.h"
 #include "graph/algorithms.h"
 #include "test_helpers.h"
 
@@ -206,6 +207,57 @@ TEST(Mfbc, AllGatherVolumeExceedsMrbcPointToPoint) {
   auto mfbc = mfbc_bc(g, sources, mf);
   auto mrbc = core::mrbc_bc(g, sources, mr);
   EXPECT_GT(mfbc.total().bytes, mrbc.total().bytes / 2);
+}
+
+TEST(Mfbc, CrashRollsBackThroughBspLoop) {
+  // MFBC's rounds run on sim::BspLoop, so a scheduled crash rolls the
+  // engine back to the last coordinated checkpoint and replays: the output
+  // and the logical round counts match a clean run bit for bit.
+  Graph g = graph::rmat({.scale = 7, .edge_factor = 5.0, .seed = 11});
+  const auto sources = graph::sample_sources(g, 8, 5);
+  baselines::MfbcOptions opts;
+  opts.num_hosts = 4;
+  opts.replication = 2;
+  opts.batch_size = 4;
+  const auto clean = mfbc_bc(g, sources, opts);
+
+  sim::FaultPlan plan;
+  plan.crash_round = 3;
+  plan.crash_host = 1;
+  sim::FaultInjector injector(plan, opts.num_hosts);
+  opts.fault = &injector;
+  const auto crashed = mfbc_bc(g, sources, opts);
+
+  const sim::RunStats total = crashed.total();
+  EXPECT_EQ(total.faults.crashes, 1u);
+  EXPECT_GT(total.faults.recovery_rounds, 0u);
+  EXPECT_GT(total.faults.checkpoints, 0u);
+  EXPECT_EQ(testing::score_hash(clean.result.bc), testing::score_hash(crashed.result.bc));
+  EXPECT_EQ(clean.forward.rounds, crashed.forward.rounds);
+  EXPECT_EQ(clean.backward.rounds, crashed.backward.rounds);
+}
+
+TEST(Mfbc, MidPhaseCrashRestoresPartialsInFlight) {
+  // A crash past the round-8 checkpoint rolls back to a round end with
+  // forward partials in flight, so the replay reads them from the snapshot.
+  Graph g = graph::road_grid(12, 12, 0.05, 3);
+  const auto sources = graph::sample_sources(g, 4, 9);
+  baselines::MfbcOptions opts;
+  opts.num_hosts = 4;
+  opts.replication = 2;
+  const auto clean = mfbc_bc(g, sources, opts);
+  ASSERT_GT(clean.forward.rounds, 11u);
+
+  sim::FaultPlan plan;
+  plan.crash_round = 11;
+  sim::FaultInjector injector(plan, opts.num_hosts);
+  opts.fault = &injector;
+  const auto crashed = mfbc_bc(g, sources, opts);
+  EXPECT_EQ(crashed.forward.faults.crashes, 1u);
+  EXPECT_EQ(crashed.forward.faults.recovery_rounds, 3u) << "rolled back to round 8";
+  EXPECT_EQ(testing::score_hash(clean.result.bc), testing::score_hash(crashed.result.bc));
+  EXPECT_EQ(clean.forward.rounds, crashed.forward.rounds);
+  EXPECT_EQ(clean.backward.rounds, crashed.backward.rounds);
 }
 
 // ---- Cross-algorithm agreement ---------------------------------------------

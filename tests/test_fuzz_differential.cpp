@@ -115,9 +115,10 @@ TEST_P(DifferentialFuzz, OtherEnginesMatchBrandes) {
 TEST_P(DifferentialFuzz, FaultScheduleMatchesBrandes) {
   // Randomized fault schedules (drops, duplicates, corruption, stragglers,
   // an optional crash) with recovery enabled must be invisible in the
-  // output: BC equals sequential Brandes bit-for-tolerance, and the MRBC
-  // pipelining invariants hold (anomalies == 0 means no label ever arrived
-  // outside its prescribed round despite the injected faults).
+  // output of MRBC, SBBC and MFBC, each under its own fresh injector: BC
+  // equals sequential Brandes bit-for-tolerance, and the MRBC pipelining
+  // invariants hold (anomalies == 0 means no label ever arrived outside its
+  // prescribed round despite the injected faults).
   util::Xoshiro256 rng(static_cast<std::uint64_t>(GetParam()) * 0x51ed + 7);
   Graph g = random_graph(rng);
   if (g.num_vertices() < 2) return;
@@ -157,6 +158,22 @@ TEST_P(DifferentialFuzz, FaultScheduleMatchesBrandes) {
   sopts.cluster.checkpoint_interval = checkpoint_interval;
   testing::expect_bc_equal(golden.bc, baselines::sbbc_bc(g, sources, sopts).result.bc,
                            "fuzz sbbc faults seed=" + std::to_string(GetParam()));
+
+  baselines::MfbcOptions fopts;
+  fopts.num_hosts = 1 + static_cast<std::uint32_t>(rng.next_bounded(8));
+  fopts.batch_size = 1 + static_cast<std::uint32_t>(rng.next_bounded(8));
+  // A legal replication: a power of two dividing num_hosts (<= 8).
+  fopts.replication = 1;
+  for (auto draws = rng.next_bounded(4);
+       draws > 0 && fopts.num_hosts % (2 * fopts.replication) == 0; --draws) {
+    fopts.replication *= 2;
+  }
+  sim::FaultInjector mfbc_injector(plan, fopts.num_hosts);
+  fopts.fault = &mfbc_injector;
+  testing::expect_bc_equal(golden.bc, baselines::mfbc_bc(g, sources, fopts).result.bc,
+                           "fuzz mfbc faults seed=" + std::to_string(GetParam()) +
+                               " hosts=" + std::to_string(fopts.num_hosts) +
+                               " c=" + std::to_string(fopts.replication));
 }
 
 TEST_P(DifferentialFuzz, CodecModesAreBitIdenticalAcrossConfigs) {

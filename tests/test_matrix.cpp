@@ -146,13 +146,13 @@ bool bits_equal(const std::vector<double>& a, const std::vector<double>& b) {
 
 baselines::MfbcRun run_replicated(const Graph& g, const std::vector<VertexId>& sources,
                                   std::uint32_t c, bool parallel_hosts,
-                                  const comm::DeliveryOptions* delivery = nullptr) {
+                                  sim::FaultInjector* fault = nullptr) {
   baselines::MfbcOptions opts;
   opts.num_hosts = 8;
   opts.batch_size = 4;
   opts.replication = c;
   opts.parallel_hosts = parallel_hosts;
-  if (delivery != nullptr) opts.delivery = *delivery;
+  opts.fault = fault;
   return baselines::mfbc_bc(g, sources, opts);
 }
 
@@ -185,10 +185,7 @@ TEST(DistEngine, ReplicatedScoresSurviveFaultInjection) {
   plan.duplicate_rate = 0.03;
   plan.corrupt_rate = 0.02;
   sim::FaultInjector injector(plan, 8);
-  comm::DeliveryOptions delivery;
-  delivery.reliable = true;
-  delivery.faults = &injector;
-  const baselines::MfbcRun faulty = run_replicated(g, sources, 2, false, &delivery);
+  const baselines::MfbcRun faulty = run_replicated(g, sources, 2, false, &injector);
 
   EXPECT_TRUE(bits_equal(clean.result.bc, faulty.result.bc));
   const sim::RunStats total = faulty.total();
@@ -196,6 +193,22 @@ TEST(DistEngine, ReplicatedScoresSurviveFaultInjection) {
             0u)
       << "fault schedule never fired; the test is vacuous";
   EXPECT_GT(total.faults.retransmits, 0u);
+}
+
+/// One BSP round the way sim::BspLoop drives it: the exchange, then every
+/// host's sweep. Returns whether any host stays active.
+bool forward_round(DistBcEngine& e) {
+  e.forward_exchange();
+  bool active = false;
+  for (HostId h = 0; h < e.grid().hosts; ++h) active = e.forward_sweep(h).active || active;
+  return active;
+}
+
+bool backward_round(DistBcEngine& e) {
+  e.backward_exchange();
+  bool active = false;
+  for (HostId h = 0; h < e.grid().hosts; ++h) active = e.backward_sweep(h).active || active;
+  return active;
 }
 
 TEST(DistEngine, CrashRollbackRestoresMidBatchBitExactly) {
@@ -206,24 +219,41 @@ TEST(DistEngine, CrashRollbackRestoresMidBatchBitExactly) {
   opts.num_hosts = 8;
   opts.replication = 2;
 
-  // Reference run: checkpoint after two forward rounds and again after the
-  // top backward level, then finish.
+  const auto all_delta_zero = [&](const DistBcEngine& e) {
+    for (VertexId v = 0; v < n; ++v) {
+      for (std::size_t sidx = 0; sidx < batch.size(); ++sidx) {
+        if (e.delta_at(v, sidx) != 0.0) return false;
+      }
+    }
+    return true;
+  };
+
+  // Reference run: a round-end checkpoint after two forward rounds and
+  // another after the top backward level, each with partials in flight
+  // that the next round's exchange has yet to merge.
   DistBcEngine ref(g, opts);
   ref.begin_batch(batch);
-  ref.forward_step();
-  ref.forward_step();
+  ASSERT_TRUE(forward_round(ref));
+  ASSERT_TRUE(forward_round(ref));
+  EXPECT_EQ(ref.max_level(), 1u) << "the second sweep's partials are unmerged";
   util::SendBuffer forward_checkpoint;
-  ref.save_state(forward_checkpoint);
-  while (!ref.forward_done()) ref.forward_step();
+  ref.save_checkpoint(forward_checkpoint);
+  std::size_t forward_rounds = 2;
+  while (forward_round(ref)) ++forward_rounds;
+  ++forward_rounds;
   const std::uint32_t top = ref.max_level();
   ASSERT_GE(top, 2u);
-  ref.backward_level(top);
+  ref.begin_backward();
+  ASSERT_TRUE(backward_round(ref));
+  EXPECT_TRUE(all_delta_zero(ref)) << "the top level's delta partials are unmerged";
   util::SendBuffer backward_checkpoint;
-  ref.save_state(backward_checkpoint);
-  std::vector<std::size_t> fired(top + 1, 0);
-  for (std::uint32_t level = top - 1; level >= 1; --level) {
-    fired[level] = ref.backward_level(level).frontier_entries;
-  }
+  ref.save_checkpoint(backward_checkpoint);
+  std::size_t backward_rounds = 1;
+  while (backward_round(ref)) ++backward_rounds;
+  ++backward_rounds;
+  EXPECT_EQ(backward_rounds, top) << "one round per level";
+  ref.reduce_delta_partials();
+  ASSERT_FALSE(all_delta_zero(ref));
 
   const auto expect_bit_equal = [&](const DistBcEngine& replay, const char* what) {
     for (VertexId v = 0; v < n; ++v) {
@@ -238,28 +268,32 @@ TEST(DistEngine, CrashRollbackRestoresMidBatchBitExactly) {
   };
 
   // Crashed replica: fresh engine, roll back to the forward checkpoint,
-  // replay.
+  // replay the remaining rounds.
   DistBcEngine replay(g, opts);
   util::RecvBuffer rollback(forward_checkpoint);
-  replay.restore_state(rollback);
-  while (!replay.forward_done()) replay.forward_step();
+  replay.restore_checkpoint(rollback);
+  std::size_t replayed = 2;
+  while (forward_round(replay)) ++replayed;
+  EXPECT_EQ(replayed + 1, forward_rounds);
   EXPECT_EQ(replay.max_level(), top);
-  for (std::uint32_t level = replay.max_level(); level >= 1; --level) {
-    replay.backward_level(level);
+  replay.begin_backward();
+  while (backward_round(replay)) {
   }
+  replay.reduce_delta_partials();
   expect_bit_equal(replay, "forward checkpoint");
 
-  // Crash mid-backward: the restored engine rebuilds its level index from
-  // the restored tables and must fire the same cells with the same bits.
+  // Crash mid-backward: the snapshot carries the level cursor and the top
+  // level's delta partials; the restored engine rebuilds its level index
+  // from the restored tables and fires the remaining levels with the same
+  // bits.
   DistBcEngine bwd_replay(g, opts);
   util::RecvBuffer bwd_rollback(backward_checkpoint);
-  bwd_replay.restore_state(bwd_rollback);
-  EXPECT_TRUE(bwd_replay.forward_done());
+  bwd_replay.restore_checkpoint(bwd_rollback);
   EXPECT_EQ(bwd_replay.max_level(), top);
-  for (std::uint32_t level = top - 1; level >= 1; --level) {
-    EXPECT_EQ(bwd_replay.backward_level(level).frontier_entries, fired[level])
-        << "level " << level;
-  }
+  std::size_t bwd_replayed = 1;
+  while (backward_round(bwd_replay)) ++bwd_replayed;
+  EXPECT_EQ(bwd_replayed + 1, backward_rounds);
+  bwd_replay.reduce_delta_partials();
   expect_bit_equal(bwd_replay, "backward checkpoint");
 }
 

@@ -687,39 +687,62 @@ TEST(ObsReconciliation, SpanSumsMatchRunStats) {
 }
 
 TEST(ObsReconciliation, MfbcHostComputeSpansMatchRunStats) {
-  // MFBC runs outside BspLoop: its sweeps and group merges emit their own
-  // host-compute spans, which must sum per host to the RunStats totals.
+  // MFBC runs on BspLoop: its sweeps are the compute phase, so their
+  // host-compute spans sum per host to the RunStats totals, and its modeled
+  // comm spans — one per round, plus one per batch for the last backward
+  // level's all-reduce — sum to network_seconds.
   ObsGuard guard;
   const graph::Graph g = graph::erdos_renyi(60, 0.08, 7);
   const auto sources = graph::sample_sources(g, 6, 1, /*contiguous=*/false);
   baselines::MfbcOptions opts;
   opts.num_hosts = 4;
-  opts.replication = 2;  // 2 grid rows: two group merges per step
+  opts.replication = 2;  // 2 grid rows: each round all-reduces and broadcasts
   opts.batch_size = 3;
   opts.parallel_hosts = true;  // spans are emitted from pool threads
   Tracer& t = Tracer::global();
   t.enable(1 << 14);
-  const RunStats stats = baselines::mfbc_bc(g, sources, opts).total();
+  const baselines::MfbcRun run = baselines::mfbc_bc(g, sources, opts);
   t.disable();
+  const RunStats stats = run.total();
 
   std::vector<double> span_sums(opts.num_hosts, 0.0);
-  std::size_t spans = 0;
+  std::size_t spans = 0, comm_spans = 0;
+  double compute_span_sum = 0, comm_span_sum = 0;
   for (const SpanRecord& s : t.snapshot()) {
-    if (std::string(s.name) != "host-compute") continue;
-    ASSERT_LT(s.host, opts.num_hosts);
-    EXPECT_FALSE(s.modeled);
-    EXPECT_GE(s.round, 1u) << "tagged with its iteration";
-    span_sums[s.host] += s.dur_us * 1e-6;
-    ++spans;
+    const std::string name(s.name);
+    if (name == "host-compute") {
+      ASSERT_LT(s.host, opts.num_hosts);
+      EXPECT_FALSE(s.modeled);
+      EXPECT_GE(s.round, 1u) << "tagged with its round";
+      span_sums[s.host] += s.dur_us * 1e-6;
+      ++spans;
+    } else if (name == "compute" && s.host == obs::kEngineHost) {
+      compute_span_sum += s.dur_us * 1e-6;
+    } else if (name == "comm") {
+      EXPECT_TRUE(s.modeled);
+      comm_span_sum += s.dur_us * 1e-6;
+      ++comm_spans;
+    }
   }
-  ASSERT_GT(stats.rounds, 0u);
-  // Every step: one sweep per host and one merge per grid row.
-  EXPECT_EQ(spans, stats.rounds * (4 + 2));
+  ASSERT_GT(run.forward.rounds, 0u);
+  ASSERT_GT(run.backward.rounds, 0u);
+  // Every round: one sweep per host.
+  EXPECT_EQ(spans, stats.rounds * opts.num_hosts);
   ASSERT_EQ(stats.per_host_compute_seconds.size(), opts.num_hosts);
   for (std::uint32_t h = 0; h < opts.num_hosts; ++h) {
     const double want = stats.per_host_compute_seconds[h];
     EXPECT_NEAR(span_sums[h], want, 1e-9 * want + 1e-12) << "host " << h;
   }
+  const std::size_t batches = (sources.size() + opts.batch_size - 1) / opts.batch_size;
+  EXPECT_EQ(comm_spans, stats.rounds + batches);
+  EXPECT_NEAR(compute_span_sum, stats.compute_seconds, 1e-9 * stats.compute_seconds + 1e-12);
+  EXPECT_NEAR(comm_span_sum, stats.network_seconds, 1e-9 * stats.network_seconds + 1e-12);
+  // And with the phase breakdown.
+  EXPECT_DOUBLE_EQ(stats.phases.compute_seconds, stats.compute_seconds);
+  EXPECT_GT(stats.phases.comm_seconds, 0.0);
+  EXPECT_NEAR(stats.phases.comm_seconds + stats.phases.recovery_seconds +
+                  stats.phases.checkpoint_seconds,
+              stats.network_seconds, 1e-12);
 }
 
 TEST(ObsReconciliation, FaultInjectedRunReconcilesSpansAndPhases) {
