@@ -1,6 +1,8 @@
 #include "baselines/sbbc.h"
 
 #include <algorithm>
+#include <cstddef>
+#include <cstring>
 #include <optional>
 
 #include "comm/substrate.h"
@@ -176,12 +178,21 @@ class SourceRunner final : public sim::Checkpointable {
 
   // Coordinated snapshot for crash recovery: labels, dependencies, queues,
   // frontier bitsets, level buckets, and the substrate's flag/sequence
-  // state. DistSigma is a POD, so per-host vectors go through write_vector.
+  // state. Labels keep write_vector's layout, but DistSigma's padding is
+  // written as zeros: a label's padding holds whatever its last copy left
+  // there, and equal labels must snapshot to equal bytes.
   void save_checkpoint(util::SendBuffer& buf) const override {
     substrate_.save_state(buf);
     const HostId H = part_.num_hosts();
     for (HostId h = 0; h < H; ++h) {
-      buf.write_vector(labels_[h]);
+      const std::vector<DistSigma>& labels = labels_[h];
+      buf.write<std::uint64_t>(labels.size());
+      std::uint8_t* out = buf.extend(labels.size() * sizeof(DistSigma));  // zero-filled
+      for (const DistSigma& l : labels) {
+        std::memcpy(out + offsetof(DistSigma, dist), &l.dist, sizeof l.dist);
+        std::memcpy(out + offsetof(DistSigma, sigma), &l.sigma, sizeof l.sigma);
+        out += sizeof(DistSigma);
+      }
       buf.write_vector(delta_[h]);
       buf.write_vector(worklist_[h]);
       buf.write_vector(self_sched_[h]);
@@ -240,35 +251,28 @@ class SourceRunner final : public sim::Checkpointable {
   }
 
  private:
-  void combine_forward_impl(HostId h, VertexId lid, std::uint32_t d, double sigma,
-                            std::vector<core::OrdLid>* staged, std::uint64_t ord) {
+  /// The host's own drain side: appends join the next round's frontier.
+  core::DrainSide host_side(HostId h) { return core::DrainSide(self_sched_[h]); }
+
+  /// Applies one (dist, sigma) contribution to a proxy. A master whose
+  /// distance falls joins the next round's frontier through `side`, with
+  /// `ord` the push's ordinal in a staged or pull round.
+  void combine_forward(HostId h, VertexId lid, std::uint32_t d, double sigma,
+                       core::DrainSide& side, std::uint64_t ord) {
     DistSigma& s = labels_[h][lid];
     if (d > s.dist) return;
     if (d < s.dist) {
       s.dist = d;
       s.sigma = sigma;
-      if (part_.host(h).is_master[lid]) {
-        // The master joins the next round's frontier. During a staged
-        // replay the append is captured with its push ordinal and merged
-        // into self_sched_ in sequential order afterwards.
-        if (!in_frontier_[h].test(lid)) {
-          in_frontier_[h].set(lid);
-          if (staged) {
-            staged->push_back({ord, lid});
-          } else {
-            self_sched_[h].push_back(lid);
-          }
-          substrate_.flag_broadcast(h, lid);
-        }
+      if (part_.host(h).is_master[lid] && !in_frontier_[h].test(lid)) {
+        in_frontier_[h].set(lid);
+        side.append(lid, ord);
+        substrate_.flag_broadcast(h, lid);
       }
     } else {
       s.sigma += sigma;
     }
     if (!part_.host(h).is_master[lid]) substrate_.flag_reduce(h, lid);
-  }
-
-  void combine_forward(HostId h, VertexId lid, std::uint32_t d, double sigma) {
-    combine_forward_impl(h, lid, d, sigma, nullptr, 0);
   }
 
   /// Direction of one staged forward round: the frontier's out-degree sum
@@ -280,16 +284,12 @@ class SourceRunner final : public sim::Checkpointable {
   /// local topology, so every thread count (and a crash-replayed round)
   /// picks the same direction; the frontier degree is summed only when the
   /// rule needs it.
-  std::optional<std::uint64_t> choose_pull(HostId h, const std::vector<VertexId>& wl,
-                                           const std::vector<VertexId>& ss, std::size_t grain) {
+  std::optional<std::uint64_t> choose_pull(HostId h, core::RoundEntries<VertexId> entries) {
     const auto& hg = part_.host(h);
     const auto frontier_degree = [&] {
       return util::ThreadPool::global().parallel_reduce(
-          0, wl.size() + ss.size(), grain, std::uint64_t{0},
-          [&](std::size_t ei) {
-            const VertexId lid = ei < wl.size() ? wl[ei] : ss[ei - wl.size()];
-            return static_cast<std::uint64_t>(hg.local.out_degree(lid));
-          },
+          0, entries.size(), std::max<std::size_t>(opts_.drain_grain, 1), std::uint64_t{0},
+          [&](std::size_t ei) { return std::uint64_t{hg.local.out_degree(entries[ei])}; },
           [](std::uint64_t a, std::uint64_t b) { return a + b; });
     };
     std::optional<std::uint64_t> fdeg;
@@ -312,24 +312,23 @@ class SourceRunner final : public sim::Checkpointable {
   /// per hit tagged with the frontier entry's drain ordinal. Local adjacency
   /// is sorted ascending, so push's (entry, edge position) order is
   /// (drain ordinal, target) order: sorting each range's records that way
-  /// and replaying them through combine_forward_impl applies push's exact
-  /// sequence. The only targets skipped are those with dist < dmin + 1
-  /// (dmin = the frontier's minimum level): they can only receive strictly
-  /// stale pushes, which the push drain discards with zero side effects.
-  /// Work items are charged as the frontier's out-degree sum, push's
-  /// per-edge count, so scores, stats, wire traffic and checkpoint bytes
-  /// are bit-identical to push. Generation and replay are separated by a
-  /// barrier so pushed values read pre-replay labels, exactly like push's
-  /// Phase-A snapshots.
-  sim::HostWork compute_forward_pull(HostId h, const std::vector<VertexId>& wl,
-                                     const std::vector<VertexId>& ss, std::uint64_t fdeg) {
+  /// and replaying them through combine_forward, with range sides merged
+  /// by core::replay_ranges, applies push's exact sequence. The only
+  /// targets skipped are those with dist < dmin + 1 (dmin = the frontier's
+  /// minimum level): they can only receive strictly stale pushes, which the
+  /// push drain discards with zero side effects. Work items are charged as
+  /// the frontier's out-degree sum, push's per-edge count, so scores,
+  /// stats, wire traffic and checkpoint bytes are bit-identical to push.
+  /// Generation and replay are separated by a barrier so pushed values read
+  /// pre-replay labels, exactly like push's Phase-A reads.
+  sim::HostWork compute_forward_pull(HostId h, core::RoundEntries<VertexId> entries,
+                                     core::DrainSide& host, std::uint64_t fdeg) {
     const auto& hg = part_.host(h);
-    const std::size_t total = wl.size() + ss.size();
     util::DynamicBitset& frontier = pull_frontier_[h];
     std::vector<std::uint32_t>& ford = pull_ord_[h];
     std::uint32_t dmin = kInfDist;
-    for (std::size_t ei = 0; ei < total; ++ei) {
-      const VertexId lid = ei < wl.size() ? wl[ei] : ss[ei - wl.size()];
+    for (std::size_t ei = 0; ei < entries.size(); ++ei) {
+      const VertexId lid = entries[ei];
       if (!frontier.test(lid)) {
         frontier.set(lid);
         ford[lid] = static_cast<std::uint32_t>(ei);
@@ -358,18 +357,14 @@ class SourceRunner final : public sim::Checkpointable {
         return x.ord != y.ord ? x.ord < y.ord : x.target < y.target;
       });
     });
-    // Barrier passed: every rec's value snapshot is pre-replay. Replay.
-    std::vector<std::vector<core::OrdLid>> range_staged(num_ranges);
-    util::ThreadPool::global().parallel_for(0, num_ranges, 1, [&](std::size_t r) {
+    // Barrier passed: every rec's value was read before any replay.
+    core::replay_ranges(scratch_[h], num_ranges, host, [&](std::size_t r, core::DrainSide& side) {
       for (const core::PushRec& p : range_recs[r]) {
-        combine_forward_impl(h, p.target, p.dist, p.value, &range_staged[r],
-                             (static_cast<std::uint64_t>(p.ord) << 32) | p.target);
+        combine_forward(h, p.target, p.dist, p.value, side,
+                        (static_cast<std::uint64_t>(p.ord) << 32) | p.target);
       }
     });
-    core::merge_side_lists(range_staged, self_sched_[h]);
-    for (std::size_t ei = 0; ei < total; ++ei) {
-      frontier.reset(ei < wl.size() ? wl[ei] : ss[ei - wl.size()]);
-    }
+    for (std::size_t ei = 0; ei < entries.size(); ++ei) frontier.reset(entries[ei]);
     ++pull_rounds_[h];
     sim::HostWork w;
     w.work_items = fdeg;
@@ -379,53 +374,35 @@ class SourceRunner final : public sim::Checkpointable {
 
   sim::HostWork compute_forward(HostId h) {
     const auto& hg = part_.host(h);
-    sim::HostWork w;
     // Take ownership of this round's frontier first: combine_forward may
     // schedule masters into self_sched_ for the NEXT round while we drain.
-    std::vector<VertexId> wl = std::move(worklist_[h]);
+    const std::vector<VertexId> wl = std::move(worklist_[h]);
     worklist_[h].clear();
-    std::vector<VertexId> ss = std::move(self_sched_[h]);
+    const std::vector<VertexId> ss = std::move(self_sched_[h]);
     self_sched_[h].clear();
-    const std::size_t total = wl.size() + ss.size();
-    const std::size_t grain = std::max<std::size_t>(opts_.drain_grain, 1);
-    if (total > grain) {
-      if (const auto fdeg = choose_pull(h, wl, ss, grain)) {
-        return compute_forward_pull(h, wl, ss, *fdeg);
+    const core::RoundEntries<VertexId> entries{wl, ss};
+    core::DrainSide host = host_side(h);
+    if (core::drain_stages(entries.size(), opts_.drain_grain)) {
+      if (const auto fdeg = choose_pull(h, entries)) {
+        return compute_forward_pull(h, entries, host, *fdeg);
       }
-      // Two-phase staged drain (core/staged_drain.h; design comment in
-      // core/mrbc.cpp). Snapshot-safe: a level-d frontier only produces
-      // level d+1 labels, which a same-frontier entry's stale check
-      // discards, so no drained entry's label changes mid-drain.
-      const std::size_t num_ranges = core::num_drain_ranges(hg.num_proxies());
-      std::vector<std::vector<core::OrdLid>> range_staged(num_ranges);
-      w.work_items = core::staged_drain(
-          scratch_[h], total, grain, num_ranges,
-          [&](core::ChunkRecs& ch, std::vector<core::PushRec>& recs, std::size_t ei) {
-            const VertexId lid = ei < wl.size() ? wl[ei] : ss[ei - wl.size()];
-            const DistSigma s = labels_[h][lid];
-            for (VertexId tl : hg.local.out_neighbors(lid)) {
-              recs.push_back(core::PushRec{tl, 0, s.dist + 1, s.sigma,
-                                           static_cast<std::uint32_t>(recs.size())});
-              ++ch.work_items;
-            }
-          },
-          [&](std::size_t r, const core::PushRec& p, std::uint64_t ord) {
-            combine_forward_impl(h, p.target, p.dist, p.value, &range_staged[r], ord);
-          });
-      core::merge_side_lists(range_staged, self_sched_[h]);
-    } else {
-      auto drain = [&](const std::vector<VertexId>& list) {
-        for (VertexId lid : list) {
+    }
+    // A staged round is snapshot-safe: a level-d frontier only produces
+    // level d+1 labels, which a same-frontier entry's stale check
+    // discards, so no drained entry's label changes mid-drain.
+    sim::HostWork w;
+    w.work_items = core::drain_round(
+        scratch_[h], entries, opts_.drain_grain, hg.num_proxies(), host,
+        [&](VertexId lid, auto&& emit) -> std::uint64_t {
           const DistSigma s = labels_[h][lid];
           for (VertexId tl : hg.local.out_neighbors(lid)) {
-            combine_forward(h, tl, s.dist + 1, s.sigma);
-            ++w.work_items;
+            emit(core::PushRec{tl, 0, s.dist + 1, s.sigma});
           }
-        }
-      };
-      drain(wl);
-      drain(ss);
-    }
+          return hg.local.out_degree(lid);
+        },
+        [&](const core::PushRec& p, core::DrainSide& side, std::uint64_t ord) {
+          combine_forward(h, p.target, p.dist, p.value, side, ord);
+        });
     w.active = false;  // all progress is flag-driven
     return w;
   }
@@ -444,53 +421,30 @@ class SourceRunner final : public sim::Checkpointable {
   sim::HostWork compute_backward(HostId h, std::uint32_t round) {
     const auto& hg = part_.host(h);
     sim::HostWork w;
-    const std::size_t total = worklist_[h].size() + self_sched_[h].size();
-    const std::size_t grain = std::max<std::size_t>(opts_.drain_grain, 1);
-    if (total > grain) {
-      // Staged drain: pushes target level d-1 predecessors while the drain
-      // list is all level d, so Phase-A snapshots (including the delta read
-      // in m) match the sequential interleaving exactly.
-      w.work_items = core::staged_drain(
-          scratch_[h], total, grain, core::num_drain_ranges(hg.num_proxies()),
-          [&](core::ChunkRecs& ch, std::vector<core::PushRec>& recs, std::size_t ei) {
-            const VertexId lid = ei < worklist_[h].size()
-                                     ? worklist_[h][ei]
-                                     : self_sched_[h][ei - worklist_[h].size()];
-            const DistSigma& sv = labels_[h][lid];
-            if (sv.dist == kInfDist || sv.dist == 0) return;
-            const double m = (1.0 + delta_[h][lid]) / sv.sigma;
-            for (VertexId pl : hg.local.in_neighbors(lid)) {
-              const DistSigma& sw = labels_[h][pl];
-              if (sw.dist != kInfDist && sw.dist + 1 == sv.dist) {
-                recs.push_back(core::PushRec{pl, 0, 0, sw.sigma * m,
-                                             static_cast<std::uint32_t>(recs.size())});
-              }
-              ++ch.work_items;
-            }
-          },
-          [&](std::size_t, const core::PushRec& p, std::uint64_t) {
-            delta_[h][p.target] += p.value;
-            if (!hg.is_master[p.target]) substrate_.flag_reduce(h, p.target);
-          });
-    } else {
-      auto drain = [&](const std::vector<VertexId>& list) {
-        for (VertexId lid : list) {
+    // Pushes target level d-1 predecessors while the drain list is all
+    // level d, so a staged round's Phase-A reads (including the delta read
+    // in m) match the inline interleaving exactly. A push touches only its
+    // target, so the host side is never written.
+    core::DrainSide host = host_side(h);
+    w.work_items = core::drain_round(
+        scratch_[h], core::RoundEntries<VertexId>{worklist_[h], self_sched_[h]},
+        opts_.drain_grain, hg.num_proxies(), host,
+        [&](VertexId lid, auto&& emit) -> std::uint64_t {
           const DistSigma& sv = labels_[h][lid];
-          if (sv.dist == kInfDist || sv.dist == 0) continue;
+          if (sv.dist == kInfDist || sv.dist == 0) return 0;
           const double m = (1.0 + delta_[h][lid]) / sv.sigma;
-          for (VertexId wl : hg.local.in_neighbors(lid)) {
-            const DistSigma& sw = labels_[h][wl];
+          for (VertexId pl : hg.local.in_neighbors(lid)) {
+            const DistSigma& sw = labels_[h][pl];
             if (sw.dist != kInfDist && sw.dist + 1 == sv.dist) {
-              delta_[h][wl] += sw.sigma * m;
-              if (!hg.is_master[wl]) substrate_.flag_reduce(h, wl);
+              emit(core::PushRec{pl, 0, 0, sw.sigma * m});
             }
-            ++w.work_items;
           }
-        }
-      };
-      drain(worklist_[h]);
-      drain(self_sched_[h]);
-    }
+          return hg.local.in_degree(lid);
+        },
+        [&](const core::PushRec& p, core::DrainSide&, std::uint64_t) {
+          delta_[h][p.target] += p.value;
+          if (!hg.is_master[p.target]) substrate_.flag_reduce(h, p.target);
+        });
     worklist_[h].clear();
     self_sched_[h].clear();
     schedule_backward(h, round + 1);
@@ -504,7 +458,10 @@ class SourceRunner final : public sim::Checkpointable {
     SourceRunner& r;
 
     Value get(HostId h, VertexId lid) { return r.labels_[h][lid]; }
-    void reduce(HostId h, VertexId lid, Value v) { r.combine_forward(h, lid, v.dist, v.sigma); }
+    void reduce(HostId h, VertexId lid, Value v) {
+      core::DrainSide side = r.host_side(h);
+      r.combine_forward(h, lid, v.dist, v.sigma, side, 0);
+    }
     void set(HostId h, VertexId lid, Value v) {
       r.labels_[h][lid] = v;
       r.worklist_[h].push_back(lid);

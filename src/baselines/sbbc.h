@@ -26,8 +26,10 @@ using graph::VertexId;
 enum class Direction : std::uint8_t { kAuto, kPush, kPull };
 
 struct SbbcOptions : core::EngineOptions {
-  /// Forward drain direction policy. Only staged rounds (drains larger than
-  /// drain_grain) consider pulling; smaller rounds always push inline.
+  /// Forward drain direction policy. Only rounds that stage (more than
+  /// drain_grain entries, core::drain_stages) consider pulling; a pull
+  /// round replays its pushes through the push drain's apply and side
+  /// merge (core::replay_ranges). Smaller rounds always push inline.
   /// Scores, stats, wire traffic and checkpoint bytes are identical for all
   /// three settings — the knob trades scan work for push work.
   Direction direction = Direction::kAuto;

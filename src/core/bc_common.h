@@ -56,14 +56,13 @@ struct EngineOptions {
   partition::Policy policy = partition::Policy::kCartesianVertexCut;
   /// Retain per-source dist/sigma/delta tables in the result (tests).
   bool collect_tables = false;
-  /// Worklist entries per chunk for the intra-host parallel drain. Rounds
-  /// draining more than this many entries use the two-phase staged kernel
-  /// (parallel push generation, then per-target-range replay in sequential
-  /// push order); smaller rounds drain directly. The grain is part of the
-  /// deterministic decomposition — results are bit-identical for any thread
-  /// count at a fixed grain, but changing the grain changes which path
-  /// small rounds take. Only SBBC's staged forward rounds may pull instead
-  /// (SbbcOptions::direction); MRBC always pushes.
+  /// Worklist entries per chunk of the round drain (core::drain_round). A
+  /// round of more entries stages: parallel push generation over
+  /// grain-sized chunks, then per-target-range replay in inline push order.
+  /// A round of at most this many applies each push as it is generated.
+  /// Both ways run the same relaxation body, and results are bit-identical
+  /// for any thread count at a fixed grain. Only SBBC's staged forward
+  /// rounds may pull instead (SbbcOptions::direction); MRBC always pushes.
   std::size_t drain_grain = 64;
   sim::ClusterOptions cluster;
 

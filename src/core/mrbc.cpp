@@ -27,32 +27,35 @@ constexpr std::uint8_t kFwdFinal = 1;    // forward label finalized on this prox
 constexpr std::uint8_t kAccFinal = 2;    // dependency finalized on this proxy
 constexpr std::uint8_t kEagerStaged = 4; // staged for eager (non-final) broadcast
 
-// ---- Two-phase staged drain -----------------------------------------------
-// Large rounds drain their worklist in parallel while staying bit-identical
-// to the sequential drain. Phase A splits the (lid, sidx) entry list into
-// fixed grain-sized chunks (thread-count independent) and, per chunk,
-// snapshots + finalizes each entry and records its neighbor pushes, bucketed
-// by the target lid's 64-aligned range. Phase B replays each range's pushes
-// in global sequential order — chunk-index major, in-chunk push order minor
-// — so every slot sees exactly the arithmetic sequence the sequential drain
-// would have applied. Ranges are disjoint in everything a push mutates (the
-// slot array is lid-major, dirty/L_v-row/to_broadcast state is per-lid, and
-// 64-lid alignment keeps substrate flag-bitset words range-private), so
-// ranges can replay concurrently.
+// ---- The round drain ---------------------------------------------------------
+// Each phase kernel is one relaxation body (the expand callables in
+// compute_forward and compute_backward) and one push apply (combine_*),
+// run by core::drain_round (core/staged_drain.h). Rounds of at most
+// drain_grain entries apply each push as the body emits it. Larger rounds
+// drain in parallel and stay bit-identical to that inline drain: Phase A
+// splits the (lid, sidx) entry list into fixed grain-sized chunks
+// (thread-count independent) and, per chunk, finalizes each entry, reads
+// its slot and records its neighbor pushes, bucketed by the target lid's
+// 64-aligned range. Phase B replays each range's pushes in global push
+// order — chunk-index major, in-chunk push order minor — so every slot
+// sees exactly the arithmetic sequence the inline drain applies. Ranges
+// are disjoint in everything a push mutates (the slot array is lid-major,
+// dirty/L_v-row/to_broadcast state is per-lid, and 64-lid alignment keeps
+// substrate flag-bitset and pending-set words range-private), so ranges
+// replay concurrently. The two side effects no lid owns, the anomaly count
+// and the eager staging list, go through a DrainSide: the host's own
+// inline, one per range when staged, merged in push-ordinal order.
 //
 // Snapshot safety: Phase A reads every drained entry's slot before any push
-// is applied, where the sequential drain interleaves pushes with later
+// is applied, where the inline drain interleaves pushes with later
 // entries' reads. These agree on valid runs: the delayed-sync schedule fires
 // an entry only when its label/dependency is final (Lemmas 2-6 — in
 // particular tau_sv > tau_sw for an SP-DAG edge w->v, so same-round
 // push-into-drained-entry events always hit an already-final slot and are
 // either discarded by the stale-distance check or counted as anomalies).
 // Runs that already violate the pipelining invariant (anomalies > 0) may
-// count anomalies differently than the sequential drain; they are reported
+// count anomalies differently than the inline drain; they are reported
 // as broken either way.
-//
-// The drain (staged_drain) with its PushRec / ChunkRecs records and 64-lid
-// range partition lives in core/staged_drain.h, shared with SBBC.
 
 /// One worklist entry: source `sidx`'s label on proxy `lid` is final and
 /// drains this round. POD, so worklists checkpoint through write_vector as
@@ -291,20 +294,20 @@ class BatchRunner final : public sim::Checkpointable {
 
   // ---- Forward phase ----------------------------------------------------
 
+  /// The host's own drain side: its anomaly counter and eager staging list.
+  DrainSide host_side(HostId h) { return DrainSide(staged_lids_[h], &anomalies_[h]); }
+
   /// Applies one incoming (dist, sigma) contribution to a proxy — the
-  /// lines 11-17 update rules of Alg. 3 in proxy form. The (anoms, staged,
-  /// ord) tail routes the two side effects that are not per-target-lid —
-  /// the anomaly counter and the eager staging list — to per-range
-  /// accumulators during a staged replay; the comm-phase entry point below
-  /// binds them to the host's direct state.
-  void combine_forward_impl(HostId h, graph::VertexId lid, std::uint32_t sidx, std::uint32_t d,
-                            double sigma, std::size_t& anoms, std::vector<OrdLid>* staged,
-                            std::uint64_t ord) {
+  /// lines 11-17 update rules of Alg. 3 in proxy form. The anomaly count
+  /// and the eager staging list go through `side`, with `ord` the push's
+  /// ordinal in a staged round.
+  void combine_forward(HostId h, graph::VertexId lid, std::uint32_t sidx, std::uint32_t d,
+                       double sigma, DrainSide& side, std::uint64_t ord) {
     HostState& st = state_[h];
     SourceSlot& s = st.slot(lid, sidx);
     if (d > s.dist) return;  // stale
     if (flags(h, lid, sidx) & kFwdFinal) {
-      ++anoms;  // update after finalization: forbidden by Lemmas 2-5
+      side.count_anomaly();  // update after finalization: forbidden by Lemmas 2-5
       return;
     }
     if (d < s.dist) {
@@ -316,29 +319,18 @@ class BatchRunner final : public sim::Checkpointable {
     if (part_.host(h).is_master[lid]) {
       // A staged replay range owns whole words of the pending set.
       pending_[h].set(lid);
-      if (!opts_.delayed_sync) stage_eager(h, lid, sidx, staged, ord);
+      if (!opts_.delayed_sync) stage_eager(h, lid, sidx, side, ord);
     } else {
       st.mark_dirty(lid, sidx);
       substrate_.flag_reduce(h, lid);
     }
   }
 
-  void combine_forward(HostId h, graph::VertexId lid, std::uint32_t sidx, std::uint32_t d,
-                       double sigma) {
-    combine_forward_impl(h, lid, sidx, d, sigma, anomalies_[h], nullptr, 0);
-  }
-
-  void stage_eager(HostId h, graph::VertexId lid, std::uint32_t sidx,
-                   std::vector<OrdLid>* staged = nullptr, std::uint64_t ord = 0) {
+  void stage_eager(HostId h, graph::VertexId lid, std::uint32_t sidx, DrainSide& side,
+                   std::uint64_t ord) {
     if (flags(h, lid, sidx) & kEagerStaged) return;
     flags(h, lid, sidx) |= kEagerStaged;
-    if (state_[h].to_broadcast[lid].empty()) {
-      if (staged) {
-        staged->push_back({ord, lid});
-      } else {
-        staged_lids_[h].push_back(lid);
-      }
-    }
+    if (state_[h].to_broadcast[lid].empty()) side.append(lid, ord);
     state_[h].to_broadcast[lid].push_back({sidx, false});
     substrate_.flag_broadcast(h, lid);
   }
@@ -389,76 +381,28 @@ class BatchRunner final : public sim::Checkpointable {
     host_active_[h] = active;
   }
 
-  /// One drained entry: position e in the concatenation worklist ++
-  /// self_sched (the exact sequential drain order).
-  DrainEntry drain_entry(HostId h, std::size_t e) const {
-    const auto& wl = worklist_[h];
-    return e < wl.size() ? wl[e] : self_sched_[h][e - wl.size()];
-  }
-
-  std::size_t drain_size(HostId h) const { return worklist_[h].size() + self_sched_[h].size(); }
-
-  /// Staged drain of one round (core/staged_drain.h): combine(push, anoms,
-  /// staged, ordinal) applies one push against its range's side
-  /// accumulators, which fold back into host h deterministically afterwards.
-  template <typename SnapshotFn, typename CombineFn>
-  sim::HostWork staged_round(HostId h, std::size_t total, std::size_t grain,
-                             SnapshotFn&& snapshot, CombineFn&& combine) {
-    const std::size_t num_ranges = num_drain_ranges(part_.host(h).num_proxies());
-    const bool eager = !opts_.delayed_sync;
-    std::vector<std::size_t> range_anoms(num_ranges, 0);
-    std::vector<std::vector<OrdLid>> range_staged(eager ? num_ranges : 0);
-    sim::HostWork w;
-    w.work_items = staged_drain(scratch_[h], total, grain, num_ranges, snapshot,
-                                [&](std::size_t r, const PushRec& p, std::uint64_t ord) {
-                                  combine(p, range_anoms[r], eager ? &range_staged[r] : nullptr,
-                                          ord);
-                                });
-    for (std::size_t a : range_anoms) anomalies_[h] += a;
-    merge_side_lists(range_staged, staged_lids_[h]);
-    return w;
-  }
-
   sim::HostWork compute_forward(HostId h) {
     HostState& st = state_[h];
     const auto& hg = part_.host(h);
     sim::HostWork w;
-    const std::size_t total = drain_size(h);
-    const std::size_t grain = std::max<std::size_t>(opts_.drain_grain, 1);
+    DrainSide host = host_side(h);
     // Drain finalized labels delivered this round (broadcast arrivals on
     // mirrors + the master's own scheduled entries): each is the CONGEST
     // "send along all out-edges", performed as local proxy updates.
-    if (total > grain) {
-      w = staged_round(
-          h, total, grain,
-          [&](ChunkRecs& ch, std::vector<PushRec>& recs, std::size_t ei) {
-            const auto [lid, sidx] = drain_entry(h, ei);
-            flags(h, lid, sidx) |= kFwdFinal;
-            const SourceSlot s = st.slot(lid, sidx);
-            for (graph::VertexId tl : hg.local.out_neighbors(lid)) {
-              recs.push_back(PushRec{tl, sidx, s.dist + 1, s.sigma,
-                                     static_cast<std::uint32_t>(recs.size())});
-              ++ch.work_items;
-            }
-          },
-          [&](const PushRec& p, std::size_t& anoms, std::vector<OrdLid>* staged,
-              std::uint64_t ord) {
-            combine_forward_impl(h, p.target, p.sidx, p.dist, p.value, anoms, staged, ord);
-          });
-    } else {
-      auto drain = [&](const std::vector<DrainEntry>& list) {
-        for (const auto& [lid, sidx] : list) {
-          flags(h, lid, sidx) |= kFwdFinal;
-          const SourceSlot s = st.slot(lid, sidx);
-          for (graph::VertexId tl : hg.local.out_neighbors(lid)) {
-            combine_forward(h, tl, sidx, s.dist + 1, s.sigma);
-            ++w.work_items;
+    w.work_items = drain_round(
+        scratch_[h], RoundEntries<DrainEntry>{worklist_[h], self_sched_[h]}, opts_.drain_grain,
+        hg.num_proxies(), host,
+        [&](const DrainEntry& e, auto&& emit) -> std::uint64_t {
+          flags(h, e.lid, e.sidx) |= kFwdFinal;
+          const SourceSlot s = st.slot(e.lid, e.sidx);
+          for (graph::VertexId tl : hg.local.out_neighbors(e.lid)) {
+            emit(PushRec{tl, e.sidx, s.dist + 1, s.sigma});
           }
-        }
-      };
-      drain(worklist_[h]);
-      drain(self_sched_[h]);
-    }
+          return hg.local.out_degree(e.lid);
+        },
+        [&](const PushRec& p, DrainSide& side, std::uint64_t ord) {
+          combine_forward(h, p.target, p.sidx, p.dist, p.value, side, ord);
+        });
     worklist_[h].clear();
     self_sched_[h].clear();
     end_staging(h);
@@ -554,81 +498,56 @@ class BatchRunner final : public sim::Checkpointable {
     host_active_[h] = cal.start[cal.next] < cal.entries.size();
   }
 
-  void combine_backward_impl(HostId h, graph::VertexId lid, std::uint32_t sidx,
-                             double contribution, std::size_t& anoms,
-                             std::vector<OrdLid>* staged, std::uint64_t ord) {
+  /// Applies one dependency contribution to a proxy (Alg. 5); the anomaly
+  /// count and the eager staging list go through `side`, as in
+  /// combine_forward.
+  void combine_backward(HostId h, graph::VertexId lid, std::uint32_t sidx, double contribution,
+                        DrainSide& side, std::uint64_t ord) {
     HostState& st = state_[h];
     if (flags(h, lid, sidx) & kAccFinal) {
-      ++anoms;  // dependency arrived after its vertex fired
+      side.count_anomaly();  // dependency arrived after its vertex fired
       return;
     }
     st.slot(lid, sidx).delta += contribution;
     if (part_.host(h).is_master[lid]) {
-      if (!opts_.delayed_sync) stage_eager(h, lid, sidx, staged, ord);
+      if (!opts_.delayed_sync) stage_eager(h, lid, sidx, side, ord);
     } else {
       st.mark_dirty(lid, sidx);
       substrate_.flag_reduce(h, lid);
     }
   }
 
-  void combine_backward(HostId h, graph::VertexId lid, std::uint32_t sidx, double contribution) {
-    combine_backward_impl(h, lid, sidx, contribution, anomalies_[h], nullptr, 0);
-  }
-
   sim::HostWork compute_backward(HostId h, std::uint32_t round, std::uint32_t R) {
     HostState& st = state_[h];
     const auto& hg = part_.host(h);
     sim::HostWork w;
+    DrainSide host = host_side(h);
     // A finalized dependency delta_sv turns into m = (1 + delta)/sigma sent
     // to the predecessors of v in s's SP DAG; predecessors are recognized
     // on each host by dist(w) + 1 == dist(v) (Alg. 5 step 7).
     //
-    // The staged path is snapshot-safe here because replay only mutates
-    // delta — the dist/sigma a Phase-A snapshot reads are frozen for the
-    // whole backward phase.
-    const std::size_t total = drain_size(h);
-    const std::size_t grain = std::max<std::size_t>(opts_.drain_grain, 1);
-    if (total > grain) {
-      w = staged_round(
-          h, total, grain,
-          [&](ChunkRecs& ch, std::vector<PushRec>& recs, std::size_t ei) {
-            const auto [lid, sidx] = drain_entry(h, ei);
-            flags(h, lid, sidx) |= kAccFinal;
-            const SourceSlot& sv = st.slot(lid, sidx);
-            if (sv.dist == kInfDist || sv.dist == 0 || sv.sigma == 0.0) return;
-            const double m = (1.0 + sv.delta) / sv.sigma;
-            for (graph::VertexId wl : hg.local.in_neighbors(lid)) {
-              const SourceSlot& sw = st.slot(wl, sidx);
-              if (sw.dist != kInfDist && sw.dist + 1 == sv.dist) {
-                recs.push_back(
-                    PushRec{wl, sidx, 0, sw.sigma * m, static_cast<std::uint32_t>(recs.size())});
-              }
-              ++ch.work_items;
-            }
-          },
-          [&](const PushRec& p, std::size_t& anoms, std::vector<OrdLid>* staged,
-              std::uint64_t ord) {
-            combine_backward_impl(h, p.target, p.sidx, p.value, anoms, staged, ord);
-          });
-    } else {
-      auto drain = [&](const std::vector<DrainEntry>& list) {
-        for (const auto& [lid, sidx] : list) {
-          flags(h, lid, sidx) |= kAccFinal;
-          const SourceSlot& sv = st.slot(lid, sidx);
-          if (sv.dist == kInfDist || sv.dist == 0 || sv.sigma == 0.0) continue;
+    // A staged round is snapshot-safe here because replay only mutates
+    // delta — the dist/sigma a Phase-A read sees are frozen for the whole
+    // backward phase.
+    w.work_items = drain_round(
+        scratch_[h], RoundEntries<DrainEntry>{worklist_[h], self_sched_[h]}, opts_.drain_grain,
+        hg.num_proxies(), host,
+        [&](const DrainEntry& e, auto&& emit) -> std::uint64_t {
+          flags(h, e.lid, e.sidx) |= kAccFinal;
+          const SourceSlot& sv = st.slot(e.lid, e.sidx);
+          if (sv.dist == kInfDist || sv.dist == 0 || sv.sigma == 0.0) return 0;
           const double m = (1.0 + sv.delta) / sv.sigma;
-          for (graph::VertexId wl : hg.local.in_neighbors(lid)) {
-            const SourceSlot& sw = st.slot(wl, sidx);
+          for (graph::VertexId wl : hg.local.in_neighbors(e.lid)) {
+            const SourceSlot& sw = st.slot(wl, e.sidx);
             if (sw.dist != kInfDist && sw.dist + 1 == sv.dist) {
-              combine_backward(h, wl, sidx, sw.sigma * m);
+              emit(PushRec{wl, e.sidx, 0, sw.sigma * m});
             }
-            ++w.work_items;
           }
-        }
-      };
-      drain(worklist_[h]);
-      drain(self_sched_[h]);
-    }
+          return hg.local.in_degree(e.lid);
+        },
+        [&](const PushRec& p, DrainSide& side, std::uint64_t ord) {
+          combine_backward(h, p.target, p.sidx, p.value, side, ord);
+        });
     worklist_[h].clear();
     self_sched_[h].clear();
     end_staging(h);
@@ -678,12 +597,13 @@ class BatchRunner final : public sim::Checkpointable {
     }
 
     void apply_reduce(HostId h, graph::VertexId lid, comm::CodecReader& buf) {
+      DrainSide side = r.host_side(h);
       const auto n = buf.meta_u32();
       for (std::uint32_t i = 0; i < n; ++i) {
         const auto sidx = buf.value_u32();
         const auto d = buf.value_u32();
         const auto sigma = buf.f64();
-        r.combine_forward(h, lid, sidx, d, sigma);
+        r.combine_forward(h, lid, sidx, d, sigma, side, 0);
       }
     }
 
@@ -737,11 +657,12 @@ class BatchRunner final : public sim::Checkpointable {
     }
 
     void apply_reduce(HostId h, graph::VertexId lid, comm::CodecReader& buf) {
+      DrainSide side = r.host_side(h);
       const auto n = buf.meta_u32();
       for (std::uint32_t i = 0; i < n; ++i) {
         const auto sidx = buf.value_u32();
         const auto contribution = buf.f64();
-        r.combine_backward(h, lid, sidx, contribution);
+        r.combine_backward(h, lid, sidx, contribution, side, 0);
       }
     }
 

@@ -32,29 +32,38 @@ HostState::HostState(std::vector<bool> is_master, std::uint32_t num_sources)
 
 void HostState::layout() {
   const std::size_t np = num_proxies_;
+  const auto nm = static_cast<std::size_t>(std::count(is_master_.begin(), is_master_.end(), true));
   kw_ = (k_ + 63) / 64;
   using util::Arena;
-  arena_.reserve(Arena::bytes_for<SourceSlot>(np * k_) + Arena::bytes_for<std::uint64_t>(np * k_) +
-                 Arena::bytes_for<std::size_t>(np) + 2 * Arena::bytes_for<std::uint32_t>(np) +
-                 Arena::bytes_for<Word>(np * kw_));
+  arena_.reserve(Arena::bytes_for<SourceSlot>(np * k_) + Arena::bytes_for<std::uint64_t>(nm * k_) +
+                 Arena::bytes_for<std::uint32_t>(np + 1) + Arena::bytes_for<std::size_t>(np) +
+                 2 * Arena::bytes_for<std::uint32_t>(np) + Arena::bytes_for<Word>(np * kw_));
   slots_ = arena_.alloc<SourceSlot>(np * k_);
-  keys_ = arena_.alloc<std::uint64_t>(np * k_);
+  keys_ = arena_.alloc<std::uint64_t>(nm * k_);
+  masters_before_ = arena_.alloc<std::uint32_t>(np + 1);
   entry_counts_ = arena_.alloc<std::size_t>(np);
   fwd_sent = arena_.alloc<std::uint32_t>(np);
   acc_sent = arena_.alloc<std::uint32_t>(np);
   dirty_words_ = arena_.alloc<Word>(np * kw_);
+  std::uint32_t masters = 0;
+  for (std::size_t lid = 0; lid < np; ++lid) {
+    masters_before_[lid] = masters;
+    masters += is_master_[lid] ? 1 : 0;
+  }
+  masters_before_[np] = masters;
 }
 
 void HostState::first_touch_init() {
   // 64-lid chunks: the exact decomposition the staged replay buckets by
   // (kRangeShift), so under the pool's stable deal each worker faults in
-  // the arena pages its replay ranges will re-touch every round.
+  // the arena pages its replay ranges will re-touch every round. The key
+  // rows of lids [b, e) are the rows of the masters among them.
   const std::size_t grain = std::size_t{1} << kRangeShift;
   util::ThreadPool::global().parallel_for_chunks(
       0, static_cast<std::size_t>(num_proxies_), grain,
       [&](std::size_t, std::size_t b, std::size_t e) {
         std::fill(slots_.begin() + b * k_, slots_.begin() + e * k_, SourceSlot{});
-        std::fill(keys_.begin() + b * k_, keys_.begin() + e * k_, std::uint64_t{0});
+        std::fill(keys_.begin() + row_start(b), keys_.begin() + row_start(e), std::uint64_t{0});
         std::fill(entry_counts_.begin() + b, entry_counts_.begin() + e, std::size_t{0});
         std::fill(fwd_sent.begin() + b, fwd_sent.begin() + e, 0u);
         std::fill(acc_sent.begin() + b, acc_sent.begin() + e, 0u);
@@ -68,7 +77,7 @@ void HostState::update_distance(VertexId lid, std::uint32_t sidx, std::uint32_t 
     s.dist = new_dist;
     return;
   }
-  std::uint64_t* row = keys_.data() + static_cast<std::size_t>(lid) * k_;
+  std::uint64_t* row = keys_.data() + row_start(lid);
   std::uint64_t* end = row + entry_counts_[lid];
   const std::uint64_t key = entry_key(new_dist, sidx);
   if (s.dist == graph::kInfDist) {
@@ -96,7 +105,7 @@ void HostState::update_distance(VertexId lid, std::uint32_t sidx, std::uint32_t 
 }
 
 std::size_t HostState::position(VertexId lid, std::uint32_t dist, std::uint32_t sidx) const {
-  const std::uint64_t* row = keys_.data() + static_cast<std::size_t>(lid) * k_;
+  const std::uint64_t* row = keys_.data() + row_start(lid);
   const std::uint64_t* at = std::lower_bound(row, row + entry_counts_[lid], entry_key(dist, sidx));
   assert(at != row + entry_counts_[lid] && *at == entry_key(dist, sidx));
   return static_cast<std::size_t>(at - row) + 1;  // 1-based
@@ -194,7 +203,7 @@ void HostState::restore(util::RecvBuffer& buf) {
   for (VertexId lid = 0; lid < num_proxies_; ++lid) {
     std::size_t n = 0;
     if (is_master_[lid]) {
-      std::uint64_t* row = keys_.data() + static_cast<std::size_t>(lid) * k_;
+      std::uint64_t* row = keys_.data() + row_start(lid);
       for (std::uint32_t sidx = 0; sidx < k_; ++sidx) {
         const std::uint32_t d = slot(lid, sidx).dist;
         if (d != graph::kInfDist) row[n++] = entry_key(d, sidx);

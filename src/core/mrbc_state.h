@@ -12,8 +12,9 @@
 //         that fixes an entry's pipelined send round is a binary search.
 //         A distance change is a binary search plus one memmove within the
 //         row. The rows are derived from A_v and never serialized. Only
-//         masters schedule sends, so only masters keep a row: a mirror's
-//         distance lives in its slot alone and its entry_count stays 0.
+//         masters schedule sends, so only masters keep a row, indexed by
+//         master ordinal: a mirror's distance lives in its slot alone and
+//         its entry_count stays 0.
 //
 // Everything the per-round drains touch per vertex — the slot row, the
 // L_v row, the pipelining cursors, the entry count, and the dirty-flag
@@ -82,7 +83,7 @@ class HostState {
   /// idx-th (0-based) entry of L_v in lexicographic (dist, source) order.
   std::pair<std::uint32_t, std::uint32_t> nth_entry(VertexId lid, std::size_t idx) const {
     assert(idx < entry_counts_[lid]);
-    const std::uint64_t key = keys_[static_cast<std::size_t>(lid) * k_ + idx];
+    const std::uint64_t key = keys_[row_start(lid) + idx];
     return {static_cast<std::uint32_t>(key >> 32), static_cast<std::uint32_t>(key)};
   }
 
@@ -136,6 +137,9 @@ class HostState {
   /// the same decomposition the staged replay ranges use, so pages are
   /// first-touched by the worker whose ranges live in them.
   void first_touch_init();
+  /// Offset of master `lid`'s L_v row in keys_: rows are indexed by master
+  /// ordinal.
+  std::size_t row_start(std::size_t lid) const { return std::size_t{masters_before_[lid]} * k_; }
 
   std::vector<bool> is_master_;
   VertexId num_proxies_ = 0;
@@ -143,7 +147,8 @@ class HostState {
   std::uint32_t kw_ = 0;  ///< ceil(k / 64): words per lid in dirty_words_
   util::Arena arena_;
   std::span<SourceSlot> slots_;
-  std::span<std::uint64_t> keys_;  ///< np x k L_v rows, sorted, entry_count live (masters)
+  std::span<std::uint64_t> keys_;  ///< masters x k L_v rows, sorted, entry_count live
+  std::span<std::uint32_t> masters_before_;  ///< np + 1: masters below each lid
   std::span<std::size_t> entry_counts_;
   std::span<Word> dirty_words_;  ///< np x kw_ idempotency bits for mark_dirty
   std::vector<std::vector<std::uint32_t>> dirty_;

@@ -1,14 +1,25 @@
 #pragma once
-// Shared machinery for the deterministic two-phase parallel worklist drain
-// used by the MRBC and SBBC compute kernels (see the design comment in
-// core/mrbc.cpp). Phase A records each drained entry's neighbor pushes into
-// per-chunk buffers bucketed by the target lid's 64-aligned range; Phase B
-// replays every range's pushes in (chunk index, in-chunk order) — the exact
-// sequential push order — with ranges running concurrently because they are
-// disjoint in everything a push mutates.
+// The one round drain of the MRBC and SBBC phase kernels (the design
+// comment in core/mrbc.cpp says why it is bit-identical). A round drains a
+// host's entry list — the broadcast arrivals, then the host's own
+// scheduled entries — through two callables per kernel: expand(entry,
+// emit), the kernel's one relaxation body, emits the entry's neighbor
+// pushes, and apply(push, side, ordinal) applies one push. drain_round
+// runs them one of two ways, chosen by the round's size:
+//   - at or below `grain` entries, inline: each push is applied as it is
+//     emitted, its side effects go straight to the host's own DrainSide,
+//     and nothing is allocated;
+//   - above it, staged: Phase A cuts the entries into grain-sized chunks
+//     (thread-count independent) and records each chunk's pushes, bucketed
+//     by the target lid's 64-aligned range; Phase B replays every range's
+//     pushes in (chunk index, in-chunk order) — the inline push order —
+//     with ranges running concurrently because they are disjoint in
+//     everything a push mutates. Each range has a DrainSide of its own,
+//     merged into the host's in push-ordinal order.
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -25,18 +36,81 @@ inline std::size_t num_drain_ranges(std::size_t num_proxies) {
   return (num_proxies + (std::size_t{1} << kRangeShift) - 1) >> kRangeShift;
 }
 
-/// One recorded neighbor push awaiting ordered replay.
+/// Whether a round of `total` entries stages: drain_round's choice, which
+/// SBBC also consults before it considers a pull.
+inline bool drain_stages(std::size_t total, std::size_t grain) {
+  return total > std::max<std::size_t>(grain, 1);
+}
+
+/// One neighbor push, as an expand body emits it.
 struct PushRec {
   graph::VertexId target = 0;
   std::uint32_t sidx = 0;   ///< source index (MRBC); unused by SBBC
   std::uint32_t dist = 0;   ///< forward phase only
   double value = 0;         ///< sigma (forward) / contribution (backward)
-  std::uint32_t ord = 0;    ///< in-chunk sequential push index
+  std::uint32_t ord = 0;    ///< in-chunk push index (staged) / drain ordinal (SBBC pull)
+};
+
+/// A round's entry list: the broadcast arrivals, then the host's own
+/// scheduled entries. Every drain visits the entries in this order.
+template <typename Entry>
+struct RoundEntries {
+  const std::vector<Entry>& arrivals;
+  const std::vector<Entry>& scheduled;
+
+  std::size_t size() const { return arrivals.size() + scheduled.size(); }
+  const Entry& operator[](std::size_t i) const {
+    return i < arrivals.size() ? arrivals[i] : scheduled[i - arrivals.size()];
+  }
+};
+
+/// Where a push's side effects go that its target lid does not own: an
+/// anomaly count and appends to one host-wide list (MRBC's eager staging
+/// list, SBBC's next frontier). A host's side writes straight to the
+/// host's counter and list. A replay range's side keeps its own count and
+/// records each append with its push ordinal until merge() folds it in.
+class DrainSide {
+ public:
+  /// The host's own side. SBBC counts no anomalies and passes no counter.
+  explicit DrainSide(std::vector<graph::VertexId>& list, std::size_t* anomalies = nullptr)
+      : list_(&list), anomalies_(anomalies) {}
+  /// A replay range's side.
+  DrainSide() = default;
+
+  void count_anomaly() { ++(list_ == nullptr ? range_anomalies_ : *anomalies_); }
+
+  void append(graph::VertexId lid, std::uint64_t ordinal) {
+    if (list_ == nullptr) {
+      appends_.emplace_back(ordinal, lid);
+    } else {
+      list_->push_back(lid);
+    }
+  }
+
+  /// Folds range sides into this host side and empties them: their counts
+  /// add up, and their appends land in push-ordinal order, the order the
+  /// inline drain appends them in.
+  void merge(std::span<DrainSide> ranges) {
+    std::vector<OrdLid> all;
+    for (DrainSide& r : ranges) {
+      if (r.range_anomalies_ != 0) *anomalies_ += std::exchange(r.range_anomalies_, 0);
+      all.insert(all.end(), r.appends_.begin(), r.appends_.end());
+      r.appends_.clear();
+    }
+    std::sort(all.begin(), all.end());
+    for (const auto& [ordinal, lid] : all) list_->push_back(lid);
+  }
+
+ private:
+  using OrdLid = std::pair<std::uint64_t, graph::VertexId>;  ///< (push ordinal, lid)
+  std::vector<graph::VertexId>* list_ = nullptr;  ///< host side only
+  std::size_t* anomalies_ = nullptr;              ///< host side only
+  std::size_t range_anomalies_ = 0;               ///< range side only
+  std::vector<OrdLid> appends_;                   ///< range side only
 };
 
 /// Phase-A output of one entry chunk: pushes counting-sorted (stably) into
-/// contiguous per-range segments. Instances are pooled in a DrainScratch and
-/// reused round after round — bucket_by_range recycles every internal buffer.
+/// contiguous per-range segments.
 struct ChunkRecs {
   std::vector<PushRec> sorted;
   std::vector<std::uint32_t> starts;  ///< num_ranges + 1 offsets into sorted
@@ -55,66 +129,75 @@ struct ChunkRecs {
   std::vector<std::uint32_t> cursor_;  ///< scratch for the counting sort
 };
 
-/// Per-host reusable buffers for the staged drains. The per-round record
-/// traffic (one PushRec per edge relaxation) previously churned fresh
-/// vectors every round; pooling them keeps the allocations warm across the
-/// whole phase. Capacities only grow; clear() is what resets contents.
+/// Per-host buffers of the staged drain, reused round after round:
+/// capacities only grow.
 struct DrainScratch {
-  std::vector<ChunkRecs> chunks;             ///< Phase-A output, per entry chunk
-  std::vector<std::vector<PushRec>> raw;     ///< Phase-A record buffer, per chunk
+  std::vector<ChunkRecs> chunks;          ///< Phase-A output, per entry chunk
+  std::vector<std::vector<PushRec>> raw;  ///< Phase-A record buffer, per chunk
+  std::vector<DrainSide> sides;           ///< Phase-B side, per replay range
 };
-
-/// Side-list append captured during replay: (global push ordinal, lid).
-/// Sorting by ordinal reconstructs the exact sequential append order.
-using OrdLid = std::pair<std::uint64_t, graph::VertexId>;
 
 /// Global ordinal of in-chunk push `ord` in chunk `c`: chunk-major order.
 inline std::uint64_t push_ordinal(std::size_t c, std::uint32_t ord) {
   return (static_cast<std::uint64_t>(c) << 32) | ord;
 }
 
-/// One two-phase staged drain of `total` entries; returns the summed work
-/// items. Phase A cuts the entries into grain-sized chunks (thread-count
-/// independent) and calls snapshot(chunk, recs, entry_index) per entry: it
-/// appends the entry's pushes to recs and counts chunk.work_items. Phase B
-/// calls replay(range, push, push_ordinal) for each range's pushes in
-/// sequential push order, ranges concurrently. Buffers are pooled in `sc`.
-template <typename SnapshotFn, typename ReplayFn>
-std::uint64_t staged_drain(DrainScratch& sc, std::size_t total, std::size_t grain,
-                           std::size_t num_ranges, SnapshotFn&& snapshot, ReplayFn&& replay) {
+/// Runs replay(range, side) for every range concurrently, each range with
+/// a side of its own, then merges the range sides into `host`.
+template <typename ReplayFn>
+void replay_ranges(DrainScratch& sc, std::size_t num_ranges, DrainSide& host, ReplayFn&& replay) {
+  if (sc.sides.size() < num_ranges) sc.sides.resize(num_ranges);
+  util::ThreadPool::global().parallel_for(0, num_ranges, 1,
+                                          [&](std::size_t r) { replay(r, sc.sides[r]); });
+  host.merge(std::span<DrainSide>(sc.sides.data(), num_ranges));
+}
+
+/// Drains one round of `entries` on a host with `num_proxies` proxies and
+/// returns the summed work items. expand(entry, emit) calls emit(push) for
+/// each of the entry's pushes and returns the entry's work items;
+/// apply(push, side, ordinal) applies one push, its side effects to
+/// `side`. Staged buffers are pooled in `sc`.
+template <typename Entry, typename ExpandFn, typename ApplyFn>
+std::uint64_t drain_round(DrainScratch& sc, RoundEntries<Entry> entries, std::size_t grain,
+                          std::size_t num_proxies, DrainSide& host, ExpandFn&& expand,
+                          ApplyFn&& apply) {
+  const std::size_t total = entries.size();
+  std::uint64_t work_items = 0;
+  if (!drain_stages(total, grain)) {
+    for (std::size_t ei = 0; ei < total; ++ei) {
+      work_items += expand(entries[ei], [&](const PushRec& p) { apply(p, host, 0); });
+    }
+    return work_items;
+  }
+  grain = std::max<std::size_t>(grain, 1);
   const std::size_t n = util::ThreadPool::chunk_count(total, grain);
+  const std::size_t num_ranges = num_drain_ranges(num_proxies);
   if (sc.chunks.size() < n) sc.chunks.resize(n);
   if (sc.raw.size() < n) sc.raw.resize(n);
   util::ThreadPool::global().parallel_for_chunks(
       0, total, grain, [&](std::size_t c, std::size_t b, std::size_t e) {
         ChunkRecs& ch = sc.chunks[c];
-        ch.work_items = 0;
         std::vector<PushRec>& recs = sc.raw[c];
         recs.clear();
-        for (std::size_t ei = b; ei < e; ++ei) snapshot(ch, recs, ei);
+        ch.work_items = 0;
+        for (std::size_t ei = b; ei < e; ++ei) {
+          ch.work_items += expand(entries[ei], [&](const PushRec& p) {
+            recs.push_back(p);
+            recs.back().ord = static_cast<std::uint32_t>(recs.size() - 1);
+          });
+        }
         ch.bucket_by_range(recs, num_ranges);
       });
-  util::ThreadPool::global().parallel_for(0, num_ranges, 1, [&](std::size_t r) {
+  replay_ranges(sc, num_ranges, host, [&](std::size_t r, DrainSide& side) {
     for (std::size_t c = 0; c < n; ++c) {
       const ChunkRecs& ch = sc.chunks[c];
       for (std::uint32_t i = ch.starts[r]; i < ch.starts[r + 1]; ++i) {
-        replay(r, ch.sorted[i], push_ordinal(c, ch.sorted[i].ord));
+        apply(ch.sorted[i], side, push_ordinal(c, ch.sorted[i].ord));
       }
     }
   });
-  std::uint64_t work_items = 0;
   for (std::size_t c = 0; c < n; ++c) work_items += sc.chunks[c].work_items;
   return work_items;
-}
-
-/// Appends the lids of per-range side lists to `out` in push-ordinal order:
-/// the order the sequential drain would have appended them.
-inline void merge_side_lists(const std::vector<std::vector<OrdLid>>& ranges,
-                             std::vector<graph::VertexId>& out) {
-  std::vector<OrdLid> all;
-  for (const auto& v : ranges) all.insert(all.end(), v.begin(), v.end());
-  std::sort(all.begin(), all.end());
-  for (const auto& [ord, lid] : all) out.push_back(lid);
 }
 
 }  // namespace mrbc::core

@@ -21,6 +21,7 @@
 #include "stream/edge_batch.h"
 #include "stream/incremental_bc.h"
 #include "test_helpers.h"
+#include "util/serialize.h"
 #include "util/thread_pool.h"
 
 namespace mrbc {
@@ -129,11 +130,14 @@ core::MrbcRun run_mrbc(const Graph& g, const std::vector<VertexId>& sources, std
   return core::mrbc_bc(g, sources, opts);
 }
 
+/// With `snapshot_crcs` set, every round checkpoints and the crc32 of each
+/// loop snapshot is appended to it.
 baselines::SbbcRun run_sbbc(const Graph& g, const std::vector<VertexId>& sources,
                             std::size_t threads, bool parallel_hosts, std::size_t drain_grain,
                             comm::CodecMode codec = comm::CodecMode::kRaw,
                             baselines::Direction direction = baselines::Direction::kAuto,
-                            partition::Policy policy = partition::Policy::kCartesianVertexCut) {
+                            partition::Policy policy = partition::Policy::kCartesianVertexCut,
+                            std::vector<std::uint32_t>* snapshot_crcs = nullptr) {
   baselines::SbbcOptions opts;
   opts.num_hosts = 4;
   opts.drain_grain = drain_grain;
@@ -143,6 +147,13 @@ baselines::SbbcRun run_sbbc(const Graph& g, const std::vector<VertexId>& sources
   opts.cluster.parallel_hosts = parallel_hosts;
   opts.cluster.record_round_log = true;
   opts.cluster.codec = codec;
+  if (snapshot_crcs != nullptr) {
+    opts.cluster.checkpoint_interval = 1;
+    opts.cluster.on_checkpoint = [snapshot_crcs](const sim::LoopCheckpoint& ck,
+                                                 const sim::RunStats&) {
+      snapshot_crcs->push_back(util::crc32(ck.snapshot));
+    };
+  }
   return baselines::sbbc_bc(g, sources, opts);
 }
 
@@ -166,14 +177,20 @@ TEST_F(DeterminismTest, MrbcStagedDrainMatchesInlineDrain) {
   const Graph g = det_graph();
   const auto sources = det_sources(g, 16);
   // grain 1 forces every multi-entry round through the two-phase staged
-  // kernel; a huge grain keeps every round on the inline drain.
-  const auto staged = run_mrbc(g, sources, 1, false, 1);
-  const auto inlined = run_mrbc(g, sources, 1, false, std::size_t{1} << 30);
-  EXPECT_EQ(staged.anomalies, 0u);
-  EXPECT_EQ(staged.anomalies, inlined.anomalies);
-  expect_bits_equal(staged.result.bc, inlined.result.bc, "mrbc staged vs inline");
-  expect_stats_equal(staged.forward, inlined.forward, "mrbc forward staged vs inline");
-  expect_stats_equal(staged.backward, inlined.backward, "mrbc backward staged vs inline");
+  // kernel; a huge grain keeps every round on the inline drain. Eager sync
+  // also stages intermediate labels through the drain's side lists.
+  for (const bool delayed_sync : {true, false}) {
+    const std::string label = "mrbc delayed_sync=" + std::to_string(delayed_sync);
+    const auto staged = run_mrbc(g, sources, 1, false, 1, nullptr, comm::CodecMode::kRaw,
+                                 delayed_sync);
+    const auto inlined = run_mrbc(g, sources, 1, false, std::size_t{1} << 30, nullptr,
+                                  comm::CodecMode::kRaw, delayed_sync);
+    EXPECT_EQ(staged.anomalies, 0u) << label;
+    EXPECT_EQ(staged.anomalies, inlined.anomalies) << label;
+    expect_bits_equal(staged.result.bc, inlined.result.bc, label + " staged vs inline");
+    expect_stats_equal(staged.forward, inlined.forward, label + " forward staged vs inline");
+    expect_stats_equal(staged.backward, inlined.backward, label + " backward staged vs inline");
+  }
 }
 
 TEST_F(DeterminismTest, MrbcIsThreadCountInvariant) {
@@ -304,6 +321,30 @@ TEST_F(DeterminismTest, DirectionModesAreBitIdenticalForSbbc) {
       expect_bits_equal(run.result.bc, reference.result.bc, label);
       expect_stats_equal(run.forward, reference.forward, label + " forward");
       expect_stats_equal(run.backward, reference.backward, label + " backward");
+    }
+  }
+}
+
+// Each SBBC forward round appends the next frontier through its drain
+// side, and every round's snapshot holds that list. The inline drain
+// appends in push order; a staged round's per-range sides and a pull
+// round's ordinals must merge back into exactly that order. The snapshot
+// also holds the labels, whose struct padding is whatever a label's last
+// copy left there, so the snapshot must not carry it.
+TEST_F(DeterminismTest, SbbcSnapshotsMatchInlineDrain) {
+  using baselines::Direction;
+  const Graph g = det_graph();
+  const auto sources = det_sources(g, 6);
+  std::vector<std::uint32_t> inlined;
+  run_sbbc(g, sources, 1, false, std::size_t{1} << 30, comm::CodecMode::kRaw, Direction::kPush,
+           partition::Policy::kCartesianVertexCut, &inlined);
+  ASSERT_FALSE(inlined.empty());
+  for (const Direction dir : {Direction::kPush, Direction::kPull, Direction::kAuto}) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+      std::vector<std::uint32_t> staged;
+      run_sbbc(g, sources, threads, threads > 1, 1, comm::CodecMode::kRaw, dir,
+               partition::Policy::kCartesianVertexCut, &staged);
+      EXPECT_EQ(staged, inlined) << "dir=" << static_cast<int>(dir) << " threads=" << threads;
     }
   }
 }
