@@ -1,14 +1,14 @@
 // Streaming churn benchmark: incremental BC maintenance vs from-scratch
 // recomputation across a sweep of batch sizes. For each (input, batch_ops)
 // cell a stream of random insert/delete batches is applied; after every
-// batch the incremental engine's actual cost (affected-source re-execution
-// + distributed ingest) is compared against what recomputing all sampled
+// batch the incremental engine's actual cost (the re-execution of the
+// affected sources) is compared against what recomputing all sampled
 // sources through MRBC on the post-batch snapshot would have cost.
 //
 // Expected shape: small batches touch few SSSP DAGs, so the incremental
 // path re-executes a small fraction of the sources and wins on rounds,
 // bytes, and modeled seconds; as batches grow the affected fraction
-// approaches 1 and the engine's full-recompute fallback closes the gap.
+// approaches 1 and the gap closes.
 
 #include <algorithm>
 #include <cstdio>
@@ -86,8 +86,8 @@ void run() {
         const auto rep = inc.apply(batch);
         inc_sources += rep.affected_sources;
         inc_rounds += rep.reexec.rounds;
-        inc_bytes += rep.reexec.bytes + rep.ingest_bytes;
-        inc_seconds += rep.model_seconds();
+        inc_bytes += rep.reexec.bytes;
+        inc_seconds += rep.reexec.total_seconds();
         affected_frac += static_cast<double>(rep.affected_sources) /
                          static_cast<double>(inc.sources().size());
 

@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <string>
 #include <thread>
 
@@ -35,7 +36,6 @@
 #include "obs/trace.h"
 #include "serve/server.h"
 #include "util/csv.h"
-#include "util/stats_registry.h"
 #include "util/thread_pool.h"
 
 namespace {
@@ -249,19 +249,37 @@ void print_profile(const char* what, const sim::RunStats& stats) {
   }
 }
 
-util::StatsRegistry g_stats;
+/// --stats-file contents: "key=value" lines in the paper artifact's
+/// statistics-file format, counters then values, each sorted by key.
+struct StatsFile {
+  std::map<std::string, std::uint64_t> counters;
+  std::map<std::string, double> values;
+
+  /// False when `path` cannot be written.
+  bool write(const std::string& path) const {
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    if (f == nullptr) return false;
+    for (const auto& [key, value] : counters) {
+      std::fprintf(f, "%s=%llu\n", key.c_str(), static_cast<unsigned long long>(value));
+    }
+    for (const auto& [key, value] : values) std::fprintf(f, "%s=%.9g\n", key.c_str(), value);
+    return std::fclose(f) == 0;
+  }
+};
+
+StatsFile g_stats;
 
 void record_profile(const char* phase, const sim::RunStats& stats) {
   const std::string p(phase);
-  g_stats.set_counter(p + ".rounds", stats.rounds);
-  g_stats.set_counter(p + ".messages", stats.messages);
-  g_stats.set_counter(p + ".bytes", stats.bytes);
-  g_stats.set_value(p + ".compute_seconds", stats.compute_seconds);
-  g_stats.set_value(p + ".network_seconds", stats.network_seconds);
-  g_stats.set_value(p + ".load_imbalance", stats.mean_imbalance());
-  g_stats.set_value(p + ".comm_seconds", stats.phases.comm_seconds);
-  g_stats.set_value(p + ".checkpoint_seconds", stats.phases.checkpoint_seconds);
-  g_stats.set_value(p + ".recovery_seconds", stats.phases.recovery_seconds);
+  g_stats.counters[p + ".rounds"] = stats.rounds;
+  g_stats.counters[p + ".messages"] = stats.messages;
+  g_stats.counters[p + ".bytes"] = stats.bytes;
+  g_stats.values[p + ".compute_seconds"] = stats.compute_seconds;
+  g_stats.values[p + ".network_seconds"] = stats.network_seconds;
+  g_stats.values[p + ".load_imbalance"] = stats.mean_imbalance();
+  g_stats.values[p + ".comm_seconds"] = stats.phases.comm_seconds;
+  g_stats.values[p + ".checkpoint_seconds"] = stats.phases.checkpoint_seconds;
+  g_stats.values[p + ".recovery_seconds"] = stats.phases.recovery_seconds;
 }
 
 /// Prints a distributed run's forward/backward profile and records it for
@@ -416,7 +434,7 @@ static int run_tool(int argc, char** argv) {
     auto run = core::mrbc_bc(g, sources, opts);
     if (run.halted) return halted_by_signal(args);
     report(run);
-    g_stats.set_value("replication_factor", run.replication_factor);
+    g_stats.values["replication_factor"] = run.replication_factor;
     if (run.anomalies) std::printf("WARNING: %zu pipelining anomalies\n", run.anomalies);
     bc = std::move(run.result.bc);
   } else if (args.algo == "congest") {
@@ -463,10 +481,13 @@ static int run_tool(int argc, char** argv) {
     std::printf("wrote %s\n", args.csv.c_str());
   }
   if (!args.stats_file.empty()) {
-    g_stats.set_counter("graph.vertices", g.num_vertices());
-    g_stats.set_counter("graph.edges", g.num_edges());
-    g_stats.set_counter("sources", sources.size());
-    g_stats.write_file(args.stats_file);
+    g_stats.counters["graph.vertices"] = g.num_vertices();
+    g_stats.counters["graph.edges"] = g.num_edges();
+    g_stats.counters["sources"] = sources.size();
+    if (!g_stats.write(args.stats_file)) {
+      std::fprintf(stderr, "cannot write stats file: %s\n", args.stats_file.c_str());
+      return 1;
+    }
     std::printf("wrote %s\n", args.stats_file.c_str());
   }
   if (!args.trace_json.empty()) {

@@ -3,9 +3,8 @@
 //   $ ./streaming_bc
 //
 // A synthetic social network absorbs batches of edge insertions and
-// deletions; after each batch the incremental engine re-executes only the
-// sampled sources whose shortest-path DAGs the batch touched (plus the
-// modeled cost of routing the updates to their owning hosts), and the
+// deletions; after each batch the incremental engine re-executes exactly
+// the sampled sources whose shortest-path DAGs the batch touched, and the
 // top-5 central vertices are reported per epoch.
 
 #include <algorithm>
@@ -51,10 +50,12 @@ int main() {
               static_cast<unsigned long long>(bc.epoch()), bc.sources().size());
   print_top5();
 
-  // 2. Stream edge-update batches. Each apply() routes the batch to owning
-  //    hosts, applies it to the CSR as one epoch, and restores exactness by
-  //    re-running only the affected sources.
+  // 2. Stream edge-update batches. Each apply() applies the batch to the
+  //    CSR as one epoch and restores exactness by re-running only the
+  //    affected sources.
   util::Xoshiro256 rng(99);
+  std::size_t total_ops = 0, total_reexecuted = 0;
+  sim::RunStats total_cost;
   for (int round = 0; round < 5; ++round) {
     stream::EdgeBatch batch;
     for (int i = 0; i < 20; ++i) {
@@ -67,16 +68,21 @@ int main() {
       }
     }
     const stream::BatchReport report = bc.apply(batch);
-    std::printf("epoch %llu: %zu/%zu ops applied, %zu/%zu sources re-executed%s, "
-                "%zu ingest bytes, %.4f model-s\n",
+    std::printf("epoch %llu: %zu/%zu ops applied, %zu/%zu sources re-executed, "
+                "%zu rounds, %zu bytes, %.4f model-s\n",
                 static_cast<unsigned long long>(report.epoch), report.applied_ops, batch.size(),
-                report.affected_sources, bc.sources().size(),
-                report.full_recompute ? " (full recompute)" : "", report.ingest_bytes,
-                report.model_seconds());
+                report.affected_sources, bc.sources().size(), report.reexec.rounds,
+                report.reexec.bytes, report.reexec.total_seconds());
     print_top5();
+    total_ops += report.applied_ops;
+    total_reexecuted += report.affected_sources;
+    total_cost += report.reexec;
   }
 
   // 3. Cumulative accounting for the whole stream.
-  std::printf("\nstream counters:\n%s", bc.stats().serialize().c_str());
+  std::printf("\nstream totals: %zu ops applied, %zu sources re-executed, %zu rounds, "
+              "%zu bytes, %.4f model-s\n",
+              total_ops, total_reexecuted, total_cost.rounds, total_cost.bytes,
+              total_cost.total_seconds());
   return 0;
 }

@@ -45,14 +45,6 @@ bool parse_codec_mode(const std::string& name, CodecMode& out) {
   return true;
 }
 
-std::size_t encoded_f64_size(double v, CodecMode mode) {
-  if (!compress_values(mode)) return sizeof(double);
-  if (integral_taggable(v)) {
-    return util::varint_size((static_cast<std::uint64_t>(v) << 1) | 1u);
-  }
-  return 1 + sizeof(double);
-}
-
 void write_f64(util::SendBuffer& buf, double v, CodecMode mode) {
   if (!compress_values(mode)) {
     buf.write(v);

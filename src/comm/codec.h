@@ -12,10 +12,10 @@
 //                   fixed-width.
 //   kFull         — kMetadataOnly plus payload compression: uint32 planes
 //                   are frame-of-reference (subtract-min) + varint packed,
-//                   doubles use the tagged-integral encoding below, signed
-//                   values zigzag. Decoded values are bit-identical to the
-//                   raw wire in every mode — compression changes bytes on
-//                   the wire, never the arithmetic behind them.
+//                   doubles use the tagged-integral encoding below.
+//                   Decoded values are bit-identical to the raw wire in
+//                   every mode — compression changes bytes on the wire,
+//                   never the arithmetic behind them.
 //
 // Doubles: BC sigma/delta values are IEEE doubles, but forward-phase sigma
 // values are integral shortest-path counts, so most of them round-trip
@@ -53,19 +53,6 @@ bool parse_codec_mode(const std::string& name, CodecMode& out);
 
 inline bool compress_metadata(CodecMode m) { return m != CodecMode::kRaw; }
 inline bool compress_values(CodecMode m) { return m == CodecMode::kFull; }
-
-/// Encoded wire size of one double under `mode` (8, or 1..10 in kFull).
-std::size_t encoded_f64_size(double v, CodecMode mode);
-
-/// Encoded wire size of one payload uint32 under `mode`.
-inline std::size_t encoded_value_u32_size(std::uint32_t v, CodecMode mode) {
-  return compress_values(mode) ? util::varint_size(v) : sizeof(std::uint32_t);
-}
-
-/// Encoded wire size of one structural uint32 (count/index) under `mode`.
-inline std::size_t encoded_meta_u32_size(std::uint32_t v, CodecMode mode) {
-  return compress_metadata(mode) ? util::varint_size(v) : sizeof(std::uint32_t);
-}
 
 /// Appends one double under `mode` (tagged-integral in kFull, raw bits
 /// otherwise); the raw-equivalent accounting is always 8 bytes.
@@ -113,23 +100,6 @@ class CodecWriter {
       buf_.write(v);
     }
   }
-  void value_u64(std::uint64_t v) {
-    if (compress_values(mode_)) {
-      buf_.write_varint(v, sizeof(std::uint64_t));
-    } else {
-      buf_.write(v);
-    }
-  }
-  /// Signed payload integer; zigzag keeps small magnitudes of either sign
-  /// to one or two wire bytes in kFull.
-  void value_i64(std::int64_t v) {
-    if (compress_values(mode_)) {
-      buf_.write_varint(util::zigzag_encode(v), sizeof(std::int64_t));
-    } else {
-      buf_.write(v);
-    }
-  }
-
   void f64(double v) { write_f64(buf_, v, mode_); }
 
   /// Sorted ascending uint32 list (presence offsets, sorted LID lists):
@@ -185,14 +155,6 @@ class CodecReader {
     return compress_values(mode_) ? narrow_u32(buf_.read_varint())
                                   : buf_.read<std::uint32_t>();
   }
-  std::uint64_t value_u64() {
-    return compress_values(mode_) ? buf_.read_varint() : buf_.read<std::uint64_t>();
-  }
-  std::int64_t value_i64() {
-    return compress_values(mode_) ? util::zigzag_decode(buf_.read_varint())
-                                  : buf_.read<std::int64_t>();
-  }
-
   double f64() { return read_f64(buf_, mode_); }
 
   std::vector<std::uint32_t> sorted_u32_list() {

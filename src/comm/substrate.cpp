@@ -57,7 +57,6 @@ Substrate::Substrate(HostId num_hosts) : part_(nullptr), H_(num_hosts) {
 
 void Substrate::set_delivery(const DeliveryOptions& options) {
   delivery_ = options;
-  framed_ = options.reliable || options.faults != nullptr;
   next_seq_.assign(static_cast<std::size_t>(H_) * H_, 0);
   last_accepted_.assign(static_cast<std::size_t>(H_) * H_, 0);
 }

@@ -22,20 +22,19 @@
 // All traffic flows through real serialization buffers so byte counts are
 // measured, not estimated.
 //
-// Delivery modes: by default the simulated wire is lossless and messages
-// are applied directly (zero framing overhead — byte counts match Gluon's
-// payload accounting). When DeliveryOptions sets a fault source or
-// reliable delivery, the substrate frames every host-pair message as
-// [seq:u64][crc32:u32][payload] and can run a reliable-delivery protocol
-// against the injected fault model:
+// Delivery: by default the simulated wire is lossless and messages are
+// applied directly (zero framing overhead — byte counts match Gluon's
+// payload accounting). When DeliveryOptions sets a fault source, the
+// substrate frames every host-pair message as [seq:u64][crc32:u32][payload]
+// and runs a reliable-delivery protocol against the injected fault model:
 //   - CRC32 over the payload detects corruption (frames failing the check
 //     are counted and discarded, never applied);
 //   - per-(src,dst) sequence numbers suppress duplicate deliveries;
-//   - in reliable mode, lost/corrupt frames are retransmitted with
-//     exponential backoff, bounded by kMaxDeliveryAttempts; the final attempt
-//     models an escalated verified path so delivery is guaranteed, which
-//     is what keeps the MRBC delayed-synchronization schedule (every label
-//     arrives in its prescribed round, Lemmas 7-8) intact under faults.
+//   - lost/corrupt frames are retransmitted with exponential backoff,
+//     bounded by kMaxDeliveryAttempts; the final attempt models an
+//     escalated verified path so delivery is guaranteed, which is what
+//     keeps the MRBC delayed-synchronization schedule (every label arrives
+//     in its prescribed round, Lemmas 7-8) intact under faults.
 // Retransmit/duplicate traffic is accounted separately in SyncStats so the
 // engine's NetworkModel can cost it without distorting the headline
 // payload-byte comparisons.
@@ -185,13 +184,11 @@ class ChannelFaults {
 
 /// Configuration of the delivery layer. Defaults reproduce the historical
 /// lossless direct-apply path bit-for-bit (no framing bytes); a fault
-/// source or reliable delivery frames every host-pair message as
-/// [seq][crc32][payload] (12 bytes more per message).
+/// source frames every host-pair message as [seq][crc32][payload] (12 bytes
+/// more per message) and retransmits lost/corrupt frames until delivered
+/// (bounded by Substrate::kMaxDeliveryAttempts; the last attempt is
+/// escalated and cannot fail).
 struct DeliveryOptions {
-  /// Retransmit lost/corrupt frames until delivered (bounded by
-  /// Substrate::kMaxDeliveryAttempts; the last attempt is escalated and
-  /// cannot fail).
-  bool reliable = false;
   /// Fault source, or nullptr for a clean wire. Non-owning.
   ChannelFaults* faults = nullptr;
   /// Wire codec for message metadata and payload planes (see comm/codec.h).
@@ -374,7 +371,7 @@ class Substrate {
  private:
   /// [seq:u64][crc:u32] prepended to every payload in framed mode.
   static constexpr std::size_t kFrameHeaderBytes = sizeof(std::uint64_t) + sizeof(std::uint32_t);
-  /// Total transmission attempts per frame in reliable mode.
+  /// Total transmission attempts per frame in framed mode.
   static constexpr std::size_t kMaxDeliveryAttempts = 8;
   /// reserve() headroom for the presence encoding's tags/length prefixes.
   static constexpr std::size_t kPresenceSlack = 32;
@@ -554,7 +551,8 @@ class Substrate {
             .record(msg.raw_bytes() * 100 / msg.size());
       }
     }
-    if (!framed_) {
+    ChannelFaults* faults = delivery_.faults;
+    if (faults == nullptr) {
       stats.bytes += msg.size();
       stats.raw_bytes += msg.raw_bytes();
       stats.bytes_per_host[src] += msg.size();
@@ -570,7 +568,6 @@ class Substrate {
     const std::size_t pair = pair_index(src, dst);
     const std::uint64_t seq = ++next_seq_[pair];
     const std::size_t frame_bytes = kFrameHeaderBytes + payload.size();
-    ChannelFaults* faults = delivery_.faults;
     for (std::size_t attempt = 1;; ++attempt) {
       if (attempt == 1) {
         stats.bytes += frame_bytes;
@@ -581,21 +578,15 @@ class Substrate {
         stats.retransmit_bytes += frame_bytes;
         stats.backoff_steps += std::size_t{1} << std::min<std::size_t>(attempt - 2, 16);
       }
-      // The final reliable attempt is escalated (verified out-of-band) and
-      // bypasses injection: bounded retransmission must terminate with a
-      // delivery or the recovery guarantee would be probabilistic.
-      const bool forced = delivery_.reliable && attempt >= kMaxDeliveryAttempts;
-      if (faults && !forced && faults->drop(src, dst, seq)) {
+      // The final attempt is escalated (verified out-of-band) and bypasses
+      // injection: bounded retransmission must terminate with a delivery
+      // or the recovery guarantee would be probabilistic.
+      const bool forced = attempt >= kMaxDeliveryAttempts;
+      if (!forced && faults->drop(src, dst, seq)) {
         stats.drops += 1;
-        if (!delivery_.reliable) {
-          if (obs::metrics_enabled()) {
-            obs::Metrics::global().histogram(obs::Hist::kRetransmitAttempts).record(attempt);
-          }
-          return;  // lost for good
-        }
         continue;
       }
-      long flip = faults && !forced && !payload.empty()
+      long flip = !forced && !payload.empty()
                       ? faults->corrupt_bit(src, dst, seq, payload.size())
                       : -1;
       if (flip >= 0) {
@@ -605,17 +596,11 @@ class Substrate {
             static_cast<std::uint8_t>(1u << (static_cast<std::size_t>(flip) % 8));
         if (util::crc32(wire) != crc) {
           stats.corruptions_detected += 1;
-          if (!delivery_.reliable) {
-            if (obs::metrics_enabled()) {
-              obs::Metrics::global().histogram(obs::Hist::kRetransmitAttempts).record(attempt);
-            }
-            return;  // detected and discarded, not repaired
-          }
           continue;
         }
       }
       if (forced) stats.forced_deliveries += 1;
-      const bool duplicated = faults && !forced && faults->duplicate(src, dst, seq);
+      const bool duplicated = !forced && faults->duplicate(src, dst, seq);
       if (duplicated) {
         stats.duplicates += 1;
         stats.retransmit_bytes += frame_bytes;  // the extra copy is real traffic
@@ -641,7 +626,6 @@ class Substrate {
   std::vector<util::DynamicBitset> reduce_flags_;
   std::vector<util::DynamicBitset> broadcast_flags_;
   DeliveryOptions delivery_;
-  bool framed_ = false;                       ///< reliable || faults != nullptr
   std::vector<HostId> placement_;             ///< logical→physical map; empty = identity
   std::vector<std::uint64_t> next_seq_;       ///< per (src,dst) sender counter
   std::vector<std::uint64_t> last_accepted_;  ///< per (src,dst) receiver high-water mark

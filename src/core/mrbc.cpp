@@ -385,6 +385,7 @@ class BatchRunner final : public sim::Checkpointable {
     HostState& st = state_[h];
     const auto& hg = part_.host(h);
     sim::HostWork w;
+    end_staging(h);
     DrainSide host = host_side(h);
     // Drain finalized labels delivered this round (broadcast arrivals on
     // mirrors + the master's own scheduled entries): each is the CONGEST
@@ -405,7 +406,6 @@ class BatchRunner final : public sim::Checkpointable {
         });
     worklist_[h].clear();
     self_sched_[h].clear();
-    end_staging(h);
     // Re-evaluate after the drain: local pushes can seed brand-new entries
     // at same-host masters without setting any sync flag, and the loop
     // must not quiesce while any master still has unsent entries. Every
@@ -420,9 +420,10 @@ class BatchRunner final : public sim::Checkpointable {
     return w;
   }
 
-  /// Ends a round's broadcast staging: empties each staged lid's list and
-  /// clears the kEagerStaged marks of its non-final entries, the only ones
-  /// stage_eager sets.
+  /// Ends the staging the last broadcast sent, before a drain stages
+  /// anew: empties each staged lid's list and clears the kEagerStaged marks
+  /// of its non-final entries, the only ones stage_eager sets. What the
+  /// drain and the next comm phase stage then reaches the next broadcast.
   void end_staging(HostId h) {
     HostState& st = state_[h];
     for (graph::VertexId lid : staged_lids_[h]) {
@@ -521,6 +522,7 @@ class BatchRunner final : public sim::Checkpointable {
     HostState& st = state_[h];
     const auto& hg = part_.host(h);
     sim::HostWork w;
+    end_staging(h);
     DrainSide host = host_side(h);
     // A finalized dependency delta_sv turns into m = (1 + delta)/sigma sent
     // to the predecessors of v in s's SP DAG; predecessors are recognized
@@ -550,7 +552,6 @@ class BatchRunner final : public sim::Checkpointable {
         });
     worklist_[h].clear();
     self_sched_[h].clear();
-    end_staging(h);
     schedule_backward(h, round + 1, R);
     w.active = host_active_[h];
     return w;

@@ -213,12 +213,11 @@ struct ClusterOptions {
 
   // ---- Fault tolerance ----------------------------------------------------
   /// Fault source for this execution; nullptr = fault-free (zero overhead,
-  /// historical behavior). Non-owning; one injector may serve several
-  /// loops (its crash fires once across all of them).
+  /// historical behavior). With one attached, every message is framed and
+  /// lost or corrupt frames are retransmitted (reliable delivery).
+  /// Non-owning; one injector may serve several loops (its crash fires
+  /// once across all of them).
   FaultInjector* fault = nullptr;
-  /// Retransmit lost/corrupt frames (reliable delivery). When false,
-  /// corruption is still detected (CRC) but lost data is not repaired.
-  bool reliable_delivery = true;
   /// Rounds between coordinated checkpoints (crash recovery granularity).
   std::size_t checkpoint_interval = 8;
   /// Wire codec for sync/scatter messages (comm/codec.h). kRaw keeps the
@@ -247,7 +246,6 @@ struct ClusterOptions {
   comm::DeliveryOptions delivery() const {
     comm::DeliveryOptions d;
     d.faults = fault;
-    d.reliable = fault != nullptr && reliable_delivery;
     d.codec = codec;
     return d;
   }

@@ -100,6 +100,15 @@ void DistBcEngine::read_entries(util::RecvBuffer& buf, std::vector<Entry>& out) 
   }
 }
 
+void DistBcEngine::copy_to_group(std::vector<util::SendBuffer>& out, HostId h,
+                                 HostId first) const {
+  const HostId r = grid_.row_of(h);
+  for (HostId l = 0; l < grid_.layers; ++l) {
+    const HostId peer = grid_.host_at(r, l);
+    if (peer != h && peer != first) out[peer] = out[first];
+  }
+}
+
 std::vector<std::size_t> DistBcEngine::layer_slices(const Entry* list, std::size_t count) const {
   std::vector<std::size_t> slice(grid_.layers + 1, count);
   std::size_t i = 0;
@@ -116,6 +125,7 @@ void DistBcEngine::queue_column_broadcast(std::vector<std::vector<util::SendBuff
                                           const std::vector<std::size_t>& slices) const {
   const HostId pr = grid_.rows;
   const HostId c = grid_.layers;
+  if (pr < 2) return;  // no other row to send to
   for (HostId l = 0; l < c; ++l) {
     const std::size_t len = slices[l + 1] - slices[l];
     if (len == 0) continue;
@@ -123,10 +133,13 @@ void DistBcEngine::queue_column_broadcast(std::vector<std::vector<util::SendBuff
       const std::size_t cb = slices[l] + len * lp / c;
       const std::size_t ce = slices[l] + len * (lp + 1) / c;
       if (cb == ce) continue;
-      const HostId sender = grid_.host_at(r, lp);
-      for (HostId r2 = 0; r2 < pr; ++r2) {
-        if (r2 == r) continue;
-        write_entries(buffers[sender][grid_.host_at(r2, l)], base + cb, ce - cb);
+      // Every peer row gets identical bytes: encode the chunk once, into the
+      // first peer row's buffer, and copy it to the others.
+      std::vector<util::SendBuffer>& out = buffers[grid_.host_at(r, lp)];
+      const HostId first = r == 0 ? 1 : 0;
+      write_entries(out[grid_.host_at(first, l)], base + cb, ce - cb);
+      for (HostId r2 = first + 1; r2 < pr; ++r2) {
+        if (r2 != r) out[grid_.host_at(r2, l)] = out[grid_.host_at(first, l)];
       }
     }
   }
@@ -179,11 +192,9 @@ comm::SyncStats DistBcEngine::forward_exchange() {
       for (HostId h = 0; h < H; ++h) {
         if (partials_[h].empty()) continue;
         const HostId r = grid_.row_of(h);
-        for (HostId l = 0; l < c; ++l) {
-          const HostId peer = grid_.host_at(r, l);
-          if (peer == h) continue;
-          write_entries(buffers[h][peer], partials_[h].data(), partials_[h].size());
-        }
+        const HostId first = grid_.host_at(r, grid_.layer_of(h) == 0 ? 1 : 0);
+        write_entries(buffers[h][first], partials_[h].data(), partials_[h].size());
+        copy_to_group(buffers[h], h, first);
       }
       for (auto& se : staged_entries_) se.clear();
       stats += net_.scatter(std::move(buffers),
@@ -438,16 +449,14 @@ comm::SyncStats DistBcEngine::reduce_delta_partials() {
     for (HostId h = 0; h < H; ++h) {
       if (delta_partials_[h].empty()) continue;
       const HostId r = grid_.row_of(h);
-      for (HostId l = 0; l < c; ++l) {
-        const HostId peer = grid_.host_at(r, l);
-        if (peer == h) continue;
-        comm::CodecWriter w(buffers[h][peer], opts_.cluster.codec);
-        for (const DeltaPartial& d : delta_partials_[h]) {
-          w.value_u32(d.v);
-          w.value_u32(d.sidx);
-          w.f64(d.value);
-        }
+      const HostId first = grid_.host_at(r, grid_.layer_of(h) == 0 ? 1 : 0);
+      comm::CodecWriter w(buffers[h][first], opts_.cluster.codec);
+      for (const DeltaPartial& d : delta_partials_[h]) {
+        w.value_u32(d.v);
+        w.value_u32(d.sidx);
+        w.f64(d.value);
       }
+      copy_to_group(buffers[h], h, first);
     }
     for (auto& sd : staged_delta_) sd.clear();
     stats += net_.scatter(std::move(buffers), [&](HostId src, HostId dst, util::RecvBuffer& rbuf) {

@@ -146,6 +146,10 @@ class DistBcEngine final : public sim::Checkpointable {
   std::vector<std::vector<util::SendBuffer>> make_buffers() const;
   void write_entries(util::SendBuffer& buf, const Entry* entries, std::size_t count) const;
   void read_entries(util::RecvBuffer& buf, std::vector<Entry>& out) const;
+  /// Copies out[first], host h's message to one member of its replica
+  /// group, to h's other group members: an all-reduce sends every peer the
+  /// same bytes, so each payload is encoded once.
+  void copy_to_group(std::vector<util::SendBuffer>& out, HostId h, HostId first) const;
   /// Contiguous per-layer slice boundaries of a (v, sidx)-sorted span
   /// (vertex_layer is monotone in v). Returns layers+1 offsets.
   std::vector<std::size_t> layer_slices(const Entry* list, std::size_t count) const;

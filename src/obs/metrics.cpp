@@ -17,7 +17,6 @@ const char* hist_name(Hist h) {
     case Hist::kRoundWorkItems: return "engine/round_work_items";
     case Hist::kRetransmitAttempts: return "comm/delivery_attempts";
     case Hist::kSpanMicros: return "obs/span_micros";
-    case Hist::kIngestBatchOps: return "stream/ingest_batch_ops";
     case Hist::kCompressionPct: return "comm/compression_pct";
     case Hist::kServeCoalescedBatches: return "serve/coalesced_batches";
     case Hist::kServeRequestMicros: return "serve/request_us";

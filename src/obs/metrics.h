@@ -2,10 +2,10 @@
 // obs::Metrics — histograms over the simulator's hot-path quantities
 // (message sizes, per-round bytes/messages, work items, retransmit
 // attempts, span durations) and the daemon's request latency and ingest
-// coalescing, with percentile queries and JSON export. Complements
-// util::StatsRegistry (scalar key=value counters in the Galois artifact
-// format) with *distributions*: Figure-2-style attribution needs to know
-// not just how many bytes moved but how they were shaped into messages.
+// coalescing, with percentile queries and JSON export. Where RunStats
+// counts totals, these are *distributions*: Figure-2-style attribution
+// needs to know not just how many bytes moved but how they were shaped
+// into messages.
 //
 // One bucket layout serves every histogram in src/obs, cumulative
 // (Histogram) and windowed (obs::WindowedMetrics): values 0..7 get exact
@@ -32,7 +32,6 @@ enum class Hist : std::uint8_t {
   kRoundWorkItems,         ///< operator applications per BSP round
   kRetransmitAttempts,     ///< delivery attempts per frame (1 = clean)
   kSpanMicros,             ///< wall duration of measured tracer spans
-  kIngestBatchOps,         ///< EdgeBatch ops per routed ingest batch
   kCompressionPct,         ///< per-message raw/encoded bytes × 100 (100 = 1.0×)
   kServeCoalescedBatches,  ///< ingest batches folded into one daemon apply pass
   kServeRequestMicros,     ///< daemon request handling time, whole µs

@@ -122,36 +122,6 @@ std::vector<HostId> assign_edges(const Graph& g, HostId num_hosts, Policy policy
   return assignment;
 }
 
-HostId edge_owner(const graph::Edge& e, graph::VertexId num_vertices, HostId num_hosts,
-                  Policy policy) {
-  // An endpoint >= num_vertices is in no block: it is owned like the last
-  // vertex, so routing an op that the batch apply will reject still names
-  // a real host.
-  const auto block = [&](VertexId v) {
-    return block_owner(std::min<VertexId>(v, num_vertices - 1), num_vertices, num_hosts);
-  };
-  switch (policy) {
-    case Policy::kEdgeCutSrc:
-      return block(e.src);
-    case Policy::kEdgeCutDst:
-      return block(e.dst);
-    case Policy::kCartesianVertexCut: {
-      const auto [pr, pc] = cartesian_grid(num_hosts);
-      const HostId row = block(e.src) / pc;
-      const HostId col = block(e.dst) % pc;
-      (void)pr;
-      return row * pc + col;
-    }
-    case Policy::kGeneralVertexCut:
-    case Policy::kRandomEdge: {
-      // SplitMix64 over the packed endpoints: deterministic, well mixed.
-      util::SplitMix64 mix((static_cast<std::uint64_t>(e.src) << 32) | e.dst);
-      return static_cast<HostId>(mix.next() % num_hosts);
-    }
-  }
-  return 0;
-}
-
 HostId handoff_owner(HostId logical, const std::vector<HostId>& alive) {
   assert(!alive.empty() && "handoff needs at least one survivor");
   HostId best = alive.front();

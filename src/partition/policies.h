@@ -14,17 +14,6 @@ namespace mrbc::partition {
 /// (edge i is the i-th entry of out_targets traversed by ascending source).
 std::vector<HostId> assign_edges(const Graph& g, HostId num_hosts, Policy policy);
 
-/// Owner host of a single edge under the stateless policies, consistent
-/// with assign_edges: streaming ingest uses this to route edge deltas to
-/// the host that will own them without materializing the whole graph.
-/// kGeneralVertexCut and kRandomEdge assign per-run (greedy state / RNG
-/// stream), so single-edge routing falls back to a deterministic hash of
-/// the endpoints — stable across batches, balanced, but not guaranteed to
-/// match a later assign_edges pass. Endpoints >= num_vertices (ingest ops
-/// naming no vertex) are owned like num_vertices - 1.
-HostId edge_owner(const graph::Edge& e, graph::VertexId num_vertices, HostId num_hosts,
-                  Policy policy);
-
 /// Rendezvous (highest-random-weight) choice of the survivor that adopts a
 /// dead host's logical shard: every candidate in `alive` is scored by a
 /// hash of (logical, candidate) and the highest score wins. Every survivor

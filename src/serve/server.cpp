@@ -781,6 +781,11 @@ std::string Server::handle_metrics(const EpochSnapshot& snap, bool keep_alive) {
   w.sample("mrbc_serve_ingest_ops_total", {}, load(counters_.ops_ingested));
   w.type("mrbc_serve_applies_total", "counter", "Coalesced apply passes (epoch transitions).");
   w.sample("mrbc_serve_applies_total", {}, load(counters_.batches_applied));
+  w.type("mrbc_serve_ops_applied_total", "counter", "Ingested edge ops that changed the graph.");
+  w.sample("mrbc_serve_ops_applied_total", {}, load(counters_.ops_applied));
+  w.type("mrbc_serve_sources_reexecuted_total", "counter",
+         "Sampled sources re-run because an apply touched their shortest-path DAG.");
+  w.sample("mrbc_serve_sources_reexecuted_total", {}, load(counters_.sources_reexecuted));
 
   // Coalescing factor: admitted batches per apply pass. >1 means bursty
   // writers are amortizing recomputes, the whole point of the coalescing
@@ -973,12 +978,15 @@ void Server::ingest_loop() {
       merged.ops.insert(merged.ops.end(), p.batch.ops.begin(), p.batch.ops.end());
     }
     const Clock::time_point t0 = Clock::now();
+    stream::BatchReport report;
     {
       obs::Span span(obs::Category::kServe, "serve/apply");
-      engine_->apply(merged);
+      report = engine_->apply(merged);
     }
     publish_epoch(pending.size(), seconds_since(t0));
     counters_.batches_applied.fetch_add(1, std::memory_order_relaxed);
+    counters_.ops_applied.fetch_add(report.applied_ops, std::memory_order_relaxed);
+    counters_.sources_reexecuted.fetch_add(report.affected_sources, std::memory_order_relaxed);
     telemetry_.on_apply(seconds_since(t0) * 1e6);
     if (obs::metrics_enabled()) {
       obs::Metrics::global()

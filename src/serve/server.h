@@ -116,6 +116,8 @@ struct ServerCounters {
   std::atomic<std::uint64_t> batches_ingested{0};   ///< accepted via POST
   std::atomic<std::uint64_t> ops_ingested{0};
   std::atomic<std::uint64_t> batches_applied{0};    ///< after coalescing
+  std::atomic<std::uint64_t> ops_applied{0};        ///< ops that changed the graph
+  std::atomic<std::uint64_t> sources_reexecuted{0};  ///< sampled sources re-run
   std::atomic<std::uint64_t> epochs_published{0};
   std::atomic<std::uint64_t> checkpoints_written{0};
 };

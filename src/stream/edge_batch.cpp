@@ -5,74 +5,11 @@
 #include <map>
 
 #include "graph/builder.h"
-#include "util/varint.h"
 
 namespace mrbc::stream {
 
 using graph::Edge;
 using graph::VertexId;
-
-void EdgeBatch::serialize(util::SendBuffer& buf, comm::CodecMode mode) const {
-  comm::CodecWriter w(buf, mode);
-  w.meta_u32(static_cast<std::uint32_t>(ops.size()));
-  std::uint32_t prev_src = 0;
-  for (const EdgeOp& op : ops) {
-    if (comm::compress_values(mode)) {
-      // Zigzag delta from the previous op's src; raw equivalent is the
-      // uint32 the fixed-width layout ships for this field.
-      const std::int64_t delta = static_cast<std::int64_t>(op.edge.src) -
-                                 static_cast<std::int64_t>(prev_src);
-      buf.write_varint(util::zigzag_encode(delta), sizeof(std::uint32_t));
-      prev_src = op.edge.src;
-    } else {
-      w.value_u32(op.edge.src);
-    }
-    w.value_u32(op.edge.dst);
-    w.u8(static_cast<std::uint8_t>(op.kind));
-  }
-}
-
-EdgeBatch EdgeBatch::deserialize(util::RecvBuffer& buf, comm::CodecMode mode) {
-  comm::CodecReader r(buf, mode);
-  EdgeBatch batch;
-  const auto n = r.meta_u32();
-  batch.ops.reserve(n);
-  std::int64_t prev_src = 0;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    EdgeOp op;
-    if (comm::compress_values(mode)) {
-      const std::int64_t src = prev_src + util::zigzag_decode(buf.read_varint());
-      if (src < 0 || src > 0xFFFFFFFFll) {
-        throw std::out_of_range("EdgeBatch: src delta out of range");
-      }
-      op.edge.src = static_cast<graph::VertexId>(src);
-      prev_src = src;
-    } else {
-      op.edge.src = r.value_u32();
-    }
-    op.edge.dst = r.value_u32();
-    op.kind = static_cast<EdgeOpKind>(r.u8());
-    batch.ops.push_back(op);
-  }
-  return batch;
-}
-
-std::size_t EdgeBatch::wire_bytes(comm::CodecMode mode) const {
-  std::size_t bytes = comm::encoded_meta_u32_size(static_cast<std::uint32_t>(ops.size()), mode);
-  std::uint32_t prev_src = 0;
-  for (const EdgeOp& op : ops) {
-    if (comm::compress_values(mode)) {
-      const std::int64_t delta = static_cast<std::int64_t>(op.edge.src) -
-                                 static_cast<std::int64_t>(prev_src);
-      bytes += util::varint_size(util::zigzag_encode(delta));
-      prev_src = op.edge.src;
-    } else {
-      bytes += sizeof(std::uint32_t);
-    }
-    bytes += comm::encoded_value_u32_size(op.edge.dst, mode) + 1;
-  }
-  return bytes;
-}
 
 AppliedBatch apply_batch(graph::Graph g, const EdgeBatch& batch) {
   const VertexId n = g.num_vertices();

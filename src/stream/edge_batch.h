@@ -8,9 +8,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "comm/codec.h"
 #include "graph/graph.h"
-#include "util/serialize.h"
 
 namespace mrbc::stream {
 
@@ -42,24 +40,6 @@ struct EdgeBatch {
   std::size_t size() const { return ops.size(); }
   bool empty() const { return ops.empty(); }
   void clear() { ops.clear(); }
-
-  /// Wire format (used by the distributed ingest path): [count:u32] then
-  /// per op [src:u32][dst:u32][kind:u8]. Written explicitly rather than as
-  /// a POD vector so struct padding never hits the wire. Under
-  /// CodecMode::kFull the count and dst become varints and src is sent as
-  /// a zigzag varint delta from the previous op's src (batches cluster
-  /// around hot vertices, so consecutive deltas are small either way);
-  /// kRaw reproduces the fixed-width layout byte-for-byte.
-  void serialize(util::SendBuffer& buf,
-                 comm::CodecMode mode = comm::CodecMode::kRaw) const;
-  static EdgeBatch deserialize(util::RecvBuffer& buf,
-                               comm::CodecMode mode = comm::CodecMode::kRaw);
-
-  /// Fixed-width serialized size in bytes (raw ingest traffic accounting).
-  std::size_t wire_bytes() const { return sizeof(std::uint32_t) + ops.size() * 9; }
-
-  /// Exact serialized size under `mode` (equals wire_bytes() for kRaw).
-  std::size_t wire_bytes(comm::CodecMode mode) const;
 };
 
 /// The graph after a batch, and the ops that changed it in batch order.

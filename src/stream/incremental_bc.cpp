@@ -142,48 +142,24 @@ sim::RunStats IncrementalBc::reexecute(const std::vector<std::uint32_t>& source_
       if (v != s && dist_[sidx][v] != kInfDist) bc_[v] += dep_[sidx][v];
     }
   }
-  sim::RunStats total = run.forward;
-  total += run.backward;
-  registry_.add_counter("stream/sources_reexecuted", source_idxs.size());
-  registry_.add_counter("stream/reexec_rounds", total.rounds);
-  registry_.add_counter("stream/reexec_messages", total.messages);
-  registry_.add_counter("stream/reexec_bytes", total.bytes);
-  registry_.add_seconds("stream/reexec_seconds", total.total_seconds());
-  return total;
+  return run.total();
 }
 
 BatchReport IncrementalBc::apply(const EdgeBatch& batch) {
   BatchReport report;
 
-  // 1. Distributed ingest: route the batch to owning hosts over the
-  //    current partition. The scores are host-agnostic, so only the
-  //    traffic/cost accounting of the routed batch is consumed here; a
-  //    real deployment would hand routed.per_host[h] to host h's store.
-  if (opts_.mrbc.num_hosts > 1) {
-    comm::Substrate substrate(partition());
-    substrate.set_delivery(opts_.mrbc.cluster.delivery());
-    const RoutedBatch routed =
-        route_batch(batch, substrate, opts_.mrbc.policy, opts_.mrbc.cluster.network, &registry_);
-    report.ingest_messages = routed.wire.messages;
-    report.ingest_bytes = routed.wire.bytes;
-    report.ingest_seconds = routed.modeled_seconds;
-  }
-
-  // 2. Epoch transition: the batch, in order, on the current CSR.
+  // 1. Epoch transition: the batch, in order, on the current CSR.
   AppliedBatch next = apply_batch(std::move(graph_), batch);
   graph_ = std::move(next.graph);
   const std::vector<EdgeOp>& applied = next.applied;
   report.epoch = ++epoch_;
   report.applied_ops = applied.size();
-  registry_.add_counter("stream/batches", 1);
-  registry_.add_counter("stream/ops_applied", applied.size());
-  registry_.add_counter("stream/ops_rejected", batch.size() - applied.size());
   if (applied.empty()) return report;
   ++graph_changes_;
   partition_.reset();
   if (sources_.empty()) return report;
 
-  // 3. Affected-source detection against the retained (pre-batch) tables.
+  // 2. Affected-source detection against the retained (pre-batch) tables.
   obs::Span probe_span(obs::Category::kStream, "probe");
   std::vector<std::uint32_t> affected;
   for (std::uint32_t sidx = 0; sidx < sources_.size(); ++sidx) {
@@ -203,21 +179,9 @@ BatchReport IncrementalBc::apply(const EdgeBatch& batch) {
     }
   }
   probe_span.close();
-
-  const double fraction =
-      static_cast<double>(affected.size()) / static_cast<double>(sources_.size());
-  report.full_recompute = fraction > opts_.recompute_threshold;
-  if (report.full_recompute) {
-    affected.resize(sources_.size());
-    for (std::uint32_t i = 0; i < affected.size(); ++i) affected[i] = i;
-    registry_.add_counter("stream/full_recomputes", 1);
-  }
   report.affected_sources = affected.size();
 
-  // 4. Re-run only what changed, on a partition of the next CSR. The
-  //    counter keeps its historical name: it counts the applies that
-  //    changed the graph (of a non-empty graph).
-  registry_.add_counter("stream/compactions", 1);
+  // 3. Re-run exactly what changed, on a partition of the next CSR.
   if (!affected.empty()) {
     obs::Span rerun_span(obs::Category::kStream, "rerun");
     report.reexec = reexecute(affected);

@@ -6,12 +6,9 @@
 // the sources whose SSSP DAG the batch actually touched.
 //
 // Per batch:
-//   1. on a partition of more than one host, the EdgeBatch is routed to
-//      owning hosts through the comm substrate (stream/ingest.h) —
-//      modeled distributed ingest traffic;
-//   2. apply_batch applies the ops in order to the current CSR and yields
+//   1. apply_batch applies the ops in order to the current CSR and yields
 //      the next CSR and the ops that changed it (epoch transition);
-//   3. affected-source detection probes each applied op's endpoints
+//   2. affected-source detection probes each applied op's endpoints
 //      against the retained per-source distance tables:
 //        insert (u,v): s affected iff d_s(u) finite and (v unreachable or
 //                      d_s(u)+1 <= d_s(v)) — a shorter path (<) or an
@@ -21,14 +18,12 @@
 //                      change neither distances nor path counts).
 //      The OR over a batch's ops is exact (no false negatives): any
 //      cascade of changes starts at an op whose old-distance test fires.
-//   4. each affected source's stale dependency contributions are
-//      subtracted from the maintained scores, and only the affected
+//   3. each affected source's stale dependency contributions are
+//      subtracted from the maintained scores, and exactly the affected
 //      sources are re-run through the batched MRBC forward/accumulation
 //      phases on partition() of the next CSR; their new contributions are
-//      added back.
-// When the affected fraction exceeds recompute_threshold, the incremental
-// machinery would redo nearly everything anyway, so all sources are
-// re-executed in one pass (the "fall back to full recompute" rule).
+//      added back. An unaffected source's tables are already those of the
+//      next CSR, so re-running it would change nothing.
 //
 // Scores are maintained UNscaled (the plain sum over the sampled source
 // set, exactly what brandes_bc_sources produces for the same sources —
@@ -42,8 +37,6 @@
 
 #include "core/mrbc.h"
 #include "stream/edge_batch.h"
-#include "stream/ingest.h"
-#include "util/stats_registry.h"
 
 namespace mrbc::stream {
 
@@ -51,26 +44,18 @@ struct IncrementalBcOptions {
   /// Sampled sources (>= n means exact BC maintenance).
   std::uint32_t num_samples = 64;
   std::uint64_t seed = 1;
-  /// Affected fraction above which a full recompute replaces per-source
-  /// surgery.
-  double recompute_threshold = 0.75;
   /// Distributed execution configuration for re-runs (collect_tables is
   /// forced on internally — the tables are the incremental state).
   core::MrbcOptions mrbc;
 };
 
-/// Per-batch maintenance report (bench/stream_churn.cpp aggregates these).
+/// Per-batch maintenance report (the daemon's /metrics and
+/// bench/stream_churn.cpp sum these).
 struct BatchReport {
   std::uint64_t epoch = 0;
   std::size_t applied_ops = 0;
   std::size_t affected_sources = 0;   ///< sources re-executed
-  bool full_recompute = false;
   sim::RunStats reexec;               ///< MRBC forward+backward of the re-run
-  std::size_t ingest_messages = 0;
-  std::size_t ingest_bytes = 0;
-  double ingest_seconds = 0;
-
-  double model_seconds() const { return reexec.total_seconds() + ingest_seconds; }
 };
 
 class IncrementalBc {
@@ -89,22 +74,17 @@ class IncrementalBc {
   const graph::Graph& graph() const { return graph_; }
   /// Advances once per apply(), whether or not the batch changed the graph.
   std::uint64_t epoch() const { return epoch_; }
-  /// graph() partitioned over mrbc.{num_hosts, policy}, which ingest
-  /// routing and re-execution use too. Built on first use after each
-  /// change to the graph, so at most once per graph change.
+  /// graph() partitioned over mrbc.{num_hosts, policy}, which re-execution
+  /// uses too. Built on first use after each change to the graph, so at
+  /// most once per graph change.
   const partition::Partition& partition();
-
-  /// Cumulative stream/* counters (ingest + re-execution).
-  const util::StatsRegistry& stats() const { return registry_; }
-  util::StatsRegistry& stats() { return registry_; }
 
   /// Ingests one batch and restores score exactness. Returns what it cost.
   BatchReport apply(const EdgeBatch& batch);
 
   /// Durable snapshot of the maintained state (CSR + epoch counters +
   /// sources + scores + retained per-source tables) as a versioned
-  /// crc32-framed file (engine/snapshot.h). Cumulative stats() counters
-  /// are diagnostics and are not part of the snapshot.
+  /// crc32-framed file (engine/snapshot.h).
   void save(const std::string& path) const;
 
   /// Rebuilds an IncrementalBc from a save() snapshot; subsequent apply()
@@ -136,7 +116,6 @@ class IncrementalBc {
   std::vector<std::vector<std::uint32_t>> dist_;
   std::vector<std::vector<double>> sigma_;
   std::vector<std::vector<double>> dep_;
-  util::StatsRegistry registry_;
 };
 
 }  // namespace mrbc::stream

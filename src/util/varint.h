@@ -8,8 +8,6 @@
 //
 // Encoders are branch-light loops over stack buffers; decoders validate
 // length (max 10 bytes for 64 bits) and never read past the supplied end.
-// Zigzag maps signed values so small magnitudes of either sign stay small
-// on the wire.
 
 #include <cstddef>
 #include <cstdint>
@@ -62,17 +60,6 @@ inline std::uint64_t decode_varint(const std::uint8_t* data, std::size_t size,
     shift += 7;
   }
   throw std::out_of_range("varint: encoding exceeds 10 bytes");
-}
-
-/// Zigzag: maps signed to unsigned so small magnitudes stay small
-/// (0 -> 0, -1 -> 1, 1 -> 2, -2 -> 3, ...).
-inline std::uint64_t zigzag_encode(std::int64_t v) {
-  return (static_cast<std::uint64_t>(v) << 1) ^
-         static_cast<std::uint64_t>(v >> 63);
-}
-
-inline std::int64_t zigzag_decode(std::uint64_t v) {
-  return static_cast<std::int64_t>((v >> 1) ^ (~(v & 1) + 1));
 }
 
 }  // namespace mrbc::util

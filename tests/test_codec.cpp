@@ -1,7 +1,6 @@
-// Wire codec primitives: varint/zigzag boundary values, delta-encoded
-// sorted lists, tagged-integral doubles, ValueCodec planes, presence
-// encoding, and EdgeBatch framing — exhaustive boundaries plus seeded
-// random round-trip fuzz. Bit-exactness here is what lets the substrate
+// Wire codec primitives: varint boundary values, delta-encoded sorted
+// lists, tagged-integral doubles, ValueCodec planes and presence encoding
+// — exhaustive boundaries plus seeded random round-trip fuzz. Bit-exactness here is what lets the substrate
 // promise decoded state identical to kRaw in every mode.
 
 #include <gtest/gtest.h>
@@ -13,7 +12,6 @@
 
 #include "comm/codec.h"
 #include "comm/substrate.h"
-#include "stream/edge_batch.h"
 #include "util/rng.h"
 #include "util/serialize.h"
 #include "util/varint.h"
@@ -98,30 +96,6 @@ TEST(Varint, OverlongAndOverflowEncodingsThrow) {
   EXPECT_THROW(util::decode_varint(wide, sizeof(wide), cursor), std::out_of_range);
 }
 
-TEST(Zigzag, BoundaryRoundTrip) {
-  const std::int64_t vals[] = {0,
-                               1,
-                               -1,
-                               2,
-                               -2,
-                               63,
-                               -64,
-                               64,
-                               -65,
-                               std::numeric_limits<std::int32_t>::max(),
-                               std::numeric_limits<std::int32_t>::min(),
-                               std::numeric_limits<std::int64_t>::max(),
-                               std::numeric_limits<std::int64_t>::min()};
-  for (std::int64_t v : vals) {
-    EXPECT_EQ(util::zigzag_decode(util::zigzag_encode(v)), v) << v;
-  }
-  // Small magnitudes of either sign map to small codes.
-  EXPECT_EQ(util::zigzag_encode(0), 0u);
-  EXPECT_EQ(util::zigzag_encode(-1), 1u);
-  EXPECT_EQ(util::zigzag_encode(1), 2u);
-  EXPECT_EQ(util::zigzag_encode(-2), 3u);
-}
-
 TEST(Varint, RandomRoundTripFuzz) {
   util::Xoshiro256 rng(0xC0DEC5ull);
   for (int iter = 0; iter < 20000; ++iter) {
@@ -134,8 +108,6 @@ TEST(Varint, RandomRoundTripFuzz) {
     const std::size_t n = util::encode_varint(v, tmp);
     std::size_t cursor = 0;
     ASSERT_EQ(util::decode_varint(tmp, n, cursor), v);
-    const std::int64_t s = static_cast<std::int64_t>(rng.next());
-    ASSERT_EQ(util::zigzag_decode(util::zigzag_encode(s)), s);
   }
 }
 
@@ -163,16 +135,12 @@ TEST(Codec, ScalarRoundTripAllModes) {
     w.meta_u32(300);
     w.meta_u64(1ull << 40);
     w.value_u32(70000);
-    w.value_u64((1ull << 50) + 3);
-    w.value_i64(-123456789);
     RecvBuffer in(out.take());
     CodecReader r(in, mode);
     EXPECT_EQ(r.u8(), 7);
     EXPECT_EQ(r.meta_u32(), 300u);
     EXPECT_EQ(r.meta_u64(), 1ull << 40);
     EXPECT_EQ(r.value_u32(), 70000u);
-    EXPECT_EQ(r.value_u64(), (1ull << 50) + 3);
-    EXPECT_EQ(r.value_i64(), -123456789);
     EXPECT_TRUE(in.exhausted());
   }
 }
@@ -248,7 +216,6 @@ TEST(Codec, TaggedF64BitExactEdgeCases) {
     for (double v : cases) {
       SendBuffer out;
       comm::write_f64(out, v, mode);
-      EXPECT_EQ(out.size(), comm::encoded_f64_size(v, mode));
       EXPECT_EQ(out.raw_bytes(), sizeof(double));
       RecvBuffer in(out.take());
       const double back = comm::read_f64(in, mode);
@@ -262,12 +229,17 @@ TEST(Codec, TaggedF64BitExactEdgeCases) {
 TEST(Codec, TaggedF64NeverWiderThanRaw) {
   // Integral doubles compress; nothing ever exceeds the 9-byte escape
   // form, and small counts (the common sigma case) take 1-2 bytes.
-  EXPECT_EQ(comm::encoded_f64_size(1.0, CodecMode::kFull), 1u);
-  EXPECT_EQ(comm::encoded_f64_size(63.0, CodecMode::kFull), 1u);
-  EXPECT_EQ(comm::encoded_f64_size(64.0, CodecMode::kFull), 2u);
-  EXPECT_EQ(comm::encoded_f64_size(0.5, CodecMode::kFull), 9u);
-  EXPECT_EQ(comm::encoded_f64_size(-0.0, CodecMode::kFull), 9u);
-  EXPECT_EQ(comm::encoded_f64_size(1.0, CodecMode::kRaw), 8u);
+  const auto encoded_size = [](double v, CodecMode mode) {
+    SendBuffer out;
+    comm::write_f64(out, v, mode);
+    return out.size();
+  };
+  EXPECT_EQ(encoded_size(1.0, CodecMode::kFull), 1u);
+  EXPECT_EQ(encoded_size(63.0, CodecMode::kFull), 1u);
+  EXPECT_EQ(encoded_size(64.0, CodecMode::kFull), 2u);
+  EXPECT_EQ(encoded_size(0.5, CodecMode::kFull), 9u);
+  EXPECT_EQ(encoded_size(-0.0, CodecMode::kFull), 9u);
+  EXPECT_EQ(encoded_size(1.0, CodecMode::kRaw), 8u);
 }
 
 TEST(Codec, CorruptedF64TagThrows) {
@@ -568,53 +540,6 @@ TEST(Codec, PresenceSparseCompressedUsesOffsetList) {
   CodecWriter w(out, CodecMode::kMetadataOnly);
   comm::detail::write_presence(w, present, 3);
   EXPECT_LT(out.size(), 16u);
-}
-
-TEST(Codec, EdgeBatchRoundTripAllModes) {
-  stream::EdgeBatch batch;
-  batch.insert(5, 9);
-  batch.insert(5, 2);
-  batch.erase(5, 9);
-  batch.insert(1000000, 3);
-  batch.insert(2, 4000000000u);
-  for (CodecMode mode : kAllModes) {
-    SendBuffer out;
-    batch.serialize(out, mode);
-    EXPECT_EQ(out.size(), batch.wire_bytes(mode));
-    if (mode == CodecMode::kRaw) {
-      EXPECT_EQ(out.size(), batch.wire_bytes());
-    }
-    RecvBuffer in(out.take());
-    const stream::EdgeBatch back = stream::EdgeBatch::deserialize(in, mode);
-    EXPECT_EQ(back.ops, batch.ops);
-    EXPECT_TRUE(in.exhausted());
-  }
-}
-
-TEST(Codec, EdgeBatchRandomFuzz) {
-  util::Xoshiro256 rng(0xEDull);
-  for (int iter = 0; iter < 100; ++iter) {
-    stream::EdgeBatch batch;
-    const std::size_t n = rng.next_bounded(64);
-    std::uint32_t hot = static_cast<std::uint32_t>(rng.next_bounded(1u << 24));
-    for (std::size_t i = 0; i < n; ++i) {
-      // Cluster around a drifting hot vertex like real churn does.
-      if (rng.next_bool(0.2)) hot = static_cast<std::uint32_t>(rng.next());
-      const std::uint32_t dst = static_cast<std::uint32_t>(rng.next());
-      if (rng.next_bool(0.3)) {
-        batch.erase(hot, dst);
-      } else {
-        batch.insert(hot, dst);
-      }
-    }
-    for (CodecMode mode : kAllModes) {
-      SendBuffer out;
-      batch.serialize(out, mode);
-      ASSERT_EQ(out.size(), batch.wire_bytes(mode));
-      RecvBuffer in(out.take());
-      ASSERT_EQ(stream::EdgeBatch::deserialize(in, mode).ops, batch.ops);
-    }
-  }
 }
 
 }  // namespace

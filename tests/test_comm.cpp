@@ -387,10 +387,7 @@ std::pair<SyncStats, std::uint64_t> wire_sync(const WireCase& c) {
   sim::FaultInjector injector(plan, part.num_hosts());
   DeliveryOptions opts;
   opts.codec = c.mode;
-  if (c.faulty) {
-    opts.reliable = true;
-    opts.faults = &injector;
-  }
+  if (c.faulty) opts.faults = &injector;
   sub.set_delivery(opts);
   const HostId H = part.num_hosts();
   std::vector<std::vector<double>> sums(H);

@@ -158,26 +158,6 @@ TEST(FaultRecovery, DuplicatesSuppressedAndCorruptionRepaired) {
   EXPECT_GT(total.faults.retransmits, 0u);
 }
 
-TEST(FaultRecovery, UnreliableDeliveryDetectsCorruptionLoudly) {
-  // Acceptance criterion: with reliable delivery disabled, injected
-  // corruption is *detected* (checksum counter), never silently applied.
-  const Graph g = test_graph();
-  const auto sources = test_sources(g);
-
-  FaultPlan plan;
-  plan.seed = 29;
-  plan.corrupt_rate = 0.4;
-  core::MrbcOptions opts;
-  opts.num_hosts = 4;
-  opts.batch_size = 6;
-  FaultInjector injector(plan, opts.num_hosts);
-  opts.cluster.fault = &injector;
-  opts.cluster.reliable_delivery = false;
-  const auto run = core::mrbc_bc(g, sources, opts);
-  EXPECT_GT(run.total().faults.corruptions_detected, 0u);
-  EXPECT_EQ(run.total().faults.retransmits, 0u) << "unreliable mode never retransmits";
-}
-
 // ---- Crash recovery --------------------------------------------------------
 
 TEST(FaultRecovery, MrbcCrashRecoveryMatchesFaultFreeRun) {

@@ -17,6 +17,7 @@
 #include "engine/fault.h"
 #include "engine/snapshot.h"
 #include "graph/algorithms.h"
+#include "graph/builder.h"
 #include "test_helpers.h"
 #include "util/serialize.h"
 
@@ -130,6 +131,29 @@ TEST(Mrbc, DelayedSyncAblationPreservesResultsAndSavesVolume) {
   // Round counts are a property of the algorithm, not the sync policy.
   EXPECT_EQ(run_d.forward.rounds, run_e.forward.rounds);
   EXPECT_EQ(run_d.backward.rounds, run_e.backward.rounds);
+}
+
+TEST(Mrbc, EagerSyncSendsWhatItsDrainsStage) {
+  // Two hosts, edges cut by source: 0 and 1 are mastered on host 0, 2 and
+  // 3 on host 1, and the edge 2 -> 1 gives 1 a mirror on host 1. From
+  // source 0, host 0's drain of 0 pushes (1, sigma 1) into 1's master, a
+  // non-final update that the eager ablation stages and must broadcast to
+  // the mirror. Under kRaw that entry costs 17 bytes (source index,
+  // distance, sigma, final mark) beside the one final entry per phase that
+  // both policies send; the eager final entries carry one mark byte each.
+  const Graph g = graph::build_graph(4, {{0, 1}, {2, 1}});
+  MrbcOptions delayed;
+  delayed.num_hosts = 2;
+  delayed.policy = Policy::kEdgeCutSrc;
+  MrbcOptions eager = delayed;
+  eager.delayed_sync = false;
+  const auto run_d = mrbc_bc(g, {0}, delayed);
+  const auto run_e = mrbc_bc(g, {0}, eager);
+  expect_bc_equal(run_d.result.bc, run_e.result.bc, "delayed vs eager");
+  EXPECT_EQ(run_e.forward.rounds, run_d.forward.rounds);
+  EXPECT_EQ(run_e.forward.messages, run_d.forward.messages);
+  EXPECT_EQ(run_e.forward.bytes, run_d.forward.bytes + 17 + 1);
+  EXPECT_EQ(run_e.backward.bytes, run_d.backward.bytes + 1);
 }
 
 TEST(Mrbc, RoundBoundTwoKPlusH) {
@@ -280,18 +304,18 @@ TEST(MrbcSchedule, RoundsTrafficAndScoresArePinned) {
       {true, 17, true, 166, 162, 1223, 155983, 6669, 0x2dac323749124a9cull},
       {true, 64, true, 108, 106, 1055, 159211, 6675, 0x3e536bbb4beb6237ull},
       {true, 65, true, 80, 79, 1036, 159248, 6680, 0x1c1211c21359a12bull},
-      {true, 1, false, 1474, 1409, 1998, 176979, 6485, 0xc6cc7be4d12204dull},
-      {true, 17, false, 166, 162, 1227, 178919, 7137, 0x2dac323749124a9cull},
-      {true, 64, false, 108, 106, 1056, 182358, 6891, 0x3e536bbb4beb6237ull},
-      {true, 65, false, 80, 79, 1037, 182520, 6908, 0x1c1211c21359a12bull},
+      {true, 1, false, 1474, 1409, 1998, 239540, 6485, 0xc6cc7be4d12204dull},
+      {true, 17, false, 166, 162, 1227, 271183, 7137, 0x2dac323749124a9cull},
+      {true, 64, false, 108, 106, 1056, 291627, 6893, 0x3e536bbb4beb6237ull},
+      {true, 65, false, 80, 79, 1037, 293391, 6910, 0x1c1211c21359a12bull},
       {false, 1, true, 374, 309, 3886, 1352314, 67273, 0x8402dab43705395dull},
       {false, 17, true, 82, 78, 1434, 1570754, 70218, 0x94300651127381d9ull},
       {false, 64, true, 69, 67, 1280, 1721412, 69971, 0xcf23cd3f2f74413ull},
       {false, 65, true, 64, 63, 1237, 1731117, 70023, 0x5123034a32a10f2bull},
-      {false, 1, false, 374, 309, 3886, 1827664, 67273, 0x8402dab43705395dull},
-      {false, 17, false, 82, 78, 1434, 2288589, 73446, 0x94300651127381d9ull},
-      {false, 64, false, 69, 67, 1280, 2535888, 71232, 0xcf23cd3f2f74413ull},
-      {false, 65, false, 64, 63, 1237, 2550671, 71295, 0x5123034a32a10f2bull},
+      {false, 1, false, 374, 309, 3886, 2029610, 67273, 0x8402dab43705395dull},
+      {false, 17, false, 82, 78, 1434, 2840088, 73537, 0x94300651127381d9ull},
+      {false, 64, false, 69, 67, 1280, 3298831, 71249, 0xcf23cd3f2f74413ull},
+      {false, 65, false, 64, 63, 1237, 3331312, 71314, 0x5123034a32a10f2bull},
   };
   const std::filesystem::path dir = std::filesystem::temp_directory_path() / "mrbc_schedule_pin";
   const std::string file = (dir / "mrbc.ckpt").string();

@@ -448,7 +448,7 @@ TEST(Metrics, JsonSchemaAndNamedHistograms) {
     EXPECT_NE(json.find(key), std::string::npos) << key;
   }
   // Untouched built-ins stay out of the export.
-  EXPECT_EQ(json.find("\"stream/ingest_batch_ops\""), std::string::npos);
+  EXPECT_EQ(json.find("\"comm/compression_pct\""), std::string::npos);
 }
 
 // ---- WindowedMetrics --------------------------------------------------------

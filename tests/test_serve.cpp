@@ -612,7 +612,20 @@ TEST(ServeTelemetry, MetricsEndpointIsStrictlyParseable) {
   server.start();
   HttpClient c(server.port(), /*keep_alive=*/true);
   for (int i = 0; i < 5; ++i) ASSERT_EQ(c.get("/bc?vertex=1").status, 200);
-  ASSERT_EQ(c.post("/ingest?wait=1", ingest_body({{'+', 1, 2}})).status, 200);
+  const auto counter = [&](const char* name) {
+    const auto scrape = c.get("/metrics");
+    EXPECT_EQ(scrape.status, 200);
+    const std::vector<obs::PromSample> samples = obs::prom_parse(scrape.body);
+    const obs::PromSample* sample = obs::prom_find(samples, name);
+    return sample == nullptr ? -1.0 : sample->value;
+  };
+  const double ops_before = counter("mrbc_serve_ops_applied_total");
+  const double reexec_before = counter("mrbc_serve_sources_reexecuted_total");
+  // Every vertex of complete(8) is a sampled source; deleting (1, 2) takes
+  // an edge off source 1's shortest-path DAG, so source 1 re-runs.
+  ASSERT_EQ(c.post("/ingest?wait=1", ingest_body({{'-', 1, 2}})).status, 200);
+  EXPECT_EQ(counter("mrbc_serve_ops_applied_total"), ops_before + 1);
+  EXPECT_EQ(counter("mrbc_serve_sources_reexecuted_total"), reexec_before + 1);
   c.get("/nope");  // one 404 so error series have traffic
 
   const auto resp = c.get("/metrics");
@@ -629,6 +642,7 @@ TEST(ServeTelemetry, MetricsEndpointIsStrictlyParseable) {
            "mrbc_serve_bytes_total", "mrbc_serve_window_qps",
            "mrbc_serve_window_request_latency_us", "mrbc_serve_ingest_queue_depth",
            "mrbc_serve_ingest_oldest_batch_age_seconds", "mrbc_serve_coalescing_factor",
+           "mrbc_serve_ops_applied_total", "mrbc_serve_sources_reexecuted_total",
        }) {
     EXPECT_NE(obs::prom_find(samples, name), nullptr) << name;
   }

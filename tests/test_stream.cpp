@@ -1,6 +1,5 @@
-// Streaming subsystem: in-order batch application (apply_batch), EdgeBatch
-// wire format, distributed ingest routing, and IncrementalBc score
-// maintenance against from-scratch Brandes.
+// Streaming subsystem: in-order batch application (apply_batch) and
+// IncrementalBc score maintenance against from-scratch Brandes.
 
 #include <gtest/gtest.h>
 
@@ -11,10 +10,8 @@
 #include "baselines/brandes_seq.h"
 #include "graph/builder.h"
 #include "graph/generators.h"
-#include "partition/policies.h"
 #include "stream/edge_batch.h"
 #include "stream/incremental_bc.h"
-#include "stream/ingest.h"
 #include "test_helpers.h"
 #include "util/rng.h"
 
@@ -90,122 +87,6 @@ TEST(ApplyBatch, InOrderSemantics) {
   }
 }
 
-TEST(EdgeBatch, SerializeRoundTrip) {
-  EdgeBatch batch;
-  batch.insert(3, 7);
-  batch.erase(1, 2);
-  batch.insert(0, 5);
-  util::SendBuffer buf;
-  batch.serialize(buf);
-  EXPECT_EQ(buf.size(), batch.wire_bytes());
-  util::RecvBuffer rbuf(buf.take());
-  const EdgeBatch restored = EdgeBatch::deserialize(rbuf);
-  EXPECT_EQ(restored.ops, batch.ops);
-}
-
-TEST(Ingest, RoutesEveryOpExactlyOnceInOrder) {
-  const Graph g = graph::erdos_renyi(60, 0.08, 3);
-  for (const auto policy :
-       {partition::Policy::kEdgeCutSrc, partition::Policy::kEdgeCutDst,
-        partition::Policy::kCartesianVertexCut, partition::Policy::kRandomEdge}) {
-    const partition::Partition part(g, 6, policy);
-    comm::Substrate substrate(part);
-    util::Xoshiro256 rng(17);
-    EdgeBatch batch;
-    for (int i = 0; i < 64; ++i) {
-      const auto u = static_cast<VertexId>(rng.next_bounded(60));
-      const auto v = static_cast<VertexId>(rng.next_bounded(60));
-      if (rng.next_bool(0.7)) {
-        batch.insert(u, v);
-      } else {
-        batch.erase(u, v);
-      }
-    }
-    util::StatsRegistry registry;
-    const auto routed = stream::route_batch(batch, substrate, policy, {}, &registry);
-
-    // Every op lands on exactly one host, at the policy's owner.
-    std::size_t total = 0;
-    for (partition::HostId h = 0; h < 6; ++h) {
-      for (const auto& op : routed.per_host[h].ops) {
-        EXPECT_EQ(partition::edge_owner(op.edge, 60, 6, policy), h);
-      }
-      total += routed.per_host[h].size();
-    }
-    EXPECT_EQ(total, batch.size());
-    EXPECT_EQ(routed.local_ops + routed.remote_ops, batch.size());
-    // Per-edge op order is preserved within each host's sub-batch.
-    for (partition::HostId h = 0; h < 6; ++h) {
-      for (std::size_t i = 0; i < routed.per_host[h].ops.size(); ++i) {
-        for (std::size_t j = i + 1; j < routed.per_host[h].ops.size(); ++j) {
-          const auto& a = routed.per_host[h].ops[i];
-          const auto& b = routed.per_host[h].ops[j];
-          if (a.edge != b.edge) continue;
-          // Find positions in the original batch: order must match.
-          const auto pos = [&](const stream::EdgeOp& op, std::size_t from) {
-            for (std::size_t p = from; p < batch.ops.size(); ++p) {
-              if (batch.ops[p] == op) return p;
-            }
-            return batch.ops.size();
-          };
-          EXPECT_LT(pos(a, 0), pos(b, pos(a, 0) + 1));
-        }
-      }
-    }
-    EXPECT_EQ(registry.counter("stream/ingest_ops"), batch.size());
-    EXPECT_GT(routed.wire.bytes, 0u);
-    EXPECT_GE(routed.modeled_seconds, 0.0);
-  }
-}
-
-TEST(Ingest, OutOfRangeEndpointsRouteToARealHost) {
-  // Ids come from POST /ingest: an endpoint >= n must route in range (the
-  // apply then rejects the op), under every policy.
-  const Graph g = graph::erdos_renyi(60, 0.08, 3);
-  const VertexId huge = graph::kInvalidVertex - 1;
-  EdgeBatch batch;
-  batch.erase(huge, 1);
-  batch.insert(3, huge);
-  batch.insert(60, 60);
-  batch.insert(huge, huge);
-  for (const auto policy :
-       {partition::Policy::kEdgeCutSrc, partition::Policy::kEdgeCutDst,
-        partition::Policy::kCartesianVertexCut, partition::Policy::kGeneralVertexCut,
-        partition::Policy::kRandomEdge}) {
-    for (const partition::HostId hosts : {1u, 4u, 6u}) {
-      for (const EdgeOp& op : batch.ops) {
-        EXPECT_LT(partition::edge_owner(op.edge, 60, hosts, policy), hosts)
-            << partition::to_string(policy) << " " << op.edge.src << "->" << op.edge.dst;
-      }
-    }
-    stream::IncrementalBcOptions opts;
-    opts.num_samples = 4;
-    opts.mrbc.num_hosts = 4;
-    opts.mrbc.policy = policy;
-    IncrementalBc inc(g, opts);
-    const auto report = inc.apply(batch);
-    EXPECT_EQ(report.applied_ops, 0u);
-    EXPECT_EQ(inc.stats().counter("stream/ingest_ops"), batch.size());
-    EXPECT_EQ(inc.graph().out_targets(), g.out_targets());
-  }
-}
-
-TEST(Ingest, EdgeOwnerMatchesAssignEdges) {
-  const Graph g = graph::rmat({.scale = 6, .edge_factor = 4.0, .seed = 11});
-  for (const auto policy : {partition::Policy::kEdgeCutSrc, partition::Policy::kEdgeCutDst,
-                            partition::Policy::kCartesianVertexCut}) {
-    const auto assignment = partition::assign_edges(g, 6, policy);
-    graph::EdgeId e = 0;
-    for (VertexId u = 0; u < g.num_vertices(); ++u) {
-      for (VertexId v : g.out_neighbors(u)) {
-        EXPECT_EQ(partition::edge_owner({u, v}, g.num_vertices(), 6, policy), assignment[e])
-            << partition::to_string(policy) << " edge " << u << "->" << v;
-        ++e;
-      }
-    }
-  }
-}
-
 TEST(IncrementalBc, ExactMaintenanceOnStructuredGraph) {
   // All-sources (exact) maintenance on the diamond graph across inserts
   // and a disconnecting delete.
@@ -258,7 +139,6 @@ TEST(IncrementalBc, UnaffectedSourcesAreNotReexecuted) {
   const Graph base = graph::build_graph(12, std::move(edges));
   stream::IncrementalBcOptions opts;
   opts.num_samples = 12;
-  opts.recompute_threshold = 1.0;  // never fall back, count true affected
   IncrementalBc inc(base, opts);
 
   EdgeBatch batch;
@@ -267,24 +147,65 @@ TEST(IncrementalBc, UnaffectedSourcesAreNotReexecuted) {
   // Only source 6's DAG changes: for s=7 the new edge offers d(6)+1 = 2 > 1
   // = d(8), and no source in the first component can even reach vertex 6.
   EXPECT_EQ(report.affected_sources, 1u);
-  EXPECT_FALSE(report.full_recompute);
   const Graph& now = inc.graph();
   testing::expect_bc_equal(baselines::brandes_bc(now), inc.scores(), "component-local churn");
 }
 
-TEST(IncrementalBc, FullRecomputeFallback) {
-  const Graph base = graph::bidirectional_path(8);
+TEST(IncrementalBc, ReexecutesExactlyTheHitSources) {
+  // Every vertex of a 10-vertex bidirectional path is a source. Inserting
+  // (0, 9) offers s a path to 9 no longer than its own iff s <= 4
+  // (s + 1 <= 9 - s); inserting (9, 1) offers one to 1 iff s >= 6
+  // (10 - s <= s - 1, and for s = 9 a shorter one). Only source 5's DAG is
+  // untouched: 9 of 10 sources are hit, more than three quarters but not
+  // all, and exactly those 9 re-run.
+  const Graph base = graph::bidirectional_path(10);
   stream::IncrementalBcOptions opts;
-  opts.num_samples = 8;
-  opts.recompute_threshold = 0.0;  // any affected source trips the fallback
+  opts.num_samples = 10;
+  opts.mrbc.num_hosts = 3;
   IncrementalBc inc(base, opts);
+  ASSERT_EQ(inc.sources().size(), 10u);
   EdgeBatch batch;
-  batch.insert(0, 4);
+  batch.insert(0, 9);
+  batch.insert(9, 1);
   const auto report = inc.apply(batch);
-  EXPECT_TRUE(report.full_recompute);
-  EXPECT_EQ(report.affected_sources, 8u);
-  EXPECT_EQ(inc.stats().counter("stream/full_recomputes"), 1u);
-  testing::expect_bc_equal(baselines::brandes_bc(inc.graph()), inc.scores(), "fallback");
+  EXPECT_EQ(report.applied_ops, 2u);
+  EXPECT_EQ(report.affected_sources, 9u);
+  std::vector<VertexId> hit;
+  for (const VertexId s : inc.sources()) {
+    if (s != 5) hit.push_back(s);
+  }
+  const core::MrbcRun rerun = core::mrbc_bc(inc.graph(), hit, opts.mrbc);
+  EXPECT_EQ(report.reexec.rounds, rerun.total().rounds);
+  EXPECT_EQ(report.reexec.bytes, rerun.total().bytes);
+  testing::expect_bc_equal(baselines::brandes_bc(inc.graph()), inc.scores(), "9 of 10 hit");
+}
+
+TEST(IncrementalBc, OutOfRangeEndpointsChangeNothing) {
+  // Ids come from POST /ingest: an op with an endpoint >= n changes
+  // nothing, under every policy.
+  const Graph g = graph::erdos_renyi(60, 0.08, 3);
+  const VertexId huge = graph::kInvalidVertex - 1;
+  EdgeBatch batch;
+  batch.erase(huge, 1);
+  batch.insert(3, huge);
+  batch.insert(60, 60);
+  batch.insert(huge, huge);
+  for (const auto policy :
+       {partition::Policy::kEdgeCutSrc, partition::Policy::kEdgeCutDst,
+        partition::Policy::kCartesianVertexCut, partition::Policy::kGeneralVertexCut,
+        partition::Policy::kRandomEdge}) {
+    stream::IncrementalBcOptions opts;
+    opts.num_samples = 4;
+    opts.mrbc.num_hosts = 4;
+    opts.mrbc.policy = policy;
+    IncrementalBc inc(g, opts);
+    const core::BcScores before = inc.scores();
+    const auto report = inc.apply(batch);
+    EXPECT_EQ(report.applied_ops, 0u) << partition::to_string(policy);
+    EXPECT_EQ(report.affected_sources, 0u) << partition::to_string(policy);
+    EXPECT_EQ(inc.graph().out_targets(), g.out_targets()) << partition::to_string(policy);
+    EXPECT_EQ(inc.scores(), before) << partition::to_string(policy);
+  }
 }
 
 TEST(IncrementalBc, SampledSubsetMatchesBrandesOnSameSources) {
@@ -335,29 +256,9 @@ TEST(IncrementalBc, PartitionFollowsTheGraphWithoutAReexecution) {
   const auto report = inc.apply(batch);
   ASSERT_EQ(report.applied_ops, 1u);
   EXPECT_EQ(report.affected_sources, 0u);
-  EXPECT_EQ(inc.stats().counter("stream/sources_reexecuted"), opts.num_samples);
+  EXPECT_EQ(report.reexec.rounds, 0u);
   EXPECT_EQ(inc.graph().num_edges(), 8u * 7u - 1u);
   EXPECT_EQ(inc.partition().num_global_edges(), inc.graph().num_edges());
-}
-
-TEST(IncrementalBc, IngestCountersAccumulate) {
-  const Graph base = graph::erdos_renyi(40, 0.1, 9);
-  stream::IncrementalBcOptions opts;
-  opts.num_samples = 8;
-  opts.mrbc.num_hosts = 4;
-  IncrementalBc inc(base, opts);
-  EdgeBatch batch;
-  for (VertexId v = 10; v < 26; ++v) batch.insert(1, v);
-  inc.apply(batch);
-  EXPECT_EQ(inc.stats().counter("stream/batches"), 1u);
-  EXPECT_EQ(inc.stats().counter("stream/ingest_ops"), 16u);
-  EXPECT_EQ(inc.stats().counter("stream/ingest_local_ops") +
-                inc.stats().counter("stream/ingest_remote_ops"),
-            16u);
-  // 16 distinct edges hashed over 4 origin hosts: some must cross the wire.
-  EXPECT_GT(inc.stats().counter("stream/ingest_remote_ops"), 0u);
-  EXPECT_GT(inc.stats().counter("stream/ingest_bytes"), 0u);
-  EXPECT_GT(inc.stats().counter("stream/sources_reexecuted"), 0u);
 }
 
 }  // namespace

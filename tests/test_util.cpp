@@ -13,7 +13,6 @@
 #include "util/rng.h"
 #include "util/serialize.h"
 #include "util/stats.h"
-#include "util/stats_registry.h"
 #include "util/thread_pool.h"
 #include "util/threading.h"
 #include "util/timer.h"
@@ -547,39 +546,6 @@ TEST(Csv, MemoryOnlyAccumulatesRows) {
   EXPECT_EQ(csv.rows().size(), 2u);
   EXPECT_EQ(csv.header().size(), 2u);
   EXPECT_EQ(csv.rows()[1][0], "3");
-}
-
-// ---- StatsRegistry -----------------------------------------------------------
-
-TEST(StatsRegistry, CountersAndValues) {
-  StatsRegistry reg;
-  reg.add_counter("rounds", 5);
-  reg.add_counter("rounds", 7);
-  reg.set_counter("messages", 42);
-  reg.add_seconds("compute", 0.5);
-  reg.add_seconds("compute", 0.25);
-  reg.set_value("imbalance", 1.5);
-  EXPECT_EQ(reg.counter("rounds"), 12u);
-  EXPECT_EQ(reg.counter("messages"), 42u);
-  EXPECT_DOUBLE_EQ(reg.value("compute"), 0.75);
-  EXPECT_TRUE(reg.has("imbalance"));
-  EXPECT_FALSE(reg.has("absent"));
-  EXPECT_EQ(reg.counter("absent"), 0u);
-}
-
-TEST(StatsRegistry, SerializesSortedKeyValueLines) {
-  StatsRegistry reg;
-  reg.set_counter("b.rounds", 3);
-  reg.set_counter("a.rounds", 1);
-  reg.set_value("c.time", 2.5);
-  EXPECT_EQ(reg.serialize(), "a.rounds=1\nb.rounds=3\nc.time=2.5\n");
-  reg.clear();
-  EXPECT_EQ(reg.serialize(), "");
-}
-
-TEST(StatsRegistry, WriteFileFailsLoudly) {
-  StatsRegistry reg;
-  EXPECT_THROW(reg.write_file("/nonexistent-dir/stats.txt"), std::runtime_error);
 }
 
 // ---- Timer / threading -----------------------------------------------------
