@@ -30,7 +30,9 @@
 // obs compression-ratio histogram measure the achieved reduction.
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -53,6 +55,46 @@ bool parse_codec_mode(const std::string& name, CodecMode& out);
 
 inline bool compress_metadata(CodecMode m) { return m != CodecMode::kRaw; }
 inline bool compress_values(CodecMode m) { return m == CodecMode::kFull; }
+
+/// Longest tagged double: the escape byte and the 8 raw IEEE bytes. The
+/// integral form is a varint below 2^54, so at most 8 bytes.
+inline constexpr std::size_t kMaxTaggedF64Bytes = 1 + sizeof(double);
+
+/// The tagged-integral double encoding at pointer level, behind write_f64
+/// and read_f64 in kFull and the checkpoint label planes. Encodes `v` at
+/// `out`, which must hold kMaxTaggedF64Bytes, and returns the bytes
+/// written.
+inline std::size_t encode_tagged_f64(double v, std::uint8_t* out) {
+  // Doubles at or above 2^53 no longer have a unique integer preimage, and
+  // the negative zero's sign bit has no integer to ride on. NaN and the
+  // infinities fail the comparisons.
+  constexpr double kMaxExactIntegral = 9007199254740992.0;  // 2^53
+  if (v >= 0.0 && v < kMaxExactIntegral && v == std::floor(v) &&
+      !(v == 0.0 && std::signbit(v))) {
+    return util::encode_varint((static_cast<std::uint64_t>(v) << 1) | 1u, out);
+  }
+  out[0] = 0;  // escape
+  std::memcpy(out + 1, &v, sizeof(double));
+  return kMaxTaggedF64Bytes;
+}
+
+/// Decodes one encode_tagged_f64 value from [data + cursor, data + size)
+/// and advances `cursor`, bit-exactly; throws std::out_of_range on
+/// truncation or a corrupted tag, like util::decode_varint.
+inline double decode_tagged_f64(const std::uint8_t* data, std::size_t size,
+                                std::size_t& cursor) {
+  const std::uint64_t tag = util::decode_varint(data, size, cursor);
+  if (tag & 1u) return static_cast<double>(tag >> 1);
+  if (tag != 0) {
+    // Even nonzero tags are unreachable from the encoder: corrupted frame.
+    throw std::out_of_range("codec: corrupted f64 tag");
+  }
+  if (size - cursor < sizeof(double)) throw std::out_of_range("codec: truncated f64");
+  double v;
+  std::memcpy(&v, data + cursor, sizeof(double));
+  cursor += sizeof(double);
+  return v;
+}
 
 /// Appends one double under `mode` (tagged-integral in kFull, raw bits
 /// otherwise); the raw-equivalent accounting is always 8 bytes.

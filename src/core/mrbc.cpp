@@ -21,11 +21,10 @@ using partition::Partition;
 
 namespace {
 
-// Per-slot status bits (SourceSlot::flags is not wide enough to matter; we
-// keep them in side bitsets inside the runner to keep SourceSlot pure data).
-constexpr std::uint8_t kFwdFinal = 1;    // forward label finalized on this proxy
-constexpr std::uint8_t kAccFinal = 2;    // dependency finalized on this proxy
-constexpr std::uint8_t kEagerStaged = 4; // staged for eager (non-final) broadcast
+// Each cell's status bits (kFwdFinal, kAccFinal, kEagerStaged) live in its
+// SourceSlot, in the struct's padding: a drain that reads a cell's status
+// reads its label from the same cache line, and the checkpoint writes both
+// in one cell record (HostState::save).
 
 // ---- The round drain ---------------------------------------------------------
 // Each phase kernel is one relaxation body (the expand callables in
@@ -68,7 +67,8 @@ static_assert(sizeof(DrainEntry) == 2 * sizeof(std::uint32_t));
 
 /// One batch's distributed execution: forward APSP then accumulation.
 /// Checkpointable so that BspLoop can snapshot/roll back the whole batch
-/// state (labels + round-local queues + substrate flags) for crash recovery.
+/// state (labels and their status bits + round-local queues + substrate
+/// flags) for crash recovery.
 class BatchRunner final : public sim::Checkpointable {
  public:
   BatchRunner(const Partition& part, std::vector<graph::VertexId> batch,
@@ -89,14 +89,12 @@ class BatchRunner final : public sim::Checkpointable {
     staged_lids_.resize(H);
     anomalies_.assign(H, 0);
     host_active_.assign(H, 0);
-    flags_.resize(H);
     scratch_.resize(H);
     pending_.resize(H);
     calendar_.resize(H);
     for (HostId h = 0; h < H; ++h) {
       const auto& hg = part_.host(h);
       state_.emplace_back(hg.is_master, k);
-      flags_[h].assign(static_cast<std::size_t>(hg.num_proxies()) * k, 0);
       pending_[h].resize(hg.num_proxies());
       for (graph::VertexId l = 0; l < hg.num_proxies(); ++l) {
         if (hg.is_master[l]) masters_[h].push_back(l);
@@ -177,9 +175,9 @@ class BatchRunner final : public sim::Checkpointable {
   }
 
   // ---- Checkpointing ------------------------------------------------------
-  // Everything a replayed round can read must round-trip: label state,
-  // round-local queues, the batch's status flags, and the substrate's sync
-  // flags + delivery sequence numbers. Topology (part_, masters_) is
+  // Everything a replayed round can read must round-trip: label state with
+  // its status bits, round-local queues, and the substrate's sync flags +
+  // delivery sequence numbers. Topology (part_, masters_) is
   // immutable and stays out of the snapshot.
 
   void save_checkpoint(util::SendBuffer& buf) const override {
@@ -187,7 +185,6 @@ class BatchRunner final : public sim::Checkpointable {
     const HostId H = part_.num_hosts();
     for (HostId h = 0; h < H; ++h) {
       state_[h].save(buf);
-      buf.write_vector(flags_[h]);
       buf.write_vector(worklist_[h]);
       buf.write_vector(self_sched_[h]);
       buf.write_vector(staged_lids_[h]);
@@ -208,8 +205,6 @@ class BatchRunner final : public sim::Checkpointable {
     for (HostId h = 0; h < H; ++h) {
       const VertexId np = part_.host(h).num_proxies();
       state_[h].restore(buf);
-      flags_[h] = buf.read_vector<std::uint8_t>();
-      sim::expect_size("slot flags", flags_[h].size(), static_cast<std::uint64_t>(np) * k);
       worklist_[h] = buf.read_vector<DrainEntry>();
       self_sched_[h] = buf.read_vector<DrainEntry>();
       staged_lids_[h] = buf.read_vector<graph::VertexId>();
@@ -278,10 +273,6 @@ class BatchRunner final : public sim::Checkpointable {
   }
 
  private:
-  std::uint8_t& flags(HostId h, graph::VertexId lid, std::uint32_t sidx) {
-    return flags_[h][static_cast<std::size_t>(lid) * batch_.size() + sidx];
-  }
-
   /// Derives the forward scheduler's pending set from the cursors: the
   /// masters with unsent L_v entries (ctor state is all-clear; restore).
   void rebuild_pending(HostId h) {
@@ -306,7 +297,7 @@ class BatchRunner final : public sim::Checkpointable {
     HostState& st = state_[h];
     SourceSlot& s = st.slot(lid, sidx);
     if (d > s.dist) return;  // stale
-    if (flags(h, lid, sidx) & kFwdFinal) {
+    if (s.status & SourceSlot::kFwdFinal) {
       side.count_anomaly();  // update after finalization: forbidden by Lemmas 2-5
       return;
     }
@@ -328,8 +319,9 @@ class BatchRunner final : public sim::Checkpointable {
 
   void stage_eager(HostId h, graph::VertexId lid, std::uint32_t sidx, DrainSide& side,
                    std::uint64_t ord) {
-    if (flags(h, lid, sidx) & kEagerStaged) return;
-    flags(h, lid, sidx) |= kEagerStaged;
+    std::uint8_t& status = state_[h].slot(lid, sidx).status;
+    if (status & SourceSlot::kEagerStaged) return;
+    status |= SourceSlot::kEagerStaged;
     if (state_[h].to_broadcast[lid].empty()) side.append(lid, ord);
     state_[h].to_broadcast[lid].push_back({sidx, false});
     substrate_.flag_broadcast(h, lid);
@@ -394,10 +386,12 @@ class BatchRunner final : public sim::Checkpointable {
         scratch_[h], RoundEntries<DrainEntry>{worklist_[h], self_sched_[h]}, opts_.drain_grain,
         hg.num_proxies(), host,
         [&](const DrainEntry& e, auto&& emit) -> std::uint64_t {
-          flags(h, e.lid, e.sidx) |= kFwdFinal;
-          const SourceSlot s = st.slot(e.lid, e.sidx);
+          SourceSlot& s = st.slot(e.lid, e.sidx);
+          s.status |= SourceSlot::kFwdFinal;
+          const std::uint32_t dist = s.dist + 1;
+          const double sigma = s.sigma;
           for (graph::VertexId tl : hg.local.out_neighbors(e.lid)) {
-            emit(PushRec{tl, e.sidx, s.dist + 1, s.sigma});
+            emit(PushRec{tl, e.sidx, dist, sigma});
           }
           return hg.local.out_degree(e.lid);
         },
@@ -428,7 +422,8 @@ class BatchRunner final : public sim::Checkpointable {
     HostState& st = state_[h];
     for (graph::VertexId lid : staged_lids_[h]) {
       for (const auto& [sidx, is_final] : st.to_broadcast[lid]) {
-        if (!is_final) flags(h, lid, sidx) &= static_cast<std::uint8_t>(~kEagerStaged);
+        if (is_final) continue;
+        st.slot(lid, sidx).status &= static_cast<std::uint8_t>(~SourceSlot::kEagerStaged);
       }
       st.to_broadcast[lid].clear();
     }
@@ -505,11 +500,12 @@ class BatchRunner final : public sim::Checkpointable {
   void combine_backward(HostId h, graph::VertexId lid, std::uint32_t sidx, double contribution,
                         DrainSide& side, std::uint64_t ord) {
     HostState& st = state_[h];
-    if (flags(h, lid, sidx) & kAccFinal) {
+    SourceSlot& s = st.slot(lid, sidx);
+    if (s.status & SourceSlot::kAccFinal) {
       side.count_anomaly();  // dependency arrived after its vertex fired
       return;
     }
-    st.slot(lid, sidx).delta += contribution;
+    s.delta += contribution;
     if (part_.host(h).is_master[lid]) {
       if (!opts_.delayed_sync) stage_eager(h, lid, sidx, side, ord);
     } else {
@@ -535,8 +531,8 @@ class BatchRunner final : public sim::Checkpointable {
         scratch_[h], RoundEntries<DrainEntry>{worklist_[h], self_sched_[h]}, opts_.drain_grain,
         hg.num_proxies(), host,
         [&](const DrainEntry& e, auto&& emit) -> std::uint64_t {
-          flags(h, e.lid, e.sidx) |= kAccFinal;
-          const SourceSlot& sv = st.slot(e.lid, e.sidx);
+          SourceSlot& sv = st.slot(e.lid, e.sidx);
+          sv.status |= SourceSlot::kAccFinal;
           if (sv.dist == kInfDist || sv.dist == 0 || sv.sigma == 0.0) return 0;
           const double m = (1.0 + sv.delta) / sv.sigma;
           for (graph::VertexId wl : hg.local.in_neighbors(e.lid)) {
@@ -701,7 +697,6 @@ class BatchRunner final : public sim::Checkpointable {
   std::vector<std::vector<DrainEntry>> self_sched_;
   std::vector<std::vector<graph::VertexId>> staged_lids_;
   std::vector<std::size_t> anomalies_;
-  std::vector<std::vector<std::uint8_t>> flags_;
   std::vector<std::uint8_t> host_active_;  // not vector<bool>: hosts write concurrently
   std::vector<DrainScratch> scratch_;      ///< pooled drain buffers, per host
   // Delayed-sync scheduler state, derived from the labels and cursors and

@@ -1,11 +1,12 @@
 #include "core/mrbc_state.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 
+#include "comm/codec.h"
 #include "core/staged_drain.h"
 #include "util/thread_pool.h"
 
@@ -16,6 +17,77 @@ namespace {
 /// L_v row key: lexicographic (dist, source) order is u64 order.
 constexpr std::uint64_t entry_key(std::uint32_t dist, std::uint32_t sidx) {
   return (std::uint64_t{dist} << 32) | sidx;
+}
+
+// Checkpoint cell record (layout 3): the tag byte carries the status bits
+// and says which label fields follow it.
+constexpr std::uint8_t kTagDist = 1u << 3;   ///< finite distance: a varint follows
+constexpr std::uint8_t kTagSigma = 1u << 4;  ///< sigma bits nonzero: a tagged f64 follows
+constexpr std::uint8_t kTagDelta = 1u << 5;  ///< delta bits nonzero: a tagged f64 follows
+static_assert((SourceSlot::kStatusBits & (kTagDist | kTagSigma | kTagDelta)) == 0);
+constexpr std::uint8_t kTagBits = SourceSlot::kStatusBits | kTagDist | kTagSigma | kTagDelta;
+/// A u32 varint takes at most 5 bytes.
+constexpr std::size_t kMaxU32VarintBytes = 5;
+/// Longest cell record: the tag, a distance and two tagged doubles.
+constexpr std::size_t kMaxCellBytes = 1 + kMaxU32VarintBytes + 2 * comm::kMaxTaggedF64Bytes;
+
+bool nonzero_bits(double v) { return std::bit_cast<std::uint64_t>(v) != 0; }
+
+std::uint8_t* encode_cell(const SourceSlot& s, std::uint8_t* out) {
+  assert((s.status & ~SourceSlot::kStatusBits) == 0);
+  std::uint8_t* tag = out++;
+  std::uint8_t bits = s.status;
+  if (s.dist != graph::kInfDist) {
+    bits |= kTagDist;
+    out += util::encode_varint(s.dist, out);
+  }
+  if (nonzero_bits(s.sigma)) {
+    bits |= kTagSigma;
+    out += comm::encode_tagged_f64(s.sigma, out);
+  }
+  if (nonzero_bits(s.delta)) {
+    bits |= kTagDelta;
+    out += comm::encode_tagged_f64(s.delta, out);
+  }
+  *tag = bits;
+  return out;
+}
+
+/// Writes the nonempty lists among `lists` (one per lid): a varint count,
+/// then per list the varint gap from the previous list's lid + 1, a varint
+/// length and one varint `code(entry)` per entry.
+template <typename List, typename Code>
+void write_sparse_lists(util::SendBuffer& buf, const std::vector<List>& lists, Code code) {
+  const auto nonempty = std::count_if(lists.begin(), lists.end(),
+                                      [](const List& list) { return !list.empty(); });
+  buf.write_varint(static_cast<std::uint64_t>(nonempty), sizeof(std::uint64_t));
+  std::size_t next = 0;
+  for (std::size_t lid = 0; lid < lists.size(); ++lid) {
+    if (lists[lid].empty()) continue;
+    buf.write_varint(lid - next, sizeof(VertexId));
+    buf.write_varint(lists[lid].size(), sizeof(std::uint64_t));
+    for (const auto& entry : lists[lid]) buf.write_varint(code(entry), sizeof(std::uint32_t));
+    next = lid + 1;
+  }
+}
+
+/// Mirror of write_sparse_lists over `np` lids: calls add(lid, code) per
+/// entry, in order. A lid at or past `np` throws std::out_of_range.
+template <typename Add>
+void read_sparse_lists(util::RecvBuffer& buf, std::size_t np, const char* what, Add add) {
+  const std::uint64_t lists = buf.read_varint();
+  std::uint64_t next = 0;
+  for (std::uint64_t i = 0; i < lists; ++i) {
+    const std::uint64_t gap = buf.read_varint();
+    if (gap >= np - next) {
+      throw std::out_of_range(std::string("HostState: ") + what + " list " + std::to_string(i) +
+                              " lies past the " + std::to_string(np) + " proxies");
+    }
+    const auto lid = static_cast<VertexId>(next + gap);
+    next = lid + std::uint64_t{1};
+    const std::uint64_t n = buf.read_varint();
+    for (std::uint64_t j = 0; j < n; ++j) add(lid, buf.read_varint());
+  }
 }
 
 }  // namespace
@@ -130,73 +202,84 @@ void HostState::clear_dirty(VertexId lid) {
 void HostState::save(util::SendBuffer& buf) const {
   buf.write<std::uint32_t>(k_);
   buf.write<VertexId>(num_proxies_);
-  buf.write<std::uint64_t>(slots_.size());
-  std::uint8_t* out = buf.extend(slots_.size() * kPackedSlotBytes);
-  for (const SourceSlot& s : slots_) {
-    std::memcpy(out, &s.dist, sizeof s.dist);
-    std::memcpy(out + 4, &s.sigma, sizeof s.sigma);
-    std::memcpy(out + 12, &s.delta, sizeof s.delta);
-    out += kPackedSlotBytes;
+  for (std::size_t lid = 0; lid < num_proxies_; ++lid) {
+    buf.encode(k_ * kMaxCellBytes, [&](std::uint8_t* out) {
+      for (const SourceSlot& s : slots_.subspan(lid * k_, k_)) out = encode_cell(s, out);
+      return out;
+    });
   }
-  for (VertexId lid = 0; lid < num_proxies_; ++lid) buf.write_vector(dirty_[lid]);
-  buf.write_array(fwd_sent.data(), fwd_sent.size());
-  buf.write_array(acc_sent.data(), acc_sent.size());
-  // std::pair is not guaranteed trivially copyable; serialize elementwise.
-  for (VertexId lid = 0; lid < num_proxies_; ++lid) {
-    buf.write<std::uint64_t>(to_broadcast[lid].size());
-    for (const auto& [sidx, is_final] : to_broadcast[lid]) {
-      buf.write<std::uint32_t>(sidx);
-      buf.write<std::uint8_t>(is_final ? 1 : 0);
-    }
+  write_sparse_lists(buf, dirty_, [](std::uint32_t sidx) { return sidx; });
+  for (const std::span<std::uint32_t> cursors : {fwd_sent, acc_sent}) {
+    buf.encode(cursors.size() * kMaxU32VarintBytes, [&](std::uint8_t* out) {
+      for (std::uint32_t c : cursors) out += util::encode_varint(c, out);
+      return out;
+    });
   }
+  write_sparse_lists(buf, to_broadcast, [](const std::pair<std::uint32_t, bool>& staged) {
+    return (std::uint64_t{staged.first} << 1) | (staged.second ? 1u : 0u);
+  });
 }
 
 void HostState::restore(util::RecvBuffer& buf) {
   const auto k = buf.read<std::uint32_t>();
   const auto np = buf.read<VertexId>();
-  // Against is_master_, not num_proxies_: a moved-from state has lost its
-  // proxies (and its arena) and restores nothing.
-  if (k != k_ || np != is_master_.size()) {
+  // Against is_master_ too: a moved-from state has lost its proxies (and
+  // its arena) and restores nothing.
+  if (k != k_ || np != num_proxies_ || np != is_master_.size()) {
     throw std::out_of_range("HostState: labels for " + std::to_string(np) + " proxies x " +
                             std::to_string(k) + " sources, expected " +
                             std::to_string(is_master_.size()) + " x " + std::to_string(k_));
   }
-  const auto num_slots = buf.read<std::uint64_t>();
-  if (num_slots != slots_.size()) {
-    throw std::out_of_range("HostState: slot count " + std::to_string(num_slots) +
-                            " does not match expected " + std::to_string(slots_.size()));
-  }
-  auto check_source = [&](std::uint32_t sidx, const char* what) {
+  auto check_source = [&](std::uint64_t sidx, const char* what) {
     if (sidx >= k_) {
       throw std::out_of_range(std::string("HostState: ") + what + " " + std::to_string(sidx) +
                               " out of range for " + std::to_string(k_) + " sources");
     }
+    return static_cast<std::uint32_t>(sidx);
   };
-  const std::uint8_t* in = buf.consume(slots_.size() * kPackedSlotBytes);
-  for (SourceSlot& s : slots_) {
-    std::memcpy(&s.dist, in, sizeof s.dist);
-    std::memcpy(&s.sigma, in + 4, sizeof s.sigma);
-    std::memcpy(&s.delta, in + 12, sizeof s.delta);
-    in += kPackedSlotBytes;
-  }
+  buf.decode([&](const std::uint8_t* data, std::size_t size, std::size_t& at) {
+    for (std::size_t cell = 0; cell < slots_.size(); ++cell) {
+      if (at >= size) throw std::out_of_range("HostState: truncated cell records");
+      const std::uint8_t tag = data[at++];
+      if ((tag & ~kTagBits) != 0) {
+        throw std::out_of_range("HostState: cell (lid " + std::to_string(cell / k_) +
+                                ", source " + std::to_string(cell % k_) + ") tag " +
+                                std::to_string(tag) + " has undefined bits");
+      }
+      SourceSlot& s = slots_[cell];
+      s.status = tag & SourceSlot::kStatusBits;
+      s.dist = graph::kInfDist;
+      if (tag & kTagDist) {
+        const std::uint64_t d = util::decode_varint(data, size, at);
+        if (d >= graph::kInfDist) {
+          throw std::out_of_range("HostState: finite distance " + std::to_string(d) +
+                                  " out of range");
+        }
+        s.dist = static_cast<std::uint32_t>(d);
+      }
+      s.sigma = (tag & kTagSigma) ? comm::decode_tagged_f64(data, size, at) : 0.0;
+      s.delta = (tag & kTagDelta) ? comm::decode_tagged_f64(data, size, at) : 0.0;
+    }
+  });
   dirty_.assign(num_proxies_, {});
-  for (VertexId lid = 0; lid < num_proxies_; ++lid) {
-    dirty_[lid] = buf.read_vector<std::uint32_t>();
-    for (std::uint32_t sidx : dirty_[lid]) check_source(sidx, "dirty source");
-  }
-  buf.read_array(fwd_sent.data(), fwd_sent.size());
-  buf.read_array(acc_sent.data(), acc_sent.size());
-  to_broadcast.assign(num_proxies_, {});
-  for (VertexId lid = 0; lid < num_proxies_; ++lid) {
-    const auto n = buf.read<std::uint64_t>();
-    to_broadcast[lid].reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      const auto sidx = buf.read<std::uint32_t>();
-      check_source(sidx, "staged source");
-      const bool is_final = buf.read<std::uint8_t>() != 0;
-      to_broadcast[lid].emplace_back(sidx, is_final);
+  read_sparse_lists(buf, num_proxies_, "dirty", [&](VertexId lid, std::uint64_t sidx) {
+    dirty_[lid].push_back(check_source(sidx, "dirty source"));
+  });
+  for (const std::span<std::uint32_t> cursors : {fwd_sent, acc_sent}) {
+    for (std::uint32_t& c : cursors) {
+      // A lid has at most k entries; the entry-count check below is exact.
+      const std::uint64_t sent = buf.read_varint();
+      if (sent > k_) {
+        throw std::out_of_range("HostState: pipelining cursor " + std::to_string(sent) +
+                                " exceeds " + std::to_string(k_) + " sources");
+      }
+      c = static_cast<std::uint32_t>(sent);
     }
   }
+  to_broadcast.assign(num_proxies_, {});
+  read_sparse_lists(buf, num_proxies_, "staging", [&](VertexId lid, std::uint64_t code) {
+    to_broadcast[lid].emplace_back(check_source(code >> 1, "staged source"), (code & 1u) != 0);
+  });
   // Rebuild the derived structures: the masters' L_v rows and every entry
   // count from A_v, the dirty word plane from the dirty lists.
   std::fill(dirty_words_.begin(), dirty_words_.end(), Word{0});

@@ -2,7 +2,8 @@
 // Per-host MRBC labels using the data-structure layout of Section 4.3:
 //   A_v — a dense array of per-source structs {dist, sigma, delta} giving
 //         O(1) access by (vertex, source); the three fields share one
-//         struct for spatial locality, exactly as the paper describes.
+//         struct for spatial locality, exactly as the paper describes. The
+//         engine's per-cell status bits fill the struct's padding.
 //   L_v — the list of finite (dist, source) pairs in lexicographic order
 //         (Algorithm 3), kept as one sorted row of k u64 keys
 //         (dist << 32 | source) per vertex, of which the first
@@ -41,12 +42,21 @@ namespace mrbc::core {
 
 using graph::VertexId;
 
-/// One (vertex, source) label cell of the dense array A_v.
+/// One (vertex, source) label cell of the dense array A_v, with the
+/// engine's status bits for the cell in what would otherwise be padding,
+/// so a drained cell's status and label share one cache line.
 struct SourceSlot {
   std::uint32_t dist = graph::kInfDist;
+  std::uint8_t status = 0;  ///< kFwdFinal | kAccFinal | kEagerStaged
   double sigma = 0.0;
   double delta = 0.0;
+
+  static constexpr std::uint8_t kFwdFinal = 1;     ///< forward label finalized on this proxy
+  static constexpr std::uint8_t kAccFinal = 2;     ///< dependency finalized on this proxy
+  static constexpr std::uint8_t kEagerStaged = 4;  ///< staged for an eager (non-final) broadcast
+  static constexpr std::uint8_t kStatusBits = kFwdFinal | kAccFinal | kEagerStaged;
 };
+static_assert(sizeof(SourceSlot) == 24, "status bits live in the slot's padding");
 
 /// All MRBC labels of one simulated host for a batch of k sources.
 /// Move-only: the arena owns the backing block, the spans point into it.
@@ -110,23 +120,33 @@ class HostState {
 
   // --- Checkpointing ------------------------------------------------------
   // Serializes / restores the complete label state for crash recovery.
-  // The L_v rows and entry counts are derivable from A_v, so only the slots
+  // The L_v rows and entry counts are derivable from A_v, so only the cells
   // and round-local cursors/queues go on the wire; restore() rebuilds each
-  // master's row by sorting its lid's finite slots. restore() throws
-  // std::out_of_range when the buffer's (proxies, sources) shape differs
-  // from this state's, or a source index or cursor in it lies outside the
-  // label state it describes (a mirror has no entries, so any nonzero
-  // cursor on one).
-  // The slot plane is a u64 count followed by kPackedSlotBytes per slot
-  // (dist u32, sigma f64, delta f64, no padding), so equal label states
-  // always serialize to equal bytes: SourceSlot's in-memory padding is
-  // uninitialized arena memory and never reaches the wire.
-  static constexpr std::size_t kPackedSlotBytes =
-      sizeof(std::uint32_t) + 2 * sizeof(double);
+  // master's row by sorting its lid's finite cells. Layout 3, after the
+  // shape (k and the proxy count, u32 each):
+  //   - one record per cell, lid-major: a tag byte holding the cell's
+  //     status bits (SourceSlot::kStatusBits) and one bit each for "distance
+  //     finite", "sigma bits nonzero" and "delta bits nonzero"; then, for
+  //     the set bits only, the distance as a varint and sigma and delta in
+  //     the codec's tagged-integral form (comm::encode_tagged_f64). Most
+  //     cells hold identity values or integral path counts, so a record is
+  //     a few bytes, and equal label states serialize to equal bytes: the
+  //     slot's padding never reaches the wire.
+  //   - the dirty lists, sparsely: a varint count of the nonempty lists,
+  //     then per list the varint gap from the previous list's lid + 1, a
+  //     varint length and one varint per entry;
+  //   - fwd_sent and acc_sent, one varint per proxy each;
+  //   - the staging lists, sparsely like the dirty lists, an entry as
+  //     varint(sidx << 1 | is_final).
+  // restore() throws std::out_of_range when the buffer's shape differs from
+  // this state's, a cell tag has an undefined bit, or a lid, source index
+  // or cursor in it lies outside the label state it describes (a mirror has
+  // no entries, so any nonzero cursor on one).
   /// Revision of the save() byte layout; durable snapshot fingerprints
   /// include it so a file in an older layout is rejected, not misparsed.
-  /// 1 was the padded 24-byte slot; 2 is the packed 20-byte slot.
-  static constexpr std::uint32_t kWireLayout = 2;
+  /// 1 was the padded 24-byte slot, 2 the packed 20-byte slot plus
+  /// per-proxy list lengths; 3 is the tagged cell record above.
+  static constexpr std::uint32_t kWireLayout = 3;
   void save(util::SendBuffer& buf) const;
   void restore(util::RecvBuffer& buf);
 

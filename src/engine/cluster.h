@@ -322,6 +322,9 @@ class BspLoop {
       app->restore_checkpoint(buf);
       round = resume->round;
       any_active = resume->any_active;
+      // The rounds before the snapshot count even when none is left to run:
+      // a phase resumed from its last round still reports it.
+      stats.rounds = round;
     } else if (checkpointing) {
       take_checkpoint(0, true);
     }

@@ -102,6 +102,21 @@ class SendBuffer {
     return bytes_.data() + offset;
   }
 
+  /// Appends what a pointer-level encoder writes, in place: `fn(out)`
+  /// gets room for `max_bytes` at the end of the buffer and returns one
+  /// past the last byte it wrote, and only those bytes are kept. For
+  /// variable-length records whose size is known only once encoded (the
+  /// checkpoint label planes), with no scratch copy.
+  template <typename Encode>
+  void encode(std::size_t max_bytes, Encode&& fn) {
+    const std::size_t offset = bytes_.size();
+    bytes_.resize(offset + max_bytes);
+    const std::uint8_t* end = fn(bytes_.data() + offset);
+    const auto n = static_cast<std::size_t>(end - (bytes_.data() + offset));
+    bytes_.resize(offset + n);
+    raw_bytes_ += n;
+  }
+
   void write_bitset(const DynamicBitset& bits);
   void write_string(const std::string& s);
 
@@ -221,21 +236,21 @@ class RecvBuffer {
   /// over-long / over-wide encoding (corrupted frame).
   std::uint64_t read_varint() { return decode_varint(data_, size_, cursor_); }
 
+  /// Runs a pointer-level decoder at the read position and returns its
+  /// result: `fn(data, size, cursor)`, in the form of decode_varint,
+  /// reads from [data + cursor, data + size), advances `cursor` past what
+  /// it read and throws std::out_of_range rather than read past `size`.
+  template <typename Decode>
+  decltype(auto) decode(Decode&& fn) {
+    return fn(data_, size_, cursor_);
+  }
+
   /// Copies `n` raw bytes (no length prefix) into `out` — the mirror of
   /// SendBuffer::write_raw / write_encoded.
   void read_raw(void* out, std::size_t n) {
     require(n);
     if (n > 0) std::memcpy(out, data_ + cursor_, n);
     cursor_ += n;
-  }
-
-  /// Mirror of SendBuffer::extend: checks that `n` bytes remain, skips
-  /// them and returns where they start (valid while the bytes live).
-  const std::uint8_t* consume(std::size_t n) {
-    require(n);
-    const std::uint8_t* p = data_ + cursor_;
-    cursor_ += n;
-    return p;
   }
 
   DynamicBitset read_bitset();

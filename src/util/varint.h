@@ -28,7 +28,8 @@ inline std::size_t varint_size(std::uint64_t v) {
   return n;
 }
 
-/// Encodes `v` into `out` (must hold kMaxVarintBytes); returns bytes written.
+/// Encodes `v` into `out`, which must hold varint_size(v) bytes (at most
+/// kMaxVarintBytes; 5 for any u32); returns bytes written.
 inline std::size_t encode_varint(std::uint64_t v, std::uint8_t* out) {
   std::size_t n = 0;
   while (v >= 0x80) {

@@ -2,11 +2,15 @@
 // dense per-source slot array, the sorted (dist, source) row of L_v per
 // master, the lexicographic rank queries that drive the pipelined send
 // schedule, mirrors that keep no row, the dirty tracking used by the
-// reduce phase, and the checkpoint round trip that rebuilds the rows.
+// reduce phase, and the checkpoint round trip that rebuilds the rows and
+// restores every cell bit for bit.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -28,6 +32,7 @@ TEST(HostState, SlotsStartAtIdentity) {
       EXPECT_EQ(st.slot(lid, s).dist, graph::kInfDist);
       EXPECT_DOUBLE_EQ(st.slot(lid, s).sigma, 0.0);
       EXPECT_DOUBLE_EQ(st.slot(lid, s).delta, 0.0);
+      EXPECT_EQ(st.slot(lid, s).status, 0u);
     }
     EXPECT_EQ(st.entry_count(lid), 0u);
   }
@@ -146,9 +151,9 @@ TEST(HostState, MatchesSortedVectorReference) {
 TEST(HostState, RestoreRejectsOutOfRangeIndices) {
   // A source index >= k in a dirty or staging list, a pipelining cursor
   // past its lid's entry count, a nonzero cursor on a mirror (which keeps
-  // no entries), or labels of another shape are refused instead of
-  // indexing past the label state. Lid 2 is a mirror with a finite
-  // distance.
+  // no entries), a cell tag with a bit that is neither a status nor a field
+  // bit, or labels of another shape are refused instead of indexing past
+  // the label state. Lid 2 is a mirror with a finite distance.
   const std::vector<bool> is_master{true, true, false};
   HostState st(is_master, 3);
   st.update_distance(1, 2, 4);
@@ -175,6 +180,16 @@ TEST(HostState, RestoreRejectsOutOfRangeIndices) {
   restore_throws(saved_with([](HostState& s) { s.acc_sent[0] = 1; }));
   restore_throws(saved_with([](HostState& s) { s.fwd_sent[2] = 1; }));
   restore_throws(saved_with([](HostState& s) { s.acc_sent[2] = 1; }));
+  for (const std::uint8_t bit : {0x40, 0x80}) {
+    util::SendBuffer buf = saved_with([](HostState&) {});
+    // Lid 0's identity cells are one tag byte each, after k and the proxy
+    // count: this is cell (0, 1).
+    std::vector<std::uint8_t> bytes = buf.bytes();
+    bytes[2 * sizeof(std::uint32_t) + 1] |= bit;
+    HostState fresh(is_master, 3);
+    util::RecvBuffer in(bytes.data(), bytes.size());
+    EXPECT_THROW(fresh.restore(in), std::out_of_range) << int{bit};
+  }
   {
     util::SendBuffer buf;
     st.save(buf);
@@ -198,6 +213,81 @@ TEST(HostState, RestoreRejectsOutOfRangeIndices) {
   EXPECT_FALSE(fresh.mark_dirty(0, 2)) << "restored dirty lists re-mark their words";
   EXPECT_EQ(fresh.slot(2, 0).dist, 5u);
   EXPECT_EQ(fresh.entry_count(2), 0u);
+}
+
+TEST(HostState, SaveRestoresEveryCellBitExactly) {
+  // A checkpoint writes each cell as a tag byte (status bits and which
+  // fields differ from identity) and then only those fields, doubles in the
+  // codec's tagged-integral form. Every status-bit combination and every
+  // class of double must come back bit for bit, with the lists and
+  // cursors, and every strict prefix of the bytes must be refused.
+  using Limits = std::numeric_limits<double>;
+  const std::vector<double> values{
+      0.0, -0.0, 1.0, 2.0, 127.0, 128.0, 3e15,
+      9007199254740991.0,  // 2^53 - 1: the largest tagged integral
+      9007199254740992.0,  // 2^53: escaped
+      1152921504606846976.0, 1e300, 0.5, -1.0, -3.25, 1.0 / 3.0, Limits::infinity(),
+      -Limits::infinity(), std::bit_cast<double>(std::uint64_t{0x7ff8000000000123}),
+      std::bit_cast<double>(std::uint64_t{0x7ff0000000000001}),
+      std::bit_cast<double>(std::uint64_t{0xfff8000000000000}), Limits::denorm_min(),
+      -Limits::denorm_min(), std::bit_cast<double>(std::uint64_t{0x000fffffffffffff})};
+  const std::vector<std::uint32_t> dists{graph::kInfDist, 0, 1, 127, 128, 70000,
+                                         graph::kInfDist - 1};
+  const std::vector<bool> is_master{true, false, true, true, false};
+  const auto lids = static_cast<VertexId>(is_master.size());
+  constexpr std::uint32_t k = 19;
+  HostState st(is_master, k);
+  std::size_t cell = 0;
+  for (VertexId lid = 0; lid < lids; ++lid) {
+    for (std::uint32_t sidx = 0; sidx < k; ++sidx, ++cell) {
+      SourceSlot& s = st.slot(lid, sidx);
+      const std::uint32_t d = dists[cell % dists.size()];
+      if (d != graph::kInfDist) st.update_distance(lid, sidx, d);
+      s.status = static_cast<std::uint8_t>(cell % (SourceSlot::kStatusBits + 1));
+      s.sigma = values[cell % values.size()];
+      s.delta = values[(cell * 7 + 3) % values.size()];
+    }
+  }
+  st.mark_dirty(1, 18);
+  st.mark_dirty(1, 0);
+  st.mark_dirty(4, 5);
+  st.to_broadcast[0] = {{3, true}, {17, false}};
+  st.to_broadcast[3] = {{0, false}};
+  st.fwd_sent[2] = 2;
+  st.acc_sent[3] = static_cast<std::uint32_t>(st.entry_count(3));
+
+  util::SendBuffer buf;
+  st.save(buf);
+  HostState restored(is_master, k);
+  util::RecvBuffer in(buf);
+  restored.restore(in);
+  EXPECT_EQ(in.remaining(), 0u);
+  for (VertexId lid = 0; lid < lids; ++lid) {
+    for (std::uint32_t sidx = 0; sidx < k; ++sidx) {
+      const SourceSlot& a = st.slot(lid, sidx);
+      const SourceSlot& b = restored.slot(lid, sidx);
+      EXPECT_EQ(a.dist, b.dist) << lid << "," << sidx;
+      EXPECT_EQ(a.status, b.status) << lid << "," << sidx;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(a.sigma), std::bit_cast<std::uint64_t>(b.sigma))
+          << lid << "," << sidx;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(a.delta), std::bit_cast<std::uint64_t>(b.delta))
+          << lid << "," << sidx;
+    }
+    EXPECT_EQ(restored.entry_count(lid), st.entry_count(lid)) << lid;
+    EXPECT_EQ(restored.dirty_sources(lid), st.dirty_sources(lid)) << lid;
+    EXPECT_EQ(restored.to_broadcast[lid], st.to_broadcast[lid]) << lid;
+    EXPECT_EQ(restored.fwd_sent[lid], st.fwd_sent[lid]) << lid;
+    EXPECT_EQ(restored.acc_sent[lid], st.acc_sent[lid]) << lid;
+  }
+  util::SendBuffer again;
+  restored.save(again);
+  EXPECT_EQ(again.bytes(), buf.bytes()) << "equal states save to equal bytes";
+
+  for (std::size_t len = 0; len < buf.size(); ++len) {
+    HostState fresh(is_master, k);
+    util::RecvBuffer prefix(buf.bytes().data(), len);
+    EXPECT_THROW(fresh.restore(prefix), std::out_of_range) << "prefix of " << len << " bytes";
+  }
 }
 
 TEST(HostState, PipeliningCursorsStartAtZero) {

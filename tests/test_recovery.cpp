@@ -394,6 +394,46 @@ TEST(DurableRestart, MrbcColdRestartBitIdentity) {
   EXPECT_EQ(final_run.anomalies, 0u);
 }
 
+TEST(DurableRestart, MrbcResumesExactlyFromEveryHaltPoint) {
+  // Stop after each durable write in turn and resume once: every resume
+  // must reproduce the uninterrupted run bit for bit. With a checkpoint
+  // every round, some halt points fall on a phase's last round, where the
+  // resumed loop has no round left to run yet must still report the
+  // phase's rounds: the backward phase is scheduled from the forward
+  // round count.
+  const Graph g = graph::rmat({.scale = 7, .edge_factor = 8.0, .seed = 5});
+  const auto sources = graph::sample_sources(g, 8, 5);
+  core::MrbcOptions opts;
+  opts.num_hosts = 8;
+  opts.collect_tables = true;
+  opts.cluster.checkpoint_interval = 1;
+  const auto golden = core::mrbc_bc(g, sources, opts);
+  ASSERT_EQ(golden.anomalies, 0u);
+
+  const std::string dir = scratch_dir("mrbc_every_halt");
+  std::size_t points = 0;
+  for (std::size_t halt = 1;; ++halt) {
+    core::MrbcOptions dopts = opts;
+    dopts.checkpoint_dir = dir;
+    dopts.halt_after_checkpoints = halt;
+    if (!core::mrbc_bc(g, sources, dopts).halted) break;
+    ++points;
+    core::MrbcOptions ropts = opts;
+    ropts.checkpoint_dir = dir;
+    ropts.resume = true;
+    const auto resumed = core::mrbc_bc(g, sources, ropts);
+    const std::string label = "halt point " + std::to_string(halt);
+    ASSERT_FALSE(resumed.halted) << label;
+    EXPECT_EQ(resumed.anomalies, 0u) << label;
+    expect_bits_equal(golden.result.bc, resumed.result.bc, label);
+    testing::expect_tables_equal(golden.result, resumed.result, label);
+    EXPECT_EQ(resumed.forward.rounds, golden.forward.rounds) << label;
+    EXPECT_EQ(resumed.backward.rounds, golden.backward.rounds) << label;
+    EXPECT_EQ(resumed.total().bytes, golden.total().bytes) << label;
+  }
+  EXPECT_GT(points, golden.forward.rounds) << "a halt point per round of both phases";
+}
+
 /// Re-frames the snapshot at `path` section by section through a fresh
 /// writer, after `edit(id, payload)` has changed the payloads: the result is
 /// CRC-valid, so only the restore code's own checks can reject it.
@@ -422,9 +462,10 @@ void shorten_scores(std::vector<std::uint8_t>& bytes, std::size_t offset, std::u
 }
 
 TEST(DurableRestart, MrbcResumeRejectsOlderSlotLayout) {
-  // A snapshot written before the packed slot plane carries a fingerprint
-  // without the layout revision; resuming must refuse it instead of
-  // misreading its 24-byte slots.
+  // Snapshots in an older label layout carry another fingerprint: the
+  // padded 24-byte slots had none of the layout revision, the packed
+  // 20-byte slots revision 2. Resuming must refuse either instead of
+  // misreading its label records.
   const std::string dir = scratch_dir("mrbc_layout");
   const Graph g = graph::erdos_renyi(40, 0.1, 13);
   const auto sources = graph::sample_sources(g, 6, 1, /*contiguous=*/false);
@@ -436,7 +477,8 @@ TEST(DurableRestart, MrbcResumeRejectsOlderSlotLayout) {
   ASSERT_TRUE(core::mrbc_bc(g, sources, opts).halted);
   const std::string path = dir + "/mrbc.ckpt";
 
-  // The fingerprint formula of the padded layout: the configuration alone.
+  // The fingerprint formula: the configuration, then the layout revision
+  // (none in the padded layout).
   util::SendBuffer config;
   config.write<std::uint64_t>(g.num_vertices());
   config.write<std::uint32_t>(opts.num_hosts);
@@ -446,17 +488,21 @@ TEST(DurableRestart, MrbcResumeRejectsOlderSlotLayout) {
   config.write<std::uint8_t>(static_cast<std::uint8_t>(opts.cluster.codec));
   config.write<std::uint64_t>(opts.cluster.checkpoint_interval);
   config.write_vector(sources);
-  const std::uint32_t old_fingerprint = util::crc32(config.bytes());
+  const std::uint32_t padded_fingerprint = util::crc32(config.bytes());
+  config.write<std::uint32_t>(2);
+  const std::uint32_t packed_fingerprint = util::crc32(config.bytes());
 
   core::MrbcOptions ropts = opts;
   ropts.halt_after_checkpoints = 1;
   ropts.resume = true;
   reframe(path, [](std::uint32_t, std::vector<std::uint8_t>&) {});
   EXPECT_NO_THROW(core::mrbc_bc(g, sources, ropts));  // re-framing alone keeps it resumable
-  reframe(path, [&](std::uint32_t id, std::vector<std::uint8_t>& bytes) {
-    if (id == 1) std::memcpy(bytes.data(), &old_fingerprint, sizeof(old_fingerprint));
-  });
-  EXPECT_THROW(core::mrbc_bc(g, sources, ropts), sim::SnapshotError);
+  for (const std::uint32_t old_fingerprint : {padded_fingerprint, packed_fingerprint}) {
+    reframe(path, [&](std::uint32_t id, std::vector<std::uint8_t>& bytes) {
+      if (id == 1) std::memcpy(bytes.data(), &old_fingerprint, sizeof(old_fingerprint));
+    });
+    EXPECT_THROW(core::mrbc_bc(g, sources, ropts), sim::SnapshotError) << old_fingerprint;
+  }
 }
 
 TEST(DurableRestart, MrbcResumeRejectsHugeWorklist) {
@@ -484,7 +530,6 @@ TEST(DurableRestart, MrbcResumeRejectsHugeWorklist) {
     loop.read<std::uint64_t>();  // snapshot length
     comm::Substrate(part).restore_state(loop);
     core::HostState(part.host(0).is_master, opts.batch_size).restore(loop);
-    loop.read_vector<std::uint8_t>();  // per-slot status flags
     const std::uint64_t huge = std::uint64_t{1} << 40;
     std::memcpy(bytes.data() + (loop.size() - loop.remaining()), &huge, sizeof(huge));
     edited = true;
@@ -501,11 +546,10 @@ TEST(DurableRestart, MrbcResumeRejectsHugeWorklist) {
 }
 
 /// Offsets of host 0's state inside an MRBC loop section, found by
-/// replaying the section's own readers: the write_vector-framed dirty list
-/// of lid 0, the slot flags, and the worklist.
+/// replaying the section's own readers: where its labels (HostState::save)
+/// begin, and its worklist, which follows them.
 struct LoopOffsets {
-  std::size_t dirty0 = 0;
-  std::size_t flags = 0;
+  std::size_t labels = 0;
   std::size_t worklist = 0;
 };
 
@@ -517,38 +561,38 @@ LoopOffsets loop_offsets(const std::vector<std::uint8_t>& bytes,
   loop.read<std::uint8_t>();   // any_active
   loop.read<std::uint64_t>();  // snapshot length
   comm::Substrate(part).restore_state(loop);
-  // Host 0's labels: k (u32), proxy count (u32), slot count (u64), the
-  // packed slots, then one dirty list per lid.
   LoopOffsets o;
-  std::uint64_t num_slots = 0;
-  std::memcpy(&num_slots, bytes.data() + at() + 2 * sizeof(std::uint32_t), sizeof(num_slots));
-  o.dirty0 = at() + 2 * sizeof(std::uint32_t) + sizeof(std::uint64_t) +
-             num_slots * core::HostState::kPackedSlotBytes;
+  o.labels = at();
   core::HostState(part.host(0).is_master, k).restore(loop);
-  o.flags = at();
-  loop.read_vector<std::uint8_t>();
   o.worklist = at();
   return o;
 }
 
+/// Replaces bytes [begin, end) of an MRBC loop section by `with` and keeps
+/// the framed loop snapshot's length prefix consistent.
+void replace_bytes(std::vector<std::uint8_t>& bytes, std::size_t begin, std::size_t end,
+                   const std::vector<std::uint8_t>& with) {
+  constexpr std::size_t kSnapshotLength = sizeof(std::uint64_t) + sizeof(std::uint8_t);
+  std::uint64_t length = 0;
+  std::memcpy(&length, bytes.data() + kSnapshotLength, sizeof(length));
+  length = length - (end - begin) + with.size();
+  std::memcpy(bytes.data() + kSnapshotLength, &length, sizeof(length));
+  bytes.erase(bytes.begin() + static_cast<std::ptrdiff_t>(begin),
+              bytes.begin() + static_cast<std::ptrdiff_t>(end));
+  bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(begin), with.begin(), with.end());
+}
+
 /// Replaces the elements of the write_vector-framed vector at `offset` of
-/// an MRBC loop section by `elems` (raw bytes, `elem_size` per element) and
-/// keeps the framed loop snapshot's length prefix consistent.
+/// an MRBC loop section by `elems` (raw bytes, `elem_size` per element).
 void replace_vector(std::vector<std::uint8_t>& bytes, std::size_t offset, std::size_t elem_size,
                     const std::vector<std::uint8_t>& elems) {
   std::uint64_t count = 0;
   std::memcpy(&count, bytes.data() + offset, sizeof(count));
   const std::uint64_t new_count = elems.size() / elem_size;
-  std::memcpy(bytes.data() + offset, &new_count, sizeof(new_count));
-  const auto body = static_cast<std::ptrdiff_t>(offset + sizeof(count));
-  bytes.erase(bytes.begin() + body,
-              bytes.begin() + body + static_cast<std::ptrdiff_t>(count * elem_size));
-  bytes.insert(bytes.begin() + body, elems.begin(), elems.end());
-  constexpr std::size_t kSnapshotLength = sizeof(std::uint64_t) + sizeof(std::uint8_t);
-  std::uint64_t length = 0;
-  std::memcpy(&length, bytes.data() + kSnapshotLength, sizeof(length));
-  length = length - count * elem_size + elems.size();
-  std::memcpy(bytes.data() + kSnapshotLength, &length, sizeof(length));
+  std::vector<std::uint8_t> framed(sizeof(new_count));
+  std::memcpy(framed.data(), &new_count, sizeof(new_count));
+  framed.insert(framed.end(), elems.begin(), elems.end());
+  replace_bytes(bytes, offset, offset + sizeof(count) + count * elem_size, framed);
 }
 
 template <typename T>
@@ -560,10 +604,10 @@ std::vector<std::uint8_t> raw_bytes(const T& value) {
 
 TEST(DurableRestart, MrbcResumeRejectsOutOfRangeLoopIndices) {
   // CRC-valid loop snapshots whose host-0 state would index past the
-  // batch's labels once a round runs: a slot-flag vector one byte short of
-  // np * k, a dirty source index equal to k, and a worklist lid equal to
-  // np. Each must be refused as a SnapshotError naming the loop section
-  // before any round runs.
+  // batch's labels once a round runs: a cell tag with a bit outside the
+  // status and field bits, a dirty source index equal to k, and a worklist
+  // lid equal to np. Each must be refused as a SnapshotError naming the
+  // loop section before any round runs.
   const Graph g = graph::erdos_renyi(40, 0.1, 13);
   const auto sources = graph::sample_sources(g, 6, 1, /*contiguous=*/false);
   core::MrbcOptions opts;
@@ -579,15 +623,21 @@ TEST(DurableRestart, MrbcResumeRejectsOutOfRangeLoopIndices) {
     std::function<void(std::vector<std::uint8_t>&, const LoopOffsets&)> edit;
   };
   const Craft crafts[] = {
-      {"short_flags", "slot flags",
+      {"cell_tag_bit7", "undefined bits",
        [&](std::vector<std::uint8_t>& bytes, const LoopOffsets& o) {
-         const auto first = bytes.begin() + static_cast<std::ptrdiff_t>(o.flags + 8);
-         const std::vector<std::uint8_t> shorter(first, first + np * k - 1);
-         replace_vector(bytes, o.flags, 1, shorter);
+         // Host 0's first cell record follows its k and proxy count.
+         bytes[o.labels + 2 * sizeof(std::uint32_t)] |= 0x80;
        }},
       {"dirty_source_k", "dirty source",
        [&](std::vector<std::uint8_t>& bytes, const LoopOffsets& o) {
-         replace_vector(bytes, o.dirty0, sizeof(std::uint32_t), raw_bytes(k));
+         // Re-encode host 0's labels with lid 0's dirty list set to {k}.
+         core::HostState labels(part.host(0).is_master, k);
+         util::RecvBuffer in(bytes.data() + o.labels, o.worklist - o.labels);
+         labels.restore(in);
+         labels.dirty_sources(0).assign(1, k);
+         util::SendBuffer out;
+         labels.save(out);
+         replace_bytes(bytes, o.labels, o.worklist, out.bytes());
        }},
       {"worklist_lid_np", "drain entry",
        [&](std::vector<std::uint8_t>& bytes, const LoopOffsets& o) {
