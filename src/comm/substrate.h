@@ -345,8 +345,8 @@ class Substrate {
   /// is transmitted with the same framing / fault-injection /
   /// reliable-delivery protocol as proxy syncs and consumed at the
   /// receiver by apply(src, dst, RecvBuffer&). Unlike reduce/broadcast it
-  /// is not tied to the proxy exchange lists — the streaming subsystem
-  /// uses it to route EdgeBatch deltas to owning hosts. Empty buffers and
+  /// is not tied to the proxy exchange lists — matrix::DistBcEngine, its
+  /// only caller, moves MFBC's tile exchanges through it. Empty buffers and
   /// the src == dst diagonal (host-local data never crosses the wire) are
   /// skipped. Callers account `values` themselves (the substrate cannot
   /// know how many application values a raw buffer holds).

@@ -102,7 +102,7 @@ class BatchRunner final : public sim::Checkpointable {
     }
   }
 
-  sim::RunStats run_forward(const sim::LoopCheckpoint* resume = nullptr) {
+  sim::RunStats run_forward(const sim::LoopResume* resume = nullptr) {
     obs::Span phase_span(obs::Category::kAlgo, "forward");
     // Step 3 of Alg. 3, restricted to the batch sources (Lemma 8): each
     // source's master proxy starts with (0, s) and sigma 1. On a cold
@@ -142,7 +142,7 @@ class BatchRunner final : public sim::Checkpointable {
     return stats;
   }
 
-  sim::RunStats run_backward(const sim::LoopCheckpoint* resume = nullptr) {
+  sim::RunStats run_backward(const sim::LoopResume* resume = nullptr) {
     if (resume == nullptr) {
       // Diameter finalization: seed the backward pass from the forward
       // round count (the "R" every host agreed on at quiescence). A cold
@@ -787,7 +787,6 @@ struct DurableWriter {
   std::uint64_t batch_begin = 0;
   std::uint32_t phase = kPhaseForward;
   const sim::RunStats* batch_forward = nullptr;  ///< set during backward
-  const sim::RunStats* leg_prefix = nullptr;     ///< stats this leg resumed from
 
   /// `loop`/`partial` are null at batch boundaries (nothing in flight).
   void write(const sim::LoopCheckpoint* loop, const sim::RunStats* partial) {
@@ -799,11 +798,7 @@ struct DurableWriter {
       if (phase == kPhaseBatchDone) return;
       util::SendBuffer& ph = w.section(kSecPhase);
       if (phase == kPhaseBackward) sim::save_run_stats(ph, *batch_forward);
-      if (leg_prefix != nullptr) {
-        sim::save_run_stats(ph, sim::merge_resumed(*leg_prefix, *partial));
-      } else {
-        sim::save_run_stats(ph, *partial);
-      }
+      sim::save_run_stats(ph, *partial);
       // write_vector framing, with the loop's snapshot framed in place
       // rather than copied into the section.
       util::SendBuffer& lp = w.section(kSecLoop);
@@ -832,8 +827,7 @@ MrbcRun mrbc_bc(const Partition& part, const std::vector<graph::VertexId>& sourc
 
   std::size_t begin = 0;
   std::uint32_t resume_phase = kPhaseBatchDone;  // "at the start of batch `begin`"
-  sim::LoopCheckpoint loop_ck;
-  sim::RunStats saved_leg;            // interrupted leg's stats at the snapshot
+  sim::LoopResume resume;             // the interrupted phase's loop and stats
   sim::RunStats saved_batch_forward;  // completed forward of the interrupted batch
   if (options.resume) {
     const sim::SnapshotReader reader = file.resume([&](util::RecvBuffer& meta) {
@@ -849,12 +843,12 @@ MrbcRun mrbc_bc(const Partition& part, const std::vector<graph::VertexId>& sourc
     if (resume_phase != kPhaseBatchDone) {
       reader.read(kSecPhase, "phase", [&](util::RecvBuffer& ph) {
         if (resume_phase == kPhaseBackward) saved_batch_forward = sim::load_run_stats(ph);
-        saved_leg = sim::load_run_stats(ph);
+        resume.stats = sim::load_run_stats(ph);
       });
       reader.read(kSecLoop, "loop", [&](util::RecvBuffer& lp) {
-        loop_ck.round = lp.read<std::uint64_t>();
-        loop_ck.any_active = lp.read<std::uint8_t>() != 0;
-        loop_ck.snapshot = lp.read_vector<std::uint8_t>();
+        resume.checkpoint.round = lp.read<std::uint64_t>();
+        resume.checkpoint.any_active = lp.read<std::uint8_t>() != 0;
+        resume.checkpoint.snapshot = lp.read_vector<std::uint8_t>();
       });
     }
   }
@@ -879,7 +873,7 @@ MrbcRun mrbc_bc(const Partition& part, const std::vector<graph::VertexId>& sourc
         // so a malformed one fails as a SnapshotError naming its section
         // before any round runs. BspLoop then restores it again as its
         // rollback point.
-        sim::parse_section(kSecLoop, "loop", loop_ck.snapshot,
+        sim::parse_section(kSecLoop, "loop", resume.checkpoint.snapshot,
                            [&](util::RecvBuffer& buf) { runner.restore_checkpoint(buf); });
       }
       sim::RunStats fwd;
@@ -887,29 +881,18 @@ MrbcRun mrbc_bc(const Partition& part, const std::vector<graph::VertexId>& sourc
         // Forward already completed before the snapshot; its stats were
         // saved whole and the runner's state is inside the loop snapshot.
         fwd = saved_batch_forward;
-      } else if (resume_here) {
-        writer.phase = kPhaseForward;
-        writer.leg_prefix = &saved_leg;
-        fwd = sim::merge_resumed(saved_leg, runner.run_forward(&loop_ck));
-        writer.leg_prefix = nullptr;
       } else {
         writer.phase = kPhaseForward;
-        fwd = runner.run_forward();
+        fwd = runner.run_forward(resume_here ? &resume : nullptr);
       }
       // NOT folded into run.forward yet: mid-backward snapshots save accum
       // (which must be the state at the batch's start) plus `fwd` in the
       // phase section — folding early would double-count on resume.
 
-      sim::RunStats bwd;
       writer.phase = kPhaseBackward;
       writer.batch_forward = &fwd;
-      if (resume_here && resume_phase == kPhaseBackward) {
-        writer.leg_prefix = &saved_leg;
-        bwd = sim::merge_resumed(saved_leg, runner.run_backward(&loop_ck));
-        writer.leg_prefix = nullptr;
-      } else {
-        bwd = runner.run_backward();
-      }
+      const sim::RunStats bwd = runner.run_backward(
+          resume_here && resume_phase == kPhaseBackward ? &resume : nullptr);
       run.forward += fwd;
       run.backward += bwd;
       writer.batch_forward = nullptr;

@@ -1,7 +1,5 @@
 #include "engine/cluster.h"
 
-#include <algorithm>
-
 namespace mrbc::sim {
 
 FaultCounters& FaultCounters::operator+=(const FaultCounters& other) {
@@ -20,7 +18,6 @@ FaultCounters& FaultCounters::operator+=(const FaultCounters& other) {
   handoffs += other.handoffs;
   handoff_bytes += other.handoff_bytes;
   detection_rounds += other.detection_rounds;
-  suspect_rounds += other.suspect_rounds;
   retransmit_seconds += other.retransmit_seconds;
   checkpoint_seconds += other.checkpoint_seconds;
   detection_seconds += other.detection_seconds;
@@ -74,17 +71,6 @@ void RunStats::add_comm(const SyncStats& comm, double sync_seconds, double retra
   faults.retransmit_bytes += comm.retransmit_bytes;
   faults.forced_deliveries += comm.forced_deliveries;
   faults.retransmit_seconds += retransmit_seconds;
-}
-
-RunStats merge_resumed(const RunStats& saved, const RunStats& resumed) {
-  // A resumed run re-enters the loop at the checkpointed round, so logical
-  // round numbers continue rather than restart: the final round count is
-  // the resumed leg's (or the saved one, if the resumed leg never advanced
-  // past it), NOT the sum that RunStats::operator+= would produce.
-  RunStats merged = saved;
-  merged += resumed;
-  merged.rounds = std::max(saved.rounds, resumed.rounds);
-  return merged;
 }
 
 }  // namespace mrbc::sim

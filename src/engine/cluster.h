@@ -30,17 +30,18 @@
 //     NetworkModel::retransmit_seconds.
 //
 // Permanent failures (ClusterOptions::membership): a FaultKind::kHostDeath
-// event stalls the loop until the failure detector declares the host dead
-// (missed-heartbeat rounds, charged at the detector deadline), hands the
-// dead host's logical shards to survivors (engine/recovery.h), and then
-// rolls back to the last coordinated checkpoint exactly like a crash. The
-// logical computation is unchanged, so results and round counts stay
-// bit-identical to a fault-free run; only the performance accounting
-// degrades (adopted shards share their adopter's CPU, co-located pair
-// traffic becomes local). Durable restarts (ClusterOptions::on_checkpoint
-// plus the resume parameter of run()) persist each coordinated checkpoint
-// through the caller, and a later run() continues from it as if the
-// process had never exited.
+// event stalls the loop for BspLoop::kDeadAfter missed heartbeats (each
+// charged NetworkModel::heartbeat_deadline_seconds), hands the dead host's
+// logical shards to survivors (engine/recovery.h), and then rolls back to
+// the last coordinated checkpoint exactly like a crash. The logical
+// computation is unchanged, so results and round counts stay bit-identical
+// to a fault-free run; only the performance accounting degrades (adopted
+// shards share their adopter's CPU, co-located pair traffic becomes
+// local). Durable restarts (ClusterOptions::on_checkpoint plus the resume
+// parameter of run()) persist each coordinated checkpoint and the stats so
+// far through the caller, and a later run() continues from both as if the
+// process had never exited: its modeled time is bit-identical to an
+// uninterrupted run's.
 
 #include <cstdint>
 #include <functional>
@@ -126,10 +127,9 @@ struct FaultCounters {
   std::size_t handoffs = 0;               ///< logical shards adopted by survivors
   std::size_t handoff_bytes = 0;          ///< modeled checkpoint-slice transfer to adopters
   std::size_t detection_rounds = 0;       ///< stalled rounds spent declaring deaths
-  std::size_t suspect_rounds = 0;         ///< late-heartbeat (straggler) observations
   double retransmit_seconds = 0;          ///< modeled recovery-traffic time
   double checkpoint_seconds = 0;          ///< modeled snapshot-write time
-  double detection_seconds = 0;           ///< modeled detector-stall time
+  double detection_seconds = 0;           ///< modeled missed-heartbeat stall time
   double handoff_seconds = 0;             ///< modeled shard-transfer time
 
   FaultCounters& operator+=(const FaultCounters& other);
@@ -188,13 +188,14 @@ struct LoopCheckpoint {
   std::vector<std::uint8_t> snapshot;
 };
 
-/// Folds the stats captured in a durable checkpoint with the stats of the
-/// resumed execution that continued from it. Counters add; `rounds` keeps
-/// the absolute logical round number (the resumed loop continues the same
-/// numbering, so the larger of the two is the final round). For
-/// deterministic counters the merge equals the uninterrupted run exactly;
-/// measured wall-clock fields are sums of the two executions.
-RunStats merge_resumed(const RunStats& saved, const RunStats& resumed);
+/// Where BspLoop::run continues a durable run: the checkpoint, and the
+/// stats on_checkpoint was handed with it. The resumed loop keeps adding to
+/// those stats, so every modeled sum is bit-identical to an uninterrupted
+/// run's; measured wall-clock fields sum the two executions.
+struct LoopResume {
+  LoopCheckpoint checkpoint;
+  RunStats stats;
+};
 
 /// Options controlling the simulated execution.
 struct ClusterOptions {
@@ -234,7 +235,8 @@ struct ClusterOptions {
   /// pass a fresh (or reset()) map per independent run.
   Membership* membership = nullptr;
   /// Durable-checkpoint hook: called after every coordinated checkpoint
-  /// with the fresh snapshot and the stats accumulated so far. Setting it
+  /// with the fresh snapshot and the stats accumulated so far (together,
+  /// a LoopResume to continue the run from). Setting it
   /// enables checkpointing even without a fault injector (restart-from-disk
   /// support for fault-free runs). The callback may throw to abort the run
   /// (e.g. simulating a process death in tests); the exception propagates
@@ -265,23 +267,37 @@ struct ClusterOptions {
 /// is ever "in flight" across a barrier and quiescence cannot fire early.
 class BspLoop {
  public:
+  /// Consecutive missed heartbeats that declare a host dead. Every live
+  /// host heartbeats every round, so each round in which deaths fire
+  /// stalls the loop this many rounds.
+  static constexpr std::size_t kDeadAfter = 3;
+
   explicit BspLoop(HostId num_hosts, ClusterOptions options = {})
       : num_hosts_(num_hosts), options_(options) {}
 
   template <typename CommFn, typename ComputeFn, typename PendingFn>
   RunStats run(CommFn&& comm, ComputeFn&& compute, PendingFn&& pending,
-               Checkpointable* app = nullptr, const LoopCheckpoint* resume = nullptr) {
-    RunStats stats;
-    stats.per_host_compute_seconds.assign(num_hosts_, 0.0);
+               Checkpointable* app = nullptr, const LoopResume* resume = nullptr) {
     if (options_.threads != 0) util::ThreadPool::set_global_threads(options_.threads);
     FaultInjector* fault = options_.fault;
     Membership* membership = options_.membership;
     const bool checkpointing =
         app != nullptr &&
         (fault != nullptr || options_.on_checkpoint != nullptr || resume != nullptr);
+    const bool resuming = checkpointing && resume != nullptr;
+    RunStats stats = resuming ? resume->stats : RunStats{};
+    stats.per_host_compute_seconds.resize(num_hosts_, 0.0);
     const std::size_t interval = std::max<std::size_t>(options_.checkpoint_interval, 1);
     LoopCheckpoint ckpt;  // latest coordinated checkpoint: the rollback point
-    FailureDetector detector(num_hosts_, options_.network);
+    bool any_active = true;  // force the first round
+    std::size_t round = 0;
+    // The one restore path: crash rollback, death rollback and cold resume.
+    auto restore = [&] {
+      util::RecvBuffer buf(ckpt.snapshot.data(), ckpt.snapshot.size());
+      app->restore_checkpoint(buf);
+      round = ckpt.round;
+      any_active = ckpt.any_active;
+    };
     auto take_checkpoint = [&](std::size_t ckpt_round, bool ckpt_any_active) {
       {
         // Measured serialization time, beside the modeled write below.
@@ -311,17 +327,12 @@ class BspLoop {
       if (options_.on_checkpoint) options_.on_checkpoint(ckpt, stats);
     };
 
-    bool any_active = true;  // force the first round
-    std::size_t round = 0;
-    if (checkpointing && resume != nullptr) {
+    if (resuming) {
       // Cold restart: adopt the durable snapshot as the current coordinated
       // checkpoint and restore the application into it. No checkpoint cost
       // is charged — the snapshot already exists on stable storage.
-      ckpt = *resume;
-      util::RecvBuffer buf(ckpt.snapshot.data(), ckpt.snapshot.size());
-      app->restore_checkpoint(buf);
-      round = resume->round;
-      any_active = resume->any_active;
+      ckpt = resume->checkpoint;
+      restore();
       // The rounds before the snapshot count even when none is left to run:
       // a phase resumed from its last round still reports it.
       stats.rounds = round;
@@ -334,26 +345,9 @@ class BspLoop {
       // the comm substrate tags its reduce/broadcast spans from it.
       obs::ScopedContext round_ctx(obs::kEngineHost, static_cast<std::uint32_t>(round));
       const SyncStats comm_stats = comm(round);
-      std::size_t max_egress = 0;
-      std::size_t max_msgs = 0;
-      if (membership != nullptr && membership->degraded()) {
-        // Degraded mode: co-located logical hosts share one NIC, so the
-        // network model's per-host maxima are taken over physical hosts.
-        std::vector<std::size_t> egress(num_hosts_, 0);
-        std::vector<std::size_t> msgs(num_hosts_, 0);
-        for (std::size_t h = 0; h < comm_stats.bytes_per_host.size(); ++h) {
-          egress[membership->physical(static_cast<HostId>(h))] += comm_stats.bytes_per_host[h];
-        }
-        for (std::size_t h = 0; h < comm_stats.msgs_per_host.size(); ++h) {
-          msgs[membership->physical(static_cast<HostId>(h))] += comm_stats.msgs_per_host[h];
-        }
-        for (std::size_t b : egress) max_egress = std::max(max_egress, b);
-        for (std::size_t m : msgs) max_msgs = std::max(max_msgs, m);
-      } else {
-        for (std::size_t b : comm_stats.bytes_per_host) max_egress = std::max(max_egress, b);
-        for (std::size_t m : comm_stats.msgs_per_host) max_msgs = std::max(max_msgs, m);
-      }
-      const double sync_seconds = options_.network.round_seconds(max_msgs, max_egress);
+      const double sync_seconds =
+          options_.network.round_seconds(physical_max(comm_stats.msgs_per_host, membership),
+                                         physical_max(comm_stats.bytes_per_host, membership));
       const double retransmit_seconds =
           options_.network.retransmit_seconds(comm_stats.backoff_steps, comm_stats.retransmit_bytes);
       const double net_seconds = sync_seconds + retransmit_seconds;
@@ -381,40 +375,15 @@ class BspLoop {
       });
       any_active = false;
       std::vector<double> work_units(num_hosts_);
-      double max_seconds = 0.0;
       HostId slowest = 0;
       for (HostId h = 0; h < num_hosts_; ++h) {
         any_active = any_active || work[h].active;
         work_units[h] = static_cast<double>(work[h].work_items);
         if (fault) host_seconds[h] *= fault->compute_slowdown(h);  // straggler model
         stats.per_host_compute_seconds[h] += host_seconds[h];
-        if (host_seconds[h] > max_seconds) {
-          max_seconds = host_seconds[h];
-          slowest = h;
-        }
+        if (host_seconds[h] > host_seconds[slowest]) slowest = h;
       }
-      if (membership != nullptr && membership->degraded()) {
-        // Adopted shards execute serially on their adopter, so the round's
-        // compute critical path is the max over physical hosts of the sum
-        // of their logical shards' times.
-        std::vector<double> physical_seconds(num_hosts_, 0.0);
-        for (HostId h = 0; h < num_hosts_; ++h) {
-          physical_seconds[membership->physical(h)] += host_seconds[h];
-        }
-        max_seconds = 0.0;
-        for (double s : physical_seconds) max_seconds = std::max(max_seconds, s);
-      }
-      if (membership != nullptr) {
-        // Heartbeats: one per alive physical host carrying its round time.
-        std::vector<double> physical_seconds(num_hosts_, 0.0);
-        for (HostId h = 0; h < num_hosts_; ++h) {
-          physical_seconds[membership->physical(h)] += host_seconds[h];
-        }
-        for (HostId p = 0; p < num_hosts_; ++p) {
-          if (membership->is_alive(p)) detector.observe(p, physical_seconds[p] + net_seconds);
-        }
-        detector.finish_round();
-      }
+      const double max_seconds = physical_max(host_seconds, membership);
       stats.compute_seconds += max_seconds;
       stats.phases.compute_seconds += max_seconds;
       stats.imbalance_sum += util::imbalance(work_units);
@@ -446,8 +415,7 @@ class BspLoop {
       // failure — and its round-log entry is recorded (flagged) for the
       // same reason, BEFORE any rollback, so log sums always reconcile
       // with the aggregates.
-      HostId dead = 0;
-      const bool crashed = fault && fault->crash_due(round, &dead);
+      const bool crashed = fault != nullptr && fault->crash_due(round, nullptr);
       std::vector<HostId> deaths;
       if (fault != nullptr) {
         HostId d = 0;
@@ -467,6 +435,8 @@ class BspLoop {
         stats.round_log.push_back(entry);
       }
       if (crashed) stats.faults.crashes += 1;
+      // Without a checkpoint hook a crash is recorded but not recoverable.
+      bool roll_back = crashed && checkpointing;
       if (!deaths.empty() && membership != nullptr && checkpointing) {
         // Permanent host loss: detect, hand off ownership, then roll back
         // to the last coordinated checkpoint and replay on the survivors.
@@ -485,21 +455,11 @@ class BspLoop {
           }
         }
         if (!dying.empty()) {
-          // Detection: the loop stalls until every dying host has missed
-          // kDeadAfter consecutive heartbeat deadlines. Survivors wait out
-          // one detector deadline per stalled round.
-          std::size_t stall_rounds = 0;
-          bool all_declared = false;
-          while (!all_declared) {
-            for (HostId p : dying) detector.observe_missing(p);
-            detector.finish_round();
-            ++stall_rounds;
-            all_declared = true;
-            for (HostId p : dying) all_declared = all_declared && detector.dead(p);
-          }
-          const double stall_seconds =
-              static_cast<double>(stall_rounds) * detector.deadline_seconds();
-          stats.faults.detection_rounds += stall_rounds;
+          // Detection: survivors wait out kDeadAfter missed heartbeats, one
+          // heartbeat deadline per stalled round.
+          const double stall_seconds = static_cast<double>(kDeadAfter) *
+                                       options_.network.heartbeat_deadline_seconds();
+          stats.faults.detection_rounds += kDeadAfter;
           stats.faults.detection_seconds += stall_seconds;
           stats.network_seconds += stall_seconds;
           stats.phases.recovery_seconds += stall_seconds;
@@ -523,34 +483,22 @@ class BspLoop {
                                                stall_seconds + handoff_seconds);
           }
           app->on_membership_change(*membership);
-          // Rollback & replay, exactly like a transient crash.
-          stats.faults.recovery_rounds += round - ckpt.round;
-          util::RecvBuffer buf(ckpt.snapshot.data(), ckpt.snapshot.size());
-          app->restore_checkpoint(buf);
-          round = ckpt.round;
-          any_active = ckpt.any_active;
-          continue;
+          roll_back = true;
         }
       } else if (!deaths.empty()) {
         // No membership map (or no checkpointing): the deaths are recorded
         // but unrecoverable.
         stats.faults.deaths += deaths.size();
       }
-      if (crashed) {
-        if (checkpointing) {
-          // Roll every host back to the last coordinated checkpoint and
-          // replay; replayed rounds append fresh log entries under their
-          // (repeated) logical round numbers.
-          obs::Span rollback_span(obs::Category::kRecovery, "rollback", obs::kEngineHost,
-                                  static_cast<std::uint32_t>(round));
-          stats.faults.recovery_rounds += round - ckpt.round;
-          util::RecvBuffer buf(ckpt.snapshot.data(), ckpt.snapshot.size());
-          app->restore_checkpoint(buf);
-          round = ckpt.round;
-          any_active = ckpt.any_active;
-          continue;
-        }
-        // No checkpoint hook: the crash is recorded but not recoverable.
+      if (roll_back) {
+        // Roll every host back to the last coordinated checkpoint and
+        // replay; replayed rounds append fresh log entries under their
+        // (repeated) logical round numbers.
+        obs::Span rollback_span(obs::Category::kRecovery, "rollback", obs::kEngineHost,
+                                static_cast<std::uint32_t>(round));
+        stats.faults.recovery_rounds += round - ckpt.round;
+        restore();
+        continue;
       }
 
       stats.rounds = round;
@@ -559,15 +507,30 @@ class BspLoop {
         obs::progress_tick(round, stats.compute_seconds, stats.network_seconds, stats.bytes);
       }
     }
-    if (membership != nullptr) {
-      // Diagnostic only: late-heartbeat counts depend on measured wall
-      // clock, so this is reported but never asserted deterministic.
-      stats.faults.suspect_rounds += detector.suspect_observations();
-    }
     return stats;
   }
 
  private:
+  /// Max over hosts of `per_host` (one entry per logical host). In degraded
+  /// mode the entries are first summed per physical host: co-located
+  /// logical hosts share one NIC, and adopted shards run serially on their
+  /// adopter's CPU.
+  template <typename T>
+  static T physical_max(const std::vector<T>& per_host, const Membership* membership) {
+    std::vector<T> physical;
+    const std::vector<T>* hosts = &per_host;
+    if (membership != nullptr && membership->degraded()) {
+      physical.assign(membership->num_logical(), T{});
+      for (std::size_t h = 0; h < per_host.size(); ++h) {
+        physical[membership->physical(static_cast<HostId>(h))] += per_host[h];
+      }
+      hosts = &physical;
+    }
+    T max{};
+    for (const T& v : *hosts) max = std::max(max, v);
+    return max;
+  }
+
   HostId num_hosts_;
   ClusterOptions options_;
 };

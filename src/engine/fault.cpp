@@ -4,6 +4,7 @@
 #include <array>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace mrbc::sim {
 
@@ -15,7 +16,7 @@ constexpr std::uint64_t kChannelStream = 0x9e3779b97f4a7c15ull;
 constexpr std::uint64_t kStragglerStream = 0x2545f4914f6cdd1dull;
 
 // Bump when the serialized FaultPlan layout changes.
-constexpr std::uint32_t kPlanVersion = 1;
+constexpr std::uint32_t kPlanVersion = 2;
 
 }  // namespace
 
@@ -27,8 +28,6 @@ void FaultPlan::save(util::SendBuffer& buf) const {
   buf.write<double>(corrupt_rate);
   buf.write<double>(straggler_rate);
   buf.write<double>(straggler_slowdown);
-  buf.write<std::uint32_t>(crash_round);
-  buf.write<HostId>(crash_host);
   buf.write<std::uint64_t>(events.size());
   for (const FaultEvent& e : events) {
     buf.write<std::uint8_t>(static_cast<std::uint8_t>(e.kind));
@@ -49,14 +48,16 @@ void FaultPlan::restore(util::RecvBuffer& buf) {
   corrupt_rate = buf.read<double>();
   straggler_rate = buf.read<double>();
   straggler_slowdown = buf.read<double>();
-  crash_round = buf.read<std::uint32_t>();
-  crash_host = buf.read<HostId>();
+  // No reserve: the count is untrusted until the events have been read.
   const auto n = buf.read<std::uint64_t>();
   events.clear();
-  events.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
     FaultEvent e;
-    e.kind = static_cast<FaultKind>(buf.read<std::uint8_t>());
+    const auto kind = buf.read<std::uint8_t>();
+    if (kind > static_cast<std::uint8_t>(FaultKind::kHostDeath)) {
+      throw std::out_of_range("FaultPlan: unknown fault kind " + std::to_string(kind));
+    }
+    e.kind = static_cast<FaultKind>(kind);
     e.round = buf.read<std::uint32_t>();
     e.host = buf.read<HostId>();
     events.push_back(e);
@@ -94,61 +95,18 @@ double FaultInjector::compute_slowdown(HostId h) const {
   return h < slowdown_.size() ? slowdown_[h] : 1.0;
 }
 
-bool FaultInjector::crash_due(std::size_t round, HostId* crashed) {
-  if (!crash_fired_ && plan_.crash_round != 0 && round == plan_.crash_round) {
-    crash_fired_ = true;
-    if (crashed) *crashed = num_hosts_ > 0 ? plan_.crash_host % num_hosts_ : 0;
-    return true;
-  }
+bool FaultInjector::fire(FaultKind kind, std::size_t round, HostId* host) {
   for (std::size_t i = 0; i < plan_.events.size(); ++i) {
     const FaultEvent& e = plan_.events[i];
-    if (event_fired_[i] || e.kind != FaultKind::kCrash || e.round == 0 || round != e.round) {
-      continue;
-    }
+    if (event_fired_[i] || e.kind != kind || e.round == 0 || round != e.round) continue;
     event_fired_[i] = 1;
-    if (crashed) *crashed = num_hosts_ > 0 ? e.host % num_hosts_ : 0;
+    if (host) *host = num_hosts_ > 0 ? e.host % num_hosts_ : 0;
     return true;
-  }
-  return false;
-}
-
-bool FaultInjector::crash_armed() const {
-  if (plan_.crash_round != 0 && !crash_fired_) return true;
-  for (std::size_t i = 0; i < plan_.events.size(); ++i) {
-    if (!event_fired_[i] && plan_.events[i].kind == FaultKind::kCrash &&
-        plan_.events[i].round != 0) {
-      return true;
-    }
-  }
-  return false;
-}
-
-bool FaultInjector::death_due(std::size_t round, HostId* dead) {
-  for (std::size_t i = 0; i < plan_.events.size(); ++i) {
-    const FaultEvent& e = plan_.events[i];
-    if (event_fired_[i] || e.kind != FaultKind::kHostDeath || e.round == 0 ||
-        round != e.round) {
-      continue;
-    }
-    event_fired_[i] = 1;
-    if (dead) *dead = num_hosts_ > 0 ? e.host % num_hosts_ : 0;
-    return true;
-  }
-  return false;
-}
-
-bool FaultInjector::deaths_armed() const {
-  for (std::size_t i = 0; i < plan_.events.size(); ++i) {
-    if (!event_fired_[i] && plan_.events[i].kind == FaultKind::kHostDeath &&
-        plan_.events[i].round != 0) {
-      return true;
-    }
   }
   return false;
 }
 
 void FaultInjector::rearm() {
-  crash_fired_ = false;
   event_fired_.assign(plan_.events.size(), 0);
   rng_ = util::Xoshiro256(plan_.seed ^ kChannelStream);
 }
@@ -156,17 +114,20 @@ void FaultInjector::rearm() {
 void FaultInjector::save_cursor(util::SendBuffer& buf) const {
   const auto state = rng_.state();
   for (std::uint64_t word : state) buf.write<std::uint64_t>(word);
-  buf.write<std::uint8_t>(crash_fired_ ? 1 : 0);
   buf.write_vector(event_fired_);
 }
 
 void FaultInjector::restore_cursor(util::RecvBuffer& buf) {
   std::array<std::uint64_t, 4> state;
   for (auto& word : state) word = buf.read<std::uint64_t>();
+  std::vector<std::uint8_t> fired = buf.read_vector<std::uint8_t>();
+  if (fired.size() != plan_.events.size()) {
+    throw std::out_of_range("fault cursor tracks " + std::to_string(fired.size()) +
+                            " events, the plan schedules " +
+                            std::to_string(plan_.events.size()));
+  }
   rng_.set_state(state);
-  crash_fired_ = buf.read<std::uint8_t>() != 0;
-  event_fired_ = buf.read_vector<std::uint8_t>();
-  event_fired_.resize(plan_.events.size(), 0);
+  event_fired_ = std::move(fired);
 }
 
 }  // namespace mrbc::sim

@@ -67,24 +67,24 @@ struct FaultPlan {
   // Compute-level faults.
   double straggler_rate = 0.0;       ///< probability a host is a straggler
   double straggler_slowdown = 4.0;   ///< compute-time multiplier for stragglers
-  std::uint32_t crash_round = 0;     ///< BSP round in which crash_host dies (0 = never)
-  HostId crash_host = 0;             ///< host that crashes (taken modulo host count)
 
-  /// Additional scheduled faults (crashes and permanent deaths); the legacy
-  /// crash_round/crash_host pair is kept for source compatibility and fires
-  /// independently.
+  /// Scheduled crashes and permanent deaths. Of the events of one kind due
+  /// in the same round, the earliest in this list fires first.
   std::vector<FaultEvent> events;
 
   /// Serialization (versioned inside the caller's framing): a plan written
   /// with save() and read back with restore() replays bit-identically.
+  /// restore() throws std::out_of_range on another version or an event
+  /// kind save() never writes.
   void save(util::SendBuffer& buf) const;
   void restore(util::RecvBuffer& buf);
 };
 
 /// Draws every fault decision deterministically from FaultPlan::seed.
 /// One injector instance serves both the comm layer (via ChannelFaults)
-/// and the BSP loop (stragglers, crash). The crash fires at most once per
-/// injector lifetime, so rollback-and-replay cannot crash-loop.
+/// and the BSP loop (stragglers, crashes, deaths). Each scheduled event
+/// fires at most once per injector lifetime, so rollback-and-replay cannot
+/// crash-loop.
 class FaultInjector final : public comm::ChannelFaults {
  public:
   FaultInjector(const FaultPlan& plan, HostId num_hosts);
@@ -99,17 +99,19 @@ class FaultInjector final : public comm::ChannelFaults {
   /// per host for the injector's lifetime, derived from the seed.
   double compute_slowdown(HostId h) const;
 
-  /// True exactly once per scheduled crash (the legacy crash_round pair or
-  /// a kCrash event) whose round == `round`; writes the dead host to
-  /// `crashed`. Call in a loop to drain several crashes in one round.
-  bool crash_due(std::size_t round, HostId* crashed);
-  bool crash_armed() const;
+  /// True exactly once per kCrash event whose round == `round`; writes
+  /// the (modulo-reduced) crashed host to `crashed` unless it is null.
+  /// Call in a loop to drain several crashes in one round.
+  bool crash_due(std::size_t round, HostId* crashed) {
+    return fire(FaultKind::kCrash, round, crashed);
+  }
 
   /// True exactly once per kHostDeath event whose round == `round`; writes
   /// the (modulo-reduced) dead host to `dead`. Call in a loop to drain
   /// several deaths scheduled for the same round.
-  bool death_due(std::size_t round, HostId* dead);
-  bool deaths_armed() const;
+  bool death_due(std::size_t round, HostId* dead) {
+    return fire(FaultKind::kHostDeath, round, dead);
+  }
 
   /// Re-arms every scheduled fault and reseeds the RNG: the same plan
   /// replays the same schedule from the start (fresh runs in tests and
@@ -119,6 +121,8 @@ class FaultInjector final : public comm::ChannelFaults {
   /// Serializes the injector's progress through the fault schedule — RNG
   /// state and which scheduled events already fired — so a cold restart
   /// does not replay faults the interrupted run already survived.
+  /// restore_cursor throws std::out_of_range, before changing anything, on
+  /// a cursor saved under a plan with another number of events.
   void save_cursor(util::SendBuffer& buf) const;
   void restore_cursor(util::RecvBuffer& buf);
 
@@ -126,19 +130,21 @@ class FaultInjector final : public comm::ChannelFaults {
   HostId num_hosts() const { return num_hosts_; }
 
  private:
+  /// Fires the first unfired `kind` event scheduled for `round`.
+  bool fire(FaultKind kind, std::size_t round, HostId* host);
+
   FaultPlan plan_;
   HostId num_hosts_;
   util::Xoshiro256 rng_;
   std::vector<double> slowdown_;
-  bool crash_fired_ = false;
   std::vector<std::uint8_t> event_fired_;  ///< parallel to plan_.events
 };
 
-/// Checkpoint/restart hook implemented by applications that run under a
-/// FaultInjector (MrbcState's BatchRunner, the SBBC baseline). The
-/// snapshot must capture everything a replayed round reads: per-host
-/// labels, round-local worklists, and the substrate's flag + delivery
-/// state (Substrate::save_state).
+/// Checkpoint/restart hook implemented by the applications BspLoop runs
+/// (MRBC's BatchRunner, SBBC's SourceRunner, matrix::DistBcEngine for
+/// MFBC). The snapshot must capture everything a replayed round reads:
+/// per-host labels, round-local worklists, and the substrate's flag +
+/// delivery state (Substrate::save_state).
 class Checkpointable {
  public:
   virtual ~Checkpointable() = default;

@@ -1,5 +1,6 @@
 #include "engine/network_model.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace mrbc::sim {
@@ -41,6 +42,10 @@ double NetworkModel::retransmit_seconds(std::size_t backoff_steps,
 
 double NetworkModel::checkpoint_seconds(std::size_t checkpoint_bytes) const {
   return transfer_seconds(checkpoint_bytes, checkpoint_bytes_per_sec);
+}
+
+double NetworkModel::heartbeat_deadline_seconds() const {
+  return std::max(1e-4, 8.0 * sanitize(kappa_barrier));
 }
 
 }  // namespace mrbc::sim

@@ -21,8 +21,10 @@
 //     retransmission waits out an exponentially backed-off timeout (RTO
 //     units accumulated by the substrate) and re-sends its bytes;
 //   checkpoint_seconds — writing a coordinated snapshot to stable storage
-//     at the checkpoint bandwidth.
-// Both are zero on a fault-free run.
+//     at the checkpoint bandwidth;
+//   heartbeat_deadline_seconds — how long survivors wait for one missed
+//     heartbeat before counting it, charged per round a host death stalls.
+// None is charged on a fault-free run.
 //
 // Robustness: every term is clamped to be non-negative and finite — a
 // zero-host round charges exactly one kappa_barrier and degenerate
@@ -56,6 +58,10 @@ struct NetworkModel {
 
   /// Modeled cost of writing `checkpoint_bytes` to stable storage.
   double checkpoint_seconds(std::size_t checkpoint_bytes) const;
+
+  /// Modeled wait for one missed heartbeat: 8 barrier latencies, headroom
+  /// that ordinary round jitter never trips, and never under 100 µs.
+  double heartbeat_deadline_seconds() const;
 };
 
 }  // namespace mrbc::sim

@@ -1,71 +1,13 @@
 #include "engine/recovery.h"
 
 #include <algorithm>
-#include <cmath>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "partition/policies.h"
 
 namespace mrbc::sim {
-
-// ---- FailureDetector --------------------------------------------------------
-
-FailureDetector::FailureDetector(HostId num_hosts, const NetworkModel& network)
-    : network_(network) {
-  late_.assign(num_hosts, 0);
-  misses_.assign(num_hosts, 0);
-  dead_.assign(num_hosts, 0);
-}
-
-double FailureDetector::deadline_seconds() const {
-  const double baseline =
-      std::max(ewma_primed_ ? ewma_seconds_ : network_.kappa_barrier, network_.kappa_barrier);
-  return std::max(kMinDeadlineSeconds, kDeadlineMultiplier * baseline);
-}
-
-double FailureDetector::deadline_seconds(HostId h) const {
-  // Suspects get exponentially more grace per consecutive late heartbeat
-  // (capped so the wait stays bounded) — the straggler backoff.
-  const double steps = static_cast<double>(std::min<std::size_t>(late_[h], 16));
-  return deadline_seconds() * std::pow(kBackoffGrowth, steps);
-}
-
-void FailureDetector::observe(HostId h, double seconds) {
-  if (dead_[h]) return;
-  misses_[h] = 0;  // a heartbeat, however late, proves the host is up
-  if (seconds > deadline_seconds(h)) {
-    ++late_[h];
-    ++suspect_observations_;
-  } else {
-    if (late_[h] > 0) --late_[h];
-    // On-time heartbeats feed the baseline; late ones are excluded so one
-    // straggler cannot inflate everyone's deadline.
-    round_max_seconds_ = std::max(round_max_seconds_, seconds);
-    round_has_observation_ = true;
-  }
-}
-
-void FailureDetector::observe_missing(HostId h) {
-  if (dead_[h]) return;
-  ++misses_[h];
-  if (misses_[h] >= kDeadAfter) dead_[h] = 1;
-}
-
-void FailureDetector::finish_round() {
-  if (round_has_observation_) {
-    ewma_seconds_ = ewma_primed_
-                        ? kEwmaAlpha * round_max_seconds_ + (1.0 - kEwmaAlpha) * ewma_seconds_
-                        : round_max_seconds_;
-    ewma_primed_ = true;
-  }
-  round_max_seconds_ = 0.0;
-  round_has_observation_ = false;
-}
-
-HostStatus FailureDetector::status(HostId h) const {
-  if (dead_[h]) return HostStatus::kDead;
-  if (late_[h] >= kSuspectAfter || misses_[h] > 0) return HostStatus::kSuspect;
-  return HostStatus::kAlive;
-}
 
 // ---- Membership -------------------------------------------------------------
 
@@ -116,10 +58,28 @@ void Membership::save(util::SendBuffer& buf) const {
 }
 
 void Membership::restore(util::RecvBuffer& buf) {
-  logical_to_physical_ = buf.read_vector<HostId>();
-  alive_ = buf.read_vector<std::uint8_t>();
-  num_alive_ = 0;
-  for (std::uint8_t a : alive_) num_alive_ += a ? 1 : 0;
+  std::vector<HostId> placement = buf.read_vector<HostId>();
+  std::vector<std::uint8_t> alive = buf.read_vector<std::uint8_t>();
+  const HostId n = num_logical();
+  if (placement.size() != n || alive.size() != n) {
+    throw std::out_of_range("membership over " + std::to_string(placement.size()) + " and " +
+                            std::to_string(alive.size()) + " hosts, expected " +
+                            std::to_string(n));
+  }
+  HostId num_alive = 0;
+  for (std::uint8_t a : alive) num_alive += a ? 1 : 0;
+  if (num_alive == 0) throw std::out_of_range("membership has no live host");
+  for (HostId logical = 0; logical < n; ++logical) {
+    const HostId p = placement[logical];
+    if (p >= n || !alive[p]) {
+      throw std::out_of_range("membership places shard " + std::to_string(logical) +
+                              " on " + (p >= n ? "out-of-range" : "dead") + " host " +
+                              std::to_string(p));
+    }
+  }
+  logical_to_physical_ = std::move(placement);
+  alive_ = std::move(alive);
+  num_alive_ = num_alive;
 }
 
 }  // namespace mrbc::sim

@@ -1,8 +1,8 @@
 #pragma once
-// Permanent-failure machinery for the simulated cluster: failure detection
-// and ownership handoff. Together with the durable snapshots in
-// engine/snapshot.h this is what lets a run survive losing a host for good
-// (as opposed to the transient crash/rollback model in engine/fault.h).
+// Ownership handoff for the simulated cluster: the map that lets a run
+// survive losing a host for good (as opposed to the transient
+// crash/rollback model in engine/fault.h). Together with the durable
+// snapshots in engine/snapshot.h it also survives the process dying.
 //
 // The design splits hosts into *logical* and *physical*. A Partition's H
 // hosts are logical and immutable for the lifetime of a run: the message
@@ -18,90 +18,21 @@
 // endpoints share a physical host become local memory moves
 // (Substrate::set_placement).
 //
-// Failure detection models the observable protocol: each BSP round every
-// physical host's heartbeat (its measured round time) is checked against a
-// deadline derived from NetworkModel and an EWMA of recent rounds. A host
-// whose heartbeat is *late* is a straggler: it is marked suspect and
-// waited for with exponentially backed-off deadlines, but never declared
-// dead (the heartbeat exists). A host whose heartbeat is *missing* for
-// kDeadAfter consecutive rounds is declared permanently dead, at which
-// point BspLoop performs the handoff and rolls back to the last
-// coordinated checkpoint.
+// Deaths are declared by sim::BspLoop, which models the missed-heartbeat
+// protocol at a fixed cost: every live host heartbeats every round, so a
+// host that dies is declared dead after BspLoop::kDeadAfter missed
+// heartbeats, each waited out for NetworkModel::heartbeat_deadline_seconds.
 
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "engine/network_model.h"
 #include "partition/partition.h"
 #include "util/serialize.h"
 
 namespace mrbc::sim {
 
 using partition::HostId;
-
-enum class HostStatus : std::uint8_t { kAlive, kSuspect, kDead };
-
-/// Missed-heartbeat failure detector over physical hosts. Fed once per BSP
-/// round; deterministic given the same observation sequence.
-class FailureDetector {
- public:
-  /// Round deadline = kDeadlineMultiplier * max(EWMA round time,
-  /// kappa_barrier): headroom over the typical round so ordinary jitter
-  /// never trips it.
-  static constexpr double kDeadlineMultiplier = 8.0;
-  /// Floor for the deadline in seconds (tiny simulated rounds would
-  /// otherwise produce sub-microsecond deadlines).
-  static constexpr double kMinDeadlineSeconds = 1e-4;
-  /// EWMA smoothing factor for the round-time baseline.
-  static constexpr double kEwmaAlpha = 0.2;
-  /// Consecutive late heartbeats before a host is marked suspect.
-  static constexpr std::size_t kSuspectAfter = 1;
-  /// Per-step growth of a suspect host's deadline (the "wait with backoff"
-  /// grace that keeps stragglers from being declared dead).
-  static constexpr double kBackoffGrowth = 1.5;
-  /// Consecutive *missing* heartbeats before a host is declared dead.
-  static constexpr std::size_t kDeadAfter = 3;
-
-  FailureDetector(HostId num_hosts, const NetworkModel& network);
-
-  /// Heartbeat from host `h` carrying its round time. On-time heartbeats
-  /// decay suspicion; late ones (past the host's backed-off deadline) mark
-  /// the host suspect and are counted in suspect_observations().
-  void observe(HostId h, double seconds);
-
-  /// No heartbeat from `h` this round; kDeadAfter consecutive misses
-  /// transition the host to kDead.
-  void observe_missing(HostId h);
-
-  /// Ends the observation round: folds the round's on-time heartbeats into
-  /// the EWMA baseline that future deadlines derive from.
-  void finish_round();
-
-  HostStatus status(HostId h) const;
-  bool dead(HostId h) const { return status(h) == HostStatus::kDead; }
-
-  /// Current base deadline (before per-host backoff).
-  double deadline_seconds() const;
-  /// Effective deadline for `h`: the base deadline grown by kBackoffGrowth
-  /// per consecutive late heartbeat (capped), so suspects get extra grace.
-  double deadline_seconds(HostId h) const;
-
-  std::size_t consecutive_misses(HostId h) const { return misses_[h]; }
-  /// Total late-heartbeat observations (straggler diagnostics).
-  std::size_t suspect_observations() const { return suspect_observations_; }
-
- private:
-  NetworkModel network_;
-  double ewma_seconds_ = 0.0;
-  bool ewma_primed_ = false;
-  double round_max_seconds_ = 0.0;
-  bool round_has_observation_ = false;
-  std::vector<std::size_t> late_;    ///< consecutive late heartbeats per host
-  std::vector<std::size_t> misses_;  ///< consecutive missing heartbeats per host
-  std::vector<std::uint8_t> dead_;
-  std::size_t suspect_observations_ = 0;
-};
 
 /// Logical→physical host map; the unit of ownership handoff. Starts as the
 /// identity over `num_hosts` hosts; declare_dead() relocates the dead
@@ -138,6 +69,10 @@ class Membership {
   void reset();
 
   void save(util::SendBuffer& buf) const;
+  /// Mirror of save() for a map over this map's host count. Throws
+  /// std::out_of_range, leaving the map unchanged, on what save() never
+  /// writes: another host count, a physical host >= num_logical(), a shard
+  /// placed on a dead host, or no live host at all.
   void restore(util::RecvBuffer& buf);
 
  private:

@@ -170,11 +170,22 @@ void expect_size(const char* what, std::uint64_t size, std::uint64_t expected) {
 
 // ---- DurableFile ------------------------------------------------------------
 
+namespace {
+
+std::uint32_t with_record_revision(std::uint32_t fingerprint) {
+  util::SendBuffer buf;
+  buf.write<std::uint32_t>(fingerprint);
+  buf.write<std::uint32_t>(DurableFile::kRecordRevision);
+  return util::crc32(buf.bytes());
+}
+
+}  // namespace
+
 DurableFile::DurableFile(const std::string& dir, const char* name, std::uint32_t fingerprint,
                          const ClusterOptions& cluster, std::size_t halt_after_writes,
                          const std::atomic<bool>* halt_flag)
     : path_(dir.empty() ? std::string() : dir + "/" + name),
-      fingerprint_(fingerprint),
+      fingerprint_(with_record_revision(fingerprint)),
       fault_(cluster.fault),
       membership_(cluster.membership),
       halt_after_writes_(halt_after_writes),
@@ -247,7 +258,6 @@ void save_run_stats(util::SendBuffer& buf, const RunStats& stats) {
   buf.write<std::uint64_t>(fc.handoffs);
   buf.write<std::uint64_t>(fc.handoff_bytes);
   buf.write<std::uint64_t>(fc.detection_rounds);
-  buf.write<std::uint64_t>(fc.suspect_rounds);
   buf.write<double>(fc.retransmit_seconds);
   buf.write<double>(fc.checkpoint_seconds);
   buf.write<double>(fc.detection_seconds);
@@ -301,7 +311,6 @@ RunStats load_run_stats(util::RecvBuffer& buf) {
   fc.handoffs = buf.read<std::uint64_t>();
   fc.handoff_bytes = buf.read<std::uint64_t>();
   fc.detection_rounds = buf.read<std::uint64_t>();
-  fc.suspect_rounds = buf.read<std::uint64_t>();
   fc.retransmit_seconds = buf.read<double>();
   fc.checkpoint_seconds = buf.read<double>();
   fc.detection_seconds = buf.read<double>();

@@ -179,8 +179,18 @@ struct DurableHalt {};
 /// sections through it.
 class DurableFile {
  public:
+  /// Revision of the records every engine's file shares: the RunStats
+  /// records (save_run_stats), the fault cursor and the membership map. A
+  /// file of another revision is refused by fingerprint, before any of
+  /// them is parsed. Revision 1, unmarked in the fingerprint, also wrote a
+  /// straggler-suspicion counter per RunStats record and a crash flag in
+  /// the fault cursor.
+  static constexpr std::uint32_t kRecordRevision = 2;
+
   /// Checkpointing is off (enabled() false) when `dir` is empty. The fault
   /// injector and membership map of `cluster` travel with every snapshot.
+  /// `fingerprint` pins the engine's configuration and its own layouts;
+  /// the file's fingerprint folds in kRecordRevision as well.
   DurableFile(const std::string& dir, const char* name, std::uint32_t fingerprint,
               const ClusterOptions& cluster, std::size_t halt_after_writes,
               const std::atomic<bool>* halt_flag);

@@ -222,8 +222,7 @@ TEST(Mfbc, CrashRollsBackThroughBspLoop) {
   const auto clean = mfbc_bc(g, sources, opts);
 
   sim::FaultPlan plan;
-  plan.crash_round = 3;
-  plan.crash_host = 1;
+  plan.events.push_back({sim::FaultKind::kCrash, 3, 1});
   sim::FaultInjector injector(plan, opts.num_hosts);
   opts.fault = &injector;
   const auto crashed = mfbc_bc(g, sources, opts);
@@ -249,7 +248,7 @@ TEST(Mfbc, MidPhaseCrashRestoresPartialsInFlight) {
   ASSERT_GT(clean.forward.rounds, 11u);
 
   sim::FaultPlan plan;
-  plan.crash_round = 11;
+  plan.events.push_back({sim::FaultKind::kCrash, 11, 0});
   sim::FaultInjector injector(plan, opts.num_hosts);
   opts.fault = &injector;
   const auto crashed = mfbc_bc(g, sources, opts);

@@ -264,8 +264,7 @@ TEST_F(DeterminismTest, FaultInjectedRunReplaysIdenticallyAcrossThreadCounts) {
   plan.drop_rate = 0.05;
   plan.duplicate_rate = 0.03;
   plan.corrupt_rate = 0.03;
-  plan.crash_round = 5;
-  plan.crash_host = 2;
+  plan.events.push_back({sim::FaultKind::kCrash, 5, 2});
   sim::FaultInjector injector(plan, 4);
   const auto golden = baselines::brandes_bc_sources(g, sources);
 
@@ -397,8 +396,7 @@ TEST_F(DeterminismTest, CodecModesReplayFaultScheduleIdentically) {
   plan.drop_rate = 0.05;
   plan.duplicate_rate = 0.03;
   plan.corrupt_rate = 0.03;
-  plan.crash_round = 5;
-  plan.crash_host = 2;
+  plan.events.push_back({sim::FaultKind::kCrash, 5, 2});
   sim::FaultInjector injector(plan, 4);
 
   const auto raw = run_mrbc(g, sources, 1, false, 4, &injector);

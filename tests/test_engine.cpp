@@ -183,8 +183,7 @@ TEST(BspLoop, CrashRollsBackToCheckpointAndReplays) {
   const std::size_t kHosts = 3;
   const std::size_t kRounds = 7;
   sim::FaultPlan plan;
-  plan.crash_round = 5;
-  plan.crash_host = 1;
+  plan.events.push_back({sim::FaultKind::kCrash, 5, 1});
   sim::FaultInjector injector(plan, kHosts);
   ClusterOptions opts;
   opts.fault = &injector;
@@ -252,8 +251,7 @@ TEST(BspLoop, RoundLogReconcilesWithAggregatesUnderCrashes) {
   const std::size_t kHosts = 3;
   const std::size_t kRounds = 7;
   sim::FaultPlan plan;
-  plan.crash_round = 5;
-  plan.crash_host = 1;
+  plan.events.push_back({sim::FaultKind::kCrash, 5, 1});
   sim::FaultInjector injector(plan, kHosts);
   ClusterOptions opts;
   opts.fault = &injector;

@@ -85,16 +85,13 @@ TEST(FaultInjector, StragglerAssignmentIsSeededAndBounded) {
 
 TEST(FaultInjector, CrashFiresExactlyOnceUntilRearmed) {
   FaultPlan plan;
-  plan.crash_round = 3;
-  plan.crash_host = 9;  // taken modulo host count
+  plan.events.push_back({sim::FaultKind::kCrash, 3, 9});  // host taken modulo host count
   FaultInjector inj(plan, 4);
   partition::HostId dead = 0;
   EXPECT_FALSE(inj.crash_due(2, &dead));
-  EXPECT_TRUE(inj.crash_armed());
   ASSERT_TRUE(inj.crash_due(3, &dead));
   EXPECT_EQ(dead, 1u);
   EXPECT_FALSE(inj.crash_due(3, &dead)) << "replaying round 3 must not crash again";
-  EXPECT_FALSE(inj.crash_armed());
   inj.rearm();
   EXPECT_TRUE(inj.crash_due(3, &dead));
 }
@@ -167,8 +164,7 @@ TEST(FaultRecovery, MrbcCrashRecoveryMatchesFaultFreeRun) {
 
   FaultPlan plan;
   plan.seed = 41;
-  plan.crash_round = 5;
-  plan.crash_host = 2;
+  plan.events.push_back({sim::FaultKind::kCrash, 5, 2});
   core::MrbcOptions opts;
   opts.num_hosts = 4;
   opts.batch_size = 6;
@@ -197,8 +193,7 @@ TEST(FaultRecovery, MrbcSurvivesCombinedFaultSchedule) {
   plan.duplicate_rate = 0.1;
   plan.corrupt_rate = 0.1;
   plan.straggler_rate = 0.25;
-  plan.crash_round = 7;
-  plan.crash_host = 1;
+  plan.events.push_back({sim::FaultKind::kCrash, 7, 1});
   core::MrbcOptions opts;
   opts.num_hosts = 4;
   opts.batch_size = 6;
@@ -220,8 +215,7 @@ TEST(FaultRecovery, SbbcCrashRecoveryMatchesFaultFreeRun) {
   FaultPlan plan;
   plan.seed = 61;
   plan.drop_rate = 0.2;
-  plan.crash_round = 3;
-  plan.crash_host = 3;
+  plan.events.push_back({sim::FaultKind::kCrash, 3, 3});
   baselines::SbbcOptions opts;
   opts.num_hosts = 4;
   FaultInjector injector(plan, opts.num_hosts);

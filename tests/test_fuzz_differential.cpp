@@ -132,9 +132,11 @@ TEST_P(DifferentialFuzz, FaultScheduleMatchesBrandes) {
   plan.duplicate_rate = 0.3 * rng.next_double();
   plan.corrupt_rate = 0.3 * rng.next_double();
   plan.straggler_rate = 0.5 * rng.next_double();
+  std::uint32_t crash_at = 0;
   if (rng.next_bool(0.6)) {
-    plan.crash_round = 1 + static_cast<std::uint32_t>(rng.next_bounded(12));
-    plan.crash_host = static_cast<partition::HostId>(rng.next_bounded(8));
+    crash_at = 1 + static_cast<std::uint32_t>(rng.next_bounded(12));
+    plan.events.push_back({sim::FaultKind::kCrash, crash_at,
+                           static_cast<partition::HostId>(rng.next_bounded(8))});
   }
   const auto checkpoint_interval = 1 + rng.next_bounded(8);
 
@@ -147,7 +149,7 @@ TEST_P(DifferentialFuzz, FaultScheduleMatchesBrandes) {
   mopts.cluster.checkpoint_interval = checkpoint_interval;
   auto run = core::mrbc_bc(g, sources, mopts);
   EXPECT_EQ(run.anomalies, 0u) << "seed=" << GetParam() << " hosts=" << mopts.num_hosts
-                               << " drop=" << plan.drop_rate << " crash=" << plan.crash_round;
+                               << " drop=" << plan.drop_rate << " crash=" << crash_at;
   testing::expect_bc_equal(golden.bc, run.result.bc,
                            "fuzz mrbc faults seed=" + std::to_string(GetParam()));
 
@@ -206,8 +208,9 @@ TEST_P(DifferentialFuzz, CodecModesAreBitIdenticalAcrossConfigs) {
     plan.duplicate_rate = 0.2 * rng.next_double();
     plan.corrupt_rate = 0.2 * rng.next_double();
     if (rng.next_bool(0.5)) {
-      plan.crash_round = 1 + static_cast<std::uint32_t>(rng.next_bounded(10));
-      plan.crash_host = static_cast<partition::HostId>(rng.next_bounded(8));
+      plan.events.push_back({sim::FaultKind::kCrash,
+                             1 + static_cast<std::uint32_t>(rng.next_bounded(10)),
+                             static_cast<partition::HostId>(rng.next_bounded(8))});
     }
   }
 

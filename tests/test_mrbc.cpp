@@ -378,8 +378,8 @@ TEST(MrbcSchedule, RoundsTrafficAndScoresArePinned) {
     // rollback restores the backward phase from the snapshot itself.
     std::filesystem::copy_file(saved, file, std::filesystem::copy_options::overwrite_existing);
     sim::FaultPlan resume_crash;
-    resume_crash.crash_round = static_cast<std::uint32_t>(halt_round + 1);
-    resume_crash.crash_host = 1;
+    resume_crash.events.push_back(
+        {sim::FaultKind::kCrash, static_cast<std::uint32_t>(halt_round + 1), 1});
     sim::FaultInjector resume_injector(resume_crash, opts.num_hosts);
     MrbcOptions ropts = dopts;
     ropts.cluster.fault = &resume_injector;
@@ -389,8 +389,7 @@ TEST(MrbcSchedule, RoundsTrafficAndScoresArePinned) {
 
     // A crash in the first forward phase, rolled back and replayed.
     sim::FaultPlan plan;
-    plan.crash_round = 3;
-    plan.crash_host = 1;
+    plan.events.push_back({sim::FaultKind::kCrash, 3, 1});
     sim::FaultInjector injector(plan, opts.num_hosts);
     MrbcOptions fopts = opts;
     fopts.cluster.fault = &injector;

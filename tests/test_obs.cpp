@@ -750,8 +750,7 @@ TEST(ObsReconciliation, FaultInjectedRunReconcilesSpansAndPhases) {
   Tracer& t = Tracer::global();
   t.enable(1 << 14);
   sim::FaultPlan plan;
-  plan.crash_round = 5;
-  plan.crash_host = 1;
+  plan.events.push_back({sim::FaultKind::kCrash, 5, 1});
   sim::FaultInjector injector(plan, 3);
   CounterApp app(3);
   const RunStats stats = run_synthetic(3, 7, &injector, &app);

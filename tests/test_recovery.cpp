@@ -1,8 +1,8 @@
-// Permanent-failure recovery suite: failure-detector thresholds (stragglers
-// stay suspect, missing heartbeats become deaths), deterministic ownership
-// handoff, bit-identity of death schedules against fault-free runs, durable
-// cold restarts for MRBC / SBBC / IncrementalBc, and the snapshot
-// container's corruption hardening.
+// Permanent-failure recovery suite: deterministic ownership handoff,
+// bit-identity of death schedules against fault-free runs (modeled time
+// included), durable cold restarts for MRBC / SBBC / IncrementalBc, and the
+// refusal of corrupt or crafted snapshots by the container and by every
+// decoder behind it.
 
 #include <gtest/gtest.h>
 
@@ -83,81 +83,6 @@ void write_file_bytes(const std::string& path, const std::vector<std::uint8_t>& 
   ASSERT_NE(f, nullptr) << path;
   if (!data.empty()) std::fwrite(data.data(), 1, data.size(), f);
   std::fclose(f);
-}
-
-// ---- Failure detector -------------------------------------------------------
-
-TEST(FailureDetector, StragglerStaysSuspectAndRecovers) {
-  sim::NetworkModel net;
-  sim::FailureDetector det(4, net);  // kSuspectAfter = 1, kDeadAfter = 3
-
-  // Prime the EWMA baseline with on-time rounds.
-  for (int r = 0; r < 5; ++r) {
-    for (HostId h = 0; h < 4; ++h) det.observe(h, 1e-5);
-    det.finish_round();
-  }
-  ASSERT_EQ(det.status(0), sim::HostStatus::kAlive);
-
-  // Host 0 starts heartbeating far past any deadline: it is a straggler,
-  // marked suspect and granted growing grace, but NEVER declared dead —
-  // the heartbeat proves it is up.
-  const double base_deadline = det.deadline_seconds();
-  const std::size_t late_rounds = 20;
-  for (std::size_t r = 0; r < late_rounds; ++r) {
-    det.observe(0, 1e9);
-    for (HostId h = 1; h < 4; ++h) det.observe(h, 1e-5);
-    det.finish_round();
-    EXPECT_EQ(det.status(0), sim::HostStatus::kSuspect) << "round " << r;
-    EXPECT_FALSE(det.dead(0));
-    EXPECT_EQ(det.consecutive_misses(0), 0u);
-  }
-  EXPECT_GE(det.suspect_observations(), late_rounds);
-  // Suspects get exponential backoff grace over the base deadline.
-  EXPECT_GT(det.deadline_seconds(0), det.deadline_seconds(1));
-  EXPECT_GE(det.deadline_seconds(1), base_deadline);
-  // One slow host must not inflate the shared baseline (late heartbeats are
-  // excluded from the EWMA).
-  EXPECT_LT(det.deadline_seconds(), 1e3);
-
-  // On-time heartbeats decay the suspicion back to alive.
-  for (std::size_t r = 0; r < 2 * late_rounds + 2; ++r) {
-    for (HostId h = 0; h < 4; ++h) det.observe(h, 1e-5);
-    det.finish_round();
-  }
-  EXPECT_EQ(det.status(0), sim::HostStatus::kAlive);
-}
-
-TEST(FailureDetector, MissingHeartbeatsBecomeDeath) {
-  ASSERT_EQ(sim::FailureDetector::kDeadAfter, 3u);
-  sim::FailureDetector det(3, sim::NetworkModel{});
-
-  // Two misses: suspect, not dead; a heartbeat resets the count.
-  det.observe_missing(1);
-  det.finish_round();
-  det.observe_missing(1);
-  det.finish_round();
-  EXPECT_EQ(det.status(1), sim::HostStatus::kSuspect);
-  EXPECT_FALSE(det.dead(1));
-  EXPECT_EQ(det.consecutive_misses(1), 2u);
-  det.observe(1, 1e-5);
-  det.finish_round();
-  EXPECT_EQ(det.consecutive_misses(1), 0u);
-  EXPECT_FALSE(det.dead(1));
-
-  // kDeadAfter consecutive misses: permanently dead.
-  for (int r = 0; r < 3; ++r) {
-    det.observe_missing(1);
-    det.finish_round();
-  }
-  EXPECT_EQ(det.status(1), sim::HostStatus::kDead);
-  EXPECT_TRUE(det.dead(1));
-  // Death is terminal — a late heartbeat cannot resurrect the host.
-  det.observe(1, 1e-5);
-  det.finish_round();
-  EXPECT_TRUE(det.dead(1));
-  // Other hosts are unaffected.
-  EXPECT_EQ(det.status(0), sim::HostStatus::kAlive);
-  EXPECT_EQ(det.status(2), sim::HostStatus::kAlive);
 }
 
 // ---- Ownership handoff ------------------------------------------------------
@@ -281,6 +206,52 @@ TEST(HostDeath, MrbcBitIdenticalToFaultFree) {
   }
 }
 
+/// Modeled time is a function of the schedule alone: every modeled sum of
+/// `actual` must equal `expected`'s bit for bit.
+void expect_modeled_time_equal(const sim::RunStats& expected, const sim::RunStats& actual,
+                               const std::string& label) {
+  EXPECT_EQ(actual.network_seconds, expected.network_seconds) << label;
+  EXPECT_EQ(actual.faults.detection_seconds, expected.faults.detection_seconds) << label;
+  EXPECT_EQ(actual.faults.detection_rounds, expected.faults.detection_rounds) << label;
+  EXPECT_EQ(actual.phases.comm_seconds, expected.phases.comm_seconds) << label;
+  EXPECT_EQ(actual.phases.checkpoint_seconds, expected.phases.checkpoint_seconds) << label;
+  EXPECT_EQ(actual.phases.recovery_seconds, expected.phases.recovery_seconds) << label;
+}
+
+TEST(HostDeath, ModeledTimeIsExactAcrossRunsAndThreadCounts) {
+  // MrbcBitIdenticalToFaultFree's schedule, run twice and once each at 1
+  // and 4 threads. Each death stalls kDeadAfter rounds at the network
+  // model's heartbeat deadline, whatever the measured round times were.
+  const Graph g = graph::erdos_renyi(60, 0.08, 9);
+  const auto sources = graph::sample_sources(g, 12, 5, /*contiguous=*/false);
+  const sim::FaultPlan plan = death_plan({{sim::FaultKind::kHostDeath, 2, 1},
+                                          {sim::FaultKind::kHostDeath, 5, 4},
+                                          {sim::FaultKind::kHostDeath, 7, 1}});
+  auto run_with_threads = [&](std::size_t threads) {
+    core::MrbcOptions opts;
+    opts.num_hosts = 6;
+    opts.batch_size = 4;
+    opts.cluster.checkpoint_interval = 3;
+    opts.cluster.threads = threads;
+    opts.cluster.parallel_hosts = threads > 1;
+    sim::FaultInjector injector(plan, opts.num_hosts);
+    sim::Membership membership(opts.num_hosts);
+    opts.cluster.fault = &injector;
+    opts.cluster.membership = &membership;
+    return core::mrbc_bc(g, sources, opts).total();
+  };
+
+  const sim::RunStats first = run_with_threads(0);
+  // The deaths fire in three different rounds: three stalls.
+  EXPECT_EQ(first.faults.deaths, 3u);
+  EXPECT_EQ(first.faults.detection_rounds, 3 * sim::BspLoop::kDeadAfter);
+  EXPECT_DOUBLE_EQ(sim::NetworkModel{}.heartbeat_deadline_seconds(), 160e-6);
+  EXPECT_DOUBLE_EQ(first.faults.detection_seconds, 9 * 160e-6);
+  expect_modeled_time_equal(first, run_with_threads(0), "repeated run");
+  expect_modeled_time_equal(first, run_with_threads(1), "1 thread");
+  expect_modeled_time_equal(first, run_with_threads(4), "4 threads");
+}
+
 TEST(HostDeath, HandoffDeterministicAcrossThreadCounts) {
   const Graph g = graph::rmat({.scale = 6, .edge_factor = 5.0, .seed = 21});
   const auto sources = graph::sample_sources(g, 10, 3, /*contiguous=*/false);
@@ -361,7 +332,7 @@ TEST(DurableRestart, MrbcColdRestartBitIdentity) {
   // Kill the process right after the second durable snapshot write, then
   // keep cold-restarting (fresh driver call each time — nothing survives
   // but the file) until the run completes. Re-interrupting the resumed
-  // legs exercises the saved-prefix merging.
+  // legs checks that their snapshots carry the stats they resumed onto.
   core::MrbcOptions dopts = opts;
   dopts.checkpoint_dir = dir;
   dopts.halt_after_checkpoints = 2;
@@ -409,6 +380,11 @@ TEST(DurableRestart, MrbcResumesExactlyFromEveryHaltPoint) {
   opts.cluster.checkpoint_interval = 1;
   const auto golden = core::mrbc_bc(g, sources, opts);
   ASSERT_EQ(golden.anomalies, 0u);
+  // Modeled time counts the durable checkpoint writes, so a resumed run's
+  // is compared with an uninterrupted durable run's.
+  core::MrbcOptions uopts = opts;
+  uopts.checkpoint_dir = scratch_dir("mrbc_every_halt_uninterrupted");
+  const auto uninterrupted = core::mrbc_bc(g, sources, uopts);
 
   const std::string dir = scratch_dir("mrbc_every_halt");
   std::size_t points = 0;
@@ -430,6 +406,8 @@ TEST(DurableRestart, MrbcResumesExactlyFromEveryHaltPoint) {
     EXPECT_EQ(resumed.forward.rounds, golden.forward.rounds) << label;
     EXPECT_EQ(resumed.backward.rounds, golden.backward.rounds) << label;
     EXPECT_EQ(resumed.total().bytes, golden.total().bytes) << label;
+    expect_modeled_time_equal(uninterrupted.forward, resumed.forward, label + " forward");
+    expect_modeled_time_equal(uninterrupted.backward, resumed.backward, label + " backward");
   }
   EXPECT_GT(points, golden.forward.rounds) << "a halt point per round of both phases";
 }
@@ -693,6 +671,22 @@ struct MrbcEngine {
     accum.read_vector<double>();
     accum.read_vector<VertexId>();
   }
+  /// The engine's own fingerprint of a run on `g`: the configuration, then
+  /// the label layout revision.
+  static std::uint32_t engine_fingerprint(const Graph& g, const std::vector<VertexId>& s,
+                                          const Options& o) {
+    util::SendBuffer buf;
+    buf.write<std::uint64_t>(g.num_vertices());
+    buf.write<std::uint32_t>(o.num_hosts);
+    buf.write<std::uint32_t>(o.batch_size);
+    buf.write<std::uint8_t>(o.delayed_sync ? 1 : 0);
+    buf.write<std::uint8_t>(o.collect_tables ? 1 : 0);
+    buf.write<std::uint8_t>(static_cast<std::uint8_t>(o.cluster.codec));
+    buf.write<std::uint64_t>(o.cluster.checkpoint_interval);
+    buf.write_vector(s);
+    buf.write<std::uint32_t>(core::HostState::kWireLayout);
+    return util::crc32(buf.bytes());
+  }
 };
 
 struct SbbcEngine {
@@ -709,6 +703,18 @@ struct SbbcEngine {
     return baselines::sbbc_bc(g, s, o);
   }
   static void skip_to_tables(util::RecvBuffer& accum) { accum.read_vector<double>(); }
+  static std::uint32_t engine_fingerprint(const Graph& g, const std::vector<VertexId>& s,
+                                          const Options& o) {
+    util::SendBuffer buf;
+    buf.reserve(64);  // sidesteps a GCC 12 -Warray-bounds false positive on growth
+    buf.write<std::uint64_t>(g.num_vertices());
+    buf.write<std::uint32_t>(o.num_hosts);
+    buf.write<std::uint8_t>(o.collect_tables ? 1 : 0);
+    buf.write<std::uint8_t>(static_cast<std::uint8_t>(o.cluster.codec));
+    buf.write<std::uint64_t>(o.cluster.checkpoint_interval);
+    buf.write_vector(s);
+    return util::crc32(buf.bytes());
+  }
 };
 
 template <typename Engine>
@@ -807,6 +813,25 @@ TYPED_TEST(DurableResume, RejectsShortScores) {
   // but resuming would index past the end of the score vector.
   this->expect_edited_accum_rejected(
       [](std::vector<std::uint8_t>& bytes) { shorten_scores(bytes, 0, 10); });
+}
+
+TYPED_TEST(DurableResume, RejectsFileOfAnotherRecordRevision) {
+  // Files of record revision 1 carried the engine's own fingerprint, with
+  // no revision folded in, and longer RunStats records. Resuming one must
+  // fail at the fingerprint, before any record is parsed.
+  this->write_halted_file();
+  const std::uint32_t unrevised =
+      TypeParam::engine_fingerprint(this->g_, this->sources_, TypeParam::options());
+  reframe(this->dir_ + "/" + TypeParam::kFile,
+          [&](std::uint32_t id, std::vector<std::uint8_t>& bytes) {
+            if (id == 1) std::memcpy(bytes.data(), &unrevised, sizeof(unrevised));
+          });
+  try {
+    TypeParam::run(this->g_, this->sources_, this->resume_options());
+    ADD_FAILURE() << "resume accepted a revision-1 fingerprint";
+  } catch (const sim::SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find("fingerprint mismatch"), std::string::npos) << e.what();
+  }
 }
 
 TEST(DurableRestart, SbbcColdRestartBitIdentity) {
@@ -1230,8 +1255,7 @@ TEST(Snapshot, FaultPlanReproFileRoundTrips) {
   plan.corrupt_rate = 0.03125;
   plan.straggler_rate = 0.25;
   plan.straggler_slowdown = 6.5;
-  plan.crash_round = 4;
-  plan.crash_host = 2;
+  plan.events.push_back({sim::FaultKind::kCrash, 4, 2});
   plan.events.push_back({sim::FaultKind::kCrash, 3, 1});
   plan.events.push_back({sim::FaultKind::kHostDeath, 7, 5});
 
@@ -1246,8 +1270,6 @@ TEST(Snapshot, FaultPlanReproFileRoundTrips) {
   EXPECT_EQ(loaded.corrupt_rate, plan.corrupt_rate);
   EXPECT_EQ(loaded.straggler_rate, plan.straggler_rate);
   EXPECT_EQ(loaded.straggler_slowdown, plan.straggler_slowdown);
-  EXPECT_EQ(loaded.crash_round, plan.crash_round);
-  EXPECT_EQ(loaded.crash_host, plan.crash_host);
   ASSERT_EQ(loaded.events.size(), plan.events.size());
   for (std::size_t i = 0; i < plan.events.size(); ++i) {
     EXPECT_EQ(loaded.events[i].kind, plan.events[i].kind) << i;
@@ -1257,6 +1279,145 @@ TEST(Snapshot, FaultPlanReproFileRoundTrips) {
 
   EXPECT_THROW(sim::load_fault_plan_file(dir + "/absent.snap", &fuzz_seed),
                sim::SnapshotError);
+}
+
+// ---- Fault-layer decoders ---------------------------------------------------
+// CRC-valid fault-cursor and membership sections of mrbc.ckpt, and fault-plan
+// repro sections, holding what their writers never write: each is refused
+// as a SnapshotError naming its section.
+
+class FaultLayerDecoders : public ::testing::Test {
+ protected:
+  static constexpr HostId kHosts = 3;
+  static constexpr std::size_t kEvents = 2;
+
+  FaultLayerDecoders()
+      : dir_(scratch_dir(std::string("decoders_") +
+                         ::testing::UnitTest::GetInstance()->current_test_info()->name())),
+        g_(graph::erdos_renyi(40, 0.1, 13)),
+        sources_(graph::sample_sources(g_, 6, 1, /*contiguous=*/false)) {}
+
+  /// One MRBC call with a fresh injector, whose plan schedules `events`
+  /// crashes too late to fire, and a fresh membership map. A first call
+  /// halts after one durable write.
+  core::MrbcRun call(bool resume, std::size_t events) {
+    sim::FaultPlan plan;
+    plan.events.assign(events, {sim::FaultKind::kCrash, 1000, 0});
+    sim::FaultInjector injector(plan, kHosts);
+    sim::Membership membership(kHosts);
+    core::MrbcOptions o;
+    o.num_hosts = kHosts;
+    o.batch_size = 3;
+    o.cluster.fault = &injector;
+    o.cluster.membership = &membership;
+    o.checkpoint_dir = dir_;
+    o.resume = resume;
+    o.halt_after_checkpoints = resume ? 0 : 1;
+    return core::mrbc_bc(g_, sources_, o);
+  }
+
+  /// Resuming under a plan of `events` events must throw a SnapshotError
+  /// naming `section` and `reason`.
+  void expect_resume_refused(const char* section, const char* reason,
+                             std::size_t events = kEvents) {
+    try {
+      call(true, events);
+      ADD_FAILURE() << "resume accepted " << section;
+    } catch (const sim::SnapshotError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(section), std::string::npos) << what;
+      EXPECT_NE(what.find(reason), std::string::npos) << what;
+    }
+  }
+
+  /// Writes a halted file whose membership section holds `placement` and
+  /// `alive`, which resuming must refuse for `reason`.
+  void expect_membership_refused(const std::vector<HostId>& placement,
+                                 const std::vector<std::uint8_t>& alive, const char* reason) {
+    ASSERT_TRUE(call(false, kEvents).halted);
+    reframe(dir_ + "/mrbc.ckpt", [&](std::uint32_t id, std::vector<std::uint8_t>& bytes) {
+      if (id != sim::kSectionMembership) return;
+      util::SendBuffer buf;
+      buf.write_vector(placement);
+      buf.write_vector(alive);
+      bytes = buf.take();
+    });
+    expect_resume_refused("section 6 (membership)", reason);
+  }
+
+  std::string dir_;
+  Graph g_;
+  std::vector<VertexId> sources_;
+};
+
+TEST_F(FaultLayerDecoders, RefusesMembershipOfAnotherHostCount) {
+  expect_membership_refused({0, 1}, {1, 1}, "expected 3");
+}
+
+TEST_F(FaultLayerDecoders, RefusesMembershipNamingAHostPastTheCount) {
+  expect_membership_refused({0, 1, 3}, {1, 1, 1}, "out-of-range host 3");
+}
+
+TEST_F(FaultLayerDecoders, RefusesShardOnADeadHost) {
+  expect_membership_refused({0, 1, 2}, {1, 0, 1}, "dead host 1");
+}
+
+TEST_F(FaultLayerDecoders, RefusesMembershipWithNoLiveHost) {
+  expect_membership_refused({0, 1, 2}, {0, 0, 0}, "no live host");
+}
+
+TEST_F(FaultLayerDecoders, RefusesCursorOfAnotherPlan) {
+  // Resuming under a plan with more or fewer events would re-arm or drop
+  // some; under the plan that wrote it, the same file resumes.
+  ASSERT_TRUE(call(false, kEvents).halted);
+  expect_resume_refused("section 5 (fault cursor)", "tracks 2 events", kEvents + 1);
+  expect_resume_refused("section 5 (fault cursor)", "tracks 2 events", kEvents - 1);
+  EXPECT_FALSE(call(true, kEvents).halted);
+}
+
+/// Writes `payload` as a fault-plan repro file; loading it must throw a
+/// SnapshotError naming the section and `reason`.
+void expect_plan_refused(const std::vector<std::uint8_t>& payload, const char* reason) {
+  constexpr std::uint32_t kFaultPlanSection = 0x46504C4E;  // "FPLN"
+  const std::string path = scratch_dir("fault_repro_crafted") + "/repro.snap";
+  sim::SnapshotWriter w;
+  w.section(kFaultPlanSection).write_raw(payload.data(), payload.size());
+  w.write_file(path);
+  std::uint64_t fuzz_seed = 0;
+  try {
+    sim::load_fault_plan_file(path, &fuzz_seed);
+    ADD_FAILURE() << "loaded a plan with " << reason;
+  } catch (const sim::SnapshotError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("(fault-plan repro)"), std::string::npos) << what;
+    EXPECT_NE(what.find(reason), std::string::npos) << what;
+  }
+}
+
+/// A repro payload (fuzz seed, then the plan) whose one event's record is
+/// the payload's last 9 bytes: kind u8, round u32, host u32.
+std::vector<std::uint8_t> one_event_repro_payload() {
+  sim::FaultPlan plan;
+  plan.events.push_back({sim::FaultKind::kHostDeath, 7, 5});
+  util::SendBuffer buf;
+  buf.write<std::uint64_t>(1234);
+  plan.save(buf);
+  return buf.take();
+}
+
+TEST(FaultPlanDecoder, RefusesUnknownEventKind) {
+  std::vector<std::uint8_t> payload = one_event_repro_payload();
+  payload[payload.size() - 9] = 2;
+  expect_plan_refused(payload, "unknown fault kind 2");
+}
+
+TEST(FaultPlanDecoder, RefusesEventCountPastTheEnd) {
+  // 2^40 events in a 9-byte list: refused when the second read runs out,
+  // without reserving room for the count first.
+  std::vector<std::uint8_t> payload = one_event_repro_payload();
+  const std::uint64_t count = std::uint64_t{1} << 40;
+  std::memcpy(payload.data() + payload.size() - 9 - sizeof(count), &count, sizeof(count));
+  expect_plan_refused(payload, "truncated");
 }
 
 // ---- Cooperative shutdown (halt_flag) ---------------------------------------
